@@ -2,173 +2,52 @@
 
 "Query (and program) optimization is an important issue."  The compilers
 (Theorems 4.1/4.5, GOOD) emit long chains of reserved temporaries; these
-rewrites clean them up without changing observable results:
+passes clean them up without changing the program's *outputs*:
 
-* **dead-statement elimination** — drop assignments whose target is never
-  read later and is not among the program's outputs (loop bodies are kept
-  conservative: anything read anywhere inside a loop, or steering its
-  condition, stays live across iterations);
-* **idempotent-pair collapsing** — ``DEDUP`` of a ``DEDUP``, and
-  ``TRANSPOSE`` of a ``TRANSPOSE`` with the same names, are collapsed.
+* **idempotent-pair collapsing** — ``DEDUP`` of a ``DEDUP`` reads the
+  original source, and ``TRANSPOSE`` of a ``TRANSPOSE`` becomes an
+  identity copy of it (the ``collapse-idempotent`` rule);
+* **dead-statement elimination** — drop statements whose writes never
+  reach the given outputs (loop bodies stay conservative: anything read
+  inside a loop, or steering its condition, stays live).
 
-Both are *syntactic* and sound for the statement semantics (assignment
-replaces the target's tables); they never touch statements with wildcard
-arguments, whose read-set is data-dependent.
+Both are entry points into the rewrite framework of
+:mod:`repro.engine.optimizer` — one rule registry, one While-recursing
+rule pass, one statement footprint — imported on first use because the
+engine depends on this package.  They never touch statements with
+wildcard arguments, whose footprint is data-dependent.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ...core import Symbol
-from .params import Lit, Parameter, Star
-from .statements import Assignment, Program, Statement, While
+from .statements import Program
 
 __all__ = ["eliminate_dead_statements", "collapse_idempotent_pairs", "optimize"]
 
 
-def _literal_name(param: Parameter) -> Symbol | None:
-    if isinstance(param, Lit):
-        return param.symbol
-    return None
-
-
-def _reads(statement: Statement) -> set[Symbol] | None:
-    """Names a statement reads, or None when data-dependent (wildcards)."""
-    if isinstance(statement, Assignment):
-        names: set[Symbol] = set()
-        for arg in statement.args:
-            name = _literal_name(arg)
-            if name is None:
-                return None
-            names.add(name)
-        return names
-    if isinstance(statement, While):
-        condition = _literal_name(statement.condition)
-        if condition is None:
-            return None
-        names = {condition}
-        for inner in statement.body.statements:
-            inner_reads = _reads(inner)
-            if inner_reads is None:
-                return None
-            names |= inner_reads
-        return names
-    return None
-
-
-def _writes(statement: Statement) -> set[Symbol] | None:
-    """Names a statement (re)binds, or None when data-dependent."""
-    if isinstance(statement, Assignment):
-        target = _literal_name(statement.target)
-        return None if target is None else {target}
-    if isinstance(statement, While):
-        names: set[Symbol] = set()
-        for inner in statement.body.statements:
-            inner_writes = _writes(inner)
-            if inner_writes is None:
-                return None
-            names |= inner_writes
-        return names
-    return None
-
-
 def eliminate_dead_statements(program: Program, outputs: Iterable[object]) -> Program:
-    """Drop assignments whose targets are never observed.
+    """Drop statements whose targets never reach ``outputs``."""
+    from ...engine import optimizer
 
-    ``outputs`` are the names whose final contents matter.  A statement
-    survives if its write-set intersects the live set; its reads then
-    become live.  Statements with wildcard parameters are conservatively
-    kept (and everything they might read stays unknown, so elimination
-    stops being applied before them).
-    """
-    from .params import as_parameter
-
-    live: set[Symbol] = set()
-    for output in outputs:
-        param = as_parameter(output)
-        name = _literal_name(param)
-        if name is None:
-            return program  # wildcard outputs: give up
-        live.add(name)
-
-    kept_reversed: list[Statement] = []
-    barrier = False  # a preceding (in reverse) wildcard statement was kept
-    for statement in reversed(program.statements):
-        writes = _writes(statement)
-        reads = _reads(statement)
-        if writes is None or reads is None or barrier:
-            kept_reversed.append(statement)
-            barrier = True
-            continue
-        if isinstance(statement, While):
-            # keep loops whose writes are observed; their reads become live
-            if writes & live or not writes:
-                kept_reversed.append(statement)
-                live |= reads
-            continue
-        if writes & live:
-            kept_reversed.append(statement)
-            live -= writes
-            live |= reads
-    return Program(reversed(kept_reversed))
-
-
-def optimize(program: Program, outputs: Iterable[object]) -> Program:
-    """The standard pipeline: collapse chains, then drop dead statements."""
-    return eliminate_dead_statements(collapse_idempotent_pairs(program), outputs)
-
-
-_IDEMPOTENT_OPS = {"DEDUP"}
-_INVOLUTION_OPS = {"TRANSPOSE"}
+    return optimizer.eliminate_dead_statements(program, outputs)
 
 
 def collapse_idempotent_pairs(program: Program) -> Program:
     """Rewrite idempotent and involutive chains to skip the intermediate.
 
     ``T ← DEDUP(S); U ← DEDUP(T)`` becomes ``T ← DEDUP(S); U ← DEDUP(S)``
-    (DEDUP is idempotent), and a TRANSPOSE of a TRANSPOSE becomes an
-    identity copy (a no-op RENAME) of the original source.  The
-    intermediate statement is *kept* — soundness does not depend on who
-    else reads it — and a subsequent dead-statement pass removes it when
-    nothing does.
+    and ``T ← TRANSPOSE(S); U ← TRANSPOSE(T)`` becomes
+    ``T ← TRANSPOSE(S); U ← RENAME ⊥ ⊥ (S)``.  The intermediate statement
+    is kept; a subsequent dead-statement pass removes it when nothing
+    reads it.
     """
-    statements = list(program.statements)
-    out: list[Statement] = []
-    previous: Statement | None = None
-    for current in statements:
-        if isinstance(current, While):
-            rewritten: Statement = While(
-                current.condition, collapse_idempotent_pairs(current.body)
-            )
-        else:
-            rewritten = _rewrite_second(previous, current) or current
-        out.append(rewritten)
-        previous = rewritten
-    return Program(out)
+    from ...engine import optimizer
+
+    return optimizer.collapse_idempotent_pairs(program)
 
 
-def _rewrite_second(first: Statement | None, second: Statement) -> Statement | None:
-    if not (isinstance(first, Assignment) and isinstance(second, Assignment)):
-        return None
-    if len(first.args) != 1 or len(second.args) != 1 or first.params or second.params:
-        return None
-    first_target = _literal_name(first.target)
-    second_source = _literal_name(second.args[0])
-    first_source = _literal_name(first.args[0])
-    if None in (first_target, second_source, first_source):
-        return None
-    if first_target != second_source or first_target == first_source:
-        return None
-    op1, op2 = first.spec.name, second.spec.name
-    if op1 == op2 and op1 in _IDEMPOTENT_OPS:
-        return Assignment(second.target, op1, [first.args[0]])
-    if op1 == op2 and op1 in _INVOLUTION_OPS:
-        # TRANSPOSE ∘ TRANSPOSE = identity: copy via a no-op rename
-        return Assignment(
-            second.target,
-            "RENAME",
-            [first.args[0]],
-            {"old": "__never__", "new": "__never__"},
-        )
-    return None
+def optimize(program: Program, outputs: Iterable[object]) -> Program:
+    """The standard pipeline: collapse chains, then drop dead statements."""
+    return eliminate_dead_statements(collapse_idempotent_pairs(program), outputs)

@@ -57,6 +57,7 @@ __all__ = [
     "NOTHING",
     "Binding",
     "as_parameter",
+    "literal_symbol",
 ]
 
 
@@ -132,6 +133,11 @@ class Lit(Parameter):
 
     def __str__(self) -> str:
         return str(self.symbol)
+
+
+def literal_symbol(param: object) -> Symbol | None:
+    """The symbol of a literal parameter, else None (wildcards, sets, pairs)."""
+    return param.symbol if isinstance(param, Lit) else None
 
 
 class Star(Parameter):

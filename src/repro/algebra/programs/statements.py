@@ -36,17 +36,37 @@ from ...obs import events as _ev
 from ...obs import runtime as _obs
 from ...obs.trace import NULL_SPAN
 from ...runtime import governor as _gv
-from .params import Binding, Lit, Parameter, Star, as_parameter
+from .params import Binding, Lit, Parameter, Star, as_parameter, literal_symbol
 from .registry import OPERATIONS, PARAM_ENTRY, PARAM_SET, PARAM_SINGLE, OpSpec
 
 __all__ = ["Statement", "Assignment", "While", "Program", "Interpreter", "assign"]
 
 
 class Statement:
-    """Abstract base of program statements."""
+    """Abstract base of program statements.
+
+    :meth:`reads`/:meth:`writes` are the statement's footprint — the table
+    names it reads and (re)binds, or None when wildcards make them
+    data-dependent: the one read/write analysis every rewrite consults.
+    """
 
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
         raise NotImplementedError
+
+    def reads(self) -> frozenset[Symbol] | None:
+        return None
+
+    def writes(self) -> frozenset[Symbol] | None:
+        return None
+
+
+def _union(footprints: Iterable[frozenset[Symbol] | None]) -> frozenset[Symbol] | None:
+    names: set[Symbol] = set()
+    for footprint in footprints:
+        if footprint is None:
+            return None
+        names |= footprint
+    return frozenset(names)
 
 
 class Assignment(Statement):
@@ -87,6 +107,16 @@ class Assignment(Statement):
             )
         if self.spec.aggregate and len(self.args) != 1:
             raise EvaluationError(f"{self.spec.name} takes exactly one argument name")
+
+    def reads(self) -> frozenset[Symbol] | None:
+        names = [literal_symbol(arg) for arg in self.args]
+        if any(name is None for name in names):
+            return None
+        return frozenset(names)
+
+    def writes(self) -> frozenset[Symbol] | None:
+        target = literal_symbol(self.target)
+        return None if target is None else frozenset([target])
 
     # -- matching ------------------------------------------------------
 
@@ -232,6 +262,15 @@ class While(Statement):
     def __init__(self, condition: object, body: "Program | Sequence[Statement]"):
         self.condition = as_parameter(condition)
         self.body = body if isinstance(body, Program) else Program(body)
+
+    def reads(self) -> frozenset[Symbol] | None:
+        # The condition name plus every read of the body.
+        condition = literal_symbol(self.condition)
+        first = None if condition is None else frozenset([condition])
+        return _union([first, *(s.reads() for s in self.body.statements)])
+
+    def writes(self) -> frozenset[Symbol] | None:
+        return _union(s.writes() for s in self.body.statements)
 
     def _holds(self, db: TabularDatabase, interp: "Interpreter") -> bool:
         name = self.condition.evaluate_single(interp.binding, None)

@@ -160,7 +160,7 @@ def _gen_statement(
     rng: random.Random, sizes: _Sizes, *, allow_wildcards: bool, safe_only: bool
 ) -> list[Statement]:
     """One generation step: usually one statement, sometimes a fusable
-    PRODUCT+SELECT pair (so the planner's rewrite is differentially
+    PRODUCT+SELECT pair (so product/select fusion is differentially
     covered end to end)."""
     star = Star(1) if allow_wildcards and rng.random() < 0.25 else None
 
@@ -231,7 +231,7 @@ def _gen_statement(
     sizes.put(target, bound)
 
     # Sometimes chase a PRODUCT with a same-target SELECT: exactly the
-    # adjacent pair the planner fuses into PRODUCTSELECT.
+    # adjacent pair fuse-product-select turns into PRODUCTSELECT.
     if op == "PRODUCT" and not isinstance(target, Star) and rng.random() < 0.7:
         statements.append(
             Assignment(
@@ -296,13 +296,13 @@ def random_case(
 # The rewrite-targeting family
 # ----------------------------------------------------------------------
 #
-# ``random_case`` hits the planner's PRODUCT+SELECT fusion often but the
-# other optimizer rewrites only by accident.  This family generates
-# programs *shaped like* each rule's redex — deep product chains,
+# ``random_case`` hits PRODUCT+SELECT fusion often but the other
+# optimizer rewrites only by accident.  This family generates programs
+# *shaped like* each rule's redex — deep product chains,
 # σ-after-RENAME/PROJECT, dead projections, duplicate subexpressions,
-# σ-over-∪ — over the same adversarial databases, so the differential
-# harness can prove every rewrite sound on inputs with ⊥, repeated
-# attributes, and names-in-data.
+# σ-over-∪, idempotent pairs — over the same adversarial databases, so
+# the differential harness can prove every rewrite sound on inputs with
+# ⊥, repeated attributes, and names-in-data.
 
 
 def _motif_chain(rng: random.Random, bases: list[str]) -> list[Statement]:
@@ -386,12 +386,27 @@ def _motif_select_union(rng: random.Random, bases: list[str]) -> list[Statement]
     ]
 
 
+def _motif_idempotent_pair(rng: random.Random, bases: list[str]) -> list[Statement]:
+    """DEDUP∘DEDUP or TRANSPOSE∘TRANSPOSE through an intermediate:
+    collapse-idempotent's redex."""
+    op = rng.choice(("DEDUP", "TRANSPOSE"))
+    base = rng.choice(bases)
+    spare = [n for n in NAMES if n not in bases] or ["T", "U"]
+    middle = spare[0]
+    target = rng.choice(spare[1:] or bases)
+    return [
+        Assignment(middle, op, [base]),
+        Assignment(target, op, [middle]),
+    ]
+
+
 _REWRITE_MOTIFS = (
     _motif_chain,
     _motif_renamed_self_join,
     _motif_dead_projection,
     _motif_duplicate,
     _motif_select_union,
+    _motif_idempotent_pair,
 )
 
 

@@ -8,14 +8,18 @@ Layout:
 * :mod:`repro.engine.interning` — symbol ↔ integer-id interning and the
   :class:`IdTable` id-column table representation;
 * :mod:`repro.engine.kernels` — the hash-based kernel catalogue;
-* :mod:`repro.engine.planner` — product/select fusion;
+* :mod:`repro.engine.optimizer` — the one rewrite framework: the rule
+  registry and the While-recursing pass applying it, behind
+  ``optimize_program`` (cost-based), ``plan_program`` (the vector plan:
+  product/select fusion alone) and the program optimizer of
+  :mod:`repro.algebra.programs.optimize`;
 * :mod:`repro.engine.run` — ``run_program(..., engine="vector")``;
 * :mod:`repro.engine.report` — kernel/fallback attribution reporting.
 
 Only :mod:`~repro.engine.runtime` is imported eagerly: the operation
 registry imports this package while the algebra package is still
-initialising, so everything that depends on the algebra (planner, run)
-is exposed lazily via module ``__getattr__``.
+initialising, so everything that depends on the algebra (optimizer,
+run) is exposed lazily via module ``__getattr__``.
 """
 
 from .runtime import ENGINE, FALLBACK_REASONS, VectorEngine, engine_scope
@@ -45,8 +49,8 @@ __all__ = [
 _LAZY = {
     "run_program": ("repro.engine.run", "run_program"),
     "ENGINES": ("repro.engine.run", "ENGINES"),
-    "plan_program": ("repro.engine.planner", "plan_program"),
-    "count_fusions": ("repro.engine.planner", "count_fusions"),
+    "plan_program": ("repro.engine.optimizer", "plan_program"),
+    "count_fusions": ("repro.engine.optimizer", "count_fusions"),
     "fallback_report": ("repro.engine.report", "fallback_report"),
     "report_text": ("repro.engine.report", "report_text"),
     "optimize_program": ("repro.engine.optimizer", "optimize_program"),

@@ -1,11 +1,20 @@
-"""Cost-based plan optimizer driven by ANALYZE statistics (docs/OPTIMIZER.md).
+"""The program rewrite framework and cost-based optimizer (docs/OPTIMIZER.md).
 
-The planner (:mod:`repro.engine.planner`) performs one syntactic rewrite
-— product/select fusion.  This module is the *decision-making* layer on
-top of it: a catalogue of named, individually toggleable
-:class:`RewriteRule` passes, each justified by an algebraic identity of
-the tabular algebra, plus cost-based join ordering of PRODUCT chains
-driven by :class:`~repro.obs.stats.DatabaseStats` from ANALYZE.
+Every program rewrite in the system lives here: a registry of named,
+individually toggleable :class:`RewriteRule` passes, each justified by
+an algebraic identity of the tabular algebra, applied by one
+While-recursing pass over one statement footprint
+(:meth:`~repro.algebra.programs.statements.Statement.reads` /
+:meth:`~repro.algebra.programs.statements.Statement.writes`), plus
+cost-based join ordering of PRODUCT chains driven by
+:class:`~repro.obs.stats.DatabaseStats` from ANALYZE.  Its consumers:
+
+* :func:`optimize_program` — the enabled rules, cached and counted;
+* :func:`plan_program` / :func:`count_fusions` — the vector engine's
+  plan, ``fuse-product-select`` run alone with no cache or telemetry;
+* :func:`collapse_idempotent_pairs` / :func:`eliminate_dead_statements`
+  — the output-relative program optimizer of
+  :mod:`repro.algebra.programs.optimize`.
 
 Soundness contract (enforced by the differential harness and the
 hypothesis property tests): an optimized program must produce the
@@ -32,6 +41,12 @@ that justifies it — the full derivations live in docs/OPTIMIZER.md):
     π_{A₂}(π_{A₁}(R)) = π_{A₁∩A₂}(R) (adjacent projection collapse —
     the columns in A₁ \\ A₂ are dead).
 
+``collapse-idempotent``
+    DEDUP∘DEDUP = DEDUP and TRANSPOSE∘TRANSPOSE = identity: of an
+    adjacent pair through an intermediate, the second statement
+    re-deduplicates the original source, or becomes the identity copy
+    ``Y ← RENAME ⊥ ⊥ (X)`` of it.  The intermediate is kept.
+
 ``cse``
     Within a straight-line region, a repeated pure assignment with
     identical operation, arguments, and parameters recomputes a value
@@ -41,8 +56,9 @@ that justifies it — the full derivations live in docs/OPTIMIZER.md):
     source target were overwritten in between.
 
 ``fuse-product-select``
-    σ_{a≈b}(R × S) as one PRODUCTSELECT — the planner's fusion,
-    re-expressed as a toggleable rule with a recorded justification.
+    σ_{a≈b}(R × S) as one PRODUCTSELECT, so the kernel can push the
+    selection below the product (hash join) instead of materializing
+    ``|R|·|S|`` rows first.
 
 ``join-reorder``
     × is associative/commutative up to column order and σ-filters
@@ -65,10 +81,9 @@ that justifies it — the full derivations live in docs/OPTIMIZER.md):
     from both entry sets before comparing.  Fused as
     :class:`SelectUnion` so the selection runs on the inputs.
 
-Plans are cached under ``(program fingerprint, stats fingerprint,
-enabled rules)`` — the normalized program fingerprint from
-:mod:`repro.obs.workload` plus the stats *content* fingerprint, so a
-re-ANALYZE invalidates every cached plan it could change.
+Plans are cached under ``(program text, stats fingerprint, enabled
+rules)`` — the exact program text plus the stats *content* fingerprint,
+so a re-ANALYZE invalidates every cached plan it could change.
 """
 
 from __future__ import annotations
@@ -86,6 +101,8 @@ from ..algebra.programs.params import (
     Parameter,
     ParamSet,
     Star,
+    as_parameter,
+    literal_symbol,
 )
 from ..algebra.programs.registry import OPERATIONS, OpSpec
 from ..algebra.programs.statements import Assignment, Program, Statement, While
@@ -95,7 +112,6 @@ from ..obs import runtime as _obs
 from ..obs.stats import DatabaseStats
 from ..obs.trace import NULL_SPAN
 from ..runtime import governor as _gv
-from .planner import _fusable, _fuse
 
 __all__ = [
     "RULE_ORDER",
@@ -111,6 +127,10 @@ __all__ = [
     "ChainJoin",
     "SelectUnion",
     "optimize_program",
+    "plan_program",
+    "count_fusions",
+    "collapse_idempotent_pairs",
+    "eliminate_dead_statements",
 ]
 
 #: Chains longer than this use greedy ordering instead of subset DP.
@@ -223,11 +243,6 @@ class _Context:
 # ----------------------------------------------------------------------
 
 
-def _lit(param: object) -> Symbol | None:
-    """The symbol of a literal parameter, else None."""
-    return param.symbol if isinstance(param, Lit) else None
-
-
 def _lit_set(param: object) -> frozenset[Symbol] | None:
     """The symbol set of a wildcard-free set parameter, else None."""
     if isinstance(param, Lit):
@@ -251,30 +266,27 @@ def _static_params(statement: Assignment) -> bool:
     return True
 
 
-def _statement_writes(statement: Statement) -> frozenset[Symbol] | None:
-    """Names a statement definitely assigns; None = unknown (be safe)."""
-    if isinstance(statement, (SelectUnion, ChainJoin)):
-        return frozenset([statement.target_symbol()])
-    if isinstance(statement, Assignment):
-        if isinstance(statement.target, Lit):
-            return frozenset([statement.target.symbol])
-        return None
-    return None
+def _fold_pairs(
+    statements: Sequence[Statement],
+    rewrite_pair: Callable[[Statement, Statement], tuple[list[Statement], str] | None],
+    ctx: _Context,
+    rule: str,
+) -> list[Statement]:
+    """One left-to-right peephole pass over adjacent statements.
 
-
-def _statement_reads(statement: Statement) -> frozenset[Symbol] | None:
-    """Names a statement reads tables from; None = unknown (be safe)."""
-    if isinstance(statement, (SelectUnion, ChainJoin)):
-        return statement.read_symbols()
-    if isinstance(statement, Assignment):
-        names: set[Symbol] = set()
-        for arg in statement.args:
-            if isinstance(arg, Lit):
-                names.add(arg.symbol)
-            else:
-                return None
-        return frozenset(names)
-    return None
+    ``rewrite_pair(previous, current)`` sees the last *rewritten*
+    statement and the next source statement, and returns their
+    replacement plus a detail to record, or None to keep both.
+    """
+    out: list[Statement] = []
+    for statement in statements:
+        pair = rewrite_pair(out[-1], statement) if out else None
+        if pair is None:
+            out.append(statement)
+        else:
+            out[-1:] = pair[0]
+            ctx.record(rule, pair[1])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +296,7 @@ def _statement_reads(statement: Statement) -> frozenset[Symbol] | None:
 
 def _pushdown_swap(
     first: Statement, second: Statement
-) -> tuple[Assignment, Assignment, str] | None:
+) -> tuple[list[Statement], str] | None:
     if not (isinstance(first, Assignment) and isinstance(second, Assignment)):
         return None
     if second.spec.name != "SELECT" or first.spec.name not in ("RENAME", "PROJECT"):
@@ -294,15 +306,15 @@ def _pushdown_swap(
     target = first.target.symbol
     if second.target.symbol != target:
         return None
-    if len(second.args) != 1 or _lit(second.args[0]) != target:
+    if len(second.args) != 1 or literal_symbol(second.args[0]) != target:
         return None
-    left = _lit(second.params.get("left"))
-    right = _lit(second.params.get("right"))
+    left = literal_symbol(second.params.get("left"))
+    right = literal_symbol(second.params.get("right"))
     if left is None or right is None:
         return None
     if first.spec.name == "RENAME":
-        old = _lit(first.params.get("old"))
-        new = _lit(first.params.get("new"))
+        old = literal_symbol(first.params.get("old"))
+        new = literal_symbol(first.params.get("new"))
         if old is None or new is None:
             return None
         # The selection must not mention the renamed attribute on either
@@ -319,23 +331,18 @@ def _pushdown_swap(
     swapped_first = Assignment(
         first.target, first.spec.name, [first.target], first.params
     )
-    return swapped_select, swapped_first, detail
+    return [swapped_select, swapped_first], detail
 
 
 def _apply_select_pushdown(
     statements: list[Statement], ctx: _Context
 ) -> list[Statement]:
-    out = list(statements)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            swap = _pushdown_swap(out[i], out[i + 1])
-            if swap is not None:
-                out[i], out[i + 1] = swap[0], swap[1]
-                ctx.record("select-pushdown", swap[2])
-                changed = True
-    return out
+    # To a fixpoint: each pass bubbles a selection one step further left.
+    while True:
+        before = len(ctx.applied)
+        statements = _fold_pairs(statements, _pushdown_swap, ctx, "select-pushdown")
+        if len(ctx.applied) == before:
+            return statements
 
 
 # ----------------------------------------------------------------------
@@ -356,29 +363,27 @@ def _prunable_project(statement: Statement) -> bool:
 def _dead_store(statements: Sequence[Statement], i: int) -> bool:
     """True when statement ``i``'s target is overwritten before any read."""
     target = statements[i].target.symbol
-    for j in range(i + 1, len(statements)):
-        nxt = statements[j]
+    for nxt in statements[i + 1 :]:
         if isinstance(nxt, While):
-            # The loop condition or body may read the target.
+            # A region boundary: the loop condition or body may read it.
             return False
-        reads = _statement_reads(nxt)
+        reads = nxt.reads()
         if reads is None or target in reads:
             return False
-        if isinstance(nxt, Assignment) and isinstance(nxt.target, Lit):
-            if nxt.target.symbol == target:
-                return True
+        if target in (nxt.writes() or ()):
+            return True
     return False
 
 
 def _collapse_projects(
     first: Statement, second: Statement
-) -> tuple[Assignment, str] | None:
+) -> tuple[list[Statement], str] | None:
     if not (_prunable_project(first) and _prunable_project(second)):
         return None
     target = first.target.symbol
     if second.target.symbol != target:
         return None
-    if len(second.args) != 1 or _lit(second.args[0]) != target:
+    if len(second.args) != 1 or literal_symbol(second.args[0]) != target:
         return None
     attrs1 = _lit_set(first.params["attrs"])
     attrs2 = _lit_set(second.params["attrs"])
@@ -391,7 +396,7 @@ def _collapse_projects(
     )
     fused = Assignment(first.target, "PROJECT", first.args, {"attrs": param})
     detail = f"π∘π over {target} collapsed; dead columns [{', '.join(dead)}]"
-    return fused, detail
+    return [fused], detail
 
 
 def _apply_prune_dead_project(
@@ -410,18 +415,66 @@ def _apply_prune_dead_project(
                 )
                 continue
             out.append(statement)
-        collapsed: list[Statement] = []
-        for statement in out:
-            if collapsed:
-                pair = _collapse_projects(collapsed[-1], statement)
-                if pair is not None:
-                    collapsed[-1] = pair[0]
-                    ctx.record("prune-dead-project", pair[1])
-                    continue
-            collapsed.append(statement)
+        collapsed = _fold_pairs(out, _collapse_projects, ctx, "prune-dead-project")
         if len(collapsed) == len(current):
             return collapsed
         current = collapsed
+
+
+# ----------------------------------------------------------------------
+# The identity copy shared by collapse-idempotent and cse
+# ----------------------------------------------------------------------
+
+
+def _identity_copy(target: Parameter, source: Symbol) -> Assignment:
+    # RENAME ⊥→⊥ replaces ⊥ header slots with ⊥: the identity on any
+    # table, so this statement is a pure copy that can never raise.
+    return Assignment(target, "RENAME", [source], {"old": None, "new": None})
+
+
+def _is_identity_copy(statement: Statement) -> bool:
+    if not (isinstance(statement, Assignment) and statement.spec.name == "RENAME"):
+        return False
+    old = literal_symbol(statement.params["old"])
+    new = literal_symbol(statement.params["new"])
+    return old is not None and new is not None and old.is_null and new.is_null
+
+
+# ----------------------------------------------------------------------
+# collapse-idempotent: DEDUP∘DEDUP and TRANSPOSE∘TRANSPOSE
+# ----------------------------------------------------------------------
+
+
+def _collapse_idempotent(
+    first: Statement, second: Statement
+) -> tuple[list[Statement], str] | None:
+    if not (isinstance(first, Assignment) and isinstance(second, Assignment)):
+        return None
+    op = first.spec.name
+    if op not in ("DEDUP", "TRANSPOSE") or second.spec.name != op:
+        return None
+    middle = literal_symbol(first.target)
+    source = literal_symbol(first.args[0])
+    # ``T ← OP (T)`` has overwritten the source a rewrite would read.
+    if middle is None or source is None or middle == source:
+        return None
+    if literal_symbol(second.args[0]) != middle:
+        return None
+    if op == "DEDUP":
+        rewritten = Assignment(second.target, "DEDUP", [first.args[0]])
+        effect = f"reads {source}"
+    else:
+        rewritten = _identity_copy(second.target, source)
+        effect = f"copies {source}"
+    return [first, rewritten], f"{op}∘{op} through {middle}: {second.target} {effect}"
+
+
+def _apply_collapse_idempotent(
+    statements: list[Statement], ctx: _Context
+) -> list[Statement]:
+    # The intermediate statement stays: soundness never depends on who
+    # else reads it.
+    return _fold_pairs(statements, _collapse_idempotent, ctx, "collapse-idempotent")
 
 
 # ----------------------------------------------------------------------
@@ -449,23 +502,6 @@ def _cse_key(statement: Statement):
     return (spec.name, tuple(a.symbol for a in statement.args), params)
 
 
-def _identity_copy(target: Parameter, source: Symbol) -> Assignment:
-    # RENAME ⊥→⊥ replaces ⊥ header slots with ⊥: the identity on any
-    # table, so this statement is a pure copy that can never raise.
-    return Assignment(target, "RENAME", [source], {"old": None, "new": None})
-
-
-def _is_identity_copy(statement: Statement) -> bool:
-    return (
-        isinstance(statement, Assignment)
-        and statement.spec.name == "RENAME"
-        and _lit(statement.params.get("old")) is not None
-        and _lit(statement.params.get("new")) is not None
-        and statement.params["old"].symbol.is_null
-        and statement.params["new"].symbol.is_null
-    )
-
-
 def _apply_cse(statements: list[Statement], ctx: _Context) -> list[Statement]:
     out = list(statements)
     for j in range(len(out)):
@@ -478,7 +514,8 @@ def _apply_cse(statements: list[Statement], ctx: _Context) -> list[Statement]:
         written: set[Symbol] = set()
         for i in range(j - 1, -1, -1):
             candidate = out[i]
-            writes = _statement_writes(candidate)
+            # A While is a region boundary, like an unknown footprint.
+            writes = None if isinstance(candidate, While) else candidate.writes()
             if writes is None:
                 break
             if (
@@ -501,27 +538,42 @@ def _apply_cse(statements: list[Statement], ctx: _Context) -> list[Statement]:
 
 
 # ----------------------------------------------------------------------
-# fuse-product-select: the planner's fusion as a recorded rule
+# fuse-product-select: T ← PRODUCT; T ← SELECT (T) as one PRODUCTSELECT
 # ----------------------------------------------------------------------
 
 
+def _fuse_product_select(
+    first: Statement, second: Statement
+) -> tuple[list[Statement], str] | None:
+    """Fuse only when no observable behaviour can change.
+
+    Both targets are the same literal ``T`` and the select reads exactly
+    that ``T``, so no statement could have seen the intermediate
+    product.  The selection attributes are literals: a wildcard could
+    bind differently, and a ``Pair`` evaluates against the intermediate
+    product.  The product's arguments are kept verbatim, wildcards
+    included, so name matching and binding are untouched.
+    """
+    if not (isinstance(first, Assignment) and isinstance(second, Assignment)):
+        return None
+    if first.spec.name != "PRODUCT" or second.spec.name != "SELECT":
+        return None
+    target = literal_symbol(first.target)
+    if target is None or literal_symbol(second.target) != target:
+        return None
+    if literal_symbol(second.args[0]) != target:
+        return None
+    left, right = second.params["left"], second.params["right"]
+    if literal_symbol(left) is None or literal_symbol(right) is None:
+        return None
+    fused = Assignment(
+        first.target, "PRODUCTSELECT", first.args, {"left": left, "right": right}
+    )
+    return [fused], f"σ fused into × for {fused.target}"
+
+
 def _apply_fusion(statements: list[Statement], ctx: _Context) -> list[Statement]:
-    out: list[Statement] = []
-    i = 0
-    while i < len(statements):
-        statement = statements[i]
-        if i + 1 < len(statements) and _fusable(statement, statements[i + 1]):
-            fused = _fuse(statement, statements[i + 1])
-            ctx.record(
-                "fuse-product-select",
-                f"σ fused into × for {fused.target}",
-            )
-            out.append(fused)
-            i += 2
-            continue
-        out.append(statement)
-        i += 1
-    return out
+    return _fold_pairs(statements, _fuse_product_select, ctx, "fuse-product-select")
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +613,8 @@ def _match_chain(statements: Sequence[Statement], start: int) -> _Chain | None:
     leaves = [a.symbol for a in first.args]
     conds: list[_Cond] = []
     if first.spec.name == "PRODUCTSELECT":
-        left, right = _lit(first.params["left"]), _lit(first.params["right"])
+        left = literal_symbol(first.params["left"])
+        right = literal_symbol(first.params["right"])
         if left is None or right is None:
             return None
         conds.append(_Cond(left, right, 2))
@@ -574,10 +627,10 @@ def _match_chain(statements: Sequence[Statement], start: int) -> _Chain | None:
             break
         name = statement.spec.name
         if name == "SELECT":
-            if len(statement.args) != 1 or _lit(statement.args[0]) != target:
+            if len(statement.args) != 1 or literal_symbol(statement.args[0]) != target:
                 break
-            left = _lit(statement.params["left"])
-            right = _lit(statement.params["right"])
+            left = literal_symbol(statement.params["left"])
+            right = literal_symbol(statement.params["right"])
             if left is None or right is None:
                 break
             conds.append(_Cond(left, right, len(leaves)))
@@ -588,12 +641,15 @@ def _match_chain(statements: Sequence[Statement], start: int) -> _Chain | None:
                 isinstance(a, Lit) for a in statement.args
             ):
                 break
-            if _lit(statement.args[0]) != target or _lit(statement.args[1]) == target:
+            if (
+                literal_symbol(statement.args[0]) != target
+                or literal_symbol(statement.args[1]) == target
+            ):
                 break
             leaves.append(statement.args[1].symbol)
             if name == "PRODUCTSELECT":
-                left = _lit(statement.params["left"])
-                right = _lit(statement.params["right"])
+                left = literal_symbol(statement.params["left"])
+                right = literal_symbol(statement.params["right"])
                 if left is None or right is None:
                     leaves.pop()
                     break
@@ -759,11 +815,11 @@ class ChainJoin(Statement):
             "conds": tuple((c.left, c.right, c.prefix) for c in self.conds)
         }
 
-    def target_symbol(self) -> Symbol:
-        return self.target
-
-    def read_symbols(self) -> frozenset[Symbol]:
+    def reads(self) -> frozenset[Symbol]:
         return frozenset(self.leaves)
+
+    def writes(self) -> frozenset[Symbol]:
+        return frozenset([self.target])
 
     def _stats_fresh(self, tables: Sequence[Table]) -> bool:
         if self.stats is None:
@@ -996,11 +1052,11 @@ class SelectUnion(Statement):
         self.left = left
         self.right = right
 
-    def target_symbol(self) -> Symbol:
-        return self.target.symbol
-
-    def read_symbols(self) -> frozenset[Symbol]:
+    def reads(self) -> frozenset[Symbol]:
         return frozenset(a.symbol for a in self.args)
+
+    def writes(self) -> frozenset[Symbol]:
+        return frozenset([self.target.symbol])
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
         gov = _gv.GOV
@@ -1056,45 +1112,37 @@ class SelectUnion(Statement):
         )
 
 
+def _select_union(
+    first: Statement, second: Statement
+) -> tuple[list[Statement], str] | None:
+    if not (
+        isinstance(first, Assignment)
+        and isinstance(second, Assignment)
+        and first.spec.name == "UNION"
+        and second.spec.name == "SELECT"
+        and isinstance(first.target, Lit)
+        and isinstance(second.target, Lit)
+        and first.target.symbol == second.target.symbol
+        and literal_symbol(second.args[0]) == first.target.symbol
+        and all(isinstance(a, Lit) for a in first.args)
+        and literal_symbol(second.params["left"]) is not None
+        and literal_symbol(second.params["right"]) is not None
+    ):
+        return None
+    fused = SelectUnion(
+        first.target,
+        (first.args[0], first.args[1]),
+        second.params["left"],
+        second.params["right"],
+    )
+    detail = f"σ {fused.left}≈{fused.right} pushed into both sides of ∪"
+    return [fused], f"{detail} for {first.target}"
+
+
 def _apply_select_pushdown_union(
     statements: list[Statement], ctx: _Context
 ) -> list[Statement]:
-    out: list[Statement] = []
-    i = 0
-    while i < len(statements):
-        first = statements[i]
-        second = statements[i + 1] if i + 1 < len(statements) else None
-        if (
-            isinstance(first, Assignment)
-            and isinstance(second, Assignment)
-            and first.spec.name == "UNION"
-            and second.spec.name == "SELECT"
-            and isinstance(first.target, Lit)
-            and isinstance(second.target, Lit)
-            and first.target.symbol == second.target.symbol
-            and len(second.args) == 1
-            and _lit(second.args[0]) == first.target.symbol
-            and all(isinstance(a, Lit) for a in first.args)
-            and _lit(second.params.get("left")) is not None
-            and _lit(second.params.get("right")) is not None
-        ):
-            fused = SelectUnion(
-                first.target,
-                (first.args[0], first.args[1]),
-                second.params["left"],
-                second.params["right"],
-            )
-            ctx.record(
-                "select-pushdown-union",
-                f"σ {fused.left}≈{fused.right} pushed into both sides of "
-                f"∪ for {first.target}",
-            )
-            out.append(fused)
-            i += 2
-            continue
-        out.append(first)
-        i += 1
-    return out
+    return _fold_pairs(statements, _select_union, ctx, "select-pushdown-union")
 
 
 # ----------------------------------------------------------------------
@@ -1117,6 +1165,12 @@ RULES: dict[str, RewriteRule] = {
             "so an unread, overwritten π store is unobservable; "
             "π_{A₂}∘π_{A₁} = π_{A₁∩A₂}",
             _apply_prune_dead_project,
+        ),
+        RewriteRule(
+            "collapse-idempotent",
+            "DEDUP∘DEDUP = DEDUP and TRANSPOSE∘TRANSPOSE = id, and "
+            "RENAME ⊥→⊥ is the identity; the intermediate statement is kept",
+            _apply_collapse_idempotent,
         ),
         RewriteRule(
             "cse",
@@ -1152,6 +1206,7 @@ RULES: dict[str, RewriteRule] = {
 RULE_ORDER = (
     "select-pushdown",
     "prune-dead-project",
+    "collapse-idempotent",
     "cse",
     "fuse-product-select",
     "join-reorder",
@@ -1160,7 +1215,7 @@ RULE_ORDER = (
 
 
 class PlanCache:
-    """Fingerprint-keyed optimized-plan cache with FIFO eviction."""
+    """Optimized-plan cache with FIFO eviction, keyed by program text."""
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
@@ -1226,7 +1281,7 @@ OPTIMIZER_STATS = OptimizerStats()
 
 
 def _optimize_statements(
-    statements: Sequence[Statement], ctx: _Context, enabled: tuple[str, ...]
+    statements: Sequence[Statement], ctx: _Context, enabled: Sequence[str]
 ) -> list[Statement]:
     out: list[Statement] = []
     for statement in statements:
@@ -1241,6 +1296,15 @@ def _optimize_statements(
     return out
 
 
+def _rewrite(
+    program: Program, enabled: Sequence[str], stats: DatabaseStats | None = None
+) -> tuple[Program, _Context]:
+    """Apply ``enabled`` once, While bodies first; ``program`` if nothing applied."""
+    ctx = _Context(stats=stats)
+    statements = _optimize_statements(program.statements, ctx, enabled)
+    return (Program(statements) if ctx.applied else program), ctx
+
+
 def optimize_program(
     program: Program,
     stats: DatabaseStats | None = None,
@@ -1252,8 +1316,9 @@ def optimize_program(
 
     ``rules`` restricts the pass list (names from :data:`RULE_ORDER`;
     order is fixed, membership is the toggle).  Results are cached under
-    ``(program fingerprint, stats fingerprint, enabled rules)``; pass
-    ``cache=None`` to bypass caching.
+    ``(program text, stats fingerprint, enabled rules)``; pass
+    ``cache=None`` to bypass caching.  The normalized fingerprint only
+    names the plan: programs differing in a constant share it.
     """
     if rules is None:
         enabled = RULE_ORDER
@@ -1267,18 +1332,16 @@ def optimize_program(
         enabled = tuple(r for r in RULE_ORDER if r in set(requested))
     from ..obs.workload import fingerprint_program
 
-    fingerprint = fingerprint_program(program)
     stats_fingerprint = stats.fingerprint if stats is not None else ""
-    key = (fingerprint, stats_fingerprint, enabled)
     if cache is not None:
+        key = (repr(program), stats_fingerprint, enabled)
         cached = cache.get(key)
         if cached is not None:
             OPTIMIZER_STATS.record_cache(True)
             return replace(cached, cache_hit=True)
         OPTIMIZER_STATS.record_cache(False)
-    ctx = _Context(stats=stats)
-    statements = _optimize_statements(program.statements, ctx, enabled)
-    optimized = Program(statements) if ctx.applied else program
+    fingerprint = fingerprint_program(program)
+    optimized, ctx = _rewrite(program, enabled, stats)
     result = OptimizationResult(
         program=optimized,
         source=program,
@@ -1302,3 +1365,60 @@ def optimize_program(
     if cache is not None:
         cache.put(key, result)
     return result
+
+
+def plan_program(program: Program) -> Program:
+    """The vector engine's plan: ``fuse-product-select`` alone.
+
+    No fingerprint, plan cache, ``plan_rewrite`` event or
+    :data:`OPTIMIZER_STATS` update; ``program`` itself if nothing fuses.
+    """
+    return _rewrite(program, ("fuse-product-select",))[0]
+
+
+def count_fusions(program: Program) -> int:
+    """How many product/select pairs :func:`plan_program` fuses."""
+    return len(_rewrite(program, ("fuse-product-select",))[1].applied)
+
+
+# ----------------------------------------------------------------------
+# The output-relative program optimizer (repro.algebra.programs.optimize)
+# ----------------------------------------------------------------------
+
+
+def collapse_idempotent_pairs(program: Program) -> Program:
+    """``collapse-idempotent`` alone; the intermediates stay."""
+    return _rewrite(program, ("collapse-idempotent",))[0]
+
+
+def eliminate_dead_statements(program: Program, outputs: Iterable[object]) -> Program:
+    """Drop statements whose writes never reach ``outputs``.
+
+    Backward liveness over the statement footprint.  Output-relative, so
+    not a rule: the full-database contract admits only the
+    ``prune-dead-project`` form.  A loop is kept if it writes a live name
+    or nothing, and kills no live name (it may run zero times); a
+    data-dependent footprint keeps the statement and all before it.
+    """
+    live: set[Symbol] = set()
+    for output in outputs:
+        name = literal_symbol(as_parameter(output))
+        if name is None:
+            return program  # wildcard outputs: give up
+        live.add(name)
+    statements = program.statements
+    kept: list[Statement] = []
+    for index in range(len(statements) - 1, -1, -1):
+        statement = statements[index]
+        reads, writes = statement.reads(), statement.writes()
+        if reads is None or writes is None:
+            kept.extend(reversed(statements[: index + 1]))
+            break
+        if isinstance(statement, While):
+            if writes & live or not writes:
+                kept.append(statement)
+                live |= reads
+        elif writes & live:
+            kept.append(statement)
+            live = (live - writes) | reads
+    return Program(reversed(kept))

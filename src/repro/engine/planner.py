@@ -1,97 +1,8 @@
-"""A small statement-level planner for the vectorized backend.
+"""The vector engine's plan: ``fuse-product-select`` run alone.
 
-The planner rewrites a program into an equivalent one that exposes more
-work to the kernels; today that means a single, provably safe rewrite —
-**product/select fusion**::
-
-    T <- PRODUCT (R, S)            T <- PRODUCTSELECT left A right B (R, S)
-    T <- SELECT left A right B (T)
-
-Both forms compute ``select(product(R, S), A, B)`` named ``T``; the
-fused operation lets the kernel push the selection below the product
-(hash join / pre-filter) instead of materializing ``|R|·|S|`` rows
-first.  Fusion applies only when it cannot change observable behaviour:
-
-* both statements are plain assignments, adjacent, with **literal**
-  targets naming the same table ``T``, and the select reads exactly
-  that literal ``T`` — so no later statement could have seen the
-  intermediate product;
-* the selection parameters are **literals** (a wildcard could be bound
-  differently by the product's argument matching, and a data-dependent
-  ``Pair`` parameter evaluates against the intermediate product — both
-  are left unfused rather than reasoned about);
-* the product's *arguments* may be literals or wildcards — the fused
-  statement keeps them verbatim, so name matching and wildcard binding
-  are untouched.
-
-Everything else — wildcard targets, tagging operations, aggregate
-statements — passes through unchanged; falling back to the naive
-statement sequence is always correct.
+Re-exported from :mod:`repro.engine.optimizer`, where every rewrite lives.
 """
 
-from __future__ import annotations
-
-from ..algebra.programs.params import Lit
-from ..algebra.programs.statements import Assignment, Program, Statement, While
+from .optimizer import count_fusions, plan_program
 
 __all__ = ["plan_program", "count_fusions"]
-
-
-def _fusable(first: Statement, second: Statement) -> bool:
-    if not (isinstance(first, Assignment) and isinstance(second, Assignment)):
-        return False
-    if first.spec.name != "PRODUCT" or second.spec.name != "SELECT":
-        return False
-    if not (isinstance(first.target, Lit) and isinstance(second.target, Lit)):
-        return False
-    if len(second.args) != 1 or not isinstance(second.args[0], Lit):
-        return False
-    target = first.target.symbol
-    if second.target.symbol != target or second.args[0].symbol != target:
-        return False
-    left = second.params.get("left")
-    right = second.params.get("right")
-    return isinstance(left, Lit) and isinstance(right, Lit)
-
-
-def _fuse(first: Assignment, second: Assignment) -> Assignment:
-    return Assignment(
-        first.target,
-        "PRODUCTSELECT",
-        first.args,
-        {"left": second.params["left"], "right": second.params["right"]},
-    )
-
-
-def _plan_statements(statements: tuple[Statement, ...]) -> tuple[list[Statement], int]:
-    out: list[Statement] = []
-    fused = 0
-    i = 0
-    while i < len(statements):
-        statement = statements[i]
-        if i + 1 < len(statements) and _fusable(statement, statements[i + 1]):
-            out.append(_fuse(statement, statements[i + 1]))
-            fused += 1
-            i += 2
-            continue
-        if isinstance(statement, While):
-            body, inner = _plan_statements(statement.body.statements)
-            if inner:
-                statement = While(statement.condition, Program(body))
-                fused += inner
-        out.append(statement)
-        i += 1
-    return out, fused
-
-
-def plan_program(program: Program) -> Program:
-    """An equivalent program with fusable product/select pairs fused."""
-    statements, fused = _plan_statements(program.statements)
-    if not fused:
-        return program
-    return Program(statements)
-
-
-def count_fusions(program: Program) -> int:
-    """How many product/select pairs :func:`plan_program` would fuse."""
-    return _plan_statements(program.statements)[1]

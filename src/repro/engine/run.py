@@ -17,7 +17,7 @@ snapshot) to drive join ordering.
 from __future__ import annotations
 
 from ..core import EvaluationError, FreshValueSource, TabularDatabase
-from .planner import plan_program
+from .optimizer import optimize_program, plan_program
 from .runtime import VectorEngine, engine_scope
 
 __all__ = ["ENGINES", "run_program"]
@@ -50,7 +50,6 @@ def run_program(
     """
     if optimize:
         from ..obs import estimator as _est
-        from .optimizer import optimize_program
 
         if stats is None and _est.EST.active and _est.EST.estimator is not None:
             stats = _est.EST.estimator.stats

@@ -281,8 +281,6 @@ def run_hardened(
     resume: bool = False,
     max_while_iterations: int = 10_000,
     engine: str | None = None,
-    optimize: bool = False,
-    stats=None,
 ) -> TabularDatabase:
     """Run a TA program under the governor with checkpoint/resume.
 
@@ -304,22 +302,12 @@ def run_hardened(
     * ``engine="vector"`` plans the program (product/select fusion) and
       routes operation dispatch through the vectorized kernels; the
       checkpoint fingerprint covers the *planned* program, so a resume
-      must use the same engine the original run did;
-    * ``optimize=True`` runs the program through the cost-based
-      optimizer (:mod:`repro.engine.optimizer`) first, ordering joins
-      with ``stats`` when given; the fingerprint covers the *optimized*
-      program, so a resume must use the same optimizer settings (and
-      the same stats snapshot) the original run did.
+      must use the same engine the original run did.
     """
     from ..algebra.programs.statements import Interpreter, Program, While
 
     if not isinstance(program, Program):
         raise CheckpointError(f"run_hardened drives TA Programs, got {program!r}")
-
-    if optimize:
-        from ..engine.optimizer import optimize_program
-
-        program = optimize_program(program, stats).program
 
     if engine in (None, "naive"):
         scope = nullcontext()

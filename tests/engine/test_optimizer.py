@@ -12,6 +12,7 @@ from repro.algebra.programs.params import Lit, Star
 from repro.algebra.programs.statements import Assignment, Program, While, assign
 from repro.core import EvaluationError, TabularDatabase, make_table
 from repro.engine.optimizer import (
+    OPTIMIZER_STATS,
     PLAN_CACHE,
     RULE_ORDER,
     RULES,
@@ -19,7 +20,9 @@ from repro.engine.optimizer import (
     OptimizerStats,
     PlanCache,
     SelectUnion,
+    count_fusions,
     optimize_program,
+    plan_program,
 )
 from repro.obs.stats import analyze_database
 
@@ -175,6 +178,61 @@ class TestPruneDeadProject:
         assert len(result.applied) == 1
         db = _db(make_table("R", ["A", "B"], [["1", "2"]]))
         _same(program, result.program, db)
+
+
+class TestCollapseIdempotent:
+    def test_dedup_pair_reads_the_original_source(self):
+        program = Program([assign("T", "DEDUP", "R"), assign("U", "DEDUP", "T")])
+        result = optimize_program(program, rules=["collapse-idempotent"], cache=None)
+        assert [r.rule for r in result.applied] == ["collapse-idempotent"]
+        first, second = result.program.statements
+        assert first is program.statements[0]  # the intermediate stays
+        assert repr(second) == "U <- DEDUP (R)"
+        db = _db(make_table("R", ["A"], [["x"], ["x"], ["y"]]))
+        _same(program, result.program, db)
+
+    def test_cse_then_copies_the_collapsed_dedup(self):
+        # The tc loop body's shape: the collapsed DEDUP repeats the first.
+        program = Program([assign("T", "DEDUP", "R"), assign("U", "DEDUP", "T")])
+        result = optimize_program(program, cache=None)
+        assert [r.rule for r in result.applied] == ["collapse-idempotent", "cse"]
+        assert repr(result.program.statements[1]) == "U <- RENAME old ⊥ new ⊥ (T)"
+
+    def test_transpose_pair_becomes_identity_copy(self):
+        program = Program(
+            [assign("T", "TRANSPOSE", "R"), assign("U", "TRANSPOSE", "T")]
+        )
+        result = optimize_program(program, rules=["collapse-idempotent"], cache=None)
+        assert repr(result.program.statements[1]) == "U <- RENAME old ⊥ new ⊥ (R)"
+        db = _db(make_table("R", ["A", "B"], [["1", None], ["2", "3"]]))
+        _same(program, result.program, db)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            # T <- TRANSPOSE (T) overwrote the source the copy would need.
+            (assign("T", "TRANSPOSE", "T"), assign("U", "TRANSPOSE", "T")),
+            (assign("T", "DEDUP", "T"), assign("U", "DEDUP", "T")),
+            (assign("T", "DEDUP", "R"), assign("U", "TRANSPOSE", "T")),
+            (assign("T", "DEDUP", "R"), Assignment("U", "DEDUP", [Star(1)])),
+        ],
+    )
+    def test_refuses_self_assignment_mixed_ops_and_wildcards(self, first, second):
+        program = Program([first, second])
+        result = optimize_program(program, rules=["collapse-idempotent"], cache=None)
+        assert result.applied == ()
+
+    def test_pair_inside_while_body(self):
+        body = [
+            assign("T", "TRANSPOSE", "W"),
+            assign("U", "TRANSPOSE", "T"),
+            assign("W", "DIFFERENCE", "W", "U"),
+        ]
+        program = Program([While("W", Program(body))])
+        result = optimize_program(program, rules=["collapse-idempotent"], cache=None)
+        (loop,) = result.program.statements
+        assert repr(loop.body.statements[1]) == "U <- RENAME old ⊥ new ⊥ (W)"
+        _same(program, result.program, _db(make_table("W", ["A"], [["1"]])))
 
 
 class TestCse:
@@ -448,6 +506,22 @@ class TestPlanCacheAndDriver:
         result = optimize_program(program, rules=["cse"], cache=cache)
         assert not result.cache_hit
 
+    def test_constants_are_part_of_the_key(self):
+        # The normalized fingerprint renders entry-valued parameters as
+        # ``?``; keyed on it, the value-2 program was handed the value-1
+        # plan and selected (1, 2) instead of (2, 3).
+        from repro.algebra.programs import parse_program
+
+        cache = PlanCache()
+        db = _db(make_table("R", ["A", "B"], [[1, 2], [2, 3], [3, 4]]))
+        one = parse_program("T <- SELECTCONST attr A value 1 (R)")
+        two = parse_program("T <- SELECTCONST attr A value 2 (R)")
+        optimize_program(one, cache=cache)
+        result = optimize_program(two, cache=cache)
+        assert not result.cache_hit
+        assert result.fingerprint == optimize_program(one, cache=None).fingerprint
+        _same(two, result.program, db)
+
     def test_fifo_eviction_at_capacity(self):
         cache = PlanCache(capacity=2)
         for name in ("R", "S", "U"):
@@ -513,6 +587,30 @@ class TestPlanCacheAndDriver:
         assert snap["ordering"] == {"reordered": 1}
         stats.reset()
         assert stats.snapshot()["rewrites"] == {}
+
+    def test_plan_program_is_fusion_alone_without_telemetry(self):
+        from repro.obs.events import event_stream
+
+        program = Program(
+            [
+                assign("X", "SELECT", "R", left="A", right="B"),
+                assign("Y", "SELECT", "R", left="A", right="B"),
+                assign("T", "PRODUCT", "R", "S"),
+                assign("T", "SELECT", "T", left="A", right="B"),
+            ]
+        )
+        before, cached = OPTIMIZER_STATS.snapshot(), len(PLAN_CACHE)
+        seen = []
+        with event_stream() as bus:
+            bus.attach(seen.append)
+            planned = plan_program(program)
+        assert [repr(s) for s in planned.statements[2:]] == [
+            "T <- PRODUCTSELECT left A right B (R, S)"
+        ]
+        assert planned.statements[:2] == program.statements[:2]  # no cse
+        assert count_fusions(program) == 1
+        assert not [e for e in seen if e.kind == "plan_rewrite"]
+        assert OPTIMIZER_STATS.snapshot() == before and len(PLAN_CACHE) == cached
 
     def test_global_cache_is_the_default(self):
         PLAN_CACHE.clear()

@@ -12,8 +12,9 @@ seed budget:
 * the rewrite-targeting family
   :func:`repro.data.programs.random_rewrite_case`, whose motifs are
   shaped like each rule's redex — deep PRODUCT chains, renamed
-  self-joins, dead projections, duplicate subexpressions, σ-over-∪ —
-  so every shipped rewrite is exercised on adversarial databases.
+  self-joins, dead projections, duplicate subexpressions, σ-over-∪,
+  DEDUP∘DEDUP / TRANSPOSE∘TRANSPOSE pairs — so every shipped rewrite
+  is exercised on adversarial databases.
 """
 
 import os
@@ -63,7 +64,7 @@ def test_optimized_programs_agree(family, generator, offset, share, chunk):
 
 
 def test_rewrite_family_hits_every_rule():
-    """The targeted corpus actually triggers all six shipped rewrites."""
+    """The targeted corpus actually triggers every rule in RULE_ORDER."""
     from repro.engine.optimizer import RULE_ORDER, PlanCache, optimize_program
     from repro.obs.stats import analyze_database
 

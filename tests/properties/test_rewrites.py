@@ -4,9 +4,9 @@ Three properties over seeded corpus programs (the rewrite-targeting
 family, whose motifs are shaped like each rule's redex, plus the shared
 fuzz corpus):
 
-* **commutes with evaluation** — for every rule R, running
-  ``R(program)`` equals running ``program``: same final database, same
-  serialized bytes, or the same error type;
+* **commutes with evaluation** — for every rule R in ``RULE_ORDER``,
+  running ``R(program)`` equals running ``program``: same final
+  database, same serialized bytes, or the same error type;
 * **idempotence** — applying a rule to its own output is a no-op:
   ``R(R(p)) = R(p)`` statement-for-statement;
 * **confluence of the shipped set** — the full pipeline is its own
