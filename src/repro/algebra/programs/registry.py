@@ -86,75 +86,101 @@ class OpSpec:
     ) -> tuple[Table, ...]:
         """Run the operation; always returns a tuple of result tables.
 
-        When an :func:`repro.obs.observation` scope is active, every
-        invocation is additionally timed, counted, and row/column
-        accounted — covering all registered operations without touching
-        their bodies.  When a :func:`repro.runtime.governor.governed`
-        scope is active, every invocation is additionally budget-checked
-        and fault-injected at this same boundary.  When an
-        :func:`repro.obs.events.event_stream` is active, the invocation
-        additionally publishes ``span_start``/``span_finish`` (and
-        ``error``) events around whichever of those layers applies.  The
-        disabled path pays one attribute check per layer.  When an
-        :func:`repro.obs.estimator.estimation` scope is active, the
-        outermost layer additionally predicts rows-out *before* dispatch
-        and records the estimate's q-error against the actual afterwards.
+        With no scope active this is the raw call behind one attribute
+        check per scope.  Otherwise :meth:`_invoke_layered` wraps it in
+        the active ones — :func:`~repro.obs.estimator.estimation`,
+        :func:`~repro.obs.events.event_stream`,
+        :func:`~repro.runtime.governor.governed` and
+        :func:`~repro.obs.observation` — covering every registered
+        operation without touching its body.
         """
-        if _est.EST.active:
-            return self._invoke_estimated(tables, arguments, fresh)
-        # The chain below is duplicated in _invoke_inner (the estimated
-        # layer's continuation): keeping it inline here means the fully
-        # disabled dispatch pays attribute checks only, no extra frame.
-        if _ev.EVT.active:
-            return self._invoke_evented(tables, arguments, fresh)
-        if _gv.GOV.active:
-            return self._invoke_governed(tables, arguments, fresh)
-        if _obs.OBS.active:
-            return self._invoke_observed(tables, arguments, fresh)
+        if _est.EST.active or _ev.EVT.active or _gv.GOV.active or _obs.OBS.active:
+            return self._invoke_layered(tables, arguments, fresh)
         return self._invoke_raw(tables, arguments, fresh)
 
-    def _invoke_inner(
+    def _invoke_layered(
         self,
         tables: Sequence[Table],
         arguments: Mapping[str, object],
         fresh: FreshValueSource | None,
     ) -> tuple[Table, ...]:
-        """The event/governor/observation/raw chain (below estimation)."""
-        if _ev.EVT.active:
-            return self._invoke_evented(tables, arguments, fresh)
-        if _gv.GOV.active:
-            return self._invoke_governed(tables, arguments, fresh)
-        if _obs.OBS.active:
-            return self._invoke_observed(tables, arguments, fresh)
-        return self._invoke_raw(tables, arguments, fresh)
+        """The active layers around one invocation, outermost first.
 
-    def _invoke_estimated(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """Predict, dispatch, then score the prediction.
-
-        Estimation is telemetry: prediction and scoring are wrapped so a
-        stats/estimator defect can never alter or kill a run.  The
-        prediction is handed to the observed layer through a per-thread
-        pending slot so EXPLAIN spans carry ``est_rows`` without
-        predicting twice.
+        Estimation predicts rows-out before and scores the prediction
+        after; events publish ``span_start``/``span_finish`` (and
+        ``error``); the governor's ``before_op``/``account`` and the
+        fault plan's ``before``/``after`` bracket the op, either may be
+        absent; observation, innermost, times and row/column-accounts
+        the op so failed ops still close their spans.  Each scope's
+        ``.active`` flag is read here, at call time, because the
+        supervisor sheds layers by flipping those flags.  Estimation is
+        telemetry: a stats/estimator defect can never alter or kill a
+        run, and its prediction rides into the observation span so
+        EXPLAIN shows ``est_rows`` without predicting twice.
         """
-        estimator = _est.EST.estimator
-        predicted = None
-        if estimator is not None:
+        estimator = predicted = None
+        est = _est.EST
+        if est.active and est.estimator is not None:
+            estimator = est.estimator
             try:
                 predicted = estimator.predict(self.name, tables, arguments)
             except Exception:
-                predicted = None
-            if predicted is not None:
-                _est._push_pending(predicted)
+                pass
+        evented = _ev.EVT.active
+        if evented:
+            _ev.emit(
+                "span_start",
+                op=self.name,
+                tables_in=len(tables),
+                rows_in=sum(t.height for t in tables),
+            )
+            started = time.perf_counter()
         try:
-            produced = self._invoke_inner(tables, arguments, fresh)
-        finally:
-            _est._pop_pending()
+            gov = _gv.GOV
+            governor = faults = None
+            if gov.active:
+                governor, faults = gov.governor, gov.faults
+            if governor is not None:
+                governor.before_op(self.name)
+            if faults is not None:
+                faults.before(self.name)
+            if _obs.OBS.active:
+                produced = self._invoke_observed(tables, arguments, fresh, predicted)
+            else:
+                produced = self._invoke_raw(tables, arguments, fresh)
+            if faults is not None:
+                produced = faults.after(self.name, produced)
+            if governor is not None:
+                governor.account(
+                    self.name,
+                    sum(t.height for t in produced),
+                    sum(t.nrows * t.ncols for t in produced),
+                )
+                obs = _obs.OBS
+                if obs.active and obs.metrics is not None:
+                    obs.metrics.count("governor_checks")
+        except Exception as err:
+            if evented:
+                duration_ms = round((time.perf_counter() - started) * 1e3, 3)
+                _ev.emit(
+                    "error",
+                    op=self.name,
+                    error=str(err),
+                    error_type=type(err).__name__,
+                )
+                _ev.emit(
+                    "span_finish", op=self.name, ok=False, duration_ms=duration_ms
+                )
+            raise
+        if evented:
+            _ev.emit(
+                "span_finish",
+                op=self.name,
+                ok=True,
+                duration_ms=round((time.perf_counter() - started) * 1e3, 3),
+                tables_out=len(produced),
+                rows_out=sum(t.height for t in produced),
+            )
         if predicted is not None:
             try:
                 estimator.observe(
@@ -162,49 +188,6 @@ class OpSpec:
                 )
             except Exception:
                 pass
-        return produced
-
-    def _invoke_evented(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """Publish dispatch events around the governed/observed/raw chain."""
-        _ev.emit(
-            "span_start",
-            op=self.name,
-            tables_in=len(tables),
-            rows_in=sum(t.height for t in tables),
-        )
-        started = time.perf_counter()
-        try:
-            if _gv.GOV.active:
-                produced = self._invoke_governed(tables, arguments, fresh)
-            elif _obs.OBS.active:
-                produced = self._invoke_observed(tables, arguments, fresh)
-            else:
-                produced = self._invoke_raw(tables, arguments, fresh)
-        except Exception as err:
-            duration_ms = round((time.perf_counter() - started) * 1e3, 3)
-            _ev.emit(
-                "error",
-                op=self.name,
-                error=str(err),
-                error_type=type(err).__name__,
-            )
-            _ev.emit(
-                "span_finish", op=self.name, ok=False, duration_ms=duration_ms
-            )
-            raise
-        _ev.emit(
-            "span_finish",
-            op=self.name,
-            ok=True,
-            duration_ms=round((time.perf_counter() - started) * 1e3, 3),
-            tables_out=len(produced),
-            rows_out=sum(t.height for t in produced),
-        )
         return produced
 
     def _invoke_raw(
@@ -245,50 +228,12 @@ class OpSpec:
             return tuple(result)
         return (result,)
 
-    def _invoke_governed(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-    ) -> tuple[Table, ...]:
-        """The hardened dispatch: budgets before, faults around, rows after.
-
-        The governor's ``before_op``/``account`` pair brackets the op;
-        the fault plan's ``before``/``after`` pair fires raise/delay
-        faults pre-dispatch and corrupt faults on the output.  Either
-        layer may be absent (governing without chaos and vice versa).
-        Observation, when also active, nests inside so failed ops still
-        close their spans with the error recorded.
-        """
-        gov = _gv.GOV
-        governor = gov.governor
-        faults = gov.faults
-        if governor is not None:
-            governor.before_op(self.name)
-        if faults is not None:
-            faults.before(self.name)
-        if _obs.OBS.active:
-            produced = self._invoke_observed(tables, arguments, fresh)
-        else:
-            produced = self._invoke_raw(tables, arguments, fresh)
-        if faults is not None:
-            produced = faults.after(self.name, produced)
-        if governor is not None:
-            governor.account(
-                self.name,
-                sum(t.height for t in produced),
-                sum(t.nrows * t.ncols for t in produced),
-            )
-            obs = _obs.OBS
-            if obs.active and obs.metrics is not None:
-                obs.metrics.count("governor_checks")
-        return produced
-
     def _invoke_observed(
         self,
         tables: Sequence[Table],
         arguments: Mapping[str, object],
         fresh: FreshValueSource | None,
+        predicted: tuple[int, str] | None,
     ) -> tuple[Table, ...]:
         obs = _obs.OBS
         # Per-table (height, width) pairs: the cost model estimates from
@@ -307,12 +252,11 @@ class OpSpec:
                     cols_in=cols_in,
                     shapes_in=shapes_in,
                 )
-                # An active estimation scope handed its rows-out
-                # prediction over; stamp it so EXPLAIN shows est_rows
-                # from stats (not shape heuristics) wherever stats exist.
-                pending = _est._pop_pending()
-                if pending is not None:
-                    sp.set(est_rows=pending[0], est_source=pending[1])
+                # The estimation layer's rows-out prediction: stamped so
+                # EXPLAIN shows est_rows from stats (not shape
+                # heuristics) wherever stats exist.
+                if predicted is not None:
+                    sp.set(est_rows=predicted[0], est_source=predicted[1])
                 produced = self._invoke_raw(tables, arguments, fresh)
                 sp.set(
                     tables_out=len(produced),

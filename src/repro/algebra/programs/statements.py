@@ -53,6 +53,53 @@ class Statement:
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
         raise NotImplementedError
 
+    def _step(
+        self, op: str, db: TabularDatabase, interp: "Interpreter"
+    ) -> TabularDatabase:
+        """The statement entry: governor check, ``statement`` span, counters.
+
+        The governor is checked first, so a deadline or cancellation
+        trips even when no combination matches and no op is dispatched.
+        Under observation :meth:`_apply` runs inside a ``statement`` span
+        that records its combination count, its table flow and its own
+        attributes, and the ``statements``/``combinations`` counters
+        advance.
+        """
+        gov = _gv.GOV
+        if gov.active and gov.governor is not None:
+            gov.governor.check(op=op)
+        obs = _obs.OBS
+        if not obs.active:
+            return self._apply(db, interp, False)[0]
+        cm = (
+            obs.tracer.span("statement", text=repr(self))
+            if obs.tracer is not None
+            else NULL_SPAN
+        )
+        with cm as sp:
+            new_db, combinations, attributes = self._apply(db, interp, True)
+            sp.set(
+                combinations=combinations,
+                tables_in=len(db),
+                tables_out=len(new_db),
+                **attributes,
+            )
+            if obs.metrics is not None:
+                obs.metrics.count("statements")
+                obs.metrics.count("combinations", combinations)
+            return new_db
+
+    def _apply(
+        self, db: TabularDatabase, interp: "Interpreter", observing: bool
+    ) -> tuple[TabularDatabase, int, dict]:
+        """The work behind :meth:`_step`.
+
+        Returns the new database, the number of argument combinations
+        run, and the statement's own span attributes (read only when
+        ``observing``).
+        """
+        raise NotImplementedError
+
     def reads(self) -> frozenset[Symbol] | None:
         return None
 
@@ -180,70 +227,52 @@ class Assignment(Statement):
     # -- execution ------------------------------------------------------
 
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
-        gov = _gv.GOV
-        if gov.active and gov.governor is not None:
-            # Statement-entry check: deadline/cancellation trip even when
-            # no combination matches and no op is ever dispatched.
-            gov.governor.check(op=self.spec.name)
-        obs = _obs.OBS
-        observing = obs.active
-        cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if observing and obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm as sp:
-            source = (
-                self._aggregate_groups(db, interp.binding)
-                if self.spec.aggregate
-                else self._combinations(db, interp.binding)
-            )
-            results: dict[Symbol, list[Table]] = {}
-            target_names: set[Symbol] = set()
-            combinations = 0
-            bindings_seen: list[str] = []
-            for tables, binding in source:
-                combinations += 1
-                if observing and binding is not interp.binding:
-                    # Snapshot the wildcard environment driving this
-                    # combination (bounded, so wide fan-outs stay readable).
-                    if len(bindings_seen) < 8:
-                        bindings_seen.append(repr(binding))
-                    elif len(bindings_seen) == 8:
-                        bindings_seen.append("…")
-                arguments = self._evaluate_params(binding, tables[0])
-                produced = self.spec.invoke(tables, arguments, interp.fresh)
-                target = self.target.evaluate_single(binding, tables[0])
-                target_names.add(target)
-                results.setdefault(target, []).extend(
-                    t.with_name(target) for t in produced
-                )
-            if not target_names and isinstance(self.target, Lit):
-                # No combination matched: the target name becomes empty.
-                target_names.add(self.target.symbol)
-            new_db = db
-            for name in target_names:
-                new_db = new_db.replace_named(name, results.get(name, []))
-            if observing:
-                sp.set(
-                    combinations=combinations,
-                    tables_in=len(db),
-                    tables_out=len(new_db),
-                )
-                if bindings_seen:
-                    sp.set(bindings=bindings_seen)
-                if obs.lineage is not None:
-                    from ...obs.lineage import count_prov_cells
+        return self._step(self.spec.name, db, interp)
 
-                    sp.set(
-                        prov_cells=count_prov_cells(
-                            t for tables in results.values() for t in tables
-                        )
-                    )
-                if obs.metrics is not None:
-                    obs.metrics.count("statements")
-                    obs.metrics.count("combinations", combinations)
-            return new_db
+    def _apply(
+        self, db: TabularDatabase, interp: "Interpreter", observing: bool
+    ) -> tuple[TabularDatabase, int, dict]:
+        source = (
+            self._aggregate_groups(db, interp.binding)
+            if self.spec.aggregate
+            else self._combinations(db, interp.binding)
+        )
+        results: dict[Symbol, list[Table]] = {}
+        target_names: set[Symbol] = set()
+        combinations = 0
+        bindings_seen: list[str] = []
+        for tables, binding in source:
+            combinations += 1
+            if observing and binding is not interp.binding:
+                # Snapshot the wildcard environment driving this
+                # combination (bounded, so wide fan-outs stay readable).
+                if len(bindings_seen) < 8:
+                    bindings_seen.append(repr(binding))
+                elif len(bindings_seen) == 8:
+                    bindings_seen.append("…")
+            arguments = self._evaluate_params(binding, tables[0])
+            produced = self.spec.invoke(tables, arguments, interp.fresh)
+            target = self.target.evaluate_single(binding, tables[0])
+            target_names.add(target)
+            results.setdefault(target, []).extend(
+                t.with_name(target) for t in produced
+            )
+        if not target_names and isinstance(self.target, Lit):
+            # No combination matched: the target name becomes empty.
+            target_names.add(self.target.symbol)
+        new_db = db
+        for name in target_names:
+            new_db = new_db.replace_named(name, results.get(name, []))
+        attributes: dict = {}
+        if bindings_seen:
+            attributes["bindings"] = bindings_seen
+        if observing and _obs.OBS.lineage is not None:
+            from ...obs.lineage import count_prov_cells
+
+            attributes["prov_cells"] = count_prov_cells(
+                t for tables in results.values() for t in tables
+            )
+        return new_db, combinations, attributes
 
     def __repr__(self) -> str:
         params = " ".join(f"{k} {v}" for k, v in self.params.items())
@@ -280,6 +309,60 @@ class While(Statement):
         name = self.condition.evaluate_single(interp.binding, None)
         return sum(t.height for t in db.tables_named(name))
 
+    @staticmethod
+    def totals(db: TabularDatabase) -> tuple[int, int]:
+        """The database's (rows, cells): what :meth:`tick` reports growth of."""
+        return (
+            sum(t.height for t in db.tables),
+            sum(t.nrows * t.ncols for t in db.tables),
+        )
+
+    def tick(
+        self,
+        db: TabularDatabase,
+        interp: "Interpreter",
+        iteration: int,
+        previous: tuple[int, int],
+    ) -> tuple[int, int]:
+        """Account loop iteration ``iteration`` before its body runs.
+
+        The one per-iteration step shared by this interpreter and the
+        checkpointing loop of :func:`~repro.runtime.checkpoint.run_hardened`,
+        in a fixed order: the governor's tick (deadline, cancellation and its iteration cap,
+        the same chokepoint the FO+while budget delegates to), the
+        ``while_iteration`` event, then the interpreter's iteration
+        budget.  ``previous`` is the :meth:`totals` at the previous tick
+        or at loop entry; the return value is the pair for the next tick.
+        """
+        gov = _gv.GOV
+        if gov.active and gov.governor is not None:
+            gov.governor.while_tick(str(self.condition), iteration)
+        if _ev.EVT.active:
+            # Fixpoint frontier, live: condition rows plus the
+            # database's row/cell growth since the previous tick.
+            total_rows, total_cells = current = self.totals(db)
+            _ev.emit(
+                "while_iteration",
+                condition=str(self.condition),
+                iteration=iteration,
+                frontier_rows=self._condition_rows(db, interp),
+                total_rows=total_rows,
+                total_cells=total_cells,
+                delta_rows=total_rows - previous[0],
+                delta_cells=total_cells - previous[1],
+            )
+            previous = current
+        if iteration > interp.max_while_iterations:
+            raise NonTerminationError(
+                f"while loop on {self.condition} exceeded "
+                f"{interp.max_while_iterations} iterations",
+                kind="iterations",
+                condition=str(self.condition),
+                iteration=iteration,
+                limit=interp.max_while_iterations,
+            )
+        return previous
+
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
         obs = _obs.OBS
         observing = obs.active
@@ -293,7 +376,6 @@ class While(Statement):
             condition_rows: list[int] = []
             prov_frontier: list[int] = []
             lineage_on = observing and obs.lineage is not None
-            gov = _gv.GOV
             predicted_iterations = None
             if _est.EST.active and _est.EST.estimator is not None:
                 # Predict the fixpoint's iteration count from the
@@ -304,42 +386,10 @@ class While(Statement):
                     )
                 except Exception:
                     predicted_iterations = None
-            prev_rows = prev_cells = 0
-            if _ev.EVT.active:
-                prev_rows = sum(t.height for t in db.tables)
-                prev_cells = sum(t.nrows * t.ncols for t in db.tables)
+            totals = self.totals(db) if _ev.EVT.active else (0, 0)
             while self._holds(db, interp):
                 iterations += 1
-                if gov.active and gov.governor is not None:
-                    # Deadline/cancellation/governor iteration cap, once
-                    # per tick — the same chokepoint the FO+while budget
-                    # delegates to, so both languages share one governor.
-                    gov.governor.while_tick(str(self.condition), iterations)
-                if _ev.EVT.active:
-                    # Fixpoint frontier, live: condition rows plus the
-                    # database's row/cell growth since the previous tick.
-                    total_rows = sum(t.height for t in db.tables)
-                    total_cells = sum(t.nrows * t.ncols for t in db.tables)
-                    _ev.emit(
-                        "while_iteration",
-                        condition=str(self.condition),
-                        iteration=iterations,
-                        frontier_rows=self._condition_rows(db, interp),
-                        total_rows=total_rows,
-                        total_cells=total_cells,
-                        delta_rows=total_rows - prev_rows,
-                        delta_cells=total_cells - prev_cells,
-                    )
-                    prev_rows, prev_cells = total_rows, total_cells
-                if iterations > interp.max_while_iterations:
-                    raise NonTerminationError(
-                        f"while loop on {self.condition} exceeded "
-                        f"{interp.max_while_iterations} iterations",
-                        kind="iterations",
-                        condition=str(self.condition),
-                        iteration=iterations,
-                        limit=interp.max_while_iterations,
-                    )
+                totals = self.tick(db, interp, iterations, totals)
                 if observing:
                     # Fixpoint visibility: the condition's row count per
                     # iteration shows how fast the loop converges.
@@ -393,31 +443,12 @@ class Program:
 
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
         if _gv.GOV.active:
-            return self._execute_hardened(db, interp)
+            # Under the governor every statement commits atomically.
+            for statement in self.statements:
+                db = interp.commit(statement, db)
+            return db
         for statement in self.statements:
             db = statement.execute(db, interp)
-        return db
-
-    def _execute_hardened(
-        self, db: TabularDatabase, interp: "Interpreter"
-    ) -> TabularDatabase:
-        """Snapshot-and-commit statement semantics under the governor.
-
-        The database is immutable, so the only interpreter state a
-        failing statement can leave behind is the fresh-value source it
-        advanced while building partial results.  Rolling the source
-        back to its pre-statement tag makes every statement atomic: the
-        environment after a caught fault equals the environment before
-        the failing statement, and a checkpointed resume re-mints the
-        identical tags.
-        """
-        for statement in self.statements:
-            mark = interp.fresh.next_tag
-            try:
-                db = statement.execute(db, interp)
-            except BaseException:
-                interp.fresh.reset_to(mark)
-                raise
         return db
 
     def run(
@@ -476,6 +507,24 @@ class Interpreter:
         self.fresh = fresh if fresh is not None else FreshValueSource()
         self.max_while_iterations = max_while_iterations
         self.binding = binding if binding is not None else Binding()
+
+    def commit(self, statement: Statement, db: TabularDatabase) -> TabularDatabase:
+        """Execute one statement with snapshot-and-commit semantics.
+
+        The database is immutable, so the only interpreter state a
+        failing statement can leave behind is the fresh-value source it
+        advanced while building partial results.  Rolling the source
+        back to its pre-statement tag makes the statement atomic: the
+        environment after a caught fault equals the environment before
+        the failing statement, and a checkpointed resume re-mints the
+        identical tags.
+        """
+        mark = self.fresh.next_tag
+        try:
+            return statement.execute(db, self)
+        except BaseException:
+            self.fresh.reset_to(mark)
+            raise
 
     def run(self, program: Program, db: TabularDatabase) -> TabularDatabase:
         self.fresh.advance_past(db.symbols())

@@ -110,7 +110,6 @@ from ..core import EvaluationError, Symbol, Table, TabularDatabase, weakly_equal
 from ..obs import events as _ev
 from ..obs import runtime as _obs
 from ..obs.stats import DatabaseStats
-from ..obs.trace import NULL_SPAN
 from ..runtime import governor as _gv
 
 __all__ = [
@@ -949,50 +948,40 @@ class ChainJoin(Statement):
         return Table(grid)
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
-        gov = _gv.GOV
-        if gov.active and gov.governor is not None:
-            gov.governor.check(op=CHAINJOIN_OP)
         obs = _obs.OBS
-        observing = obs.active
-        if observing and obs.lineage is not None:
+        if obs.active and obs.lineage is not None:
+            gov = _gv.GOV
+            if gov.active and gov.governor is not None:
+                gov.governor.check(op=CHAINJOIN_OP)
             # The provenance fold over column 0 is order-sensitive; the
             # original statements thread it correctly.
             for statement in self.source:
                 db = statement.execute(db, interp)
             return db
-        cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if observing and obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm as sp:
-            lists = [db.tables_named(name) for name in self.leaves]
-            results: list[Table] = []
-            combinations = 0
-            stale = 0
-            for tables in itertools.product(*lists):
-                combinations += 1
-                if not self._stats_fresh(tables):
-                    stale += 1
-                produced = self._spec.invoke(tables, self._arguments, interp.fresh)
-                results.extend(t.with_name(self.target) for t in produced)
-            new_db = db.replace_named(self.target, results)
-            if observing:
-                sp.set(
-                    combinations=combinations,
-                    tables_in=len(db),
-                    tables_out=len(new_db),
-                    order=[str(self.leaves[l]) for l in self.order],
-                    rules=["join-reorder"],
-                )
-                if self.est_rows is not None:
-                    sp.set(est_rows=self.est_rows, est_source="stats")
-                if stale:
-                    sp.set(stale_combinations=stale)
-                if obs.metrics is not None:
-                    obs.metrics.count("statements")
-                    obs.metrics.count("combinations", combinations)
-            return new_db
+        return self._step(CHAINJOIN_OP, db, interp)
+
+    def _apply(
+        self, db: TabularDatabase, interp, observing: bool
+    ) -> tuple[TabularDatabase, int, dict]:
+        lists = [db.tables_named(name) for name in self.leaves]
+        results: list[Table] = []
+        combinations = 0
+        stale = 0
+        for tables in itertools.product(*lists):
+            combinations += 1
+            if not self._stats_fresh(tables):
+                stale += 1
+            produced = self._spec.invoke(tables, self._arguments, interp.fresh)
+            results.extend(t.with_name(self.target) for t in produced)
+        attributes: dict = {}
+        if observing:
+            attributes["order"] = [str(self.leaves[l]) for l in self.order]
+            attributes["rules"] = ["join-reorder"]
+            if self.est_rows is not None:
+                attributes.update(est_rows=self.est_rows, est_source="stats")
+            if stale:
+                attributes["stale_combinations"] = stale
+        return db.replace_named(self.target, results), combinations, attributes
 
     def __repr__(self) -> str:
         order = ", ".join(str(self.leaves[l]) for l in self.order)
@@ -1059,51 +1048,33 @@ class SelectUnion(Statement):
         return frozenset([self.target.symbol])
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
-        gov = _gv.GOV
-        if gov.active and gov.governor is not None:
-            gov.governor.check(op="SELECTUNION")
-        obs = _obs.OBS
-        observing = obs.active
-        cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if observing and obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm as sp:
-            target = self.target.symbol
-            select_spec = OPERATIONS["SELECT"]
-            union_spec = OPERATIONS["UNION"]
-            arguments = {"left": self.left.symbol, "right": self.right.symbol}
-            lefts = db.tables_named(self.args[0].symbol)
-            rights = db.tables_named(self.args[1].symbol)
-            results: list[Table] = []
-            combinations = 0
-            if lefts and rights:
-                filtered_left = [
-                    select_spec.invoke((t,), arguments, interp.fresh)[0]
-                    for t in lefts
-                ]
-                filtered_right = [
-                    select_spec.invoke((t,), arguments, interp.fresh)[0]
-                    for t in rights
-                ]
-                for fl in filtered_left:
-                    for fr in filtered_right:
-                        combinations += 1
-                        produced = union_spec.invoke((fl, fr), {}, interp.fresh)
-                        results.extend(t.with_name(target) for t in produced)
-            new_db = db.replace_named(target, results)
-            if observing:
-                sp.set(
-                    combinations=combinations,
-                    tables_in=len(db),
-                    tables_out=len(new_db),
-                    rules=["select-pushdown-union"],
-                )
-                if obs.metrics is not None:
-                    obs.metrics.count("statements")
-                    obs.metrics.count("combinations", combinations)
-            return new_db
+        return self._step("SELECTUNION", db, interp)
+
+    def _apply(
+        self, db: TabularDatabase, interp, observing: bool
+    ) -> tuple[TabularDatabase, int, dict]:
+        target = self.target.symbol
+        select_spec = OPERATIONS["SELECT"]
+        union_spec = OPERATIONS["UNION"]
+        arguments = {"left": self.left.symbol, "right": self.right.symbol}
+        lefts = db.tables_named(self.args[0].symbol)
+        rights = db.tables_named(self.args[1].symbol)
+        results: list[Table] = []
+        combinations = 0
+        if lefts and rights:
+            filtered_left = [
+                select_spec.invoke((t,), arguments, interp.fresh)[0] for t in lefts
+            ]
+            filtered_right = [
+                select_spec.invoke((t,), arguments, interp.fresh)[0] for t in rights
+            ]
+            for fl in filtered_left:
+                for fr in filtered_right:
+                    combinations += 1
+                    produced = union_spec.invoke((fl, fr), {}, interp.fresh)
+                    results.extend(t.with_name(target) for t in produced)
+        attributes = {"rules": ["select-pushdown-union"]}
+        return db.replace_named(target, results), combinations, attributes
 
     def __repr__(self) -> str:
         return (

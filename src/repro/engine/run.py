@@ -1,12 +1,14 @@
 """The backend switch: run a program on the naive or vectorized engine.
 
-``run_program(program, db, engine="vector")`` is the one entry point
-the rest of the system goes through (``Program.run(engine=...)``, the
-CLI ``--engine`` flag, and ``run_hardened`` all delegate here).  The
-vector path plans the program (product/select fusion), then executes it
-inside an :func:`~repro.engine.runtime.engine_scope`, so the operation
-registry routes each invocation through the kernel catalogue with
-per-invocation fallback to the naive operations.
+``run_program(program, db, engine="vector")`` is the library entry point
+(``Program.run(engine=...)`` delegates here).  The vector path plans the
+program (product/select fusion), then executes it inside an
+:func:`~repro.engine.runtime.engine_scope`, so the operation registry
+routes each invocation through the kernel catalogue with per-invocation
+fallback to the naive operations.
+:func:`~repro.runtime.checkpoint.run_hardened`, and with it
+``repro run --engine``, does not come through here: it plans the program
+and enters the engine scope itself.
 
 ``optimize=True`` additionally runs the program through the cost-based
 optimizer (:mod:`repro.engine.optimizer`) before execution — on either

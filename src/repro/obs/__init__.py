@@ -112,12 +112,10 @@ from .workload import (
     stats_audit,
 )
 from .ledger import (
-    LEDGER,
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     RunRecorder,
     database_digest,
-    ledger_scope,
     new_run_id,
 )
 from .replay import (
@@ -134,7 +132,6 @@ __all__ = [
     "OBS",
     "EVT",
     "EST",
-    "LEDGER",
     "LEDGER_SCHEMA_VERSION",
     "NULL_SPAN",
     "EVENT_KINDS",
@@ -197,7 +194,6 @@ __all__ = [
     "format_span",
     "graph_to_dot",
     "jsonl_records",
-    "ledger_scope",
     "lineage",
     "lint_prometheus_text",
     "load_stats",

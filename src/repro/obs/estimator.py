@@ -38,7 +38,6 @@ condition table's frontier and account it under the pseudo-op
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
 
@@ -425,22 +424,6 @@ class _EstState:
 
 #: The process-wide estimation state consulted by the operation registry.
 EST = _EstState()
-
-#: Per-thread handoff of the most recent prediction from the estimated
-#: dispatch layer to the observed layer's span (so EXPLAIN sees it
-#: without predicting twice).
-_PENDING = threading.local()
-
-
-def _push_pending(prediction: tuple[int, str]) -> None:
-    _PENDING.value = prediction
-
-
-def _pop_pending() -> tuple[int, str] | None:
-    prediction = getattr(_PENDING, "value", None)
-    _PENDING.value = None
-    return prediction
-
 
 @contextmanager
 def estimation(

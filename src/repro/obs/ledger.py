@@ -36,11 +36,7 @@ Durability rules:
 The manifests themselves are built by :class:`RunRecorder`, a
 :class:`~repro.obs.events.RingSubscriber` on the live event bus — the
 engine hot path publishes the same events it always did and the ledger
-listens, so recording adds **no new hooks** to op dispatch.  Like
-``OBS``/``GOV``/``EVT``/``EST``, the module-level :data:`LEDGER`
-singleton guards the feature: when ``LEDGER.active`` is False — the
-default — nothing consults the ledger and the zero-allocation audit
-holds.
+listens, so recording adds **no new hooks** to op dispatch.
 """
 
 from __future__ import annotations
@@ -51,9 +47,7 @@ import os
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
 from ..core.errors import BudgetExceededError, CancelledError, LedgerError
 from .events import EventBus, RingSubscriber
@@ -66,8 +60,6 @@ __all__ = [
     "DEFAULT_RESULT_BYTES_CAP",
     "RunLedger",
     "RunRecorder",
-    "LEDGER",
-    "ledger_scope",
     "new_run_id",
     "database_digest",
 ]
@@ -809,44 +801,3 @@ class RunRecorder:
 
     def __repr__(self) -> str:
         return f"RunRecorder({self.run_id}, {self.ring!r})"
-
-
-# ----------------------------------------------------------------------
-# The LEDGER singleton (OBS/GOV/EVT/EST pattern)
-# ----------------------------------------------------------------------
-
-class _LedgerState:
-    """The mutable global: one attribute check guards every consult site."""
-
-    __slots__ = ("active", "ledger")
-
-    def __init__(self):
-        self.active = False
-        #: The installed :class:`RunLedger`, or None.
-        self.ledger: RunLedger | None = None
-
-
-#: The process-wide ledger state.  The engine hot path never touches it
-#: (recording is bus-fed); drivers check ``LEDGER.active`` to decide
-#: whether a finished run should be journaled.
-LEDGER = _LedgerState()
-
-
-@contextmanager
-def ledger_scope(directory: str | Path | RunLedger) -> Iterator[RunLedger]:
-    """Install a ledger for the duration of the ``with`` block.
-
-    Accepts a directory (opened/created as a :class:`RunLedger`) or an
-    already-open ledger; restores the previous state on exit so scopes
-    nest exactly like ``observation()``/``event_stream()``.
-    """
-    ledger = (
-        directory if isinstance(directory, RunLedger) else RunLedger(directory)
-    )
-    previous = (LEDGER.active, LEDGER.ledger)
-    LEDGER.ledger = ledger
-    LEDGER.active = True
-    try:
-        yield ledger
-    finally:
-        LEDGER.active, LEDGER.ledger = previous

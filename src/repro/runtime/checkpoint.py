@@ -304,7 +304,7 @@ def run_hardened(
       checkpoint fingerprint covers the *planned* program, so a resume
       must use the same engine the original run did.
     """
-    from ..algebra.programs.statements import Interpreter, Program, While
+    from ..algebra.programs.statements import Interpreter, Program
 
     if not isinstance(program, Program):
         raise CheckpointError(f"run_hardened drives TA Programs, got {program!r}")
@@ -374,15 +374,6 @@ def run_hardened(
                     done=done,
                 )
 
-    def committed(statement, database: TabularDatabase) -> TabularDatabase:
-        """Execute one statement with fresh-source snapshot-and-commit."""
-        mark = interp.fresh.next_tag
-        try:
-            return statement.execute(database, interp)
-        except BaseException:
-            interp.fresh.reset_to(mark)
-            raise
-
     with scope, governed(limits, faults=faults, governor=governor) as gov:
         if _ev.EVT.active:
             _ev.emit(
@@ -396,7 +387,7 @@ def run_hardened(
         write(db, start_index, body_index=start_body, iteration=start_iteration)
         try:
             db = _drive(
-                program, db, interp, gov, write, committed,
+                program, db, interp, gov, write,
                 start_index, start_body, start_iteration,
             )
         except BaseException as err:
@@ -424,9 +415,15 @@ def run_hardened(
     return db
 
 
-def _drive(program, db, interp, gov, write, committed,
+def _drive(program, db, interp, gov, write,
            start_index, start_body, start_iteration):
-    """The statement-stepping loop of :func:`run_hardened`."""
+    """The statement-stepping loop of :func:`run_hardened`.
+
+    Statements commit through ``Interpreter.commit`` and loop iterations
+    tick through ``While.tick``, as under ``program.run`` in a governed
+    scope; on top of that the loop records the statement index on the
+    governor and writes a checkpoint after every step.
+    """
     from ..algebra.programs.statements import While
 
     for index in range(start_index, len(program.statements)):
@@ -444,43 +441,15 @@ def _drive(program, db, interp, gov, write, committed,
                     iteration, body_pos = start_iteration, start_body
                 else:
                     iteration, body_pos = 0, 0
-                prev_rows = prev_cells = 0
-                if _ev.EVT.active:
-                    prev_rows = sum(t.height for t in db.tables)
-                    prev_cells = sum(t.nrows * t.ncols for t in db.tables)
+                totals = While.totals(db) if _ev.EVT.active else (0, 0)
                 while True:
                     if body_pos == 0:
                         if not statement._holds(db, interp):
                             break
                         iteration += 1
-                        if iteration > interp.max_while_iterations:
-                            raise _non_termination(statement, iteration, interp)
-                        gov.while_tick(
-                            str(statement.condition), iteration, statement=index
-                        )
-                        if _ev.EVT.active:
-                            # Same fixpoint-frontier event While.execute
-                            # publishes: the hardened driver steps the
-                            # loop itself, so it reports the ticks too.
-                            total_rows = sum(t.height for t in db.tables)
-                            total_cells = sum(
-                                t.nrows * t.ncols for t in db.tables
-                            )
-                            _ev.emit(
-                                "while_iteration",
-                                condition=str(statement.condition),
-                                iteration=iteration,
-                                frontier_rows=statement._condition_rows(
-                                    db, interp
-                                ),
-                                total_rows=total_rows,
-                                total_cells=total_cells,
-                                delta_rows=total_rows - prev_rows,
-                                delta_cells=total_cells - prev_cells,
-                            )
-                            prev_rows, prev_cells = total_rows, total_cells
+                        totals = statement.tick(db, interp, iteration, totals)
                     for position in range(body_pos, len(body)):
-                        db = committed(body[position], db)
+                        db = interp.commit(body[position], db)
                         write(
                             db,
                             index,
@@ -489,27 +458,8 @@ def _drive(program, db, interp, gov, write, committed,
                         )
                     body_pos = 0
             else:
-                # Optimizer-produced statements (CHAINJOIN, SELECTUNION)
-                # are not Assignments and carry no public spec; their
-                # class name is their op name.
-                spec = getattr(statement, "spec", None)
-                op = spec.name if spec is not None else type(statement).__name__.upper()
-                gov.check(op=op)
-                db = committed(statement, db)
+                db = interp.commit(statement, db)
                 write(db, index + 1)
         finally:
             gov.statement = previous_statement
     return db
-
-
-def _non_termination(statement, iteration: int, interp):
-    from ..core.errors import NonTerminationError
-
-    return NonTerminationError(
-        f"while loop on {statement.condition} exceeded "
-        f"{interp.max_while_iterations} iterations",
-        kind="iterations",
-        condition=str(statement.condition),
-        iteration=iteration,
-        limit=interp.max_while_iterations,
-    )

@@ -302,12 +302,13 @@ class ResourceGovernor:
 
 
 class IterationBudget:
-    """Shared while-iteration budget, delegating to the installed governor.
+    """The FO+while interpreter's program-wide while-iteration budget.
 
-    Both budget mechanisms — the FO+while interpreter's program-wide
-    ``_Budget`` and the TA interpreter's per-loop counter — route through
-    this class, so one governed scope sees every loop tick regardless of
-    which language is executing.  Exhaustion raises
+    Each tick also ticks the installed governor, as the TA interpreter's
+    per-loop counter does through
+    :meth:`~repro.algebra.programs.statements.While.tick`, so one
+    governed scope sees every loop tick regardless of which language is
+    executing.  Exhaustion raises
     :class:`~repro.core.errors.NonTerminationError` with structured
     context instead of a bare string.
     """

@@ -96,18 +96,18 @@ class TestZeroOverheadSmoke:
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_evented
+        original = registry_module.OpSpec._invoke_layered
         try:
-            registry_module.OpSpec._invoke_evented = (
+            registry_module.OpSpec._invoke_layered = (
                 lambda self, *a: calls.append(self.name) or original(self, *a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # no active bus: evented path never entered
+            assert calls == []  # no active bus: layered path never entered
             with event_stream():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]
         finally:
-            registry_module.OpSpec._invoke_evented = original
+            registry_module.OpSpec._invoke_layered = original
 
     def test_disabled_dispatch_skips_the_estimated_path(self):
         """Estimation is gated identically: one EST.active check."""
@@ -117,18 +117,18 @@ class TestZeroOverheadSmoke:
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_estimated
+        original = registry_module.OpSpec._invoke_layered
         try:
-            registry_module.OpSpec._invoke_estimated = (
+            registry_module.OpSpec._invoke_layered = (
                 lambda self, *a: calls.append(self.name) or original(self, *a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # no scope: estimated path never entered
+            assert calls == []  # no scope: layered path never entered
             with estimation():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]
         finally:
-            registry_module.OpSpec._invoke_estimated = original
+            registry_module.OpSpec._invoke_layered = original
 
     def test_disabled_run_allocates_nothing_in_obs_modules(self):
         """tracemalloc audit: the off switch means *zero* obs allocations.

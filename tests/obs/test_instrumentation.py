@@ -1,5 +1,7 @@
 """End-to-end instrumentation: interpreter, compilers, bridges."""
 
+import pytest
+
 from repro.algebra.programs import parse_program
 from repro.core import database, make_table
 from repro.data import figure4_top
@@ -45,6 +47,87 @@ class TestInterpreterSpans:
         record = obs.metrics.op("SPLIT")
         assert record.calls == 1
         assert record.tables_out > 1  # one table per part
+
+
+class TestDispatchLayerOrder:
+    """Every dispatch scope at once: estimation, events, governor/faults
+    and observation wrap the op in that fixed order."""
+
+    @staticmethod
+    def _invoke_under_every_scope(spec, table, arguments, faults, calls):
+        from repro.obs.estimator import estimation
+        from repro.obs.events import event_stream
+        from repro.obs.stats import analyze_database
+        from repro.runtime import Limits, governed
+
+        events = []
+        with event_stream() as bus:
+            bus.attach(events.append)
+            with observation() as obs, estimation(
+                analyze_database(database(table))
+            ) as est, governed(Limits(), faults=faults) as gov:
+                for raises in calls:
+                    if raises is None:
+                        spec.invoke((table,), arguments, None)
+                    else:
+                        with pytest.raises(raises):
+                            spec.invoke((table,), arguments, None)
+        spans = [
+            s for root in obs.spans for s in root.walk() if s.name == spec.name
+        ]
+        return events, spans, obs.metrics, est.accuracy, gov
+
+    def test_layers_nest_estimation_events_governor_observation(self):
+        from repro.algebra.programs.registry import OPERATIONS
+        from repro.core import FaultInjectedError
+        from repro.runtime import FaultPlan, FaultRule
+
+        table = make_table("T", ["A"], [["x"], ["x"], ["y"]])
+        faults = FaultPlan([FaultRule(op="DEDUP", kind="raise", occurrence=2)])
+        events, spans, metrics, accuracy, gov = self._invoke_under_every_scope(
+            OPERATIONS["DEDUP"], table, {}, faults, [None, FaultInjectedError]
+        )
+        assert [e.kind for e in events] == [
+            "span_start",
+            "span_finish",
+            "op_estimate",
+            "span_start",
+            "fault_injected",
+            "error",
+            "span_finish",
+        ]
+        assert events[1].data["ok"] is True
+        assert events[-1].data["ok"] is False
+        # The estimate rides into the observed span as an argument.
+        (span,) = spans
+        assert span.attributes["est_rows"] == 2
+        assert span.attributes["est_source"] == "stats"
+        # The fault fires in the governor layer, outside observation.
+        record = metrics.op("DEDUP")
+        assert (record.calls, record.errors) == (1, 0)
+        assert metrics.counters["governor_checks"] == 1
+        assert accuracy.count == 1
+        assert gov.ops_dispatched == 2
+
+    def test_error_inside_the_op_body_closes_every_layer(self):
+        from repro.algebra.programs.registry import OPERATIONS
+        from repro.core import UndefinedOperationError
+
+        events, spans, metrics, accuracy, _gov = self._invoke_under_every_scope(
+            OPERATIONS["GROUP"],
+            figure4_top(),
+            {"by": {"Missing"}, "on": {"Sold"}},
+            None,
+            [UndefinedOperationError],
+        )
+        assert [e.kind for e in events] == ["span_start", "error", "span_finish"]
+        assert events[-1].data["ok"] is False
+        (span,) = spans
+        assert span.error is not None
+        assert span.attributes["est_rows"] == 9
+        record = metrics.op("GROUP")
+        assert (record.calls, record.errors) == (1, 1)
+        assert accuracy.count == 0
 
 
 class TestCompilerSpans:

@@ -8,12 +8,10 @@ import pytest
 from repro.core.errors import BudgetExceededError, LedgerError
 from repro.obs.events import event_stream
 from repro.obs.ledger import (
-    LEDGER,
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     RunRecorder,
     database_digest,
-    ledger_scope,
     new_run_id,
 )
 from repro.runtime import Limits, run_hardened
@@ -266,20 +264,6 @@ class TestRecorder:
 
 
 class TestSingleton:
-    def test_disabled_by_default(self):
-        assert LEDGER.active is False
-        assert LEDGER.ledger is None
-
-    def test_scope_installs_and_restores(self, tmp_path):
-        with ledger_scope(tmp_path / "led") as ledger:
-            assert LEDGER.active is True
-            assert LEDGER.ledger is ledger
-            with ledger_scope(tmp_path / "led2") as inner:
-                assert LEDGER.ledger is inner
-            assert LEDGER.ledger is ledger
-        assert LEDGER.active is False
-        assert LEDGER.ledger is None
-
     def test_run_ids_are_unique_and_sortable(self):
         ids = [new_run_id() for _ in range(50)]
         assert len(set(ids)) == 50

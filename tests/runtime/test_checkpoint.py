@@ -267,3 +267,49 @@ class TestRunHardened:
             run_hardened(program, db, faults=plan, checkpoint_path=path)
         resumed = run_hardened(program, db, checkpoint_path=path, resume=True)
         assert resumed == clean
+
+
+class TestSharedLoopTick:
+    """``run_hardened`` and the interpreter tick a while loop identically."""
+
+    PROGRAM = "T <- DEDUP (T)\nwhile T do T <- DEDUP (T) end"
+
+    @staticmethod
+    def _run(runner, limits):
+        from repro.algebra.programs import parse_program
+        from repro.core import NonTerminationError, database
+        from repro.obs.events import event_stream
+        from repro.runtime import governed
+
+        program = parse_program(TestSharedLoopTick.PROGRAM)
+        db = database(make_table("T", ["A"], [["x"]]))
+        events = []
+        with event_stream() as bus:
+            bus.attach(events.append)
+            with pytest.raises(NonTerminationError) as caught:
+                if runner == "hardened":
+                    run_hardened(program, db, limits=limits, max_while_iterations=5)
+                else:
+                    with governed(limits):
+                        program.run(db, max_while_iterations=5)
+        err = caught.value
+        ticks = [
+            (e.kind, e.data.get("iteration"))
+            for e in events
+            if e.kind in ("governor_budget", "while_iteration", "governor_kill")
+        ]
+        message = str(err).partition(" [")[0]
+        outcome = (type(err), message, err.kind, err.condition, err.iteration, err.limit)
+        return outcome, ticks
+
+    @pytest.mark.parametrize(
+        "limits, last",
+        [(Limits(), "while_iteration"), (Limits(max_while_iterations=5), "governor_kill")],
+        ids=["uncapped", "capped"],
+    )
+    def test_hardened_and_plain_runs_tick_and_fail_alike(self, limits, last):
+        hardened, hardened_ticks = self._run("hardened", limits)
+        interpreted, interpreted_ticks = self._run("interpreter", limits)
+        assert hardened == interpreted
+        assert hardened_ticks == interpreted_ticks
+        assert hardened_ticks[-2:] == [("governor_budget", 6), (last, 6)]

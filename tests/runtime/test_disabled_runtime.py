@@ -42,24 +42,24 @@ class TestDisabledState:
 
 class TestZeroOverhead:
     def test_disabled_dispatch_stays_on_fast_path(self):
-        """The disabled invoke never enters the governed wrapper."""
+        """The disabled invoke never enters the layered wrapper."""
         import repro.algebra.programs.registry as registry_module
 
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_governed
+        original = registry_module.OpSpec._invoke_layered
         try:
-            registry_module.OpSpec._invoke_governed = (
+            registry_module.OpSpec._invoke_layered = (
                 lambda self, *a: calls.append(self.name) or original(self, *a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # governed path never entered while disabled
+            assert calls == []  # layered path never entered while disabled
             with governed():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]  # and is entered exactly when active
         finally:
-            registry_module.OpSpec._invoke_governed = original
+            registry_module.OpSpec._invoke_layered = original
 
     def test_disabled_run_allocates_nothing_in_runtime_modules(self):
         """tracemalloc audit: the off switch means *zero* runtime allocations.
