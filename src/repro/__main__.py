@@ -116,7 +116,8 @@ Commands:
   ``--retry N`` the run routes through the fault-tolerant supervisor
   (error classification, checkpoint resume, deterministic backoff,
   vector→naive degradation, circuit-breaker admission) — ``--retry``
-  requires ``--checkpoint`` (exit 2 otherwise);
+  requires ``--checkpoint`` (exit 2 otherwise); ``--resume`` from an
+  absent checkpoint, or one taken from another program, exits 3;
 * ``supervise [workload] [--engine naive|vector] [--retry N]
   [--backoff MS] [--attempt-deadline MS] [--total-deadline MS]
   [--deadline MS] [--max-while N] [--checkpoint PATH] [--faults JSON]
@@ -166,6 +167,14 @@ Commands:
 ``run`` and ``trace`` accept ``--ledger DIR`` to journal the run into a
 persistent ledger (docs/OBSERVABILITY.md describes the on-disk format).
 
+Every command's flags are declared once, in ``ARGUMENTS``, and validated
+before the command runs: an unknown flag (flags are never abbreviated), a
+repeated one, a flag missing its value or given an ill-typed one, and a
+surplus positional argument are usage errors — ``error: …`` on stdout,
+exit status 2.  Workload and example names (``tc:N``, ``chain:N``, an
+example or a unique prefix of one) all resolve through
+:func:`repro.runtime.workloads.resolve_workload`.
+
 Exit codes, uniformly: 0 success; 1 failure (a check failed, a run was
 killed or diverged, a gate tripped); 2 usage error; 3 missing input
 (file, ledger, run, or bundle absent or unusable); 4 drift detected.
@@ -173,10 +182,25 @@ killed or diverged, a gate tripped); 2 usage error; 3 missing input
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
+
+from .core.errors import (
+    CheckpointError,
+    LedgerError,
+    NotAProgramError,
+    StatsError,
+    UnknownSpecError,
+    WorkloadSpecError,
+)
 
 
-def _figures(rest: list[str]) -> int:
+class UsageError(Exception):
+    """A command line its command does not accept (exit status 2)."""
+
+
+def _figures(args: list[str], opts: dict) -> int:
     from .algebra import group, merge
     from .core import render_database, render_table
     from .data import (
@@ -219,7 +243,7 @@ def _figures(rest: list[str]) -> int:
     return 0
 
 
-def _check(rest: list[str]) -> int:
+def _check(args: list[str], opts: dict) -> int:
     from .algebra import collapse_compact, group, group_compact, merge, merge_compact, split
     from .canonical import decode, encode
     from .data import (
@@ -264,9 +288,8 @@ def _check(rest: list[str]) -> int:
     return 1 if failed else 0
 
 
-def _demo(rest: list[str]) -> int:
+def _demo(args: list[str], opts: dict) -> int:
     import runpy
-    from pathlib import Path
 
     script = Path(__file__).resolve().parent.parent.parent / "examples" / "quickstart.py"
     if not script.exists():
@@ -283,84 +306,80 @@ def _list_examples() -> None:
         print(f"  {example.name:12}  {example.description}")
 
 
-def _resolve_or_fail(raw: str) -> str | None:
-    """Resolve an example name; on failure print the diagnosis and listing.
+def _example(args: list[str]):
+    """The bundled example named by the first positional (default fig4-group)."""
+    from .runtime.workloads import lookup_example
 
-    The diagnosis distinguishes unknown names (with "did you mean"
-    suggestions) from ambiguous prefixes (listing every match); callers
-    turn None into exit status 2.
+    return lookup_example(args[0] if args else "fig4-group")
+
+
+def _workload(spec: str, consequence: str) -> tuple:
+    """``(label, program, db)`` for ``spec``, via the one workload resolver.
+
+    Every failure is a typed :class:`~repro.core.errors.WorkloadSpecError`
+    that :func:`main` reports; a non-program example's message ends with
+    what the command cannot do with it (``consequence``).
     """
-    from .obs.examples import ExampleLookupError, resolve_example_strict
+    from .runtime.workloads import resolve_workload
 
     try:
-        return resolve_example_strict(raw)
-    except ExampleLookupError as err:
-        print(f"error: {err.args[0]}")
-        print("bundled examples:")
-        _list_examples()
+        return resolve_workload(spec)
+    except NotAProgramError as err:
+        raise NotAProgramError(f"{err}; {consequence}") from None
+
+
+def _load_stats(opts: dict):
+    """The ANALYZE snapshot ``--stats`` names, or None without the flag."""
+    if "--stats" not in opts:
         return None
+    from .obs.stats import load_stats
+
+    return load_stats(opts["--stats"])
 
 
-def _trace(rest: list[str]) -> int:
-    import json
+def _seconds(opts: dict, flag: str, default: float | None = None) -> float | None:
+    """A millisecond-valued flag in seconds (``default`` when absent)."""
+    return opts[flag] / 1000.0 if flag in opts else default
+
+
+def _trace(args: list[str], opts: dict) -> int:
     from contextlib import ExitStack
 
-    from .obs.examples import EXAMPLES, trace_example
+    from .obs.examples import trace_example
 
-    json_out = "--json" in rest
-    analyze = "--analyze" in rest
-    stats_path = _flag_value(rest, "--stats")
-    ledger_dir = _flag_value(rest, "--ledger")
-    names = [
-        a
-        for a in rest
-        if not a.startswith("-") and a not in (stats_path, ledger_dir)
-    ]
-    name = _resolve_or_fail(names[0] if names else "fig4-group")
-    if name is None:
-        return 2
+    example = _example(args)
+    name = example.name
+    ledger_dir = opts.get("--ledger")
     recorder = None
     with ExitStack() as stack:
         if ledger_dir is not None:
-            from .core.errors import LedgerError
             from .obs.events import event_stream
             from .obs.ledger import RunLedger, RunRecorder
 
             bus = stack.enter_context(event_stream())
-            try:
-                ledger = RunLedger(ledger_dir)
-            except LedgerError as err:
-                print(f"error: {err}")
-                return 3
-            recorder = RunRecorder(bus, ledger)
-        if stats_path is not None:
-            from .core.errors import StatsError
+            recorder = RunRecorder(bus, RunLedger(ledger_dir))
+        stats = _load_stats(opts)
+        if stats is not None:
             from .obs.estimator import estimation
-            from .obs.stats import load_stats
 
-            try:
-                stats = load_stats(stats_path)
-            except StatsError as err:
-                print(f"error: {err}")
-                return 2
             stack.enter_context(estimation(stats))
         obs, _result = trace_example(name)
         if recorder is not None:
             # Traces are journaled for history/sentinel but marked
             # non-replayable: the tracer drives the example's own
             # pipeline, not the hardened runtime replay re-executes.
-            program = None
-            example = EXAMPLES[name]
-            if example.setup is not None:
-                _db, bound_run = example.setup()
-                candidate = getattr(bound_run, "__self__", None)
-                if candidate is not None and hasattr(candidate, "statements"):
-                    program = candidate
+            from .runtime.workloads import resolve_workload
+
+            try:
+                _label, program, _db = resolve_workload(name)
+            except NotAProgramError:
+                program = None
             recorder.finish(workload=name, program=program)
-            if not json_out:
+            if "--json" not in opts:
                 print(f"run {recorder.run_id} recorded in ledger {ledger_dir}")
                 print()
-    if json_out:
+    analyze = "--analyze" in opts
+    if "--json" in opts:
         data = obs.to_json()
         if analyze:
             from .obs.cost import analyze_records
@@ -374,7 +393,7 @@ def _trace(rest: list[str]) -> int:
             ]
         print(json.dumps(data, indent=2))
         return 0
-    print(f"trace of {name} — {EXAMPLES[name].description}")
+    print(f"trace of {name} — {example.description}")
     print()
     if analyze:
         from .obs.cost import explain_analyze_text
@@ -385,41 +404,23 @@ def _trace(rest: list[str]) -> int:
     return 0
 
 
-def _flag_value(rest: list[str], flag: str) -> str | None:
-    if flag in rest:
-        index = rest.index(flag)
-        if index + 1 < len(rest):
-            return rest[index + 1]
-    return None
-
-
-def _profile(rest: list[str]) -> int:
-    import json
-
-    from .obs.examples import EXAMPLES, profile_example
+def _profile(args: list[str], opts: dict) -> int:
+    from .obs.examples import profile_example
     from .obs.export import write_chrome_trace, write_jsonl
 
-    chrome_path = _flag_value(rest, "--chrome-trace")
-    jsonl_path = _flag_value(rest, "--log-json")
-    flag_values = {v for v in (chrome_path, jsonl_path) if v is not None}
-    json_out = "--json" in rest
-    memory = "--no-memory" not in rest
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    name = _resolve_or_fail(names[0] if names else "fig4-group")
-    if name is None:
-        return 2
-    prof, _result = profile_example(name, memory=memory)
-    if json_out:
+    example = _example(args)
+    prof, _result = profile_example(example.name, memory="--no-memory" not in opts)
+    if "--json" in opts:
         print(json.dumps(prof.to_json(), indent=2))
     else:
-        print(f"profile of {name} — {EXAMPLES[name].description}")
+        print(f"profile of {example.name} — {example.description}")
         print()
         print(prof.report())
-    if chrome_path:
-        written = write_chrome_trace(prof.observation, chrome_path)
+    if opts.get("--chrome-trace"):
+        written = write_chrome_trace(prof.observation, opts["--chrome-trace"])
         print(f"chrome trace written to {written} (load in chrome://tracing or Perfetto)")
-    if jsonl_path:
-        written = write_jsonl(prof.observation, jsonl_path)
+    if opts.get("--log-json"):
+        written = write_jsonl(prof.observation, opts["--log-json"])
         print(f"JSON-lines log written to {written}")
     return 0
 
@@ -434,12 +435,6 @@ def _parse_cell(text: str) -> tuple[str, int, int] | None:
     return match.group(1), int(match.group(2)), int(match.group(3))
 
 
-def _lineage_capable(audit_all: bool = True):
-    from .obs.examples import EXAMPLES
-
-    return {name: ex for name, ex in EXAMPLES.items() if ex.setup is not None}
-
-
 def _lineage_graph(name: str) -> dict:
     """One example's provenance graph (its own lineage run)."""
     from .obs.examples import EXAMPLES
@@ -452,21 +447,19 @@ def _lineage_graph(name: str) -> dict:
         return provenance_graph(lin, out, name=name)
 
 
-def _lineage(rest: list[str]) -> int:
+def _lineage(args: list[str], opts: dict) -> int:
     from .obs import observation
     from .obs.examples import EXAMPLES
     from .obs.export import write_provenance_dot, write_provenance_json
-    from .obs.lineage import audit_run, lineage as lineage_scope, provenance_graph
+    from .obs.lineage import audit_run, lineage as lineage_scope
 
-    cell_text = _flag_value(rest, "--cell")
-    dot_path = _flag_value(rest, "--dot")
-    graph_json_path = _flag_value(rest, "--graph-json")
-    audit = "--audit" in rest
-    flag_values = {v for v in (cell_text, dot_path, graph_json_path) if v is not None}
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
+    cell_text = opts.get("--cell")
+    dot_path = opts.get("--dot")
+    graph_json_path = opts.get("--graph-json")
+    audit = "--audit" in opts
 
-    capable = _lineage_capable()
-    if audit and not names:
+    capable = {name: ex for name, ex in EXAMPLES.items() if ex.setup is not None}
+    if audit and not args:
         # Audit (and optionally graph-export) every lineage-capable example.
         failures = 0
         graphs = []
@@ -496,10 +489,8 @@ def _lineage(rest: list[str]) -> int:
             )
         return 1 if failures else 0
 
-    name = _resolve_or_fail(names[0] if names else "fig4-group")
-    if name is None:
-        return 2
-    example = EXAMPLES[name]
+    example = _example(args)
+    name = example.name
     if example.setup is None:
         print(
             f"error: example {name!r} is not lineage-capable "
@@ -552,19 +543,18 @@ def _lineage(rest: list[str]) -> int:
     if cell_text is not None:
         parsed = _parse_cell(cell_text)
         if parsed is None:
-            print(f"error: malformed --cell {cell_text!r}; expected T[r,c], e.g. Sales[2,3]")
-            return 2
+            raise UsageError(
+                f"malformed --cell {cell_text!r}; expected T[r,c], e.g. Sales[2,3]"
+            )
         label, row, col = parsed
         table = by_label.get(label)
         if table is None:
-            print(f"error: no output table {label!r}; output tables: {', '.join(labels)}")
-            return 2
+            raise UsageError(f"no output table {label!r}; output tables: {', '.join(labels)}")
         if not (0 <= row < table.nrows and 0 <= col < table.ncols):
-            print(
-                f"error: cell [{row},{col}] outside {label!r} "
+            raise UsageError(
+                f"cell [{row},{col}] outside {label!r} "
                 f"({table.nrows} rows x {table.ncols} cols)"
             )
-            return 2
     else:
         # Default: the first output cell that carries provenance,
         # preferring data cells over attribute cells.
@@ -602,121 +592,101 @@ def _lineage(rest: list[str]) -> int:
     return 0 if check.regenerated else 1
 
 
-def _int_flag(rest: list[str], flag: str) -> tuple[int | None, str | None]:
-    """``(value, error)`` for an integer-valued flag."""
-    text = _flag_value(rest, flag)
-    if text is None:
-        return None, None
+def _supervisor(opts: dict, ledger=None):
+    """The :class:`~repro.runtime.supervisor.Supervisor` behind
+    ``run --retry``, ``supervise`` and ``recover``.
+
+    The retry and breaker policies read whichever policy flags the
+    command's table declares; the rest keep their defaults.  Flags that
+    make a policy invalid are a usage error, raised before ``ledger`` —
+    an open :class:`~repro.obs.ledger.RunLedger` or a directory to open —
+    is touched.
+    """
+    from .core.errors import ReproError
+    from .runtime.policy import BreakerPolicy, RetryPolicy
+    from .runtime.supervisor import Supervisor
+
     try:
-        return int(text), None
-    except ValueError:
-        return None, f"invalid {flag} {text!r}; expected an integer"
+        policy = RetryPolicy(
+            max_attempts=opts["--retry"] + 1 if "--retry" in opts else 3,
+            base_backoff_s=_seconds(opts, "--backoff", 0.01),
+            seed=opts.get("--seed", 0),
+            attempt_deadline_s=_seconds(opts, "--attempt-deadline"),
+            total_deadline_s=_seconds(opts, "--total-deadline"),
+        )
+        breaker_policy = BreakerPolicy(
+            failure_threshold=opts.get("--breaker-threshold", 3),
+            cooldown_s=opts.get("--cooldown", 30.0),
+        )
+    except ReproError as err:
+        raise UsageError(str(err)) from None
+    if isinstance(ledger, str):
+        from .obs.ledger import RunLedger
+
+        ledger = RunLedger(ledger)
+    return Supervisor(policy=policy, breaker_policy=breaker_policy, ledger=ledger)
 
 
-def _run(rest: list[str]) -> int:
-    import json
+def _submit_supervised(opts: dict, ledger, workload: tuple, **submit):
+    """Submit ``workload`` to :func:`_supervisor`'s supervisor.
+
+    Returns the :class:`~repro.runtime.supervisor.SupervisedRun`, or
+    None once a breaker refusal (quarantine) has been reported.
+    """
+    from .core.errors import QuarantinedError
+
+    supervisor = _supervisor(opts, ledger)
+    label, program, db = workload
+    try:
+        return supervisor.submit(program, db, workload=label, spec=label, **submit)
+    except QuarantinedError as err:
+        if "--json" in opts:
+            print(json.dumps(
+                {"workload": label, "outcome": "quarantined", "error": str(err)},
+                indent=2,
+            ))
+        else:
+            print(f"quarantined: {err}")
+        return None
+
+
+def _run(args: list[str], opts: dict) -> int:
     from contextlib import ExitStack
 
-    from .core.errors import BudgetExceededError, CancelledError, ReproError
+    from .core.errors import BudgetExceededError, CancelledError
     from .runtime import Limits, ResourceGovernor, run_hardened
-    from .runtime.workloads import parse_workload
 
-    flag_values = set()
-    deadline_ms, err = _int_flag(rest, "--deadline")
-    errors = [err]
-    for flag in ("--max-rows", "--max-rows-per-op", "--max-cells-per-op",
-                 "--max-while", "--retry"):
-        _value, err = _int_flag(rest, flag)
-        errors.append(err)
-    for message in errors:
-        if message is not None:
-            print(f"error: {message}")
-            return 2
-    max_rows, _ = _int_flag(rest, "--max-rows")
-    max_rows_per_op, _ = _int_flag(rest, "--max-rows-per-op")
-    max_cells_per_op, _ = _int_flag(rest, "--max-cells-per-op")
-    max_while, _ = _int_flag(rest, "--max-while")
-    retry, _ = _int_flag(rest, "--retry")
-    checkpoint = _flag_value(rest, "--checkpoint")
-    engine = _flag_value(rest, "--engine") or "naive"
-    events_path = _flag_value(rest, "--events")
-    flight_dir = _flag_value(rest, "--flight-dir")
-    stats_path = _flag_value(rest, "--stats")
-    ledger_dir = _flag_value(rest, "--ledger")
-    if engine not in ("naive", "vector"):
-        print(f"error: invalid --engine {engine!r}; expected naive or vector")
-        return 2
-    for flag in ("--deadline", "--max-rows", "--max-rows-per-op",
-                 "--max-cells-per-op", "--max-while", "--retry", "--checkpoint",
-                 "--engine", "--events", "--flight-dir", "--stats", "--ledger"):
-        value = _flag_value(rest, flag)
-        if value is not None:
-            flag_values.add(value)
-    resume = "--resume" in rest
-    verify = "--verify" in rest
-    json_out = "--json" in rest
-    progress = "--progress" in rest
-    optimize = "--optimize" in rest
-
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    spec = names[0] if names else "tc"
-    try:
-        workload = parse_workload(spec)
-    except ReproError as err:
-        print(f"error: {err}")
-        return 2
-    if workload is not None:
-        label, program, db = workload
-    else:
-        name = _resolve_or_fail(spec)
-        if name is None:
-            return 2
-        from .obs.examples import EXAMPLES
-
-        example = EXAMPLES[name]
-        if example.setup is None:
-            print(
-                f"error: example {name!r} is not a TA program over a tabular "
-                "database; it cannot run under the hardened runtime"
-            )
-            return 2
-        db, bound_run = example.setup()
-        program = getattr(bound_run, "__self__", None)
-        if program is None or not hasattr(program, "statements"):
-            print(f"error: example {name!r} does not expose a TA program")
-            return 2
-        label = name
-
+    label, program, db = _workload(
+        args[0] if args else "tc", "it cannot run under the hardened runtime"
+    )
+    engine = opts.get("--engine", "naive")
+    checkpoint = opts.get("--checkpoint")
+    ledger_dir = opts.get("--ledger")
+    resume = "--resume" in opts
+    verify = "--verify" in opts
+    json_out = "--json" in opts
+    limits_info = {
+        "deadline_ms": opts.get("--deadline"),
+        "max_rows": opts.get("--max-rows"),
+        "max_rows_per_op": opts.get("--max-rows-per-op"),
+        "max_cells_per_op": opts.get("--max-cells-per-op"),
+        "max_while": opts.get("--max-while"),
+    }
     limits = Limits(
-        deadline_s=deadline_ms / 1000.0 if deadline_ms is not None else None,
-        max_total_rows=max_rows,
-        max_rows_per_op=max_rows_per_op,
-        max_cells_per_op=max_cells_per_op,
-        max_while_iterations=max_while,
+        deadline_s=_seconds(opts, "--deadline"),
+        max_total_rows=limits_info["max_rows"],
+        max_rows_per_op=limits_info["max_rows_per_op"],
+        max_cells_per_op=limits_info["max_cells_per_op"],
+        max_while_iterations=limits_info["max_while"],
     )
     if resume and checkpoint is None:
-        print("error: --resume requires --checkpoint PATH")
-        return 2
-    if retry is not None and checkpoint is None:
-        print("error: --retry requires --checkpoint PATH (resume needs a file)")
-        return 2
-    if retry is not None and retry < 0:
-        print(f"error: --retry must be >= 0, got {retry}")
-        return 2
-
-    stats = None
-    if stats_path is not None:
-        from .core.errors import StatsError
-        from .obs.stats import load_stats
-
-        try:
-            stats = load_stats(stats_path)
-        except StatsError as err:
-            print(f"error: {err}")
-            return 2
+        raise UsageError("--resume requires --checkpoint PATH")
+    if "--retry" in opts and checkpoint is None:
+        raise UsageError("--retry requires --checkpoint PATH (resume needs a file)")
+    stats = _load_stats(opts)
 
     optimizer_manifest = None
-    if optimize:
+    if "--optimize" in opts:
         # The optimized program replaces the original for every path
         # below — hardened driver, supervisor, verify, and the ledger
         # manifest all see (and fingerprint) the optimized plan.  The
@@ -733,17 +703,6 @@ def _run(rest: list[str]) -> int:
             "stats": None if stats is None else stats.to_json(),
         }
 
-    limits_info = {
-        "deadline_ms": deadline_ms,
-        "max_rows": max_rows,
-        "max_rows_per_op": max_rows_per_op,
-        "max_cells_per_op": max_cells_per_op,
-        "max_while": max_while,
-    }
-    kills: list[str] = []
-    attempts = 0
-    result = None
-    governor = None
     bundle_path = None
     run_recorder = None
     with ExitStack() as stack:
@@ -752,31 +711,24 @@ def _run(rest: list[str]) -> int:
         # ring, or the run-ledger recorder.  With none of the four,
         # `run` keeps the zero-overhead disabled path.
         recorder = None
-        if (progress or events_path is not None or flight_dir is not None
-                or ledger_dir is not None):
+        if {"--progress", "--events", "--flight-dir", "--ledger"} & opts.keys():
             from .obs.events import JsonlEventWriter, event_stream
             from .obs.flight import FlightRecorder
             from .obs.progress import ProgressTicker
 
             bus = stack.enter_context(event_stream())
-            if progress:
+            if "--progress" in opts:
                 bus.attach(ProgressTicker())
-            if events_path is not None:
-                writer = JsonlEventWriter(events_path)
+            if "--events" in opts:
+                writer = JsonlEventWriter(opts["--events"])
                 bus.attach(writer)
                 stack.callback(writer.close)
             if ledger_dir is not None:
-                from .core.errors import LedgerError
                 from .obs.ledger import RunLedger, RunRecorder
 
-                try:
-                    run_ledger = RunLedger(ledger_dir)
-                except LedgerError as err:
-                    print(f"error: {err}")
-                    return 3
-                run_recorder = RunRecorder(bus, run_ledger)
-            if flight_dir is not None:
-                recorder = FlightRecorder(bus, directory=flight_dir)
+                run_recorder = RunRecorder(bus, RunLedger(ledger_dir))
+            if "--flight-dir" in opts:
+                recorder = FlightRecorder(bus, directory=opts["--flight-dir"])
                 recorder.note_program(repr(program))
                 if stats is not None:
                     recorder.note_stats(stats)
@@ -786,34 +738,25 @@ def _run(rest: list[str]) -> int:
             from .obs.estimator import estimation
 
             stack.enter_context(estimation(stats))
-        if retry is not None:
+        if "--retry" in opts:
             # --retry routes through the fault-tolerant supervisor:
             # error classification, checkpoint resume, deterministic
             # backoff, vector->naive degradation, breaker admission.
-            from .core.errors import QuarantinedError, VerificationError
-            from .runtime.policy import RetryPolicy
-            from .runtime.supervisor import Supervisor
+            from .core.errors import VerificationError
 
-            supervisor = Supervisor(
-                policy=RetryPolicy(max_attempts=retry + 1, base_backoff_s=0.01),
-                ledger=run_recorder.ledger if run_recorder is not None else None,
+            srun = _submit_supervised(
+                opts,
+                run_recorder.ledger if run_recorder is not None else None,
+                (label, program, db),
+                limits=limits,
+                checkpoint_path=checkpoint,
+                resume=resume,
+                engine=engine,
+                verify=verify,
+                recorder=run_recorder,
+                optimizer=optimizer_manifest,
             )
-            try:
-                srun = supervisor.submit(
-                    program,
-                    db,
-                    workload=label,
-                    spec=label,
-                    limits=limits,
-                    checkpoint_path=checkpoint,
-                    resume=resume,
-                    engine=engine,
-                    verify=verify,
-                    recorder=run_recorder,
-                    optimizer=optimizer_manifest,
-                )
-            except QuarantinedError as err:
-                print(f"quarantined: {err}")
+            if srun is None:
                 return 1
             attempts = len(srun.attempts)
             kills = [a.error for a in srun.attempts if a.error is not None]
@@ -874,61 +817,58 @@ def _run(rest: list[str]) -> int:
                 if verify:
                     print("verify: identical to ungoverned run")
             return 0
-        while True:
-            attempts += 1
-            governor = ResourceGovernor(limits)
-            try:
-                result = run_hardened(
-                    program,
-                    db,
-                    governor=governor,
-                    checkpoint_path=checkpoint,
-                    resume=resume or attempts > 1,
-                    engine=engine,
+        governor = ResourceGovernor(limits)
+        try:
+            result = run_hardened(
+                program,
+                db,
+                governor=governor,
+                checkpoint_path=checkpoint,
+                resume=resume,
+                engine=engine,
+            )
+        except (BudgetExceededError, CancelledError) as err:
+            kills = [str(err)]
+            if not json_out:
+                print(f"killed (attempt 1): {err}")
+            if recorder is not None:
+                # The run is over and it died contextually: dump the
+                # postmortem bundle (event tail, metrics, checkpoint
+                # pointer) before reporting the failure.
+                try:
+                    bundle_path = str(recorder.dump(error=err))
+                except OSError:
+                    bundle_path = None
+                if bundle_path is not None and not json_out:
+                    print(f"postmortem bundle written to {bundle_path}")
+            if run_recorder is not None:
+                run_recorder.finish(
+                    workload=label, program=program, engine=engine,
+                    error=err, limits=limits_info, attempts=1,
+                    kills=kills, stats=stats, replay_spec=label,
+                    optimizer=optimizer_manifest,
                 )
-                break
-            except (BudgetExceededError, CancelledError) as err:
-                kills.append(str(err))
                 if not json_out:
-                    print(f"killed (attempt {attempts}): {err}")
-                if recorder is not None:
-                    # The run is over and it died contextually: dump the
-                    # postmortem bundle (event tail, metrics, checkpoint
-                    # pointer) before reporting the failure.
-                    try:
-                        bundle_path = str(recorder.dump(error=err))
-                    except OSError:
-                        bundle_path = None
-                    if bundle_path is not None and not json_out:
-                        print(f"postmortem bundle written to {bundle_path}")
-                if run_recorder is not None:
-                    run_recorder.finish(
-                        workload=label, program=program, engine=engine,
-                        error=err, limits=limits_info, attempts=attempts,
-                        kills=kills, stats=stats, replay_spec=label,
-                        optimizer=optimizer_manifest,
+                    print(
+                        f"run {run_recorder.run_id} recorded in "
+                        f"ledger {ledger_dir}"
                     )
-                    if not json_out:
-                        print(
-                            f"run {run_recorder.run_id} recorded in "
-                            f"ledger {ledger_dir}"
-                        )
-                if json_out:
-                    summary = {"workload": label, "attempts": attempts,
-                               "kills": kills, "finished": False}
-                    if bundle_path is not None:
-                        summary["postmortem"] = bundle_path
-                    if run_recorder is not None:
-                        summary["run_id"] = run_recorder.run_id
-                        summary["ledger"] = ledger_dir
-                    print(json.dumps(summary, indent=2))
-                return 1
+            if json_out:
+                summary = {"workload": label, "attempts": 1,
+                           "kills": kills, "finished": False}
+                if bundle_path is not None:
+                    summary["postmortem"] = bundle_path
+                if run_recorder is not None:
+                    summary["run_id"] = run_recorder.run_id
+                    summary["ledger"] = ledger_dir
+                print(json.dumps(summary, indent=2))
+            return 1
 
     if run_recorder is not None:
         run_recorder.finish(
             workload=label, program=program, engine=engine,
-            result_db=result, limits=limits_info, attempts=attempts,
-            kills=kills, stats=stats, replay_spec=label,
+            result_db=result, limits=limits_info, attempts=1,
+            kills=[], stats=stats, replay_spec=label,
             optimizer=optimizer_manifest,
         )
     identical = None
@@ -937,8 +877,8 @@ def _run(rest: list[str]) -> int:
     summary = {
         "workload": label,
         "engine": engine,
-        "attempts": attempts,
-        "kills": kills,
+        "attempts": 1,
+        "kills": [],
         "finished": True,
         "tables": len(result.tables),
         "governor": governor.snapshot(),
@@ -952,8 +892,8 @@ def _run(rest: list[str]) -> int:
         print(json.dumps(summary, indent=2))
     else:
         print(
-            f"{label}: finished after {attempts} attempt(s) "
-            f"({len(kills)} budget kill(s)); {summary['tables']} output table(s)"
+            f"{label}: finished after 1 attempt(s) "
+            f"(0 budget kill(s)); {summary['tables']} output table(s)"
         )
         gov = summary["governor"]
         print(
@@ -972,157 +912,40 @@ def _run(rest: list[str]) -> int:
     return 0 if identical in (None, True) else 1
 
 
-def _supervise(rest: list[str]) -> int:
-    import json
-
-    from .core.errors import QuarantinedError, ReproError
+def _supervise(args: list[str], opts: dict) -> int:
+    from .core.errors import ReproError
     from .runtime import Limits
-    from .runtime.policy import BreakerPolicy, RetryPolicy
-    from .runtime.supervisor import Supervisor
-    from .runtime.workloads import parse_workload
 
-    int_flags = {}
-    for flag in ("--retry", "--seed", "--breaker-threshold", "--deadline",
-                 "--backoff", "--attempt-deadline", "--total-deadline",
-                 "--max-while"):
-        value, err = _int_flag(rest, flag)
-        if err is not None:
-            print(f"error: {err}")
-            return 2
-        int_flags[flag] = value
-    cooldown, err = _float_flag(rest, "--cooldown")
-    if err is not None:
-        print(f"error: {err}")
-        return 2
-    checkpoint = _flag_value(rest, "--checkpoint")
-    engine = _flag_value(rest, "--engine") or "naive"
-    faults_text = _flag_value(rest, "--faults")
-    ledger_dir = _flag_value(rest, "--ledger")
-    if engine not in ("naive", "vector"):
-        print(f"error: invalid --engine {engine!r}; expected naive or vector")
-        return 2
-    retry = int_flags["--retry"]
-    if retry is not None and retry < 0:
-        print(f"error: --retry must be >= 0, got {retry}")
-        return 2
-    verify = "--verify" in rest
-    json_out = "--json" in rest
-    flag_values = set()
-    for flag in ("--retry", "--seed", "--breaker-threshold", "--deadline",
-                 "--backoff", "--attempt-deadline", "--total-deadline",
-                 "--max-while", "--cooldown", "--checkpoint", "--engine",
-                 "--faults", "--ledger"):
-        value = _flag_value(rest, flag)
-        if value is not None:
-            flag_values.add(value)
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    spec = names[0] if names else "tc"
-
-    try:
-        workload = parse_workload(spec)
-    except ReproError as err:
-        print(f"error: {err}")
-        return 2
-    if workload is None:
-        name = _resolve_or_fail(spec)
-        if name is None:
-            return 2
-        from .obs.examples import EXAMPLES
-
-        example = EXAMPLES[name]
-        if example.setup is None:
-            print(
-                f"error: example {name!r} is not a TA program over a tabular "
-                "database; it cannot run under the hardened runtime"
-            )
-            return 2
-        db, bound_run = example.setup()
-        program = getattr(bound_run, "__self__", None)
-        if program is None or not hasattr(program, "statements"):
-            print(f"error: example {name!r} does not expose a TA program")
-            return 2
-        workload = (name, program, db)
-    label, program, db = workload
-
+    workload = _workload(
+        args[0] if args else "tc", "it cannot run under the hardened runtime"
+    )
     faults = None
-    if faults_text is not None:
+    if "--faults" in opts:
         from .runtime.faults import FaultPlan
 
         try:
-            faults = FaultPlan.from_json(json.loads(faults_text))
+            faults = FaultPlan.from_json(json.loads(opts["--faults"]))
         except (ValueError, ReproError) as err:
-            print(f"error: invalid --faults payload: {err}")
-            return 2
-
-    deadline_ms = int_flags["--deadline"]
+            raise UsageError(f"invalid --faults payload: {err}") from None
     limits = Limits(
-        deadline_s=deadline_ms / 1000.0 if deadline_ms is not None else None,
-        max_while_iterations=int_flags["--max-while"],
+        deadline_s=_seconds(opts, "--deadline"),
+        max_while_iterations=opts.get("--max-while"),
     )
-    try:
-        policy = RetryPolicy(
-            max_attempts=(retry + 1) if retry is not None else 3,
-            base_backoff_s=(
-                int_flags["--backoff"] / 1000.0
-                if int_flags["--backoff"] is not None
-                else 0.01
-            ),
-            seed=int_flags["--seed"] or 0,
-            attempt_deadline_s=(
-                int_flags["--attempt-deadline"] / 1000.0
-                if int_flags["--attempt-deadline"] is not None
-                else None
-            ),
-            total_deadline_s=(
-                int_flags["--total-deadline"] / 1000.0
-                if int_flags["--total-deadline"] is not None
-                else None
-            ),
-        )
-        breaker_policy = BreakerPolicy(
-            failure_threshold=int_flags["--breaker-threshold"] or 3,
-            cooldown_s=cooldown if cooldown is not None else 30.0,
-        )
-    except ReproError as err:
-        print(f"error: {err}")
-        return 2
-
-    ledger = None
-    if ledger_dir is not None:
-        from .core.errors import LedgerError
-        from .obs.ledger import RunLedger
-
-        try:
-            ledger = RunLedger(ledger_dir)
-        except LedgerError as err:
-            print(f"error: {err}")
-            return 3
-
-    supervisor = Supervisor(
-        policy=policy, breaker_policy=breaker_policy, ledger=ledger
+    label = workload[0]
+    verify = "--verify" in opts
+    srun = _submit_supervised(
+        opts,
+        opts.get("--ledger"),
+        workload,
+        limits=limits,
+        faults=faults,
+        checkpoint_path=opts.get("--checkpoint"),
+        engine=opts.get("--engine", "naive"),
+        verify=verify,
     )
-    try:
-        srun = supervisor.submit(
-            program,
-            db,
-            workload=label,
-            spec=label,
-            limits=limits,
-            faults=faults,
-            checkpoint_path=checkpoint,
-            engine=engine,
-            verify=verify,
-        )
-    except QuarantinedError as err:
-        if json_out:
-            print(json.dumps(
-                {"workload": label, "outcome": "quarantined", "error": str(err)},
-                indent=2,
-            ))
-        else:
-            print(f"quarantined: {err}")
+    if srun is None:
         return 1
-    if json_out:
+    if "--json" in opts:
         print(json.dumps(srun.history(), indent=2))
     else:
         print(
@@ -1143,155 +966,73 @@ def _supervise(rest: list[str]) -> int:
             print(f"terminal error: {srun.error}")
         if verify and srun.ok:
             print("verify: identical to ungoverned run")
-        if ledger is not None:
-            print(f"run {srun.run_id} recorded in ledger {ledger_dir}")
+        if "--ledger" in opts:
+            print(f"run {srun.run_id} recorded in ledger {opts['--ledger']}")
     return 0 if srun.ok else 1
 
 
-def _recover(rest: list[str]) -> int:
-    import json
-
-    from .runtime.policy import RetryPolicy
-    from .runtime.supervisor import Supervisor
-
-    retry, err = _int_flag(rest, "--retry")
-    if err is not None:
-        print(f"error: {err}")
-        return 2
-    ledger_dir = _flag_value(rest, "--ledger") or "ledger"
-    verify = "--verify" in rest
-    json_out = "--json" in rest
-    ledger = _open_ledger(ledger_dir)
-    if ledger is None:
-        return 3
-    supervisor = Supervisor(
-        policy=RetryPolicy(
-            max_attempts=(retry + 1) if retry is not None else 3,
-            base_backoff_s=0.01,
-        ),
-        ledger=ledger,
-    )
-    report = supervisor.recover(verify=verify)
-    if json_out:
+def _recover(args: list[str], opts: dict) -> int:
+    supervisor = _supervisor(opts, _open_ledger(opts.get("--ledger", "ledger")))
+    report = supervisor.recover(verify="--verify" in opts)
+    if "--json" in opts:
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render())
     return 0 if report.ok else 1
 
 
-def _chaos(rest: list[str]) -> int:
-    import json
+def _chaos(args: list[str], opts: dict) -> int:
+    from dataclasses import asdict
 
-    from .core.errors import ReproError
-    from .obs.examples import ExampleLookupError
-    from .runtime.chaos import run_chaos_matrix, render_chaos_report
+    from .runtime.chaos import (
+        render_chaos_report,
+        render_supervisor_report,
+        run_chaos_matrix,
+        run_supervisor_matrix,
+    )
 
-    seed, err = _int_flag(rest, "--seed")
-    if err is not None:
-        print(f"error: {err}")
-        return 2
-    if "--supervisor" in rest:
-        from .runtime.chaos import (
-            render_supervisor_report,
-            run_supervisor_matrix,
-        )
-
-        report = run_supervisor_matrix(seed=seed if seed is not None else 0)
-        if "--json" in rest:
-            print(json.dumps(
-                {
-                    "seed": report.seed,
-                    "ok": report.ok,
-                    "points": [
-                        {
-                            "cell": p.cell,
-                            "error_class": p.error_class,
-                            "policy": p.policy,
-                            "engine": p.engine,
-                            "expected": p.expected,
-                            "observed": p.observed,
-                            "error_type": p.error_type,
-                            "identical": p.identical,
-                            "ok": p.ok,
-                        }
-                        for p in report.points
-                    ],
-                },
-                indent=2,
-            ))
-        else:
-            print(render_supervisor_report(report))
-        return 0 if report.ok else 1
-    kinds_text = _flag_value(rest, "--kinds")
-    kinds = None
-    if kinds_text is not None:
-        kinds = tuple(k.strip() for k in kinds_text.split(",") if k.strip())
-        unknown = [k for k in kinds if k not in ("raise", "delay", "corrupt")]
-        if unknown:
-            print(f"error: unknown fault kind(s) {unknown}; expected raise/delay/corrupt")
-            return 2
-    json_out = "--json" in rest
-    flag_values = {v for v in (_flag_value(rest, "--seed"), kinds_text) if v is not None}
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    try:
-        report = run_chaos_matrix(
-            names or None, kinds=kinds, seed=seed if seed is not None else 0
-        )
-    except (ExampleLookupError, ReproError) as err:
-        print(f"error: {err.args[0] if err.args else err}")
-        _list_examples()
-        return 2
-    if json_out:
+    seed = opts.get("--seed", 0)
+    if "--supervisor" in opts:
+        report, render = run_supervisor_matrix(seed=seed), render_supervisor_report
+    else:
+        kinds = None
+        if "--kinds" in opts:
+            kinds = tuple(k.strip() for k in opts["--kinds"].split(",") if k.strip())
+            unknown = [k for k in kinds if k not in ("raise", "delay", "corrupt")]
+            if unknown:
+                raise UsageError(
+                    f"unknown fault kind(s) {unknown}; expected raise/delay/corrupt"
+                )
+        report = run_chaos_matrix(args or None, kinds=kinds, seed=seed)
+        render = render_chaos_report
+    if "--json" in opts:
+        points = [{**asdict(p), "ok": p.ok} for p in report.points]
         print(json.dumps(
-            {
-                "seed": report.seed,
-                "ok": report.ok,
-                "points": [
-                    {
-                        "example": p.example,
-                        "op": p.op,
-                        "kind": p.kind,
-                        "error_type": p.error_type,
-                        "typed": p.typed,
-                        "context_ok": p.context_ok,
-                        "atomic": p.atomic,
-                        "ok": p.ok,
-                    }
-                    for p in report.points
-                ],
-            },
-            indent=2,
+            {"seed": report.seed, "ok": report.ok, "points": points}, indent=2
         ))
     else:
-        print(render_chaos_report(report))
+        print(render(report))
     return 0 if report.ok else 1
 
 
-def _bench_compare(rest: list[str]) -> int:
-    import json
-    from pathlib import Path
-
+def _bench_compare(args: list[str], opts: dict) -> int:
     from .obs.regress import compare_trajectories, render_comparison
 
-    tolerance_text = _flag_value(rest, "--tolerance")
-    paths = [
-        a
-        for a in rest
-        if not a.startswith("-") and a != tolerance_text
-    ]
-    if len(paths) != 2:
+    if len(args) != 2:
         print("usage: repro bench-compare <baseline.json> <current.json> [--tolerance X]")
         return 2
+    # Converted here rather than by the flag table, which would word the
+    # error "invalid --tolerance"; callers match "invalid tolerance".
+    tolerance_text = opts.get("--tolerance")
     try:
         tolerance = float(tolerance_text) if tolerance_text else 1.5
     except ValueError:
-        print(f"invalid tolerance {tolerance_text!r}")
-        return 2
+        raise UsageError(f"invalid tolerance {tolerance_text!r}; expected a number") from None
     # A missing or unparseable trajectory must not silently compare as
     # empty (the gate would pass with nothing checked): exit status 3,
     # distinct from 1 (regression found) and 2 (usage error), so CI can
     # tell "the perf gate failed" from "the perf gate never ran".
-    for role, path in zip(("baseline", "current"), paths):
+    for role, path in zip(("baseline", "current"), args):
         try:
             data = json.loads(Path(path).read_text())
         except OSError as err:
@@ -1306,14 +1047,12 @@ def _bench_compare(rest: list[str]) -> int:
                 '(expected {"format": ..., "benchmarks": {...}})'
             )
             return 3
-    comparison = compare_trajectories(paths[0], paths[1], tolerance=tolerance)
+    comparison = compare_trajectories(args[0], args[1], tolerance=tolerance)
     print(render_comparison(comparison))
     return 0 if comparison.ok else 1
 
 
-def _stats(rest: list[str]) -> int:
-    import json
-
+def _stats(args: list[str], opts: dict) -> int:
     from .core import render_table
     from .obs import counters_table, metrics_table, observation
     from .obs.examples import EXAMPLES, run_example
@@ -1321,7 +1060,7 @@ def _stats(rest: list[str]) -> int:
     with observation(trace=False) as obs:
         for example in EXAMPLES.values():
             run_example(example.name)
-    if "--json" in rest:
+    if "--json" in opts:
         print(json.dumps(obs.metrics.snapshot(), indent=2))
         return 0
     print(f"aggregated metrics over {len(EXAMPLES)} bundled pipelines")
@@ -1336,73 +1075,21 @@ def _stats(rest: list[str]) -> int:
     return 0
 
 
-def _analyze_target(rest: list[str], flag_values: set) -> tuple[str, object] | None:
-    """``(label, database)`` for the workload/example named in ``rest``."""
-    from .core.errors import ReproError
-    from .runtime.workloads import parse_workload
-
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    spec = names[0] if names else "tc:8"
-    try:
-        workload = parse_workload(spec)
-    except ReproError as err:
-        print(f"error: {err}")
-        return None
-    if workload is not None:
-        label, _program, db = workload
-        return label, db
-    name = _resolve_or_fail(spec)
-    if name is None:
-        return None
-    from .obs.examples import EXAMPLES
-
-    example = EXAMPLES[name]
-    if example.setup is None:
-        print(
-            f"error: example {name!r} has no tabular database to ANALYZE "
-            "(its pipeline is not a TA program)"
-        )
-        return None
-    db, _run = example.setup()
-    return name, db
-
-
-def _analyze(rest: list[str]) -> int:
-    import json
-
-    from .core.errors import StatsError
+def _analyze(args: list[str], opts: dict) -> int:
     from .obs.stats import DEFAULT_TOP_K, analyze_database
 
-    engine = _flag_value(rest, "--engine") or "vector"
-    if engine not in ("naive", "vector"):
-        print(f"error: invalid --engine {engine!r}; expected naive or vector")
-        return 2
-    top_k, err = _int_flag(rest, "--top-k")
-    if err is not None:
-        print(f"error: {err}")
-        return 2
-    out_path = _flag_value(rest, "--out")
-    json_out = "--json" in rest
-    flag_values = {
-        v
-        for v in (_flag_value(rest, "--engine"), _flag_value(rest, "--top-k"), out_path)
-        if v is not None
-    }
-    target = _analyze_target(rest, flag_values)
-    if target is None:
-        return 2
-    label, db = target
-    try:
-        stats = analyze_database(
-            db, engine=engine, top_k=top_k if top_k is not None else DEFAULT_TOP_K
-        )
-    except StatsError as err:
-        print(f"error: {err}")
-        return 2
+    label, _program, db = _workload(
+        args[0] if args else "tc:8", "it has no tabular database to ANALYZE"
+    )
+    stats = analyze_database(
+        db,
+        engine=opts.get("--engine", "vector"),
+        top_k=opts.get("--top-k", DEFAULT_TOP_K),
+    )
     written = None
-    if out_path is not None:
-        written = stats.save(out_path)
-    if json_out:
+    if "--out" in opts:
+        written = stats.save(opts["--out"])
+    if "--json" in opts:
         print(json.dumps(stats.to_json(), indent=2))
         return 0
     print(
@@ -1429,37 +1116,20 @@ def _analyze(rest: list[str]) -> int:
     return 0
 
 
-def _stats_audit(rest: list[str]) -> int:
-    import json
-    from pathlib import Path
-
+def _stats_audit(args: list[str], opts: dict) -> int:
     from .obs.workload import DEFAULT_AUDIT_SEEDS, stats_audit
 
-    seeds, err = _int_flag(rest, "--seeds")
-    errors = [err]
-    tc_size, err = _int_flag(rest, "--tc")
-    errors.append(err)
-    for message in errors:
-        if message is not None:
-            print(f"error: {message}")
-            return 2
-    engine = _flag_value(rest, "--engine") or "vector"
-    if engine not in ("naive", "vector"):
-        print(f"error: invalid --engine {engine!r}; expected naive or vector")
-        return 2
-    out_path = _flag_value(rest, "--out")
-    json_out = "--json" in rest
-
+    out_path = opts.get("--out")
     report = stats_audit(
-        seeds=seeds if seeds is not None else DEFAULT_AUDIT_SEEDS,
-        engine=engine,
-        tc_size=tc_size if tc_size is not None else 6,
+        seeds=opts.get("--seeds", DEFAULT_AUDIT_SEEDS),
+        engine=opts.get("--engine", "vector"),
+        tc_size=opts.get("--tc", 6),
     )
     if out_path is not None:
         target = Path(out_path)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(json.dumps(report, indent=2) + "\n")
-    if json_out:
+    if "--json" in opts:
         print(json.dumps(report, indent=2))
     else:
         corpus = report["corpus"]
@@ -1514,93 +1184,37 @@ def _stats_audit(rest: list[str]) -> int:
     return 0 if report["coverage"]["complete"] else 1
 
 
-def _optimize_target(rest: list[str], flag_values: set) -> tuple | None:
-    """Resolve the optimize command's target to ``(label, program, db)``."""
-    from .core.errors import ReproError
-    from .runtime.workloads import parse_workload
-
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    spec = names[0] if names else "chain"
-    try:
-        workload = parse_workload(spec)
-    except ReproError as err:
-        print(f"error: {err}")
-        return None
-    if workload is not None:
-        return workload
-    name = _resolve_or_fail(spec)
-    if name is None:
-        return None
-    from .obs.examples import EXAMPLES
-
-    example = EXAMPLES[name]
-    if example.setup is None:
-        print(
-            f"error: example {name!r} is not a TA program over a tabular "
-            "database; it cannot be optimized"
-        )
-        return None
-    db, bound_run = example.setup()
-    program = getattr(bound_run, "__self__", None)
-    if program is None or not hasattr(program, "statements"):
-        print(f"error: example {name!r} does not expose a TA program")
-        return None
-    return name, program, db
-
-
-def _optimize(rest: list[str]) -> int:
-    import json
-
-    from .core.errors import StatsError
+def _optimize(args: list[str], opts: dict) -> int:
     from .engine.optimizer import PLAN_CACHE, RULE_ORDER, RULES, optimize_program
 
-    json_out = "--json" in rest
-    analyze = "--analyze" in rest
-    explain = "--explain" in rest
-    verify = "--verify" in rest
-    no_cache = "--no-cache" in rest
-    stats_path = _flag_value(rest, "--stats")
-    rules_text = _flag_value(rest, "--rules")
-    flag_values = {v for v in (stats_path, rules_text) if v is not None}
-    target = _optimize_target(rest, flag_values)
-    if target is None:
-        return 2
-    label, program, db = target
-
+    label, program, db = _workload(args[0] if args else "chain", "it cannot be optimized")
+    analyze = "--analyze" in opts
     rules = None
-    if rules_text is not None:
-        rules = [r.strip() for r in rules_text.split(",") if r.strip()]
+    if "--rules" in opts:
+        rules = [r.strip() for r in opts["--rules"].split(",") if r.strip()]
         unknown = sorted(set(rules) - set(RULES))
         if unknown:
-            print(
-                f"error: unknown rule(s) {', '.join(unknown)}; "
+            raise UsageError(
+                f"unknown rule(s) {', '.join(unknown)}; "
                 f"known: {', '.join(RULE_ORDER)}"
             )
-            return 2
-    stats = None
-    if stats_path is not None:
-        from .obs.stats import load_stats
-
-        try:
-            stats = load_stats(stats_path)
-        except StatsError as err:
-            print(f"error: {err}")
-            return 2
-    elif analyze:
+    stats = _load_stats(opts)
+    if stats is None and analyze:
         from .obs.stats import analyze_database
 
         stats = analyze_database(db)
 
     result = optimize_program(
-        program, stats, rules=rules, cache=None if no_cache else PLAN_CACHE
+        program, stats, rules=rules,
+        cache=None if "--no-cache" in opts else PLAN_CACHE,
     )
 
     identical = None
-    if verify:
+    if "--verify" in opts:
         identical = program.run(db) == result.program.run(db)
 
     explain_text = None
-    if explain:
+    if "--explain" in opts:
         from .obs import observation
         from .obs.estimator import estimation
 
@@ -1612,10 +1226,10 @@ def _optimize(rest: list[str]) -> int:
                 result.program.run(db)
         explain_text = obs.explain()
 
-    if json_out:
+    if "--json" in opts:
         data = result.to_json()
         data["workload"] = label
-        data["stats"] = "analyze" if analyze else (stats_path or None)
+        data["stats"] = "analyze" if analyze else opts.get("--stats")
         if identical is not None:
             data["identical"] = identical
         print(json.dumps(data, indent=2))
@@ -1668,23 +1282,10 @@ def _optimize(rest: list[str]) -> int:
     return 0 if identical in (None, True) else 1
 
 
-def _metrics(rest: list[str]) -> int:
-    import json
-
+def _metrics(args: list[str], opts: dict) -> int:
     from .obs import observation, prometheus_text
 
-    stats_path = _flag_value(rest, "--stats")
-    estimates = "--estimates" in rest
-    stats = None
-    if stats_path is not None:
-        from .core.errors import StatsError
-        from .obs.stats import load_stats
-
-        try:
-            stats = load_stats(stats_path)
-        except StatsError as err:
-            print(f"error: {err}")
-            return 2
+    stats = _load_stats(opts)
     accuracy = None
     from .obs.events import event_stream
 
@@ -1695,7 +1296,7 @@ def _metrics(rest: list[str]) -> int:
         bus.ring(capacity=256)
         from .obs.examples import EXAMPLES, run_example
 
-        if estimates:
+        if "--estimates" in opts:
             # Rerun the corpus under estimation: each example's database
             # is ANALYZEd first so the estimator families carry real
             # stats-sourced q-errors, not just shape fallbacks.
@@ -1714,7 +1315,7 @@ def _metrics(rest: list[str]) -> int:
             for example in EXAMPLES.values():
                 run_example(example.name)
     supervisor = None
-    if "--supervisor" in rest:
+    if "--supervisor" in opts:
         # A small deterministic supervised demo so the fault-tolerance
         # families export non-zero: one retried fault, one poison
         # workload tripping the breaker, one quarantined submission.
@@ -1748,7 +1349,7 @@ def _metrics(rest: list[str]) -> int:
         except QuarantinedError:
             pass
     optimizer = None
-    if "--optimizer" in rest:
+    if "--optimizer" in opts:
         # A small deterministic optimizer demo so the plan-optimizer
         # families export non-zero: one cold plan (miss + rewrites +
         # a stats-driven reorder), one warm repeat (hit), and one
@@ -1765,7 +1366,7 @@ def _metrics(rest: list[str]) -> int:
         optimize_program(program, chain_stats, cache=cache)
         optimize_program(program, None, cache=cache)
         optimizer = OPTIMIZER_STATS
-    if "--prom" in rest:
+    if "--prom" in opts:
         sys.stdout.write(
             prometheus_text(
                 obs.metrics, accuracy=accuracy, stats=stats, bus=bus,
@@ -1785,17 +1386,14 @@ def _metrics(rest: list[str]) -> int:
     return 0
 
 
-def _prom_lint(rest: list[str]) -> int:
-    from pathlib import Path
-
+def _prom_lint(args: list[str], opts: dict) -> int:
     from .obs import lint_prometheus_text
 
-    paths = [a for a in rest if not a.startswith("-")]
-    if paths:
+    if args:
         try:
-            text = Path(paths[0]).read_text()
+            text = Path(args[0]).read_text()
         except OSError as err:
-            print(f"error: cannot read {paths[0]}: {err}")
+            print(f"error: cannot read {args[0]}: {err}")
             return 2
     else:
         text = sys.stdin.read()
@@ -1812,62 +1410,27 @@ def _prom_lint(rest: list[str]) -> int:
     return 0
 
 
-def _engine_report(rest: list[str]) -> int:
-    import json
-
-    from .core.errors import ReproError
+def _engine_report(args: list[str], opts: dict) -> int:
     from .engine.report import fallback_report, report_text
     from .engine.runtime import VectorEngine, engine_scope
     from .obs.examples import EXAMPLES
-    from .runtime.workloads import parse_workload
 
-    json_out = "--json" in rest
-    specs = [a for a in rest if not a.startswith("-")] or None
-
+    # Default corpus: every TA-program example plus the synthetic
+    # transitive-closure fixpoint (while loop + kernel-heavy body).
+    specs = args or [
+        name for name, example in EXAMPLES.items() if example.build is not None
+    ] + ["tc:8"]
     backend = VectorEngine()
     corpus: list[str] = []
-    if specs is None:
-        # Default corpus: every TA-program example plus the synthetic
-        # transitive-closure fixpoint (while loop + kernel-heavy body).
-        for name, example in EXAMPLES.items():
-            if example.setup is None:
-                continue
-            db, run = example.setup()
-            with engine_scope(backend):
-                run(db)
-            corpus.append(name)
-        _label, program, db = parse_workload("tc:8")
+    for spec in specs:
+        label, program, db = _workload(spec, "engine-report cannot report on it")
         with engine_scope(backend):
             program.run(db)
-        corpus.append("tc:8")
-    else:
-        for spec in specs:
-            try:
-                workload = parse_workload(spec)
-            except ReproError as err:
-                print(f"error: {err}")
-                return 2
-            if workload is not None:
-                label, program, db = workload
-                with engine_scope(backend):
-                    program.run(db)
-                corpus.append(label)
-                continue
-            name = _resolve_or_fail(spec)
-            if name is None:
-                return 2
-            example = EXAMPLES[name]
-            if example.setup is None:
-                print(f"error: example {name!r} is not a TA program; cannot report")
-                return 2
-            db, run = example.setup()
-            with engine_scope(backend):
-                run(db)
-            corpus.append(name)
+        corpus.append(label)
 
     report = fallback_report(backend.stats)
     report["corpus"] = corpus
-    if json_out:
+    if "--json" in opts:
         print(json.dumps(report, indent=2))
     else:
         print(f"corpus: {', '.join(corpus)}")
@@ -1878,84 +1441,36 @@ def _engine_report(rest: list[str]) -> int:
     return 0 if report["coverage"] == 1.0 else 1
 
 
-def _float_flag(rest: list[str], flag: str) -> tuple[float | None, str | None]:
-    """``(value, error)`` for a float-valued flag."""
-    text = _flag_value(rest, flag)
-    if text is None:
-        return None, None
-    try:
-        return float(text), None
-    except ValueError:
-        return None, f"invalid {flag} {text!r}; expected a number"
-
-
 def _open_ledger(path: str):
-    """An existing ledger directory opened read-side, or None (exit 3).
+    """An existing ledger directory, opened read-side.
 
-    ``history``/``replay``/``sentinel`` read ledgers; a directory that
-    was never written is a missing input, not an empty result set, so
-    the caller must distinguish it from "no runs matched".
+    ``history``/``replay``/``sentinel``/``recover`` read ledgers; a
+    directory that was never written is a missing input (exit 3), not an
+    empty result set, so it must not be confused with "no runs matched".
     """
-    from pathlib import Path
-
-    from .core.errors import LedgerError
     from .obs.ledger import RunLedger
 
     if not (Path(path) / "LEDGER.json").exists():
-        print(
-            f"error: no ledger at {path} "
+        raise LedgerError(
+            f"no ledger at {path} "
             f"(record one with: repro run tc:6 --ledger {path})"
         )
-        return None
-    try:
-        return RunLedger(path)
-    except LedgerError as err:
-        print(f"error: {err}")
-        return None
+    return RunLedger(path)
 
 
-def _history(rest: list[str]) -> int:
-    import json
-
-    from .core.errors import LedgerError
-
-    ledger_dir = _flag_value(rest, "--ledger") or "ledger"
-    fingerprint = _flag_value(rest, "--fingerprint")
-    workload = _flag_value(rest, "--workload")
-    outcome = _flag_value(rest, "--outcome")
-    limit, err = _int_flag(rest, "--limit")
-    if err is not None:
-        print(f"error: {err}")
-        return 2
-    json_out = "--json" in rest
-    aggregates = "--aggregates" in rest
-    flag_values = {
-        v
-        for v in (
-            _flag_value(rest, "--ledger"), fingerprint, workload, outcome,
-            _flag_value(rest, "--limit"),
-        )
-        if v is not None
-    }
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
+def _history(args: list[str], opts: dict) -> int:
+    ledger_dir = opts.get("--ledger", "ledger")
     ledger = _open_ledger(ledger_dir)
-    if ledger is None:
-        return 3
 
-    if names:
+    if args:
         # Inspect one run: the full manifest, always as JSON (it *is*
         # the on-disk record).
-        try:
-            manifest = ledger.get(names[0])
-        except LedgerError as err:
-            print(f"error: {err}")
-            return 3
-        print(json.dumps(manifest, indent=2))
+        print(json.dumps(ledger.get(args[0]), indent=2))
         return 0
 
-    if aggregates:
+    if "--aggregates" in opts:
         data = ledger.aggregates()
-        if json_out:
+        if "--json" in opts:
             print(json.dumps(data, indent=2))
             return 0
         print(f"ledger {ledger_dir}: {len(ledger)} run(s), "
@@ -1973,9 +1488,12 @@ def _history(rest: list[str]) -> int:
         return 0
 
     rows = ledger.runs(
-        fingerprint=fingerprint, workload=workload, outcome=outcome, limit=limit
+        fingerprint=opts.get("--fingerprint"),
+        workload=opts.get("--workload"),
+        outcome=opts.get("--outcome"),
+        limit=opts.get("--limit"),
     )
-    if json_out:
+    if "--json" in opts:
         print(json.dumps(rows, indent=2))
         return 0
     print(f"ledger {ledger_dir}: {len(rows)} run(s) listed, {len(ledger)} total")
@@ -1996,105 +1514,56 @@ def _history(rest: list[str]) -> int:
     return 0
 
 
-def _replay(rest: list[str]) -> int:
-    import json
-    from pathlib import Path
-
-    from .core.errors import LedgerError
-
-    ledger_flag = _flag_value(rest, "--ledger")
-    engine = _flag_value(rest, "--engine")
-    if engine is not None and engine not in ("naive", "vector"):
-        print(f"error: invalid --engine {engine!r}; expected naive or vector")
-        return 2
-    inject_seed, err = _int_flag(rest, "--inject-fault")
-    if err is not None:
-        print(f"error: {err}")
-        return 2
-    json_out = "--json" in rest
-    flag_values = {
-        v
-        for v in (ledger_flag, engine, _flag_value(rest, "--inject-fault"))
-        if v is not None
-    }
-    names = [a for a in rest if not a.startswith("-") and a not in flag_values]
-    if not names:
+def _replay(args: list[str], opts: dict) -> int:
+    if not args:
         print("usage: repro replay <run-id | bundle-dir> [--ledger DIR] "
               "[--engine naive|vector] [--inject-fault SEED] [--json]")
         return 2
 
     from .obs.replay import bundle_run_pointer, replay_from_ledger
 
-    target = names[0]
-    run_id = target
-    ledger_dir = ledger_flag or "ledger"
+    target = run_id = args[0]
+    ledger_dir = opts.get("--ledger", "ledger")
     if Path(target).is_dir() and (Path(target) / "MANIFEST.json").exists():
         # A flight-recorder bundle: follow its run pointer back to the
         # ledger the run was journaled in.
-        try:
-            run_id, pointed = bundle_run_pointer(target)
-        except LedgerError as err:
-            print(f"error: {err}")
-            return 3
-        if ledger_flag is None:
-            ledger_dir = pointed
+        run_id, pointed = bundle_run_pointer(target)
+        ledger_dir = opts.get("--ledger", pointed)
     ledger = _open_ledger(ledger_dir)
-    if ledger is None:
-        return 3
 
     faults = None
-    if inject_seed is not None:
+    if "--inject-fault" in opts:
         # Deliberate divergence: a seeded corrupt fault makes the replay
         # raise a typed error where the recording finished, proving the
         # detector (and its nonzero exit) live.
         from .runtime.faults import FaultPlan, FaultRule
 
-        faults = FaultPlan([FaultRule(op="*", kind="corrupt")], seed=inject_seed)
-    try:
-        report = replay_from_ledger(ledger, run_id, faults=faults, engine=engine)
-    except LedgerError as err:
-        print(f"error: {err}")
-        return 3
-    if json_out:
+        faults = FaultPlan(
+            [FaultRule(op="*", kind="corrupt")], seed=opts["--inject-fault"]
+        )
+    report = replay_from_ledger(
+        ledger, run_id, faults=faults, engine=opts.get("--engine")
+    )
+    if "--json" in opts:
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render())
     return 0 if report.ok else 1
 
 
-def _sentinel(rest: list[str]) -> int:
-    import json
-
+def _sentinel(args: list[str], opts: dict) -> int:
     from .obs.sentinel import DEFAULT_MIN_RUNS, DEFAULT_WINDOW, sentinel_report
 
-    ledger_dir = _flag_value(rest, "--ledger") or "ledger"
-    window, err = _int_flag(rest, "--window")
-    errors = [err]
-    min_runs, err = _int_flag(rest, "--min-runs")
-    errors.append(err)
-    latency_factor, err = _float_flag(rest, "--latency-factor")
-    errors.append(err)
-    qerror_factor, err = _float_flag(rest, "--qerror-factor")
-    errors.append(err)
-    fallback_jump, err = _float_flag(rest, "--fallback-jump")
-    errors.append(err)
-    for message in errors:
-        if message is not None:
-            print(f"error: {message}")
-            return 2
-    json_out = "--json" in rest
-    ledger = _open_ledger(ledger_dir)
-    if ledger is None:
-        return 3
+    ledger = _open_ledger(opts.get("--ledger", "ledger"))
     report = sentinel_report(
         ledger,
-        window=window if window is not None else DEFAULT_WINDOW,
-        min_runs=min_runs if min_runs is not None else DEFAULT_MIN_RUNS,
-        latency_factor=latency_factor if latency_factor is not None else 2.0,
-        qerror_factor=qerror_factor if qerror_factor is not None else 2.0,
-        fallback_jump=fallback_jump if fallback_jump is not None else 0.25,
+        window=opts.get("--window", DEFAULT_WINDOW),
+        min_runs=opts.get("--min-runs", DEFAULT_MIN_RUNS),
+        latency_factor=opts.get("--latency-factor", 2.0),
+        qerror_factor=opts.get("--qerror-factor", 2.0),
+        fallback_jump=opts.get("--fallback-jump", 0.25),
     )
-    if json_out:
+    if "--json" in opts:
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render())
@@ -2107,8 +1576,9 @@ def _sentinel(rest: list[str]) -> int:
 
 
 #: Declarative dispatch: command name -> (handler, one-line help).
-#: Every handler takes the argument list after the command name and
-#: returns the process exit status.
+#: Every handler takes the positional arguments and the ``{flag: value}``
+#: map that :func:`_parse_args` made of the command line, and returns
+#: the process exit status.
 COMMANDS: dict = {
     "check": (_check, "fast self-check of the headline reproductions"),
     "figures": (_figures, "print every Figure 1-5 artifact with exactness checks"),
@@ -2132,6 +1602,119 @@ COMMANDS: dict = {
     "replay": (_replay, "re-execute a ledgered run and diff it bit for bit"),
     "sentinel": (_sentinel, "cross-run drift detection over the ledger"),
 }
+
+#: ``--engine`` takes one of these backends.
+ENGINE = ("naive", "vector")
+
+
+def _count(text: str) -> int:
+    """A non-negative integer flag value (``--retry``)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+#: What a value flag of each converting kind expects, for its usage error.
+EXPECTED = {int: "an integer", _count: "a non-negative integer", float: "a number"}
+
+#: Per-command argument tables: command -> (most positionals, {flag: kind}).
+#: A ``bool`` flag is a switch; ``int``/``_count``/``float``/``str``
+#: convert the next argument; a tuple lists the values it may take.
+#: ``None`` allows any number of positionals.
+ARGUMENTS: dict[str, tuple[int | None, dict]] = {
+    "check": (0, {}),
+    "figures": (0, {}),
+    "demo": (0, {}),
+    "trace": (1, {"--json": bool, "--analyze": bool, "--stats": str, "--ledger": str}),
+    "profile": (1, {
+        "--chrome-trace": str, "--log-json": str, "--json": bool, "--no-memory": bool,
+    }),
+    "lineage": (1, {"--cell": str, "--audit": bool, "--dot": str, "--graph-json": str}),
+    "stats": (0, {"--json": bool}),
+    "analyze": (1, {"--engine": ENGINE, "--top-k": int, "--out": str, "--json": bool}),
+    "stats-audit": (0, {
+        "--seeds": int, "--engine": ENGINE, "--tc": int, "--out": str, "--json": bool,
+    }),
+    "optimize": (1, {
+        "--analyze": bool, "--stats": str, "--rules": str, "--explain": bool,
+        "--verify": bool, "--no-cache": bool, "--json": bool,
+    }),
+    "metrics": (0, {
+        "--prom": bool, "--estimates": bool, "--stats": str, "--supervisor": bool,
+        "--optimizer": bool,
+    }),
+    "prom-lint": (1, {}),
+    "engine-report": (None, {"--json": bool}),
+    "bench-compare": (2, {"--tolerance": str}),
+    "run": (1, {
+        "--engine": ENGINE, "--deadline": int, "--max-rows": int,
+        "--max-rows-per-op": int, "--max-cells-per-op": int, "--max-while": int,
+        "--checkpoint": str, "--resume": bool, "--retry": _count, "--verify": bool,
+        "--json": bool, "--progress": bool, "--events": str, "--flight-dir": str,
+        "--stats": str, "--optimize": bool, "--ledger": str,
+    }),
+    "supervise": (1, {
+        "--engine": ENGINE, "--retry": _count, "--backoff": int,
+        "--attempt-deadline": int, "--total-deadline": int, "--deadline": int,
+        "--max-while": int, "--checkpoint": str, "--faults": str, "--seed": int,
+        "--breaker-threshold": int, "--cooldown": float, "--ledger": str,
+        "--verify": bool, "--json": bool,
+    }),
+    "recover": (0, {"--ledger": str, "--retry": _count, "--verify": bool, "--json": bool}),
+    "chaos": (None, {"--kinds": str, "--seed": int, "--supervisor": bool, "--json": bool}),
+    "history": (1, {
+        "--ledger": str, "--fingerprint": str, "--workload": str, "--outcome": str,
+        "--limit": int, "--aggregates": bool, "--json": bool,
+    }),
+    "replay": (1, {"--ledger": str, "--engine": ENGINE, "--inject-fault": int, "--json": bool}),
+    "sentinel": (0, {
+        "--ledger": str, "--window": int, "--min-runs": int, "--latency-factor": float,
+        "--qerror-factor": float, "--fallback-jump": float, "--json": bool,
+    }),
+}
+
+
+def _parse_args(command: str, argv: list[str]) -> tuple[list[str], dict]:
+    """``(positionals, {flag: value})`` for one command line.
+
+    Switches map to True and value flags to their converted value;
+    absent flags are absent.  An unknown or repeated flag, a missing or
+    ill-typed value, and a surplus positional raise :class:`UsageError`.
+    """
+    most, table = ARGUMENTS[command]
+    args: list[str] = []
+    opts: dict = {}
+    items = iter(argv)
+    for arg in items:
+        if not arg.startswith("-"):
+            args.append(arg)
+            continue
+        if arg not in table:
+            known = ", ".join(table) if table else "none"
+            raise UsageError(f"unknown flag {arg!r} for {command} (flags: {known})")
+        if arg in opts:
+            raise UsageError(f"{arg} given more than once")
+        kind = table[arg]
+        if kind is bool:
+            opts[arg] = True
+            continue
+        text = next(items, None)
+        if text is None or text in table:
+            raise UsageError(f"{arg} needs a value")
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise UsageError(f"invalid {arg} {text!r}; expected {' or '.join(kind)}")
+            opts[arg] = text
+            continue
+        try:
+            opts[arg] = kind(text)
+        except ValueError:
+            raise UsageError(f"invalid {arg} {text!r}; expected {EXPECTED[kind]}") from None
+    if most is not None and len(args) > most:
+        raise UsageError(f"unexpected argument {args[most]!r} for {command}")
+    return args, opts
+
 
 #: Exit-status vocabulary shared by every subcommand.
 EXIT_CODES = (
@@ -2172,7 +1755,16 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(_usage())
         return 2
-    return entry[0](rest)
+    # The typed errors a command lets escape: bad input is a usage error
+    # (2), an absent or unusable checkpoint or ledger is missing input (3).
+    try:
+        return entry[0](*_parse_args(command, rest))
+    except (UsageError, WorkloadSpecError, StatsError, CheckpointError, LedgerError) as err:
+        print(f"error: {err}")
+        if isinstance(err, UnknownSpecError):
+            print("bundled examples:")
+            _list_examples()
+        return 3 if isinstance(err, (CheckpointError, LedgerError)) else 2
 
 
 if __name__ == "__main__":

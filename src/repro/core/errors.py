@@ -166,6 +166,25 @@ class LedgerError(ReproError):
     """
 
 
+class WorkloadSpecError(ReproError):
+    """A workload spec (``tc:N``, ``chain:N``, an example name) that
+    resolves to no runnable TA program; the subclasses say why."""
+
+
+class MalformedSpecError(WorkloadSpecError):
+    """A recognized workload kind with an unusable size (``tc:x``, ``tc:1``)."""
+
+
+class UnknownSpecError(WorkloadSpecError):
+    """A spec naming no workload kind and no bundled example, or an
+    example prefix matching several; the message is the diagnosis."""
+
+
+class NotAProgramError(WorkloadSpecError):
+    """A bundled example whose pipeline is not a TA program over a
+    tabular database (the OLAP bridges), so nothing can run it as one."""
+
+
 class ParseError(ReproError):
     """A textual tabular algebra or SchemaLog program failed to parse."""
 

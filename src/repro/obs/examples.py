@@ -7,7 +7,8 @@ nested statement spans, while-loop fixpoints, compiler phases, bridge
 conversions.
 
 Examples whose pipeline is "a TA program over a tabular database" also
-expose a ``setup`` hook returning ``(db, run)`` separately, so the
+expose a ``build`` hook returning ``(program, db)`` separately, so the
+workload resolver can run them under the hardened runtime and the
 lineage CLI can tag the input cells before running — that is what makes
 ``python -m repro lineage <example>`` and the witness-replay audit work.
 The OLAP example stays lineage-incapable: its bridges build cube objects
@@ -21,7 +22,6 @@ engine from the package root would close that cycle.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,67 +31,67 @@ from .runtime import Observation, observation
 __all__ = [
     "Example",
     "EXAMPLES",
-    "ExampleLookupError",
-    "resolve_example",
-    "resolve_example_strict",
     "run_example",
     "trace_example",
     "profile_example",
 ]
 
 
-class ExampleLookupError(KeyError):
-    """An example name that resolves to nothing (or to several things).
-
-    Subclasses :class:`KeyError` for backward compatibility; the
-    human-readable diagnosis is ``args[0]`` (``str()`` of a KeyError
-    wraps it in quotes).
-    """
-
-
 @dataclass(frozen=True)
 class Example:
     """One named, runnable pipeline.
 
-    ``setup``, when present, returns ``(db, run)`` — the input
-    :class:`~repro.core.database.TabularDatabase` and a callable mapping
-    a database to the output database — so callers (the lineage layer)
-    can interpose on the input before running.  ``runner`` remains the
-    one-shot entry point used by trace/profile.
+    ``build``, when present, returns ``(program, db)`` — the example's TA
+    :class:`~repro.algebra.programs.statements.Program` and its input
+    :class:`~repro.core.database.TabularDatabase` — which is what
+    :func:`repro.runtime.workloads.resolve_workload` hands to ``run``,
+    replay and recovery.  ``runner`` remains the one-shot entry point
+    used by trace/profile.
     """
 
     name: str
     description: str
     runner: Callable[[], object]
-    setup: Callable[[], tuple[object, Callable]] | None = None
+    build: Callable[[], tuple[object, object]] | None = None
+
+    @property
+    def setup(self) -> Callable[[], tuple[object, Callable]] | None:
+        """``build`` as ``(db, run)``, for callers that interpose on the
+        input before running (lineage tagging, fault injection); None
+        when the pipeline is not a TA program."""
+        return None if self.build is None else self._setup
+
+    def _setup(self) -> tuple[object, Callable]:
+        program, db = self.build()
+        return db, program.run
 
 
-def _run_setup(setup: Callable[[], tuple[object, Callable]]) -> Callable[[], object]:
+def _run_build(build: Callable[[], tuple[object, object]]) -> Callable[[], object]:
     def runner() -> object:
-        db, run = setup()
-        return run(db)
+        program, db = build()
+        return program.run(db)
 
     return runner
 
 
-def _fig4_setup() -> tuple[object, Callable]:
+def _fig4() -> tuple[object, object]:
     from ..algebra.programs import parse_program
     from ..core import database
     from ..data import figure4_top
 
     program = parse_program("Sales <- GROUP by {Region} on {Sold} (Sales)")
-    return database(figure4_top()), program.run
+    return program, database(figure4_top())
 
 
-def _fig5_setup() -> tuple[object, Callable]:
+def _fig5() -> tuple[object, object]:
     from ..algebra.programs import parse_program
     from ..data import sales_info2
 
     program = parse_program("Sales <- MERGE on {Sold} by {Region} (Sales)")
-    return sales_info2(), program.run
+    return program, sales_info2()
 
 
-def _pivot_setup() -> tuple[object, Callable]:
+def _pivot() -> tuple[object, object]:
     from ..algebra.programs import parse_program
     from ..data import sales_info1
 
@@ -102,7 +102,7 @@ def _pivot_setup() -> tuple[object, Callable]:
         Pivot   <- PURGE on {Sold} by {Region} (Cleaned)
         """
     )
-    return sales_info1(), program.run
+    return program, sales_info1()
 
 
 def _federation_facts() -> object:
@@ -120,7 +120,7 @@ def _federation_facts() -> object:
     )
 
 
-def _schemalog_setup() -> tuple[object, Callable]:
+def _schemalog() -> tuple[object, object]:
     from ..core import database
     from ..schemalog import compile_to_ta, parse_schemalog
 
@@ -134,10 +134,11 @@ def _schemalog_setup() -> tuple[object, Callable]:
         sales[T: region -> 'west'] :- west[T: part -> P].
         """
     )
-    return database(_federation_facts().facts_table()), compile_to_ta(program).run
+    db = database(_federation_facts().facts_table())
+    return compile_to_ta(program), db
 
 
-def _schemasql_setup() -> tuple[object, Callable]:
+def _schemasql() -> tuple[object, object]:
     from ..core import database
     from ..schemasql import compile_to_ta, parse_schemasql
 
@@ -147,10 +148,11 @@ def _schemasql_setup() -> tuple[object, Callable]:
         "SELECT T.part AS part, R AS region, T.sold AS sold "
         "INTO sales FROM -> R, R T"
     )
-    return database(_federation_facts().facts_table()), compile_to_ta(query).run
+    db = database(_federation_facts().facts_table())
+    return compile_to_ta(query), db
 
 
-def _good_setup() -> tuple[object, Callable]:
+def _good() -> tuple[object, object]:
     from ..good import (
         EdgeAddition,
         GoodEdge,
@@ -184,10 +186,11 @@ def _good_setup() -> tuple[object, Callable]:
         [PatternEdge.make("X", "parent", "Y"), PatternEdge.make("Y", "parent", "Z")],
     )
     program = GoodProgram((EdgeAddition(grandparent, "X", "gp", "Z"),))
-    return encode_graph(graph), compile_to_ta(program).run
+    db = encode_graph(graph)
+    return compile_to_ta(program), db
 
 
-def _fo_while_setup() -> tuple[object, Callable]:
+def _fo_while() -> tuple[object, object]:
     from ..relational import (
         Assign,
         Difference,
@@ -227,7 +230,7 @@ def _fo_while_setup() -> tuple[object, Callable]:
     edges = Relation("E", ["Src", "Dst"], [(i, i + 1) for i in range(1, 5)])
     db = RelationalDatabase([edges])
     ta_program = compile_program(fw, {"E": ("Src", "Dst")})
-    return relational_to_tabular(db), ta_program.run
+    return ta_program, relational_to_tabular(db)
 
 
 def _olap_bridges() -> object:
@@ -242,63 +245,31 @@ def _olap_bridges() -> object:
     return (grouped, per_region, round_trip)
 
 
-def _example(name: str, description: str, setup) -> Example:
-    return Example(name, description, _run_setup(setup), setup)
+def _example(name: str, description: str, build) -> Example:
+    return Example(name, description, _run_build(build), build)
 
 
 #: All bundled examples, keyed by CLI name.
 EXAMPLES: dict[str, Example] = {
     example.name: example
     for example in (
-        _example("fig4-group", "Figure 4: GROUP by Region on Sold, as a TA program", _fig4_setup),
-        _example("fig5-merge", "Figure 5: MERGE on Sold by Region, as a TA program", _fig5_setup),
-        _example("pivot", "the 3-statement compact pivot (GROUP + CLEANUP + PURGE)", _pivot_setup),
-        _example("schemalog", "Theorem 4.5: a SchemaLog_d federation program, TA-compiled", _schemalog_setup),
-        _example("schemasql", "Section 4.2: a SchemaSQL federation query, TA-compiled", _schemasql_setup),
-        _example("good", "Section 4.4: a GOOD edge-addition program on an encoded graph", _good_setup),
-        _example("fo-while", "Theorem 4.1: transitive closure in FO+while, TA-compiled", _fo_while_setup),
+        _example("fig4-group", "Figure 4: GROUP by Region on Sold, as a TA program", _fig4),
+        _example("fig5-merge", "Figure 5: MERGE on Sold by Region, as a TA program", _fig5),
+        _example("pivot", "the 3-statement compact pivot (GROUP + CLEANUP + PURGE)", _pivot),
+        _example("schemalog", "Theorem 4.5: a SchemaLog_d federation program, TA-compiled", _schemalog),
+        _example("schemasql", "Section 4.2: a SchemaSQL federation query, TA-compiled", _schemasql),
+        _example("good", "Section 4.4: a GOOD edge-addition program on an encoded graph", _good),
+        _example("fo-while", "Theorem 4.1: transitive closure in FO+while, TA-compiled", _fo_while),
         Example("olap", "Section 4.3: cube ↔ table bridges (pivot, split, n-dim)", _olap_bridges),
     )
 }
 
 
-def resolve_example(name: str) -> str | None:
-    """The full example name for ``name``, accepting unique prefixes.
-
-    ``fig5`` resolves to ``fig5-merge``; an ambiguous or unknown prefix
-    resolves to None (use :func:`resolve_example_strict` for the
-    diagnosis).
-    """
-    if name in EXAMPLES:
-        return name
-    matches = [known for known in sorted(EXAMPLES) if known.startswith(name)]
-    return matches[0] if len(matches) == 1 else None
-
-
-def resolve_example_strict(name: str) -> str:
-    """Like :func:`resolve_example`, but failures raise with a diagnosis.
-
-    An ambiguous prefix lists every match; an unknown name lists the
-    closest known names ("did you mean").  The CLI turns the raised
-    :class:`ExampleLookupError` into a clean non-zero exit.
-    """
-    if name in EXAMPLES:
-        return name
-    matches = [known for known in sorted(EXAMPLES) if known.startswith(name)]
-    if len(matches) == 1:
-        return matches[0]
-    if matches:
-        raise ExampleLookupError(
-            f"ambiguous example name {name!r}: matches " + ", ".join(matches)
-        )
-    close = difflib.get_close_matches(name, sorted(EXAMPLES), n=3, cutoff=0.4)
-    hint = ("; did you mean: " + ", ".join(close)) if close else ""
-    raise ExampleLookupError(f"unknown example {name!r}{hint}")
-
-
 def run_example(name: str) -> object:
-    """Run one bundled example (under whatever observation is active)."""
-    return EXAMPLES[resolve_example_strict(name)].runner()
+    """Run one bundled example, by full name, under whatever observation
+    is active (:func:`repro.runtime.workloads.lookup_example` resolves
+    prefixes); an unknown name raises :class:`KeyError`."""
+    return EXAMPLES[name].runner()
 
 
 def trace_example(name: str) -> tuple[Observation, object]:

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core.errors import LedgerError, ReproError
+from ..core.errors import LedgerError, ReproError, UnknownSpecError, WorkloadSpecError
 from .events import event_stream
 from .ledger import RunLedger, database_digest
 
@@ -120,39 +120,22 @@ class ReplayReport:
 def resolve_runnable(spec: str):
     """``(program, db)`` re-derived from a recorded workload spec.
 
-    Specs are the same vocabulary ``repro run`` accepts: ``tc:N``
-    workloads or bundled-example names whose pipeline is a TA program.
-    Raises :class:`~repro.core.errors.LedgerError` when the spec no
-    longer resolves to a runnable program.
+    Specs are the vocabulary of
+    :func:`repro.runtime.workloads.resolve_workload` — the one ``repro
+    run`` and crash recovery use.  Raises
+    :class:`~repro.core.errors.LedgerError` (chained to the resolver's
+    typed error) when the spec no longer resolves to a runnable program.
     """
-    from ..runtime.workloads import parse_workload
+    from ..runtime.workloads import resolve_workload
 
     try:
-        workload = parse_workload(spec)
-    except ReproError as err:
-        raise LedgerError(f"recorded workload {spec!r} no longer parses: {err}") from err
-    if workload is not None:
-        _label, program, db = workload
-        return program, db
-    from .examples import EXAMPLES, ExampleLookupError, resolve_example_strict
-
-    try:
-        name = resolve_example_strict(spec)
-    except ExampleLookupError as err:
+        _label, program, db = resolve_workload(spec)
+    except UnknownSpecError as err:
         raise LedgerError(
-            f"recorded workload {spec!r} is not a workload or bundled example: "
-            f"{err.args[0] if err.args else err}"
+            f"recorded workload {spec!r} is not a workload or bundled example: {err}"
         ) from err
-    example = EXAMPLES[name]
-    if example.setup is None:
-        raise LedgerError(
-            f"recorded example {spec!r} is not a TA program over a tabular "
-            "database; it cannot be replayed"
-        )
-    db, bound_run = example.setup()
-    program = getattr(bound_run, "__self__", None)
-    if program is None or not hasattr(program, "statements"):
-        raise LedgerError(f"recorded example {spec!r} does not expose a TA program")
+    except WorkloadSpecError as err:
+        raise LedgerError(f"recorded workload {spec!r} cannot be replayed: {err}") from err
     return program, db
 
 

@@ -264,43 +264,18 @@ class WorkloadLog:
 # ----------------------------------------------------------------------
 
 def _audit_corpus(seeds: int, tc_size: int) -> list[tuple]:
-    """(label, program-runner, database, program, run-kwargs) tuples.
-
-    ``program`` is the recovered TA program when the runner is a plain
-    ``Program.run`` (bound method or closure), or None for example
-    runners of other source languages — the optimizer pass only rescores
-    cases whose program it can rewrite.
-    """
-    from ..algebra.programs.statements import Program
+    """``(label, program, database, run-kwargs)`` tuples: every TA-program
+    example, ``tc:<tc_size>``, then ``seeds`` differential-fuzzer cases."""
     from ..data.programs import random_case
-    from ..runtime.workloads import parse_workload
+    from ..runtime.workloads import resolve_workload
     from .examples import EXAMPLES
 
-    corpus: list[tuple] = []
-    for name in sorted(EXAMPLES):
-        example = EXAMPLES[name]
-        if example.setup is None:
-            continue  # the OLAP example builds cubes, not a TA run
-        db, run = example.setup()
-        owner = getattr(run, "__self__", None)
-        program = owner if isinstance(owner, Program) else None
-        corpus.append((name, run, db, program, {}))
-    label, program, db = parse_workload(f"tc:{tc_size}")
-    corpus.append((label, program.run, db, program, {}))
+    specs = [name for name in sorted(EXAMPLES) if EXAMPLES[name].build is not None]
+    corpus = [(*resolve_workload(spec), {}) for spec in specs + [f"tc:{tc_size}"]]
     for seed in range(seeds):
         program, db = random_case(seed)
         kwargs = {"max_while_iterations": _FUZZ_WHILE_BUDGET}
-        corpus.append(
-            (
-                f"fuzz:{seed}",
-                lambda d, p=program: p.run(
-                    d, max_while_iterations=_FUZZ_WHILE_BUDGET
-                ),
-                db,
-                program,
-                kwargs,
-            )
-        )
+        corpus.append((f"fuzz:{seed}", program, db, kwargs))
     return corpus
 
 
@@ -348,12 +323,11 @@ def stats_audit(
     hits undefined operations) still contribute every op completed
     before the error.
 
-    The audit then makes a second, *post-rewrite* pass: every case whose
-    program it can recover is pushed through
-    :func:`repro.engine.optimizer.optimize_program` with the same stats
-    snapshot and re-run, so the op sequence being scored is the one the
-    cost-based optimizer actually chose (CHAINJOIN orders, fused
-    selects, pruned projections).  The report's ``optimizer`` section
+    The audit then makes a second, *post-rewrite* pass: every case is
+    pushed through :func:`repro.engine.optimizer.optimize_program` with
+    the same stats snapshot and re-run, so the op sequence being scored
+    is the one the cost-based optimizer actually chose (CHAINJOIN
+    orders, fused selects, pruned projections).  The report's ``optimizer`` section
     carries that pass's q-error percentiles and a ``regressed`` verdict:
     True when the optimizer-chosen plans' p95 q-error exceeds the
     unoptimized baseline by more than ``regression_tolerance`` — the
@@ -374,19 +348,18 @@ def stats_audit(
     rewritable = []
     with event_stream() as bus:
         workload = WorkloadLog(bus)
-        for label, run, db, program, kwargs in _audit_corpus(seeds, tc_size):
+        for label, program, db, kwargs in _audit_corpus(seeds, tc_size):
             stats = analyze_database(
                 db, engine=engine, top_k=top_k or DEFAULT_TOP_K
             )
             cases += 1
             with estimation(stats, accuracy=accuracy):
                 try:
-                    with workload.track(_LabeledProgram(label, run)):
-                        run(db)
+                    with workload.track(_LabeledProgram(label)):
+                        program.run(db, **kwargs)
                 except ReproError:
                     errors += 1
-            if program is not None:
-                rewritable.append((db, program, kwargs, stats))
+            rewritable.append((db, program, kwargs, stats))
     # The post-rewrite pass runs outside the event stream: coverage is a
     # property of the *baseline* corpus, and the rewritten plans dispatch
     # ops (fused PRODUCTSELECT, CHAINJOIN) the baseline never does.
@@ -450,14 +423,13 @@ def stats_audit(
 class _LabeledProgram:
     """A corpus entry's stand-in program: fingerprints by its label.
 
-    Example runners close over pre-parsed programs of several source
-    languages; the audit's workload log keys them by corpus label
-    instead of re-deriving statement structure.
+    The audit's workload log keys cases by corpus label instead of
+    re-deriving statement structure.
     """
 
     __slots__ = ("label",)
 
-    def __init__(self, label: str, run):
+    def __init__(self, label: str):
         self.label = label
 
     @property

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..core.errors import (
     BudgetExceededError,
     FaultInjectedError,
+    NotAProgramError,
     ReproError,
     SchemaError,
 )
@@ -91,20 +92,18 @@ class ChaosReport:
 
 def _chaos_targets(names=None) -> dict:
     """The setup-capable bundled examples (db + run separable)."""
-    from ..obs.examples import EXAMPLES, resolve_example_strict
+    from ..obs.examples import EXAMPLES
+    from .workloads import lookup_example
 
-    if names:
-        resolved = [resolve_example_strict(n) for n in names]
-    else:
-        resolved = [n for n, ex in EXAMPLES.items() if ex.setup is not None]
+    if not names:
+        return {n: ex for n, ex in EXAMPLES.items() if ex.setup is not None}
     out = {}
-    for name in resolved:
-        example = EXAMPLES[name]
+    for example in map(lookup_example, names):
         if example.setup is None:
-            raise ReproError(
-                f"example {name!r} is not chaos-capable (no setup hook)"
+            raise NotAProgramError(
+                f"example {example.name!r} is not chaos-capable (no setup hook)"
             )
-        out[name] = example
+        out[example.name] = example
     return out
 
 

@@ -50,6 +50,7 @@ from ..core.errors import (
     QuarantinedError,
     ReproError,
     VerificationError,
+    WorkloadSpecError,
 )
 from ..obs import events as _ev
 from .checkpoint import load_checkpoint, run_hardened
@@ -617,6 +618,8 @@ class Supervisor:
         """
         if self.ledger is None:
             raise LedgerError("recovery needs a ledger (Supervisor(ledger=...))")
+        from .workloads import resolve_workload
+
         resumed: list[dict] = []
         orphaned: list[dict] = []
         failed: list[dict] = []
@@ -642,11 +645,11 @@ class Supervisor:
                     {"run_id": run_id, "workload": workload, "reason": reason}
                 )
 
-            derived = _derive_spec(spec)
-            if derived is None:
+            try:
+                label, program, db = resolve_workload(spec or "")
+            except WorkloadSpecError:
                 orphan(f"unreplayable spec {spec!r}")
                 continue
-            label, program, db = derived
             if checkpoint is None:
                 orphan("no checkpoint was configured")
                 continue
@@ -724,32 +727,3 @@ def _limits_json(limits: Limits | None) -> dict | None:
         "max_memory_bytes": limits.max_memory_bytes,
         "max_while_iterations": limits.max_while_iterations,
     }
-
-
-def _derive_spec(spec):
-    """``(label, program, db)`` re-derived from a recorded workload spec.
-
-    Tries the synthetic workloads (``tc:N``) first, then the bundled
-    example registry; None when the spec names neither (a trace-only
-    label, an ad-hoc program) — the caller orphans the run.
-    """
-    if not spec:
-        return None
-    from .workloads import parse_workload
-
-    try:
-        workload = parse_workload(str(spec))
-    except ReproError:
-        return None
-    if workload is not None:
-        return workload
-    from ..obs.examples import EXAMPLES
-
-    example = EXAMPLES.get(str(spec))
-    if example is None or example.setup is None:
-        return None
-    db, bound_run = example.setup()
-    program = getattr(bound_run, "__self__", None)
-    if program is None or not hasattr(program, "statements"):
-        return None
-    return str(spec), program, db

@@ -13,7 +13,11 @@ that a 50 ms deadline reliably kills it mid-fixpoint, short enough that
 CI converges quickly even when every resume attempt re-applies the same
 50 ms deadline.
 
-``python -m repro run tc:12 ...`` resolves here via :func:`parse_workload`.
+Every spec a user or a ledger names — ``tc:12``, ``chain:4``, a bundled
+example or a unique prefix of one — becomes a runnable program through
+:func:`resolve_workload`, the single resolver behind ``python -m repro
+run``/``supervise``/``analyze``/``optimize``/``engine-report``, ledger
+replay, crash recovery and the stats audit.
 
 Like :mod:`repro.runtime.chaos`, this module imports the engine, so it
 must only be imported lazily — never from ``repro.runtime``'s
@@ -22,7 +26,9 @@ must only be imported lazily — never from ``repro.runtime``'s
 
 from __future__ import annotations
 
-from ..core.errors import ReproError
+import difflib
+
+from ..core.errors import MalformedSpecError, NotAProgramError, UnknownSpecError
 
 __all__ = [
     "DEFAULT_TC_NODES",
@@ -30,6 +36,8 @@ __all__ = [
     "transitive_closure_workload",
     "chain_join_workload",
     "parse_workload",
+    "lookup_example",
+    "resolve_workload",
 ]
 
 #: Chain length used when ``tc`` is requested without a size.
@@ -64,7 +72,9 @@ def transitive_closure_workload(nodes: int = DEFAULT_TC_NODES):
     )
 
     if nodes < 2:
-        raise ReproError(f"transitive-closure workload needs >= 2 nodes, got {nodes}")
+        raise MalformedSpecError(
+            f"transitive-closure workload needs >= 2 nodes, got {nodes}"
+        )
     step = Project(
         Join(RenameAttr(Rel("TC"), "Dst", "Mid"), RenameAttr(Rel("E"), "Src", "Mid")),
         ["Src", "Dst"],
@@ -108,7 +118,7 @@ def chain_join_workload(rows: int = DEFAULT_CHAIN_ROWS):
     from ..core import TabularDatabase, make_table
 
     if rows < 1:
-        raise ReproError(f"chain workload needs >= 1 row, got {rows}")
+        raise MalformedSpecError(f"chain workload needs >= 1 row, got {rows}")
     tables = []
     for name in ("A", "B", "C", "D"):
         attr = f"{name}0"
@@ -128,39 +138,82 @@ def chain_join_workload(rows: int = DEFAULT_CHAIN_ROWS):
     return program, db
 
 
+#: Synthetic workload kinds: spec name -> (builder, default size).
+_KINDS = {
+    "tc": (transitive_closure_workload, DEFAULT_TC_NODES),
+    "chain": (chain_join_workload, DEFAULT_CHAIN_ROWS),
+}
+
+
 def parse_workload(spec: str):
-    """Resolve a workload spec to ``(label, program, db)``, or None.
+    """Resolve a synthetic workload spec to ``(label, program, db)``, or None.
 
     Recognized specs: ``tc`` / ``tc:N`` (transitive closure of an N-node
     chain) and ``chain`` / ``chain:N`` (a 4-way product chain with late
-    selections over N-row tables).  Anything else returns None so the
-    caller can fall back to the bundled-example registry.  A
+    selections over N-row tables).  Anything else returns None.  A
     recognized-but-malformed size raises
-    :class:`~repro.core.errors.ReproError`.
+    :class:`~repro.core.errors.MalformedSpecError`.  Callers outside
+    this module want :func:`resolve_workload`, which also knows the
+    bundled examples.
     """
     name, _, size = spec.partition(":")
-    if name == "tc":
-        if not size:
-            nodes = DEFAULT_TC_NODES
-        else:
-            try:
-                nodes = int(size)
-            except ValueError:
-                raise ReproError(
-                    f"malformed workload size in {spec!r}; expected tc:N"
-                ) from None
-        program, db = transitive_closure_workload(nodes)
-        return f"tc:{nodes}", program, db
-    if name == "chain":
-        if not size:
-            rows = DEFAULT_CHAIN_ROWS
-        else:
-            try:
-                rows = int(size)
-            except ValueError:
-                raise ReproError(
-                    f"malformed workload size in {spec!r}; expected chain:N"
-                ) from None
-        program, db = chain_join_workload(rows)
-        return f"chain:{rows}", program, db
-    return None
+    if name not in _KINDS:
+        return None
+    build, n = _KINDS[name]
+    if size:
+        try:
+            n = int(size)
+        except ValueError:
+            raise MalformedSpecError(
+                f"malformed workload size in {spec!r}; expected {name}:N"
+            ) from None
+    program, db = build(n)
+    return f"{name}:{n}", program, db
+
+
+def lookup_example(spec: str):
+    """The bundled :class:`~repro.obs.examples.Example` ``spec`` names.
+
+    Accepts full names and unique prefixes (``fig5`` is ``fig5-merge``).
+    Raises :class:`~repro.core.errors.UnknownSpecError` whose message is
+    the diagnosis: every match of an ambiguous prefix, or the closest
+    known names ("did you mean") for an unknown one.
+    """
+    from ..obs.examples import EXAMPLES
+
+    if spec in EXAMPLES:
+        return EXAMPLES[spec]
+    matches = [name for name in sorted(EXAMPLES) if name.startswith(spec)]
+    if len(matches) == 1:
+        return EXAMPLES[matches[0]]
+    if matches:
+        raise UnknownSpecError(
+            f"ambiguous example name {spec!r}: matches " + ", ".join(matches)
+        )
+    close = difflib.get_close_matches(spec, sorted(EXAMPLES), n=3, cutoff=0.4)
+    hint = ("; did you mean: " + ", ".join(close)) if close else ""
+    raise UnknownSpecError(f"unknown example {spec!r}{hint}")
+
+
+def resolve_workload(spec: str):
+    """``(label, program, db)`` for any spec the CLI, replay and recovery accept.
+
+    ``tc[:N]`` and ``chain[:N]`` build the synthetic workloads; anything
+    else names a bundled example by full name or unique prefix, labelled
+    by its full name.  Failures raise a typed
+    :class:`~repro.core.errors.WorkloadSpecError`:
+    :class:`~repro.core.errors.MalformedSpecError` for a bad size,
+    :class:`~repro.core.errors.UnknownSpecError` for a name that matches
+    no example or several, and :class:`~repro.core.errors.NotAProgramError`
+    for an example whose pipeline is not a TA program.
+    """
+    workload = parse_workload(spec)
+    if workload is not None:
+        return workload
+    example = lookup_example(spec)
+    if example.build is None:
+        raise NotAProgramError(
+            f"example {example.name!r} is not a TA program over a tabular database"
+        )
+    program, db = example.build()
+    return example.name, program, db

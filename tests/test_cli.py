@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, main
 
 
 def run_cli(*args):
@@ -1174,3 +1174,82 @@ class TestSupervisorCommands:
         assert report["ok"] is True
         decisions = {p["cell"]: p["observed"] for p in report["points"]}
         assert decisions["poison/breaker/naive"] == "quarantined"
+
+
+class TestUsageErrors:
+    """Every command line is checked against its command's flag table."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unknown_flag_exits_two(self, command):
+        code, output = run_cli(command, "--bogus")
+        assert code == 2
+        assert f"error: unknown flag '--bogus' for {command}" in output
+
+    @pytest.mark.parametrize("flag", ["--deadline", "--engine", "--checkpoint"])
+    def test_flag_without_its_value_exits_two(self, flag):
+        # A known flag is not a value; the flag is then tried last.
+        code, output = run_cli("run", "tc:4", flag, "--resume")
+        assert code == 2
+        assert f"error: {flag} needs a value" in output
+        code, output = run_cli("run", "tc:4", flag)
+        assert code == 2
+        assert f"error: {flag} needs a value" in output
+
+    def test_extra_positional_exits_two(self):
+        code, output = run_cli("run", "tc:4", "tc:5")
+        assert code == 2
+        assert "error: unexpected argument 'tc:5' for run" in output
+
+    def test_repeated_flag_exits_two(self):
+        code, output = run_cli("run", "tc:4", "--deadline", "50", "--deadline", "60")
+        assert code == 2
+        assert "error: --deadline given more than once" in output
+
+    def test_chaos_non_program_example_exits_two(self):
+        code, output = run_cli("chaos", "olap")
+        assert code == 2
+        assert "error: example 'olap' is not chaos-capable" in output
+
+    def test_zero_breaker_threshold_exits_two(self):
+        code, output = run_cli("supervise", "tc:4", "--breaker-threshold", "0")
+        assert code == 2
+        assert "error: failure_threshold must be >= 1, got 0" in output
+
+
+class TestPositionalEqualToAFlagValue:
+    """A positional that repeats a flag's value is still the positional."""
+
+    def test_run_checkpoint_named_like_the_workload(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli("run", "--checkpoint", "tc:4", "tc:4")
+        assert code == 0
+        assert output.startswith("tc:4: finished after 1 attempt(s)")
+        assert (tmp_path / "tc:4").exists()
+
+    def test_analyze_out_named_like_the_workload(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, output = run_cli("analyze", "--out", "tc:4", "tc:4")
+        assert code == 0
+        assert output.startswith("ANALYZE of tc:4 ")
+        assert (tmp_path / "tc:4").exists()
+
+
+class TestRunResumeErrors:
+    """An unusable checkpoint is missing input: exit 3, no traceback."""
+
+    def test_absent_checkpoint_exits_three(self, tmp_path):
+        absent = tmp_path / "absent.json"
+        code, output = run_cli("run", "tc:4", "--resume", "--checkpoint", str(absent))
+        assert code == 3
+        assert output.startswith(f"error: cannot read checkpoint {absent}")
+
+    def test_foreign_checkpoint_exits_three(self, tmp_path):
+        checkpoint = str(tmp_path / "ck.json")
+        code, _output = run_cli(
+            "run", "tc:6", "--checkpoint", checkpoint, "--max-rows", "20"
+        )
+        assert code == 1
+        code, output = run_cli("run", "chain:3", "--resume", "--checkpoint", checkpoint)
+        assert code == 3
+        assert output.startswith("error: ")
+        assert "taken from a different program" in output
