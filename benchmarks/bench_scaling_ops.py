@@ -25,10 +25,15 @@ from repro.algebra import (
     union,
 )
 from repro.algebra.programs import parse_program
+from repro.algebra.programs.registry import OPERATIONS
 from repro.algebra.programs.statements import Program, assign
 from repro.core import NULL, FreshValueSource, Name, Table, TabularDatabase, Value
 from repro.data import sales_info1, synthetic_grouped_table
 from repro.engine import run_program
+from repro.engine.interning import SymbolInterner
+from repro.engine.kernels import KERNELS
+
+from conftest import report
 
 #: Trajectory label prefix: timing records roll into
 #: ``BENCH_trajectory.json`` as ``scale/<test name>`` (see conftest).
@@ -201,6 +206,97 @@ def test_backend_speedup_floor(make_case, floor):
     assert naive / vector >= floor, (
         f"speedup {naive / vector:.1f}x fell below the {floor}x floor "
         f"(naive={naive * 1e3:.2f}ms vector={vector * 1e3:.2f}ms)"
+    )
+
+
+def _relation(name, n_rows, offset=0, distinct=None):
+    """A relation ``name(A, B, C, D)`` whose row ``i`` holds pattern
+    ``offset + i`` (``offset + i % distinct`` when given, so rows repeat).
+
+    Pattern ``k`` puts ``a<k>`` under A, the same under B when ``k`` is
+    odd, one of ten values under C and ⊥ under D when ``k % 5 == 0``:
+    SELECT A=B keeps half the rows, SELECTCONST C=c0 a tenth, and
+    DROPNULLROWS on D drops a fifth.
+    """
+    grid = [[Name(name), Name("A"), Name("B"), Name("C"), Name("D")]]
+    for i in range(n_rows):
+        k = offset + (i % distinct if distinct else i)
+        grid.append(
+            [
+                NULL,
+                Value(f"a{k}"),
+                Value(f"a{k}" if k % 2 else f"b{k}"),
+                Value(f"c{k % 10}"),
+                NULL if k % 5 == 0 else Value(f"d{k}"),
+            ]
+        )
+    return Table(grid)
+
+
+#: One case per kernel: its input tables and evaluated arguments.  The
+#: ops whose naive form is quadratic (the subsumption scan behind
+#: DIFFERENCE, INTERSECTION and DROPNULLROWS, the materialized product
+#: behind PRODUCTSELECT) get 150-200 rows, the rest 1,000, so every
+#: naive op runs for a few ms to a few hundred ms.
+_KERNEL_CASES = {
+    "CLASSICALUNION": lambda: (
+        (_relation("R", 500), _relation("R", 500, offset=250)),
+        {},
+    ),
+    "DEDUP": lambda: ((_relation("R", 1000, distinct=100),), {}),
+    "DIFFERENCE": lambda: (
+        (_relation("R", 200), _relation("S", 200, offset=100)),
+        {},
+    ),
+    "DROPNULLROWS": lambda: ((_relation("R", 200),), {"attr": "D"}),
+    "INTERSECTION": lambda: (
+        (_relation("R", 200), _relation("S", 200, offset=100)),
+        {},
+    ),
+    "PRODUCTSELECT": lambda: (
+        (
+            _keyed_relation("R", 150, "K", 18, "a"),
+            _keyed_relation("S", 150, "J", 18, "b"),
+        ),
+        {"left": "K", "right": "J"},
+    ),
+    "SELECT": lambda: ((_relation("R", 1000),), {"left": "A", "right": "B"}),
+    "SELECTCONST": lambda: ((_relation("R", 1000),), {"attr": "C", "value": "c0"}),
+}
+
+#: A kernel that cannot beat its naive op by this factor is deleted; the
+#: decision table in docs/ENGINE.md records the measurements.
+KERNEL_FLOOR = 2.0
+
+
+@pytest.mark.parametrize("op", sorted(KERNELS))
+def test_every_kernel_pays_for_itself(op):
+    """Every kernel is at least 2x faster than the naive op it replaces.
+
+    The inputs are interned before timing: that is the kernel's best
+    case, the one a pipeline of kernels gives it.  A kernel that falls
+    short even there costs more code than it saves time.  Wall clock,
+    best of five, so the assertion also runs under --benchmark-disable.
+    """
+    tables, kwargs = _KERNEL_CASES[op]()
+    naive_op, kernel = OPERATIONS[op].function, KERNELS[op]
+    interner = SymbolInterner()
+    for table in tables:
+        interner.intern_table(table)
+    assert kernel(interner, tables, kwargs).grid == naive_op(*tables, **kwargs).grid
+
+    naive = _best_of(lambda: naive_op(*tables, **kwargs), reps=5)
+    fast = _best_of(lambda: kernel(interner, tables, kwargs), reps=5)
+    report(
+        f"kernel-pays/{op}",
+        naive_ms=round(naive * 1e3, 3),
+        kernel_ms=round(fast * 1e3, 3),
+        ratio=round(naive / fast, 2),
+    )
+    assert naive / fast >= KERNEL_FLOOR, (
+        f"{op} kernel is {naive / fast:.2f}x its naive op, below the "
+        f"{KERNEL_FLOOR}x floor (naive={naive * 1e3:.2f}ms "
+        f"kernel={fast * 1e3:.2f}ms)"
     )
 
 

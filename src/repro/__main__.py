@@ -1411,8 +1411,9 @@ def _prom_lint(args: list[str], opts: dict) -> int:
 
 
 def _engine_report(args: list[str], opts: dict) -> int:
+    from .engine import run_program
     from .engine.report import fallback_report, report_text
-    from .engine.runtime import VectorEngine, engine_scope
+    from .engine.runtime import VectorEngine
     from .obs.examples import EXAMPLES
 
     # Default corpus: every TA-program example plus the synthetic
@@ -1424,8 +1425,7 @@ def _engine_report(args: list[str], opts: dict) -> int:
     corpus: list[str] = []
     for spec in specs:
         label, program, db = _workload(spec, "engine-report cannot report on it")
-        with engine_scope(backend):
-            program.run(db)
+        run_program(program, db, engine="vector", backend=backend)
         corpus.append(label)
 
     report = fallback_report(backend.stats)

@@ -28,16 +28,32 @@ kernels hash:
 Kernels take ``(interner, tables, kwargs)`` with the keyword arguments
 already evaluated by the statement layer, and return a ``Table`` (or
 ``None`` to decline, routing the call to the naive operation).
-Operations whose semantics are inherently symbol-minting (TUPLENEW,
-SETNEW) or rare/structural (GROUP, MERGE, SPLIT, COLLAPSE, SWITCH,
-NATURALJOIN, the compacts) have no kernel and always fall back.
+
+A kernel is kept only while it beats its naive operation by at least 2x
+with its inputs already interned, its best case
+(``test_every_kernel_pays_for_itself`` in
+``benchmarks/bench_scaling_ops.py``).  Every other operation has no
+kernel and always falls back:
+
+* the copy operations — UNION, PRODUCT, PROJECT, RENAME, TRANSPOSE,
+  CONSTCOLUMN — only move symbols, so hashing ids saves no comparison
+  and interning plus materialization cost more than the naive copy;
+* the clean-up family — CLEANUP, PURGE, DEDUPCOLUMNS — already groups
+  by hash in its naive form; ids speed up only the position-wise merge,
+  which falls short of 2x on some representative shape (CLEANUP on the
+  paper's pivot, PURGE and DEDUPCOLUMNS on relation-style tables);
+* TUPLENEW and SETNEW mint fresh symbols, and GROUP, MERGE, SPLIT,
+  COLLAPSE, SWITCH, NATURALJOIN and the compacts are structural.
+
+The id-level union, purge and transpose below remain because
+CLASSICALUNION composes them.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..algebra.opshelpers import as_attr_set, as_attr_symbol
+from ..algebra.opshelpers import as_attr_symbol
 from ..core import Table, coerce_symbol
 from .interning import IdTable, SymbolInterner
 
@@ -222,18 +238,9 @@ def _union_idt(r: IdTable, s: IdTable) -> IdTable:
     )
 
 
-def _out(itn: SymbolInterner, idt: IdTable) -> Table:
-    return itn.materialize(idt.name, idt.col_attrs, idt.row_attrs, idt.rows)
-
-
 # ----------------------------------------------------------------------
 # Kernels (same observable behaviour as repro.algebra, on ids)
 # ----------------------------------------------------------------------
-
-def k_union(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    r, s = itn.intern_table(tables[0]), itn.intern_table(tables[1])
-    return _out(itn, _union_idt(r, s))
-
 
 def k_difference(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
     r, s = itn.intern_table(tables[0]), itn.intern_table(tables[1])
@@ -258,18 +265,6 @@ def k_intersection(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping
         tuple(r.row_attrs[i] for i in kept),
         [r.rows[i] for i in kept],
     )
-
-
-def k_product(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    r, s = itn.intern_table(tables[0]), itn.intern_table(tables[1])
-    out_attrs: list[int] = []
-    out_rows: list[tuple[int, ...]] = []
-    s_pairs = list(zip(s.row_attrs, s.rows))
-    for left_attr, left_row in zip(r.row_attrs, r.rows):
-        for right_attr, right_row in s_pairs:
-            out_attrs.append(_combine_attr(left_attr, right_attr))
-            out_rows.append(left_row + right_row)
-    return itn.materialize(r.name, r.col_attrs + s.col_attrs, tuple(out_attrs), out_rows)
 
 
 def k_product_select(
@@ -388,54 +383,10 @@ def k_select_constant(
     )
 
 
-def k_project(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    t = itn.intern_table(tables[0])
-    attrs = itn.intern_all(as_attr_set(kwargs["attrs"]))
-    keep = [j for j, x in enumerate(t.col_attrs) if x in attrs]
-    return itn.materialize(
-        t.name,
-        tuple(t.col_attrs[j] for j in keep),
-        t.row_attrs,
-        [tuple(row[j] for j in keep) for row in t.rows],
-    )
-
-
-def k_rename(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    t = itn.intern_table(tables[0])
-    old = itn.intern(as_attr_symbol(kwargs["old"]))
-    new = itn.intern(as_attr_symbol(kwargs["new"]))
-    col_attrs = tuple(new if x == old else x for x in t.col_attrs)
-    return itn.materialize(t.name, col_attrs, t.row_attrs, t.rows)
-
-
-def k_transpose(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    return _out(itn, itn.intern_table(tables[0]).transposed())
-
-
-def k_cleanup(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    t = itn.intern_table(tables[0])
-    by_ids = itn.intern_all(as_attr_set(kwargs["by"]))
-    on_ids = itn.intern_all(as_attr_set(kwargs["on"]))
-    return _out(itn, _cleanup_idt(t, by_ids, on_ids))
-
-
-def k_purge(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    t = itn.intern_table(tables[0])
-    on_ids = itn.intern_all(as_attr_set(kwargs["on"]))
-    by_ids = itn.intern_all(as_attr_set(kwargs["by"]))
-    return _out(itn, _purge_idt(t, on_ids, by_ids))
-
-
 def k_deduplicate(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
     t = itn.intern_table(tables[0])
     attrs, rows = _distinct_rows(t)
     return itn.materialize(t.name, t.col_attrs, attrs, rows)
-
-
-def k_deduplicate_columns(
-    itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping
-) -> Table:
-    return _out(itn, _dedup_columns_idt(itn.intern_table(tables[0])))
 
 
 def k_classical_union(
@@ -472,39 +423,20 @@ def k_drop_all_null_rows(
     )
 
 
-def k_const_column(
-    itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping
-) -> Table:
-    t = itn.intern_table(tables[0])
-    a = itn.intern(as_attr_symbol(kwargs["attr"]))
-    v = itn.intern(coerce_symbol(kwargs["value"]))
-    return itn.materialize(
-        t.name,
-        t.col_attrs + (a,),
-        t.row_attrs,
-        [row + (v,) for row in t.rows],
-    )
-
-
-#: Kernel catalogue, keyed by registry operation name.  Anything absent
-#: here (GROUP, MERGE, SPLIT, COLLAPSE, SWITCH, TUPLENEW, SETNEW,
-#: NATURALJOIN, the compacts) falls back to the naive operation.
+#: Kernel catalogue, keyed by registry operation name.  Every op absent
+#: here falls back to the naive operation: the copy ops (UNION, PRODUCT,
+#: PROJECT, RENAME, TRANSPOSE, CONSTCOLUMN) and the clean-up family
+#: (CLEANUP, PURGE, DEDUPCOLUMNS) because their kernels lost to the
+#: naive op or beat it by less than 2x (decision table in
+#: ``docs/ENGINE.md``), the rest because they are structural or mint
+#: fresh symbols.
 KERNELS: dict[str, object] = {
-    "UNION": k_union,
     "DIFFERENCE": k_difference,
     "INTERSECTION": k_intersection,
-    "PRODUCT": k_product,
     "PRODUCTSELECT": k_product_select,
     "SELECT": k_select,
     "SELECTCONST": k_select_constant,
-    "PROJECT": k_project,
-    "RENAME": k_rename,
-    "TRANSPOSE": k_transpose,
-    "CLEANUP": k_cleanup,
-    "PURGE": k_purge,
     "DEDUP": k_deduplicate,
-    "DEDUPCOLUMNS": k_deduplicate_columns,
     "CLASSICALUNION": k_classical_union,
     "DROPNULLROWS": k_drop_all_null_rows,
-    "CONSTCOLUMN": k_const_column,
 }

@@ -50,6 +50,7 @@ import warnings
 from pathlib import Path
 
 from ..core.errors import BudgetExceededError, CancelledError, LedgerError
+from .estimator import _percentile
 from .events import EventBus, RingSubscriber
 
 __all__ = [
@@ -550,15 +551,6 @@ class RunLedger:
 
     def __repr__(self) -> str:
         return f"RunLedger({self.directory}, {len(self)} run(s))"
-
-
-def _percentile(ordered, fraction: float) -> float:
-    if not ordered:
-        return 0.0
-    import math
-
-    rank = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
-    return ordered[rank]
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import RunLedger, _percentile
+from .estimator import _percentile
+from .ledger import RunLedger
 
 __all__ = [
     "DEFAULT_WINDOW",

@@ -31,9 +31,9 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .estimator import QERROR_BUCKETS, EstimateAccuracy, estimation
+from .estimator import QERROR_BUCKETS, EstimateAccuracy, _percentile, estimation
 from .events import EVT, Event, EventBus, event_stream
 from .stats import STATS_SCHEMA_VERSION, analyze_database
 
@@ -48,15 +48,6 @@ __all__ = [
 #: Seeded fuzzer cases the audit replays by default: enough programs to
 #: dispatch every registered op kind at least once (pinned by a test).
 DEFAULT_AUDIT_SEEDS = 48
-
-
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    if not ordered:
-        return 0.0
-    import math
-
-    rank = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
-    return ordered[rank]
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import (
-    cleanup,
+    classical_union,
     deduplicate,
     difference,
+    drop_all_null_rows,
+    intersection,
     product,
     product_select,
     select,
     select_constant,
-    union,
 )
 from repro.core import NULL, Name, Table, Value
 from repro.engine.interning import SymbolInterner
@@ -96,8 +97,29 @@ def test_difference_kernel_equals_subsumption_scan(rho, sigma):
 
 @settings(max_examples=60)
 @given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
-def test_union_kernel_matches(rho, sigma):
-    assert _kernel("UNION", [rho, sigma], {}).grid == union(rho, sigma).grid
+def test_intersection_kernel_equals_subsumption_scan(rho, sigma):
+    assert (
+        _kernel("INTERSECTION", [rho, sigma], {}).grid
+        == intersection(rho, sigma).grid
+    )
+
+
+@settings(max_examples=60)
+@given(tables(), st.sampled_from(ATTRS))
+def test_drop_null_rows_kernel_equals_subsumption_scan(table, attr):
+    assert (
+        _kernel("DROPNULLROWS", [table], {"attr": attr}).grid
+        == drop_all_null_rows(table, attr).grid
+    )
+
+
+@settings(max_examples=60)
+@given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
+def test_classical_union_kernel_matches(rho, sigma):
+    assert (
+        _kernel("CLASSICALUNION", [rho, sigma], {}).grid
+        == classical_union(rho, sigma).grid
+    )
 
 
 @given(tables(), st.sampled_from(ATTRS), st.sampled_from(ATTRS))
@@ -113,19 +135,6 @@ def test_select_constant_kernel_matches(table, attr, value):
     assert (
         _kernel("SELECTCONST", [table], {"attr": attr, "value": value}).grid
         == select_constant(table, attr, value).grid
-    )
-
-
-@settings(max_examples=60)
-@given(
-    tables(),
-    st.frozensets(st.sampled_from(ATTRS), max_size=3),
-    st.frozensets(st.sampled_from(ATTRS), max_size=3),
-)
-def test_cleanup_kernel_matches(table, by, on):
-    assert (
-        _kernel("CLEANUP", [table], {"by": by, "on": on}).grid
-        == cleanup(table, by, on).grid
     )
 
 

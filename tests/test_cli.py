@@ -676,6 +676,17 @@ class TestEngineReport:
         assert data["corpus"] == ["tc:6"]
         assert data["kernel_calls"] > 0
 
+    def test_reports_the_planned_program(self):
+        import json
+
+        # The report must show what a vector run executes: the planner
+        # fuses each PRODUCT/SELECT pair, so neither op is dispatched alone.
+        code, output = run_cli("engine-report", "tc:6", "--json")
+        assert code == 0
+        ops = json.loads(output)["ops"]
+        assert ops["PRODUCTSELECT"]["kernel"] > 0
+        assert "PRODUCT" not in ops and "SELECT" not in ops
+
     def test_explicit_example_spec(self):
         code, output = run_cli("engine-report", "fig4-group")
         assert code == 0
