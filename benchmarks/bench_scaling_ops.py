@@ -233,26 +233,16 @@ def _relation(name, n_rows, offset=0, distinct=None):
     return Table(grid)
 
 
-#: One case per kernel: its input tables and evaluated arguments.  The
-#: ops whose naive form is quadratic (the subsumption scan behind
-#: DIFFERENCE, INTERSECTION and DROPNULLROWS, the materialized product
-#: behind PRODUCTSELECT) get 150-200 rows, the rest 1,000, so every
-#: naive op runs for a few ms to a few hundred ms.
+#: One case per kernel: its input tables and evaluated arguments.
+#: PRODUCTSELECT, whose naive form materializes the whole product, gets
+#: 150 rows a side, the rest 1,000, so every naive op runs for a few ms
+#: to a few hundred ms.
 _KERNEL_CASES = {
     "CLASSICALUNION": lambda: (
         (_relation("R", 500), _relation("R", 500, offset=250)),
         {},
     ),
     "DEDUP": lambda: ((_relation("R", 1000, distinct=100),), {}),
-    "DIFFERENCE": lambda: (
-        (_relation("R", 200), _relation("S", 200, offset=100)),
-        {},
-    ),
-    "DROPNULLROWS": lambda: ((_relation("R", 200),), {"attr": "D"}),
-    "INTERSECTION": lambda: (
-        (_relation("R", 200), _relation("S", 200, offset=100)),
-        {},
-    ),
     "PRODUCTSELECT": lambda: (
         (
             _keyed_relation("R", 150, "K", 18, "a"),
@@ -297,6 +287,47 @@ def test_every_kernel_pays_for_itself(op):
         f"{op} kernel is {naive / fast:.2f}x its naive op, below the "
         f"{KERNEL_FLOOR}x floor (naive={naive * 1e3:.2f}ms "
         f"kernel={fast * 1e3:.2f}ms)"
+    )
+
+
+def _difference_family_case(op, n_rows):
+    """``op``'s inputs at ``n_rows``: σ is offset by half, so half of ρ's
+    rows have a mutually subsuming partner; DROPNULLROWS drops a fifth."""
+    if op == "DROPNULLROWS":
+        return (_relation("R", n_rows),), {"attr": "D"}
+    return (_relation("R", n_rows), _relation("S", n_rows, offset=n_rows // 2)), {}
+
+
+# The ids avoid "rows": CI's benchmark smoke selects with
+# -k "rows10 or not rows", which pytest matches case-insensitively.
+@pytest.mark.parametrize(
+    "op",
+    ["DIFFERENCE", "DROPNULLROWS", "INTERSECTION"],
+    ids=["DIFFERENCE", "DROPNULL", "INTERSECTION"],
+)
+def test_difference_family_scales_linearly(op):
+    """The naive difference family hashes row keys: 10x the rows costs
+    about 10x the time, where the pairwise subsumption scan cost ~100x.
+
+    Wall clock, best of three per size, so the assertion also runs under
+    --benchmark-disable; the 25x ceiling leaves room for timer noise and
+    for the larger inputs' worse cache behaviour.
+    """
+    naive_op = OPERATIONS[op].function
+    times = {}
+    for n_rows in (1_000, 10_000):
+        tables, kwargs = _difference_family_case(op, n_rows)
+        times[n_rows] = _best_of(lambda: naive_op(*tables, **kwargs))
+    ratio = times[10_000] / times[1_000]
+    report(
+        f"scales-linearly/{op}",
+        ms_1k=round(times[1_000] * 1e3, 3),
+        ms_10k=round(times[10_000] * 1e3, 3),
+        ratio=round(ratio, 2),
+    )
+    assert ratio <= 25, (
+        f"{op} at 10,000 rows took {ratio:.1f}x its 1,000-row time, over "
+        f"the 25x linear-scaling ceiling"
     )
 
 

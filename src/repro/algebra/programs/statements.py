@@ -185,21 +185,25 @@ class Assignment(Statement):
             )
 
     def _combinations(
-        self, db: TabularDatabase, binding: Binding
+        self,
+        db: TabularDatabase,
+        binding: Binding,
+        idx: int = 0,
+        chosen: tuple[Table, ...] = (),
     ) -> Iterator[tuple[tuple[Table, ...], Binding]]:
-        """All argument-table combinations with their wildcard bindings."""
+        """All argument-table combinations with their wildcard bindings,
+        extending the tables ``chosen`` for the arguments before ``idx``.
 
-        def recurse(
-            idx: int, chosen: tuple[Table, ...], bnd: Binding
-        ) -> Iterator[tuple[tuple[Table, ...], Binding]]:
-            if idx == len(self.args):
-                yield chosen, bnd
-                return
-            for name, bnd2 in self._candidate_names(self.args[idx], db, bnd):
-                for table in db.tables_named(name):
-                    yield from recurse(idx + 1, chosen + (table,), bnd2)
-
-        yield from recurse(0, (), binding)
+        Recursion goes through the method rather than a nested closure:
+        a closure that calls itself is a reference cycle, which would
+        keep ``db`` alive until the cyclic collector runs.
+        """
+        if idx == len(self.args):
+            yield chosen, binding
+            return
+        for name, bnd in self._candidate_names(self.args[idx], db, binding):
+            for table in db.tables_named(name):
+                yield from self._combinations(db, bnd, idx + 1, chosen + (table,))
 
     def _aggregate_groups(
         self, db: TabularDatabase, binding: Binding

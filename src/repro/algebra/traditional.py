@@ -18,7 +18,9 @@ of an assignment statement); by default the left operand's name is kept.
 
 from __future__ import annotations
 
-from ..core import NULL, Symbol, Table
+from typing import Iterator
+
+from ..core import NULL, Null, Symbol, Table
 from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import (
@@ -64,28 +66,68 @@ def union(rho: Table, sigma: Table, name: object | None = None) -> Table:
     return _named(Table(grid), name)
 
 
+def _mutual_subsumption_keys(table: Table) -> Iterator[tuple]:
+    """Yield, per data row in order, its mutual-subsumption key: the row
+    attribute and the frozenset of ``(a, τ_i(a) \\ {⊥})`` pairs over the
+    column attributes ``a`` whose ⊥-stripped entry set is non-empty."""
+    columns: dict[Symbol, list[int]] = {}
+    for j, attr in enumerate(table.column_attributes, start=1):
+        columns.setdefault(attr, []).append(j)
+    groups = list(columns.items())
+    for row in table.grid[1:]:
+        pairs = []
+        for attr, js in groups:
+            entries = frozenset([row[j] for j in js if not isinstance(row[j], Null)])
+            if entries:
+                pairs.append((attr, entries))
+        yield row[0], frozenset(pairs)
+
+
+def _rows_by_key(rho: Table, sigma: Table, keep_present: bool) -> list:
+    """ρ's attribute row, then its data rows in order whose key is (or,
+    with ``keep_present`` false, is not) among σ's keys."""
+    keys = set(_mutual_subsumption_keys(sigma))
+    grid = rho.grid
+    kept = [grid[0]]
+    for row, key in zip(grid[1:], _mutual_subsumption_keys(rho)):
+        if (key in keys) == keep_present:
+            kept.append(row)
+    return kept
+
+
 def difference(rho: Table, sigma: Table, name: object | None = None) -> Table:
     """Tabular difference ``T ← R \\ S`` (Figure 3, middle).
 
     Keeps ρ's scheme; a data row of ρ is dropped iff some data row of σ
     *mutually subsumes* it (ρ_i ≍ σ_k) and their row attributes coincide.
     Always defined.
+
+    Instead of testing every pair of rows, each row gets one hashable
+    key: its row attribute plus the frozenset of ``(a, ⊥-stripped entry
+    set)`` pairs over the column attributes ``a`` where that set is
+    non-empty.  ``ρ_i ≍ σ_k`` says ``ρ_i(a) ≈ σ_k(a)`` for every
+    attribute ``a`` of either scheme, i.e. equal ⊥-stripped entry sets;
+    an attribute a row's scheme lacks, or whose entries in the row are
+    all ⊥, gives the empty set and is left out of the key on both sides.
+    So two keys are equal iff the row attributes coincide and the rows
+    mutually subsume each other.  σ's keys are hashed once and ρ's rows
+    stream past in order, which gives exactly the pairwise scan's rows
+    (:meth:`Table.rows_subsume_each_other` is that definition) in
+    O(|ρ| + |σ|) hashed lookups.
     """
-    kept = [rho.row(0)]
-    for i in rho.data_row_indices():
-        dropped = any(
-            rho.entry(i, 0) == sigma.entry(k, 0)
-            and rho.rows_subsume_each_other(i, sigma, k)
-            for k in sigma.data_row_indices()
-        )
-        if not dropped:
-            kept.append(rho.row(i))
-    return _named(Table(kept), name)
+    return _named(Table(_rows_by_key(rho, sigma, keep_present=False)), name)
 
 
 def intersection(rho: Table, sigma: Table, name: object | None = None) -> Table:
-    """Tabular intersection, defined as ``R \\ (R \\ S)`` in the usual way."""
-    return _named(difference(rho, difference(rho, sigma)), name)
+    """Tabular intersection, defined as ``R \\ (R \\ S)`` in the usual way.
+
+    Computed directly: keep, in order, the rows of ρ whose
+    mutual-subsumption key (see :func:`difference`) occurs among σ's.
+    That is ``R \\ (R \\ S)`` row for row: a ρ row whose key σ lacks is
+    itself in ``R \\ S`` and so removes itself, while a ρ row whose key σ
+    has meets no row of ``R \\ S`` with that key.
+    """
+    return _named(Table(_rows_by_key(rho, sigma, keep_present=True)), name)
 
 
 def product(rho: Table, sigma: Table, name: object | None = None) -> Table:

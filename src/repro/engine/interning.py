@@ -26,7 +26,7 @@ naive results, which is the equivalence the differential harness pins.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core import NULL, Symbol, Table
 
@@ -99,7 +99,7 @@ class SymbolInterner:
     null-stripping via truthiness.
     """
 
-    __slots__ = ("_ids", "_symbols", "_cache")
+    __slots__ = ("_ids", "_symbols", "_cache", "__weakref__")
 
     #: Tables cached at once; the cache resets wholesale beyond this (a
     #: backstop — weakref callbacks already evict dead entries).
@@ -121,9 +121,6 @@ class SymbolInterner:
             self._ids[symbol] = i
             self._symbols.append(symbol)
         return i
-
-    def intern_all(self, symbols: Iterable[Symbol]) -> frozenset[int]:
-        return frozenset(self.intern(s) for s in symbols)
 
     def symbol(self, i: int) -> Symbol:
         """The representative symbol for id ``i``."""
@@ -179,12 +176,18 @@ class SymbolInterner:
         if len(self._cache) >= self.CACHE_CAP:
             self._cache.clear()
         key = id(table)
-        cache = self._cache
+        # The eviction callback reaches the cache through a weak reference
+        # to the interner: holding the cache itself would make cache →
+        # weakref → callback → cache a cycle, and every dead engine scope's
+        # id tables would then wait for the cyclic collector.
+        owner = weakref.ref(self)
 
-        def _evict(_ref, _key=key, _cache=cache):
-            _cache.pop(_key, None)
+        def _evict(_ref, _key=key, _owner=owner):
+            interner = _owner()
+            if interner is not None:
+                interner._cache.pop(_key, None)
 
         try:
-            cache[key] = (weakref.ref(table, _evict), idt)
+            self._cache[key] = (weakref.ref(table, _evict), idt)
         except TypeError:  # pragma: no cover - Table is weak-referenceable
             pass

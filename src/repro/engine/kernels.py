@@ -10,11 +10,6 @@ order, cell-for-cell equal symbols).  The differential harness in
 Where the naive operations pay quadratic symbol-level scans, the
 kernels hash:
 
-* ``difference``/``intersection`` replace the O(|ρ|·|σ|) mutual-
-  subsumption scan with per-row *signatures* — a row's stripped entry
-  set per column attribute, as a frozenset of ``(attr, ids)`` pairs.
-  Two rows mutually subsume each other iff their signatures are equal
-  and their row attributes coincide, so membership is one set lookup;
 * ``deduplicate`` degenerates to keep-first distinct over full id-rows
   (clean-up by the full scheme groups rows by their entire content, and
   identical rows always merge into themselves);
@@ -42,6 +37,10 @@ kernel and always falls back:
   by hash in its naive form; ids speed up only the position-wise merge,
   which falls short of 2x on some representative shape (CLEANUP on the
   paper's pivot, PURGE and DEDUPCOLUMNS on relation-style tables);
+* the difference family — DIFFERENCE, INTERSECTION, DROPNULLROWS —
+  hashes each row's mutual-subsumption key in its naive form
+  (:func:`repro.algebra.difference`), the same key a kernel would hash
+  over ids, so ids save too little to clear 2x;
 * TUPLENEW and SETNEW mint fresh symbols, and GROUP, MERGE, SPLIT,
   COLLAPSE, SWITCH, NATURALJOIN and the compacts are structural.
 
@@ -63,41 +62,6 @@ __all__ = ["KERNELS"]
 # ----------------------------------------------------------------------
 # Shared id-level helpers
 # ----------------------------------------------------------------------
-
-def _attr_groups(col_attrs: tuple[int, ...]) -> dict[int, list[int]]:
-    """Data-column positions grouped by their attribute id."""
-    groups: dict[int, list[int]] = {}
-    for j, a in enumerate(col_attrs):
-        groups.setdefault(a, []).append(j)
-    return groups
-
-
-def _row_signatures(idt: IdTable) -> list[frozenset]:
-    """Per row: the ⊥-stripped entry set of every column attribute.
-
-    ``sig(i) = { (a, {ids}) : a an attribute, {ids} the non-null entries
-    of row i under a, nonempty }``.  For two tables ρ, σ and the
-    attribute universe of *both* schemes, ``ρ_i ≍ σ_k`` (mutual row
-    subsumption) holds iff ``sig_ρ(i) == sig_σ(k)`` — attributes absent
-    from a scheme contribute empty sets on that side and are omitted
-    from the signature on both.
-    """
-    items = list(_attr_groups(idt.col_attrs).items())
-    sigs: list[frozenset] = []
-    for row in idt.rows:
-        sig = []
-        for a, js in items:
-            entries = frozenset(row[j] for j in js if row[j])
-            if entries:
-                sig.append((a, entries))
-        sigs.append(frozenset(sig))
-    return sigs
-
-
-def _difference_keys(idt: IdTable) -> list[tuple]:
-    """Row keys for difference: exact row attribute plus the signature."""
-    return list(zip(idt.row_attrs, _row_signatures(idt)))
-
 
 def _combine_attr(left: int, right: int) -> int:
     """Id-level ``combine_row_attributes`` (0 is ⊥)."""
@@ -242,31 +206,6 @@ def _union_idt(r: IdTable, s: IdTable) -> IdTable:
 # Kernels (same observable behaviour as repro.algebra, on ids)
 # ----------------------------------------------------------------------
 
-def k_difference(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    r, s = itn.intern_table(tables[0]), itn.intern_table(tables[1])
-    drop = set(_difference_keys(s))
-    kept = [i for i, key in enumerate(_difference_keys(r)) if key not in drop]
-    return itn.materialize(
-        r.name,
-        r.col_attrs,
-        tuple(r.row_attrs[i] for i in kept),
-        [r.rows[i] for i in kept],
-    )
-
-
-def k_intersection(itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping) -> Table:
-    # R \ (R \ S): a ρ-row survives iff its key occurs among σ's keys.
-    r, s = itn.intern_table(tables[0]), itn.intern_table(tables[1])
-    hits = set(_difference_keys(s))
-    kept = [i for i, key in enumerate(_difference_keys(r)) if key in hits]
-    return itn.materialize(
-        r.name,
-        r.col_attrs,
-        tuple(r.row_attrs[i] for i in kept),
-        [r.rows[i] for i in kept],
-    )
-
-
 def k_product_select(
     itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping
 ) -> Table:
@@ -400,43 +339,18 @@ def k_classical_union(
     return itn.materialize(purged.name, purged.col_attrs, attrs, rows)
 
 
-def k_drop_all_null_rows(
-    itn: SymbolInterner, tables: Sequence[Table], kwargs: Mapping
-) -> Table:
-    # R \ σ_{attr=⊥}(R): drop every row whose difference key matches a
-    # row with an entirely-⊥ attr entry set (subsumption, not identity).
-    t = itn.intern_table(tables[0])
-    a = itn.intern(as_attr_symbol(kwargs["attr"]))
-    a_cols = [j for j, x in enumerate(t.col_attrs) if x == a]
-    keys = _difference_keys(t)
-    null_keys = {
-        keys[i]
-        for i, row in enumerate(t.rows)
-        if not any(row[j] for j in a_cols)
-    }
-    kept = [i for i, key in enumerate(keys) if key not in null_keys]
-    return itn.materialize(
-        t.name,
-        t.col_attrs,
-        tuple(t.row_attrs[i] for i in kept),
-        [t.rows[i] for i in kept],
-    )
-
-
 #: Kernel catalogue, keyed by registry operation name.  Every op absent
 #: here falls back to the naive operation: the copy ops (UNION, PRODUCT,
-#: PROJECT, RENAME, TRANSPOSE, CONSTCOLUMN) and the clean-up family
-#: (CLEANUP, PURGE, DEDUPCOLUMNS) because their kernels lost to the
-#: naive op or beat it by less than 2x (decision table in
-#: ``docs/ENGINE.md``), the rest because they are structural or mint
-#: fresh symbols.
+#: PROJECT, RENAME, TRANSPOSE, CONSTCOLUMN), the clean-up family
+#: (CLEANUP, PURGE, DEDUPCOLUMNS) and the difference family (DIFFERENCE,
+#: INTERSECTION, DROPNULLROWS, whose naive op hashes the same row key)
+#: because their kernels lost to the naive op or beat it by less than 2x
+#: (decision table in ``docs/ENGINE.md``), the rest because they are
+#: structural or mint fresh symbols.
 KERNELS: dict[str, object] = {
-    "DIFFERENCE": k_difference,
-    "INTERSECTION": k_intersection,
     "PRODUCTSELECT": k_product_select,
     "SELECT": k_select,
     "SELECTCONST": k_select_constant,
     "DEDUP": k_deduplicate,
     "CLASSICALUNION": k_classical_union,
-    "DROPNULLROWS": k_drop_all_null_rows,
 }

@@ -5,6 +5,12 @@ naive operation it replaces; grids must match cell for cell.  The
 hash-dedup case is additionally checked against an independent
 quadratic reference, and product/select pushdown against the explicit
 post-filter composition.
+
+The difference family has no kernel: its naive ops hash each row's
+mutual-subsumption key.  Because the naive algebra is the oracle for
+the kernels, the optimizer and replay, those ops are pinned here to the
+paper's definition itself, a literal pairwise scan over
+``Table.rows_subsume_each_other``.
 """
 
 from hypothesis import given, settings
@@ -21,13 +27,17 @@ from repro.algebra import (
     select,
     select_constant,
 )
-from repro.core import NULL, Name, Table, Value
+from repro.core import NULL, Name, TaggedValue, Table, Value
 from repro.engine.interning import SymbolInterner
 from repro.engine.kernels import KERNELS
 from repro.engine.runtime import VectorEngine
 
 ATTRS = [NULL, Name("A"), Name("B"), Name("C")]
-ENTRIES = [NULL, Name("A"), Name("B"), Value("x"), Value("y"), Value("z"), Value(3)]
+ENTRIES = [
+    NULL, Name("A"), Name("B"), Value("x"), Value("y"), Value("z"), Value(3),
+    # Equal across payload types (1 == 1.0 == True) or not (tags, sorts).
+    Value(1), Value(1.0), Value(True), TaggedValue(1), Name("x"),
+]
 
 
 @st.composite
@@ -89,28 +99,67 @@ def test_pushdown_equals_post_filter(rho, sigma, left, right):
     assert product_select(rho, sigma, left, right).grid == post.grid
 
 
-@settings(max_examples=60)
-@given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
-def test_difference_kernel_equals_subsumption_scan(rho, sigma):
-    assert _kernel("DIFFERENCE", [rho, sigma], {}).grid == difference(rho, sigma).grid
+@st.composite
+def table_pairs(draw):
+    """ρ and σ: independent, or σ reshaped from some of ρ's rows.
+
+    The reshaping permutes σ's columns and adds one that is all ⊥ or
+    repeats another, which keeps every entry set weakly equal, and it
+    keeps or redraws each row attribute — so rows that mutually subsume
+    each other, under the same or another row attribute, are common.
+    """
+    rho = draw(tables(max_height=4, max_width=3))
+    if draw(st.booleans()):
+        return rho, draw(tables(max_height=4, max_width=3))
+    cols = draw(st.permutations(range(1, rho.ncols)))
+    extra = draw(st.sampled_from([None, *cols]))
+    extra_attr = draw(st.sampled_from(ATTRS)) if extra is None else rho.entry(0, extra)
+    rows = []
+    if rho.height:
+        rows = draw(st.lists(st.sampled_from(rho.data_row_indices()), max_size=4))
+    header = [Name("S"), *(rho.entry(0, j) for j in cols), extra_attr]
+    grid = [header]
+    for i in rows:
+        attr = draw(st.sampled_from([rho.entry(i, 0), *ATTRS]))
+        pad = NULL if extra is None else rho.entry(i, extra)
+        grid.append([attr, *(rho.entry(i, j) for j in cols), pad])
+    return rho, Table(grid)
 
 
-@settings(max_examples=60)
-@given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
-def test_intersection_kernel_equals_subsumption_scan(rho, sigma):
-    assert (
-        _kernel("INTERSECTION", [rho, sigma], {}).grid
-        == intersection(rho, sigma).grid
-    )
+def _subsumption_scan(rho, sigma):
+    """``R \\ S`` as the paper defines it, pair by pair: drop ρ_i iff some
+    σ_k has the same row attribute and ρ_i ≍ σ_k."""
+    kept = [rho.row(0)]
+    for i in rho.data_row_indices():
+        if not any(
+            rho.entry(i, 0) == sigma.entry(k, 0)
+            and rho.rows_subsume_each_other(i, sigma, k)
+            for k in sigma.data_row_indices()
+        ):
+            kept.append(rho.row(i))
+    return Table(kept)
 
 
-@settings(max_examples=60)
+@settings(max_examples=150)
+@given(table_pairs())
+def test_difference_equals_subsumption_scan(pair):
+    rho, sigma = pair
+    assert difference(rho, sigma).grid == _subsumption_scan(rho, sigma).grid
+
+
+@settings(max_examples=150)
+@given(table_pairs())
+def test_intersection_equals_double_subsumption_scan(pair):
+    rho, sigma = pair
+    expected = _subsumption_scan(rho, _subsumption_scan(rho, sigma))
+    assert intersection(rho, sigma).grid == expected.grid
+
+
+@settings(max_examples=100)
 @given(tables(), st.sampled_from(ATTRS))
-def test_drop_null_rows_kernel_equals_subsumption_scan(table, attr):
-    assert (
-        _kernel("DROPNULLROWS", [table], {"attr": attr}).grid
-        == drop_all_null_rows(table, attr).grid
-    )
+def test_drop_null_rows_equals_subsumption_scan(table, attr):
+    expected = _subsumption_scan(table, select_constant(table, attr, None))
+    assert drop_all_null_rows(table, attr).grid == expected.grid
 
 
 @settings(max_examples=60)

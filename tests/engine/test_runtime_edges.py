@@ -1,5 +1,8 @@
 """Edge paths of the engine runtime: lazy exports, bad engine names,
-kernel-declined dispatch, metrics counting, and interner cache bounds."""
+kernel-declined dispatch, metrics counting, interner cache bounds, and
+runs that leave no cyclic garbage."""
+
+import gc
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.engine import run_program
 from repro.engine.interning import IdTable, SymbolInterner
 from repro.engine.runtime import VectorEngine
 from repro.obs import observation
+from repro.runtime.workloads import resolve_workload
 
 
 def _table(name="R"):
@@ -47,12 +51,31 @@ def test_dispatch_counts_vector_kernel_hits_metric():
     assert counters["vector_kernel_hits"] == 1
 
 
-def test_interner_symbol_round_trip_and_intern_all():
+def test_interner_symbol_round_trip():
     interner = SymbolInterner()
-    ids = interner.intern_all([Value("x"), Name("A"), NULL])
-    assert 0 in ids  # NULL is always id 0
+    ids = [interner.intern(s) for s in (Value("x"), Name("A"), NULL)]
+    assert ids[2] == 0  # NULL is always id 0
     for i in ids:
         assert interner.intern(interner.symbol(i)) == i
+
+
+@pytest.mark.parametrize(
+    "spec,engine",
+    [("tc:6", "naive"), ("tc:6", "vector"), ("schemalog", "naive")],
+)
+def test_runs_leave_no_cyclic_garbage(spec, engine):
+    """A run frees its intermediate databases and id tables by reference
+    counting alone, so peak memory does not depend on when the cyclic
+    collector happens to run."""
+    _, program, db = resolve_workload(spec)
+    run_program(program, db, engine=engine)  # warm lazy imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        run_program(program, db, engine=engine)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_interner_cache_clears_at_capacity(monkeypatch):
