@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.data import synthetic_sales_table
-from repro.obs import OBS
+from repro.obs import OBS, Observation
 from repro.obs.regress import current_git_sha, update_trajectory
 
 #: Row counts for scaling sweeps (kept laptop-friendly).
@@ -68,14 +68,16 @@ def report(label: str, **values) -> None:
 
     The observation is printed for the console log and stored under the
     current run in ``BENCH_obs.json``.  If an observation scope is
-    active, the current metrics snapshot rides along, so benchmark
-    records carry per-operation call counts and row flow.
+    active, the metrics derived from its completed spans ride along, so
+    benchmark records carry per-operation call counts and row flow.
     """
     rendered = "  ".join(f"{k}={v}" for k, v in values.items())
     print(f"[{label}] {rendered}")
     record: dict = {"label": label, "values": values}
-    if OBS.active and OBS.metrics is not None and not OBS.metrics.is_empty():
-        record["metrics"] = OBS.metrics.snapshot()
+    if OBS.active:
+        metrics = Observation(OBS.tracer).metrics
+        if not metrics.is_empty():
+            record["metrics"] = metrics.snapshot()
     _RUN["records"].append(record)
     _flush_runs()
 

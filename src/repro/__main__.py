@@ -1057,19 +1057,20 @@ def _stats(args: list[str], opts: dict) -> int:
     from .obs import counters_table, metrics_table, observation
     from .obs.examples import EXAMPLES, run_example
 
-    with observation(trace=False) as obs:
+    with observation() as obs:
         for example in EXAMPLES.values():
             run_example(example.name)
+    metrics = obs.metrics
     if "--json" in opts:
-        print(json.dumps(obs.metrics.snapshot(), indent=2))
+        print(json.dumps(metrics.snapshot(), indent=2))
         return 0
     print(f"aggregated metrics over {len(EXAMPLES)} bundled pipelines")
     print()
-    ops = metrics_table(obs.metrics)
+    ops = metrics_table(metrics)
     if ops is not None:
         print(render_table(ops, title="Operation metrics"))
         print()
-    counters = counters_table(obs.metrics)
+    counters = counters_table(metrics)
     if counters is not None:
         print(render_table(counters, title="Counters"))
     return 0
@@ -1292,7 +1293,7 @@ def _metrics(args: list[str], opts: dict) -> int:
     # The corpus runs under a live bus with one small ring attached, so
     # the export carries real publish/receive/drop counts — a scrape can
     # alert on ring truncation instead of discovering it in a postmortem.
-    with event_stream() as bus, observation(trace=False) as obs:
+    with event_stream() as bus, observation() as obs:
         bus.ring(capacity=256)
         from .obs.examples import EXAMPLES, run_example
 
@@ -1366,15 +1367,16 @@ def _metrics(args: list[str], opts: dict) -> int:
         optimize_program(program, chain_stats, cache=cache)
         optimize_program(program, None, cache=cache)
         optimizer = OPTIMIZER_STATS
+    metrics = obs.metrics
     if "--prom" in opts:
         sys.stdout.write(
             prometheus_text(
-                obs.metrics, accuracy=accuracy, stats=stats, bus=bus,
+                metrics, accuracy=accuracy, stats=stats, bus=bus,
                 supervisor=supervisor, optimizer=optimizer,
             )
         )
         return 0
-    snapshot = obs.metrics.snapshot()
+    snapshot = metrics.snapshot()
     snapshot["events"] = {
         "published": bus.published,
         "callback_errors": bus.callback_errors,

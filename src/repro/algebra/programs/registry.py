@@ -18,7 +18,7 @@ from ...engine import runtime as _engine
 from ...obs import estimator as _est
 from ...obs import events as _ev
 from ...obs import runtime as _obs
-from ...obs.trace import NULL_SPAN
+from ...obs.lineage import count_prov_cells
 from ...runtime import governor as _gv
 from .. import (
     classical_union,
@@ -88,13 +88,13 @@ class OpSpec:
 
         With no scope active this is the raw call behind one attribute
         check per scope.  Otherwise :meth:`_invoke_layered` wraps it in
-        the active ones — :func:`~repro.obs.estimator.estimation`,
-        :func:`~repro.obs.events.event_stream`,
-        :func:`~repro.runtime.governor.governed` and
-        :func:`~repro.obs.observation` — covering every registered
-        operation without touching its body.
+        the active ones — :func:`~repro.obs.estimator.estimation`, the
+        event feed (:func:`~repro.obs.events.event_stream` or
+        :func:`~repro.obs.observation`, which consumes it) and
+        :func:`~repro.runtime.governor.governed` — covering every
+        registered operation without touching its body.
         """
-        if _est.EST.active or _ev.EVT.active or _gv.GOV.active or _obs.OBS.active:
+        if _est.EST.active or _ev.EVT.active or _gv.GOV.active:
             return self._invoke_layered(tables, arguments, fresh)
         return self._invoke_raw(tables, arguments, fresh)
 
@@ -108,15 +108,16 @@ class OpSpec:
 
         Estimation predicts rows-out before and scores the prediction
         after; events publish ``span_start``/``span_finish`` (and
-        ``error``); the governor's ``before_op``/``account`` and the
-        fault plan's ``before``/``after`` bracket the op, either may be
-        absent; observation, innermost, times and row/column-accounts
-        the op so failed ops still close their spans.  Each scope's
-        ``.active`` flag is read here, at call time, because the
-        supervisor sheds layers by flipping those flags.  Estimation is
-        telemetry: a stats/estimator defect can never alter or kill a
-        run, and its prediction rides into the observation span so
-        EXPLAIN shows ``est_rows`` without predicting twice.
+        ``error``), the one record of the op boundary, from which an
+        observation builds its op span; the governor's
+        ``before_op``/``account`` and the fault plan's
+        ``before``/``after`` bracket the op, either may be absent, so a
+        call they refuse still closes its span as an error.  Each
+        scope's ``.active`` flag is read here, at call time, because
+        the supervisor sheds layers by flipping those flags.
+        Estimation is telemetry: a stats/estimator defect can never
+        alter or kill a run, and its prediction rides on ``span_start``
+        so EXPLAIN shows ``est_rows`` without predicting twice.
         """
         estimator = predicted = None
         est = _est.EST
@@ -128,12 +129,11 @@ class OpSpec:
                 pass
         evented = _ev.EVT.active
         if evented:
-            _ev.emit(
-                "span_start",
-                op=self.name,
-                tables_in=len(tables),
-                rows_in=sum(t.height for t in tables),
-            )
+            lineage = _obs.OBS.active and _obs.OBS.lineage is not None
+            start = _flow(tables, _FLOW_IN, lineage)
+            if predicted is not None:
+                start["est_rows"], start["est_source"] = predicted
+            _ev.emit("span_start", op=self.name, **start)
             started = time.perf_counter()
         try:
             gov = _gv.GOV
@@ -144,10 +144,7 @@ class OpSpec:
                 governor.before_op(self.name)
             if faults is not None:
                 faults.before(self.name)
-            if _obs.OBS.active:
-                produced = self._invoke_observed(tables, arguments, fresh, predicted)
-            else:
-                produced = self._invoke_raw(tables, arguments, fresh)
+            produced = self._invoke_raw(tables, arguments, fresh)
             if faults is not None:
                 produced = faults.after(self.name, produced)
             if governor is not None:
@@ -156,9 +153,6 @@ class OpSpec:
                     sum(t.height for t in produced),
                     sum(t.nrows * t.ncols for t in produced),
                 )
-                obs = _obs.OBS
-                if obs.active and obs.metrics is not None:
-                    obs.metrics.count("governor_checks")
         except Exception as err:
             if evented:
                 duration_ms = round((time.perf_counter() - started) * 1e3, 3)
@@ -178,8 +172,7 @@ class OpSpec:
                 op=self.name,
                 ok=True,
                 duration_ms=round((time.perf_counter() - started) * 1e3, 3),
-                tables_out=len(produced),
-                rows_out=sum(t.height for t in produced),
+                **_flow(produced, _FLOW_OUT, lineage),
             )
         if predicted is not None:
             try:
@@ -228,72 +221,28 @@ class OpSpec:
             return tuple(result)
         return (result,)
 
-    def _invoke_observed(
-        self,
-        tables: Sequence[Table],
-        arguments: Mapping[str, object],
-        fresh: FreshValueSource | None,
-        predicted: tuple[int, str] | None,
-    ) -> tuple[Table, ...]:
-        obs = _obs.OBS
-        # Per-table (height, width) pairs: the cost model estimates from
-        # these, so they ride on the span next to the summed figures.
-        shapes_in = tuple((t.height, t.width) for t in tables)
-        tables_in = len(tables)
-        rows_in = sum(shape[0] for shape in shapes_in)
-        cols_in = sum(shape[1] for shape in shapes_in)
-        cm = obs.tracer.span(self.name) if obs.tracer is not None else NULL_SPAN
-        started = time.perf_counter()
-        try:
-            with cm as sp:
-                sp.set(
-                    tables_in=tables_in,
-                    rows_in=rows_in,
-                    cols_in=cols_in,
-                    shapes_in=shapes_in,
-                )
-                # The estimation layer's rows-out prediction: stamped so
-                # EXPLAIN shows est_rows from stats (not shape
-                # heuristics) wherever stats exist.
-                if predicted is not None:
-                    sp.set(est_rows=predicted[0], est_source=predicted[1])
-                produced = self._invoke_raw(tables, arguments, fresh)
-                sp.set(
-                    tables_out=len(produced),
-                    rows_out=sum(t.height for t in produced),
-                    cols_out=sum(t.width for t in produced),
-                    shapes_out=tuple((t.height, t.width) for t in produced),
-                )
-                if obs.lineage is not None:
-                    from ...obs.lineage import count_prov_cells
 
-                    sp.set(
-                        prov_cells_in=count_prov_cells(tables),
-                        prov_cells_out=count_prov_cells(produced),
-                    )
-        except Exception:
-            if obs.metrics is not None:
-                obs.metrics.record_op(
-                    self.name,
-                    time.perf_counter() - started,
-                    tables_in=tables_in,
-                    rows_in=rows_in,
-                    cols_in=cols_in,
-                    error=True,
-                )
-            raise
-        if obs.metrics is not None:
-            obs.metrics.record_op(
-                self.name,
-                time.perf_counter() - started,
-                tables_in=tables_in,
-                tables_out=len(produced),
-                rows_in=rows_in,
-                rows_out=sum(t.height for t in produced),
-                cols_in=cols_in,
-                cols_out=sum(t.width for t in produced),
-            )
-        return produced
+#: The span-event fields of an op's input and output flow.
+_FLOW_IN = ("tables_in", "rows_in", "cols_in", "shapes_in", "prov_cells_in")
+_FLOW_OUT = ("tables_out", "rows_out", "cols_out", "shapes_out", "prov_cells_out")
+
+
+def _flow(tables: Sequence[Table], fields: tuple[str, ...], lineage: bool) -> dict:
+    """One side's table, row and column flow, as span-event fields.
+
+    The per-table ``(rows, cols)`` shapes ride along because the cost
+    model estimates from them; the count of cells carrying provenance
+    rides along when lineage runs under observation.
+    """
+    shapes = tuple([(t.height, t.width) for t in tables])
+    rows = cols = 0
+    for height, width in shapes:
+        rows += height
+        cols += width
+    flow = {fields[0]: len(shapes), fields[1]: rows, fields[2]: cols, fields[3]: shapes}
+    if lineage:
+        flow[fields[4]] = count_prov_cells(tables)
+    return flow
 
 
 def _spec(name, function, arity=1, params=None, **flags) -> tuple[str, OpSpec]:

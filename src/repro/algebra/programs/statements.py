@@ -56,14 +56,13 @@ class Statement:
     def _step(
         self, op: str, db: TabularDatabase, interp: "Interpreter"
     ) -> TabularDatabase:
-        """The statement entry: governor check, ``statement`` span, counters.
+        """The statement entry: governor check, then the ``statement`` span.
 
         The governor is checked first, so a deadline or cancellation
         trips even when no combination matches and no op is dispatched.
         Under observation :meth:`_apply` runs inside a ``statement`` span
         that records its combination count, its table flow and its own
-        attributes, and the ``statements``/``combinations`` counters
-        advance.
+        attributes.
         """
         gov = _gv.GOV
         if gov.active and gov.governor is not None:
@@ -71,12 +70,7 @@ class Statement:
         obs = _obs.OBS
         if not obs.active:
             return self._apply(db, interp, False)[0]
-        cm = (
-            obs.tracer.span("statement", text=repr(self))
-            if obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm as sp:
+        with obs.tracer.span("statement", text=repr(self)) as sp:
             new_db, combinations, attributes = self._apply(db, interp, True)
             sp.set(
                 combinations=combinations,
@@ -84,9 +78,6 @@ class Statement:
                 tables_out=len(new_db),
                 **attributes,
             )
-            if obs.metrics is not None:
-                obs.metrics.count("statements")
-                obs.metrics.count("combinations", combinations)
             return new_db
 
     def _apply(
@@ -370,11 +361,8 @@ class While(Statement):
     def execute(self, db: TabularDatabase, interp: "Interpreter") -> TabularDatabase:
         obs = _obs.OBS
         observing = obs.active
-        cm = (
-            obs.tracer.span("while", text=str(self.condition))
-            if observing and obs.tracer is not None
-            else NULL_SPAN
-        )
+        tracer = obs.tracer
+        cm = tracer.span("while", text=str(self.condition)) if observing else NULL_SPAN
         with cm as sp:
             iterations = 0
             condition_rows: list[int] = []
@@ -405,12 +393,9 @@ class While(Statement):
                         from ...obs.lineage import table_origins
 
                         prov_frontier.append(len(table_origins(db)))
-                    if obs.metrics is not None:
-                        obs.metrics.count("while_iterations")
-                    if obs.tracer is not None:
-                        with obs.tracer.span("iteration", n=iterations):
-                            db = self.body.execute(db, interp)
-                        continue
+                    with tracer.span("iteration", n=iterations):
+                        db = self.body.execute(db, interp)
+                    continue
                 db = self.body.execute(db, interp)
             if predicted_iterations is not None:
                 estimator = _est.EST.estimator
@@ -428,8 +413,6 @@ class While(Statement):
 
                     prov_frontier.append(len(table_origins(db)))
                     sp.set(prov_frontier=prov_frontier)
-                if obs.metrics is not None:
-                    obs.metrics.count("while_loops")
             return db
 
     def __repr__(self) -> str:
@@ -535,19 +518,12 @@ class Interpreter:
         obs = _obs.OBS
         if not obs.active:
             return program.execute(db, self)
-        cm = (
-            obs.tracer.span("program", statements=len(program))
-            if obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm as sp:
+        with obs.tracer.span("program", statements=len(program)) as sp:
             bound = self.binding.snapshot()
             if bound:
                 sp.set(binding={f"*{k}": str(v) for k, v in sorted(bound.items())})
             out = program.execute(db, self)
             sp.set(tables_in=len(db), tables_out=len(out))
-            if obs.metrics is not None:
-                obs.metrics.count("programs")
             return out
 
 

@@ -127,9 +127,6 @@ class VectorEngine:
         self.stats[f"kernel:{name}"] = self.stats.get(f"kernel:{name}", 0) + 1
         if _ev.EVT.active:
             _ev.emit("engine_dispatch", op=name, rows_in=sum(t.height for t in tables))
-        obs = _obs.OBS
-        if obs.active and obs.metrics is not None:
-            obs.metrics.count("vector_kernel_hits")
         return result
 
 

@@ -4,8 +4,10 @@ The engine is instrumented at every layer — the algebra operation
 registry, the program interpreter, the FO+while+new interpreter, the
 SchemaLog/SchemaSQL/GOOD compilers, and the OLAP/n-dim bridges — but all
 instrumentation is a strict no-op until an :func:`observation` scope is
-entered (one attribute check on :data:`~repro.obs.runtime.OBS` guards
-every hot path).
+entered (one attribute check per scope guards every hot path).  The
+registry's dispatch events are the one record of an op boundary: the
+observation builds its op spans from them and its metrics from the
+spans.
 
 Typical use::
 

@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 #: Version stamp carried by every serialized event.  Bump when an event
-#: kind's payload fields change shape (adding kinds is backward
-#: compatible and does not bump the version).
+#: kind loses a payload field or a field changes type; adding kinds or
+#: fields is backward compatible and does not bump the version.
 EVENT_SCHEMA_VERSION = 1
 
 #: The typed event vocabulary.  Each kind maps 1:1 to an engine
@@ -76,8 +76,8 @@ EVENT_KINDS = frozenset(
     {
         "run_start",  # hardened driver entered: workload, statements
         "run_finish",  # hardened driver exited cleanly: governor snapshot
-        "span_start",  # op dispatch entered: op, tables_in, rows_in
-        "span_finish",  # op dispatch exited: op, ok, duration_ms, rows_out
+        "span_start",  # op dispatch entered: op, tables/rows/cols_in, shapes_in, est_rows
+        "span_finish",  # op dispatch exited: op, ok, duration_ms, tables/rows/cols_out, shapes_out
         "while_iteration",  # fixpoint tick: condition, iteration, frontier/total rows + deltas
         "governor_budget",  # per-tick budget headroom: elapsed vs deadline, rows vs cap
         "governor_kill",  # a budget tripped: kind, limit, used, op/statement/iteration
@@ -329,12 +329,17 @@ class JsonlEventWriter:
 class _EvtState:
     """The mutable global: one attribute check guards every publish site."""
 
-    __slots__ = ("active", "bus")
+    __slots__ = ("active", "bus", "observer")
 
     def __init__(self):
         self.active = False
         #: The installed :class:`EventBus`, or None.
         self.bus: EventBus | None = None
+        #: The active observation's collector, called with ``(kind,
+        #: data)`` for every event, or None.  A slot of its own rather
+        #: than a bus subscription: an inner :func:`event_stream`
+        #: replaces the bus but leaves the observation collecting.
+        self.observer: Callable[[str, dict], None] | None = None
 
 
 #: The process-wide event-bus state consulted by all chokepoints.
@@ -342,17 +347,20 @@ EVT = _EvtState()
 
 
 def emit(kind: str, /, **data) -> None:
-    """Publish to the active bus, if any.
+    """Publish to the active bus and hand to the observer, if any.
 
     Chokepoints guard the call with ``if EVT.active:`` *before* building
     the payload kwargs, so the disabled path allocates nothing; this
-    helper re-checks the bus so a racing scope exit degrades to a no-op
-    rather than an AttributeError.  ``kind`` is positional-only so
+    helper re-checks both sinks so a racing scope exit degrades to a
+    no-op rather than an AttributeError.  ``kind`` is positional-only so
     payloads may carry their own ``kind`` field.
     """
     bus = EVT.bus
     if bus is not None:
         bus.publish(kind, **data)
+    observer = EVT.observer
+    if observer is not None:
+        observer(kind, data)
 
 
 @contextmanager

@@ -140,13 +140,13 @@ def explain_text(obs: Observation, timings: bool = True) -> str:
     blocks: list[str] = []
     for root in obs.spans:
         blocks.append(span_tree_text(root, timings))
-    if obs.metrics is not None:
-        ops = metrics_table(obs.metrics, timings)
-        if ops is not None:
-            blocks.append(render_table(ops, title="Operation metrics"))
-        counters = counters_table(obs.metrics)
-        if counters is not None:
-            blocks.append(render_table(counters, title="Counters"))
+    metrics = obs.metrics
+    ops = metrics_table(metrics, timings)
+    if ops is not None:
+        blocks.append(render_table(ops, title="Operation metrics"))
+    counters = counters_table(metrics)
+    if counters is not None:
+        blocks.append(render_table(counters, title="Counters"))
     if not blocks:
         return "(nothing observed)"
     return "\n\n".join(blocks)
@@ -156,5 +156,5 @@ def explain_json(obs: Observation) -> dict:
     """The report as JSON-serializable data (spans + metrics snapshot)."""
     return {
         "spans": [root.to_dict() for root in obs.spans],
-        "metrics": obs.metrics.snapshot() if obs.metrics is not None else None,
+        "metrics": obs.metrics.snapshot(),
     }

@@ -111,8 +111,7 @@ def jsonl_records(obs: Observation) -> Iterator[dict]:
 
     for root in obs.spans:
         yield from emit(root, None, 0)
-    if obs.metrics is not None:
-        yield {"type": "metrics", **obs.metrics.snapshot()}
+    yield {"type": "metrics", **obs.metrics.snapshot()}
 
 
 def write_chrome_trace(obs: Observation, path: str | Path) -> Path:

@@ -17,10 +17,10 @@ N events of the run at all times, and when the run ends in a
   joining the postmortem to its ledger record;
 * ``events.jsonl``   — the event tail, one wire-form JSON object per
   line, replaying the final iterations of the run;
-* ``metrics.json``   — the active metrics snapshot, when an
-  :func:`~repro.obs.observation` scope was live;
-* ``explain.txt``    — the EXPLAIN report over the spans completed so
-  far, when a tracer was live;
+* ``metrics.json``   — the metrics snapshot folded from the spans
+  completed so far, when an :func:`~repro.obs.observation` scope was
+  live;
+* ``explain.txt``    — the EXPLAIN report over the same spans;
 * ``plan.txt``       — the program/plan text, when the caller noted one
   via :meth:`FlightRecorder.note_program`;
 * ``stats.json``     — the ANALYZE snapshot the estimator saw, when one
@@ -184,17 +184,15 @@ class FlightRecorder:
                 handle.write(json.dumps(event.to_json()) + "\n")
 
         obs = _obs.OBS
-        if obs.active and obs.metrics is not None:
-            (bundle / "metrics.json").write_text(
-                json.dumps(obs.metrics.snapshot(), indent=2) + "\n"
-            )
-            files.append("metrics.json")
-        if obs.active and obs.tracer is not None:
+        if obs.active:
             from .explain import explain_text
 
-            snapshot = _obs.Observation(obs.tracer, obs.metrics)
+            snapshot = _obs.Observation(obs.tracer)
+            (bundle / "metrics.json").write_text(
+                json.dumps(snapshot.metrics.snapshot(), indent=2) + "\n"
+            )
             (bundle / "explain.txt").write_text(explain_text(snapshot) + "\n")
-            files.append("explain.txt")
+            files += ["metrics.json", "explain.txt"]
         if self.program_text is not None:
             (bundle / "plan.txt").write_text(self.program_text + "\n")
             files.append("plan.txt")

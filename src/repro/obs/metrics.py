@@ -4,20 +4,21 @@ A :class:`MetricsRegistry` aggregates two kinds of measurements:
 
 * **operation metrics** (:class:`OpMetrics`) — one record per algebra
   operation name, accumulating calls, errors, wall time, and the number
-  of tables / data rows / data columns flowing in and out.  Populated by
-  the instrumented :data:`repro.algebra.programs.registry.OPERATIONS`
-  registry, so every statement-invocable operation is covered without
-  touching the operation bodies;
-* **counters** — free plain-integer counters (statements executed, while
-  iterations, wildcard combinations, …) bumped by the interpreter.
+  of tables / data rows / data columns flowing in and out;
+* **counters** — plain-integer counters (statements executed, while
+  iterations, wildcard combinations, …).
 
-All mutation happens under one lock, so concurrent interpreter threads
-can share a registry; snapshots are plain dicts, cheap to JSON-encode.
+An observation's registry is a fold over its finished span trees
+(:meth:`MetricsRegistry.from_spans`): op spans, which the registry's
+dispatch events built, fold into operation metrics, and the
+interpreters' structural spans fold into the counters.  All mutation
+happens under one lock; snapshots are plain dicts, cheap to JSON-encode.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Iterable
 
 __all__ = ["HIST_BUCKETS_S", "OpMetrics", "MetricsRegistry"]
 
@@ -89,6 +90,22 @@ class OpMetrics:
         )
 
 
+#: The op-span attributes :meth:`MetricsRegistry.record_op` sums.
+_FLOW_KEYS = ("tables_in", "tables_out", "rows_in", "rows_out", "cols_in", "cols_out")
+
+#: Structural span name -> the counter each error-free close bumps.
+_CLEAN_CLOSE_COUNTERS = {
+    "program": "programs",
+    "statement": "statements",
+    "while": "while_loops",
+    "fw-while": "fw_while_loops",
+    "fw-statement": "fw_statements",
+}
+
+#: Loop span name -> the counter each of its ``iteration`` children bumps.
+_ITERATION_COUNTERS = {"while": "while_iterations", "fw-while": "fw_while_iterations"}
+
+
 class MetricsRegistry:
     """Thread-safe aggregation of operation metrics and counters."""
 
@@ -98,6 +115,42 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._ops: dict[str, OpMetrics] = {}
         self._counters: dict[str, int] = {}
+
+    @classmethod
+    def from_spans(cls, roots: Iterable) -> "MetricsRegistry":
+        """Fold finished span trees into op metrics and counters.
+
+        An op span — one the dispatch events stamped with ``shapes_in``
+        — is one call of its op, an error when the span carries one;
+        ``vector_kernel_hits`` counts those a kernel produced.  Every
+        ``iteration`` and ``fault`` span counts; the other structural
+        spans (:data:`_CLEAN_CLOSE_COUNTERS`) count only when they closed
+        without an error, and a clean ``statement`` adds its
+        ``combinations``.
+        """
+        registry = cls()
+        for root in roots:
+            for span in root.walk():
+                registry._fold(span)
+        return registry
+
+    def _fold(self, span) -> None:
+        name, attrs = span.name, span.attributes
+        if "shapes_in" in attrs:
+            flow = {key: attrs[key] for key in _FLOW_KEYS if key in attrs}
+            self.record_op(name, span.duration, error=span.error is not None, **flow)
+            if span.kernel:
+                self.count("vector_kernel_hits")
+        elif name == "fault":
+            self.count("faults_injected")
+        elif name in _CLEAN_CLOSE_COUNTERS:
+            iterations = sum(child.name == "iteration" for child in span.children)
+            if name in _ITERATION_COUNTERS and iterations:
+                self.count(_ITERATION_COUNTERS[name], iterations)
+            if span.error is None:
+                self.count(_CLEAN_CLOSE_COUNTERS[name])
+                if name == "statement":
+                    self.count("combinations", attrs.get("combinations", 0))
 
     # -- recording ------------------------------------------------------
 

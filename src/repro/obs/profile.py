@@ -171,7 +171,7 @@ class Profile:
 
 
 @contextmanager
-def profile(metrics: bool = True, memory: bool = True) -> Iterator[Profile]:
+def profile(memory: bool = True) -> Iterator[Profile]:
     """An observation scope with profiling extras switched on.
 
     ``memory=True`` starts ``tracemalloc`` for the duration (unless it
@@ -185,7 +185,7 @@ def profile(metrics: bool = True, memory: bool = True) -> Iterator[Profile]:
         tracemalloc.start()
         started_tracing = True
     try:
-        with observation(trace=True, metrics=metrics, memory=memory) as obs:
+        with observation(memory=memory) as obs:
             yield Profile(obs)
     finally:
         if started_tracing:

@@ -16,12 +16,13 @@ attribute check, and tracing/metrics code never runs; this is the
     print(obs.explain())        # nested span tree + per-op metrics table
     data = obs.to_json()        # same report as plain data
 
-Entering the scope installs a fresh :class:`~repro.obs.trace.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry` (either can be switched off)
-and restores the previous state on exit, so scopes nest: an inner
-``observation()`` shadows the outer one and the outer resumes untouched.
-The scope is process-global; threads spawned *inside* it record into the
-same collectors (each with its own span stack).
+Entering the scope installs a fresh :class:`~repro.obs.trace.Tracer`,
+switches the event feed on and hands every event to the tracer's
+collector, which builds the op spans; the metrics are a fold over the
+finished spans.  The previous state is restored on exit, so scopes nest:
+an inner ``observation()`` shadows the outer one and the outer resumes
+untouched.  The scope is process-global; threads spawned *inside* it
+record into the same tracer (each with its own span stack).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from . import events as _ev
 from .metrics import MetricsRegistry
 from .trace import NULL_SPAN, Span, Tracer
 
@@ -38,12 +40,11 @@ __all__ = ["OBS", "Observation", "observation", "span"]
 class _ObsState:
     """The mutable global: one attribute check guards every hot path."""
 
-    __slots__ = ("active", "tracer", "metrics", "lineage")
+    __slots__ = ("active", "tracer", "lineage")
 
     def __init__(self):
         self.active = False
         self.tracer: Tracer | None = None
-        self.metrics: MetricsRegistry | None = None
         #: The active :class:`repro.obs.lineage.Lineage` scope, or None.
         #: Independent of ``active`` — provenance can run without tracing
         #: and vice versa; both default off.
@@ -57,16 +58,20 @@ OBS = _ObsState()
 class Observation:
     """What one ``observation()`` scope collected."""
 
-    __slots__ = ("tracer", "metrics")
+    __slots__ = ("tracer",)
 
-    def __init__(self, tracer: Tracer | None, metrics: MetricsRegistry | None):
+    def __init__(self, tracer: Tracer):
         self.tracer = tracer
-        self.metrics = metrics
 
     @property
     def spans(self) -> tuple[Span, ...]:
-        """Completed top-level spans (empty when tracing was off)."""
-        return self.tracer.roots if self.tracer is not None else ()
+        """Completed top-level spans."""
+        return self.tracer.roots
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Per-op metrics and counters, folded from the completed spans."""
+        return MetricsRegistry.from_spans(self.spans)
 
     def explain(self, timings: bool = True) -> str:
         """The EXPLAIN report: span tree plus metrics tables.
@@ -85,30 +90,26 @@ class Observation:
         return explain_json(self)
 
     def __repr__(self) -> str:
-        return f"Observation({len(self.spans)} root spans, metrics={self.metrics!r})"
+        return f"Observation({len(self.spans)} root spans)"
 
 
 @contextmanager
-def observation(
-    trace: bool = True, metrics: bool = True, memory: bool = False
-) -> Iterator[Observation]:
+def observation(memory: bool = False) -> Iterator[Observation]:
     """Enable collection for the duration of the ``with`` block.
 
     ``memory=True`` asks the tracer to record per-span peak allocations;
     it only takes effect while ``tracemalloc`` is tracing (the
     :func:`repro.obs.profile.profile` scope manages that for you).
     """
-    obs = Observation(
-        Tracer(memory=memory) if trace else None,
-        MetricsRegistry() if metrics else None,
-    )
-    previous = (OBS.active, OBS.tracer, OBS.metrics)
-    OBS.tracer, OBS.metrics = obs.tracer, obs.metrics
-    OBS.active = True
+    obs = Observation(Tracer(memory=memory))
+    evt = _ev.EVT
+    previous = (OBS.active, OBS.tracer, evt.active, evt.observer)
+    OBS.tracer, evt.observer = obs.tracer, obs.tracer.collect
+    OBS.active = evt.active = True
     try:
         yield obs
     finally:
-        OBS.active, OBS.tracer, OBS.metrics = previous
+        OBS.active, OBS.tracer, evt.active, evt.observer = previous
 
 
 def span(name: str, **attributes):
@@ -119,6 +120,6 @@ def span(name: str, **attributes):
         with _span("compile.schemalog", rules=len(program)):
             ...
     """
-    if OBS.active and OBS.tracer is not None:
+    if OBS.active:
         return OBS.tracer.span(name, **attributes)
     return NULL_SPAN

@@ -6,7 +6,9 @@ name, free-form attributes, and children.  A :class:`Tracer` collects
 spans into per-thread trees: each thread keeps its own open-span stack,
 so concurrent interpreter runs never interleave their trees, and
 completed top-level spans are appended to a shared, lock-protected root
-list.
+list.  Structural spans are opened with :meth:`Tracer.span`; op spans
+are built by :meth:`Tracer.collect` from the registry's dispatch events,
+the one record of an op boundary.
 
 The tracer is built for instrumentation that must vanish when disabled:
 :data:`NULL_SPAN` is a shared do-nothing context manager, and every
@@ -29,11 +31,12 @@ class Span:
     """One timed, attributed, possibly-nested region of work.
 
     ``start``/``end`` are :func:`time.perf_counter` stamps; ``error``
-    holds ``repr(exception)`` when the region raised.  Spans are context
+    holds ``repr(exception)`` when the region raised; ``kernel`` marks
+    an op span whose result a vector kernel produced.  Spans are context
     managers only through their owning :class:`Tracer`.
     """
 
-    __slots__ = ("name", "attributes", "start", "end", "children", "thread_id", "error")
+    __slots__ = ("name", "attributes", "start", "end", "children", "thread_id", "error", "kernel")
 
     def __init__(self, name: str, attributes: dict | None = None):
         self.name = name
@@ -43,6 +46,7 @@ class Span:
         self.children: list[Span] = []
         self.thread_id = threading.get_ident()
         self.error: str | None = None
+        self.kernel = False
 
     @property
     def duration(self) -> float:
@@ -188,7 +192,50 @@ class Tracer:
             with self._lock:
                 self._roots.append(span)
 
+    def _ops(self) -> list[_ActiveSpan]:
+        ops = getattr(self._local, "ops", None)
+        if ops is None:
+            ops = self._local.ops = []
+        return ops
+
     # -- public API -----------------------------------------------------
+
+    def collect(self, kind: str, data: dict) -> None:
+        """Build op spans from the dispatch events (the ``EVT.observer``).
+
+        ``span_start`` opens an op span under this thread's open span,
+        carrying its payload as attributes; ``span_finish`` adds its
+        payload and closes it.  ``error`` records the failure,
+        ``engine_dispatch`` marks the span kernel-produced and
+        ``fault_injected`` nests a ``fault`` span under it.  An event
+        with no open op span on its thread — a scope entered mid-op, a
+        backend dispatched outside the registry — is ignored.
+        """
+        ops = self._ops()
+        if kind == "span_start":
+            attributes = {k: v for k, v in data.items() if k != "op"}
+            ops.append(_ActiveSpan(self, Span(data["op"], attributes)))
+            ops[-1].__enter__()
+            return
+        if not ops:
+            return
+        span = ops[-1].span
+        if kind == "span_finish":
+            for key, value in data.items():
+                if key not in ("op", "ok", "duration_ms"):
+                    span.attributes[key] = value
+            ops.pop().__exit__(None, None, None)
+        elif kind == "error":
+            span.error = f"{data['error_type']}({data['error']!r})"
+        elif kind == "engine_dispatch":
+            span.kernel = True
+        elif kind == "fault_injected":
+            fault = Span(
+                "fault",
+                {"op": data["op"], "kind": data["fault"], "occurrence": data["occurrence"]},
+            )
+            fault.start = fault.end = time.perf_counter()
+            span.children.append(fault)
 
     def span(self, name: str, **attributes) -> _ActiveSpan:
         """Open a new span nested under the current thread's open span."""

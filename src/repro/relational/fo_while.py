@@ -26,7 +26,6 @@ from ..core import (
     SchemaError,
 )
 from ..obs import runtime as _obs
-from ..obs.trace import NULL_SPAN
 from ..runtime.governor import GOV as _GOV, IterationBudget
 from .algebra import Expr
 from .relation import Relation, RelationalDatabase
@@ -165,28 +164,17 @@ class WhileNotEmpty(FWStatement):
                 budget.tick(self.name)
                 db = self.body._execute(db, fresh, budget)
             return db
-        cm = (
-            obs.tracer.span("fw-while", text=f"while {self.name}")
-            if obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm as sp:
+        tracer = obs.tracer
+        with tracer.span("fw-while", text=f"while {self.name}") as sp:
             iterations = 0
             condition_rows: list[int] = []
             while self.name in db and len(db.relation(self.name)) > 0:
                 budget.tick(self.name)
                 iterations += 1
                 condition_rows.append(len(db.relation(self.name)))
-                if obs.metrics is not None:
-                    obs.metrics.count("fw_while_iterations")
-                if obs.tracer is not None:
-                    with obs.tracer.span("iteration", n=iterations):
-                        db = self.body._execute(db, fresh, budget)
-                else:
+                with tracer.span("iteration", n=iterations):
                     db = self.body._execute(db, fresh, budget)
             sp.set(iterations=iterations, condition_rows=condition_rows)
-            if obs.metrics is not None:
-                obs.metrics.count("fw_while_loops")
             return db
 
     def __repr__(self) -> str:
@@ -218,17 +206,10 @@ class FWProgram:
             if isinstance(statement, WhileNotEmpty):
                 db = statement.execute(db, fresh, budget)  # spans itself
                 continue
-            cm = (
-                obs.tracer.span("fw-statement", text=repr(statement))
-                if obs.tracer is not None
-                else NULL_SPAN
-            )
-            with cm as sp:
+            with obs.tracer.span("fw-statement", text=repr(statement)) as sp:
                 db = statement.execute(db, fresh, budget)
                 if isinstance(statement, (Assign, AssignNew, AssignSetNew)):
                     sp.set(rows_out=len(db.relation(statement.name)))
-            if obs.metrics is not None:
-                obs.metrics.count("fw_statements")
         return db
 
     def run(
@@ -243,12 +224,7 @@ class FWProgram:
         obs = _obs.OBS
         if not obs.active:
             return self._execute(db, source, _Budget(max_while_iterations))
-        cm = (
-            obs.tracer.span("fw-program", statements=len(self.statements))
-            if obs.tracer is not None
-            else NULL_SPAN
-        )
-        with cm:
+        with obs.tracer.span("fw-program", statements=len(self.statements)):
             return self._execute(db, source, _Budget(max_while_iterations))
 
     def __len__(self) -> int:

@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 
 from ..core.errors import EvaluationError, FaultInjectedError
 from ..obs import events as _ev
-from ..obs import runtime as _obs
 
 __all__ = ["FaultRule", "FaultPlan", "FAULT_KINDS"]
 
@@ -148,12 +147,6 @@ class FaultPlan:
             _ev.emit(
                 "fault_injected", op=op, fault=kind, occurrence=count, seed=self.seed
             )
-        obs = _obs.OBS
-        if obs.active and obs.tracer is not None:
-            with obs.tracer.span("fault", op=op, kind=kind, occurrence=count):
-                pass
-        if obs.active and obs.metrics is not None:
-            obs.metrics.count("faults_injected")
 
     def before(self, op: str) -> None:
         """Pre-dispatch hook: counts the dispatch, fires raise/delay faults."""

@@ -362,10 +362,9 @@ def governed(
     GOV.governor, GOV.faults = gov, faults
     GOV.active = True
     obs = _obs.OBS
-    cm = (
-        obs.tracer.span(
-            "governed",
-            limits={
+    try:
+        if obs.active:
+            configured = {
                 k: v
                 for k, v in (
                     ("deadline_s", gov.limits.deadline_s),
@@ -376,14 +375,8 @@ def governed(
                     ("max_while_iterations", gov.limits.max_while_iterations),
                 )
                 if v is not None
-            },
-        )
-        if obs.active and obs.tracer is not None
-        else None
-    )
-    try:
-        if cm is not None:
-            with cm as sp:
+            }
+            with obs.tracer.span("governed", limits=configured) as sp:
                 yield gov
                 sp.set(governor=gov.snapshot())
         else:

@@ -7,11 +7,12 @@ import gc
 import pytest
 
 import repro.engine as engine_pkg
+from repro.algebra.programs.registry import OPERATIONS
 from repro.core import NULL, Name, Table, TabularDatabase, Value
 from repro.core.errors import EvaluationError
 from repro.engine import run_program
 from repro.engine.interning import IdTable, SymbolInterner
-from repro.engine.runtime import VectorEngine
+from repro.engine.runtime import VectorEngine, engine_scope
 from repro.obs import observation
 from repro.runtime.workloads import resolve_workload
 
@@ -44,9 +45,9 @@ def test_dispatch_counts_a_kernel_that_declines():
 
 
 def test_dispatch_counts_vector_kernel_hits_metric():
-    backend = VectorEngine()
-    with observation(trace=False, metrics=True) as obs:
-        assert backend.dispatch("DEDUP", [_table()], {}) is not None
+    with observation() as obs, engine_scope() as backend:
+        OPERATIONS["DEDUP"].invoke((_table(),), {}, None)
+    assert backend.stats["kernel:DEDUP"] == 1
     counters = obs.metrics.snapshot()["counters"]
     assert counters["vector_kernel_hits"] == 1
 

@@ -1,5 +1,6 @@
 """Tracer, MetricsRegistry and EventBus under thread pools: no lost records."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,6 +63,42 @@ class TestConcurrentObservation:
         for root in obs.spans:
             thread_ids = {span.thread_id for span in root.walk()}
             assert thread_ids == {root.thread_id}
+
+    def test_event_built_op_spans_stay_under_their_own_statement(self):
+        """The collector keeps one open-op stack per thread: with the
+        switch interval shortened, every op span still closes under its
+        own thread's statement with its own op's output, and no call is
+        lost."""
+
+        def flows(root):
+            return [
+                [(op.name, op.attributes.get("rows_out"), op.attributes.get("cols_out"))
+                 for op in statement.children]
+                for statement in root.children
+            ]
+
+        with observation() as reference:
+            parse_program(PIVOT).run(sales_info1())
+        (expected,) = [flows(root) for root in reference.spans]
+        runs = 8 * RUNS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with observation() as obs:
+                with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+                    futures = [
+                        pool.submit(parse_program(PIVOT).run, sales_info1())
+                        for _ in range(runs)
+                    ]
+                    for future in futures:
+                        future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(obs.spans) == runs
+        for root in obs.spans:
+            assert flows(root) == expected
+            assert {span.thread_id for span in root.walk()} == {root.thread_id}
+        assert obs.metrics.op("PURGE").calls == runs
 
 
 class TestRegistryPrimitives:

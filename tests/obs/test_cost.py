@@ -126,7 +126,3 @@ class TestAnalyze:
         assert analyze_table(obs) is None
         assert "no analyzable operation spans" in explain_analyze_text(obs)
 
-    def test_metrics_only_observation_yields_no_records(self):
-        with observation(trace=False) as obs:
-            parse_program(PIVOT).run(sales_info1())
-        assert analyze_records(obs) == []

@@ -18,7 +18,6 @@ class TestDisabledState:
     def test_observation_is_off_by_default(self):
         assert OBS.active is False
         assert OBS.tracer is None
-        assert OBS.metrics is None
 
     def test_span_helper_is_free_when_disabled(self):
         # The no-op path hands back one shared singleton: nothing is
@@ -32,7 +31,7 @@ class TestDisabledState:
             (figure4_top(),), {"by": {"Region"}, "on": {"Sold"}}, None
         )
         assert result == (figure4_bottom(),)
-        assert OBS.tracer is None and OBS.metrics is None
+        assert OBS.tracer is None
 
     def test_program_results_identical_with_and_without_observation(self):
         text = """
@@ -75,18 +74,18 @@ class TestZeroOverheadSmoke:
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["y"]])
         calls = []
-        original = registry_module.OpSpec._invoke_observed
+        original = registry_module.OpSpec._invoke_layered
         try:
-            registry_module.OpSpec._invoke_observed = (
+            registry_module.OpSpec._invoke_layered = (
                 lambda self, *a: calls.append(self.name) or original(self, *a)
             )
             spec.invoke((table,), {}, None)
-            assert calls == []  # observed path never entered while disabled
+            assert calls == []  # layered path never entered while disabled
             with observation():
                 spec.invoke((table,), {}, None)
             assert calls == ["DEDUP"]  # and is entered exactly when active
         finally:
-            registry_module.OpSpec._invoke_observed = original
+            registry_module.OpSpec._invoke_layered = original
 
     def test_disabled_dispatch_skips_the_evented_path(self):
         """The event bus is gated identically: one EVT.active check."""

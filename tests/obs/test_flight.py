@@ -67,7 +67,7 @@ class TestBundle:
 
     def test_metrics_and_explain_ride_along_under_observation(self, tmp_path):
         _label, program, db = parse_workload("tc:6")
-        with observation(trace=True, metrics=True):
+        with observation():
             with pytest.raises(BudgetExceededError):
                 with flight_recorder(tmp_path / "flight") as recorder:
                     run_hardened(

@@ -50,8 +50,9 @@ class TestInterpreterSpans:
 
 
 class TestDispatchLayerOrder:
-    """Every dispatch scope at once: estimation, events, governor/faults
-    and observation wrap the op in that fixed order."""
+    """Every dispatch scope at once: estimation, events and
+    governor/faults wrap the op in that fixed order, and observation
+    builds its op spans from the events."""
 
     @staticmethod
     def _invoke_under_every_scope(spec, table, arguments, faults, calls):
@@ -98,14 +99,20 @@ class TestDispatchLayerOrder:
         ]
         assert events[1].data["ok"] is True
         assert events[-1].data["ok"] is False
-        # The estimate rides into the observed span as an argument.
-        (span,) = spans
-        assert span.attributes["est_rows"] == 2
-        assert span.attributes["est_source"] == "stats"
-        # The fault fires in the governor layer, outside observation.
+        # The estimate rides on span_start into both op spans; the call
+        # the fault refused is an errored span with the fault under it.
+        served, refused = spans
+        for span in spans:
+            assert span.attributes["est_rows"] == 2
+            assert span.attributes["est_source"] == "stats"
+        assert served.error is None and served.children == []
+        assert refused.error is not None
+        (fault,) = refused.children
+        assert (fault.name, fault.attributes["kind"]) == ("fault", "raise")
         record = metrics.op("DEDUP")
-        assert (record.calls, record.errors) == (1, 0)
-        assert metrics.counters["governor_checks"] == 1
+        assert (record.calls, record.errors) == (2, 1)
+        assert "governor_checks" not in metrics.counters
+        assert metrics.counters["faults_injected"] == 1
         assert accuracy.count == 1
         assert gov.ops_dispatched == 2
 

@@ -13,7 +13,7 @@ PIVOT = """
 
 
 def _observed_metrics():
-    with observation(trace=False) as obs:
+    with observation() as obs:
         parse_program(PIVOT).run(sales_info1())
     return obs.metrics
 
@@ -75,7 +75,7 @@ class TestEstimatorFamilies:
         accuracy = EstimateAccuracy()
         db = sales_info1()
         stats = analyze_database(db)
-        with observation(trace=False) as obs:
+        with observation() as obs:
             with estimation(stats, accuracy=accuracy):
                 parse_program(PIVOT).run(db)
         return obs.metrics, accuracy, stats

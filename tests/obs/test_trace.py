@@ -172,10 +172,8 @@ class TestObservationScope:
         with observation() as obs:
             assert OBS.active
             assert OBS.tracer is obs.tracer
-            assert OBS.metrics is obs.metrics
         assert not OBS.active
         assert OBS.tracer is None
-        assert OBS.metrics is None
 
     def test_scopes_nest_and_shadow(self):
         with observation() as outer:
@@ -188,16 +186,123 @@ class TestObservationScope:
         assert [r.name for r in outer.spans] == ["outer-span"]
         assert [r.name for r in inner.spans] == ["inner-span"]
 
-    def test_trace_only_and_metrics_only(self):
-        with observation(metrics=False) as obs:
-            assert OBS.metrics is None
-            assert obs.metrics is None
-        with observation(trace=False) as obs:
-            assert OBS.tracer is None
-            assert obs.spans == ()
-
     def test_restores_even_on_error(self):
         with pytest.raises(RuntimeError):
             with observation():
                 raise RuntimeError
         assert not OBS.active
+
+
+def _dedup(table=None):
+    """One DEDUP dispatch through the registry."""
+    from repro.algebra.programs.registry import OPERATIONS
+    from repro.core import make_table
+
+    table = table or make_table("T", ["A"], [["x"], ["x"], ["y"]])
+    return OPERATIONS["DEDUP"].invoke((table,), {}, None)
+
+
+def _op_spans(obs):
+    return [s for root in obs.spans for s in root.walk() if "shapes_in" in s.attributes]
+
+
+class TestEventCollector:
+    """observation() builds its op spans from the dispatch events."""
+
+    def test_event_stream_inside_observation_keeps_op_spans(self):
+        from repro.obs.events import event_stream
+
+        with observation() as obs:
+            with event_stream() as bus:
+                ring = bus.ring()
+                _dedup()
+            _dedup()
+        assert [s.name for s in _op_spans(obs)] == ["DEDUP", "DEDUP"]
+        assert [e.kind for e in ring.tail()] == ["span_start", "span_finish"]
+        assert obs.metrics.op("DEDUP").calls == 2
+
+    def test_observation_inside_event_stream_leaves_the_bus_alone(self):
+        from repro.obs.events import event_stream
+        from repro.runtime.workloads import resolve_workload
+
+        def bus_events(observed: bool):
+            _label, program, db = resolve_workload("tc:4")
+            with event_stream() as bus:
+                ring = bus.ring(capacity=4096)
+                if observed:
+                    with observation() as obs:
+                        program.run(db)
+                    assert _op_spans(obs)
+                else:
+                    program.run(db)
+            return [e.kind for e in ring.tail()], bus.published
+
+        kinds, published = bus_events(observed=False)
+        assert bus_events(observed=True) == (kinds, published)
+        assert published == len(kinds) > 0
+
+    def test_inner_observation_shadows_outer_op_spans(self):
+        with observation() as outer:
+            _dedup()
+            with observation() as inner:
+                _dedup()
+                _dedup()
+            _dedup()
+        assert len(_op_spans(outer)) == 2
+        assert len(_op_spans(inner)) == 2
+        assert outer.metrics.op("DEDUP").calls == 2
+        assert inner.metrics.op("DEDUP").calls == 2
+
+    def test_scope_entered_mid_op_ignores_the_orphan_finish(self):
+        from contextlib import ExitStack
+
+        from repro.algebra import deduplicate
+        from repro.algebra.programs.registry import OpSpec
+        from repro.obs.events import event_stream
+
+        table = _dedup()[0]
+        scopes = []
+        with event_stream(), ExitStack() as stack:
+
+            def entering(table):
+                scopes.append(stack.enter_context(observation()))
+                return deduplicate(table)
+
+            (out,) = OpSpec(name="DEDUP", function=entering).invoke((table,), {}, None)
+            _dedup()
+        (obs,) = scopes
+        assert out.height == 2
+        # The op that opened the scope has no span; the next one does.
+        assert [s.name for s in _op_spans(obs)] == ["DEDUP"]
+        assert obs.metrics.op("DEDUP").calls == 1
+
+    def test_backend_dispatch_outside_the_registry_is_ignored(self):
+        from repro.core import make_table
+        from repro.engine.runtime import VectorEngine
+
+        table = make_table("T", ["A"], [["x"], ["x"]])
+        with observation() as obs:
+            assert VectorEngine().dispatch("DEDUP", [table], {}) is not None
+        assert obs.spans == ()
+        assert obs.metrics.is_empty()
+
+    def test_raise_fault_is_an_errored_op_span_holding_the_fault(self):
+        from repro.algebra.programs import parse_program
+        from repro.core import FaultInjectedError, database
+        from repro.data import figure4_top
+        from repro.runtime import FaultPlan, FaultRule, Limits, governed
+
+        program = parse_program("Sales <- GROUP by {Region} on {Sold} (Sales)")
+        faults = FaultPlan([FaultRule(op="GROUP", kind="raise")])
+        with observation() as obs, governed(Limits(), faults=faults):
+            with pytest.raises(FaultInjectedError):
+                program.run(database(figure4_top()))
+        (group,) = _op_spans(obs)
+        assert group.name == "GROUP"
+        assert group.error.startswith("FaultInjectedError(")
+        (fault,) = group.children
+        assert fault.name == "fault"
+        assert fault.attributes == {"op": "GROUP", "kind": "raise", "occurrence": 1}
+        record = obs.metrics.op("GROUP")
+        assert (record.calls, record.errors) == (1, 1)
+        assert obs.metrics.counters["faults_injected"] == 1
