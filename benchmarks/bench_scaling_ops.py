@@ -331,6 +331,49 @@ def test_difference_family_scales_linearly(op):
     )
 
 
+def _padded_program_case(pad):
+    """A 50-statement straight-line DEDUP chain from ``R``, over a
+    database holding ``R`` and ``pad`` unrelated one-row tables."""
+    program = Program(
+        [assign("T0", "DEDUP", "R")]
+        + [assign(f"T{i}", "DEDUP", f"T{i - 1}") for i in range(1, 50)]
+    )
+    padding = (
+        Table([[Name(f"P{k}"), Name("A")], [NULL, Value(k)]]) for k in range(pad)
+    )
+    return program, TabularDatabase([_relation("R", 20), *padding])
+
+
+def test_statement_cost_ignores_table_count():
+    """An assignment touches only its target name, so padding the
+    database from 10 to 1,000 unrelated tables leaves a 50-statement
+    program's time nearly flat (~1.3x); rebuilding and re-sorting the
+    whole database on every statement cost ~10x.
+
+    Wall clock, best of five per size, so the assertion also runs under
+    --benchmark-disable; the 4x ceiling leaves room for timer noise and
+    for the one pass over every table a run makes at its start.
+    """
+    times = {}
+    for pad in (10, 1_000):
+        program, db = _padded_program_case(pad)
+        result = program.run(db)
+        assert len(result) == pad + 51
+        assert result.table("T49") == result.table("T0").with_name(Name("T49"))
+        times[pad] = _best_of(lambda: program.run(db), reps=5)
+    ratio = times[1_000] / times[10]
+    report(
+        "statement-cost/padding",
+        ms_10=round(times[10] * 1e3, 3),
+        ms_1000=round(times[1_000] * 1e3, 3),
+        ratio=round(ratio, 2),
+    )
+    assert ratio <= 4, (
+        f"a 50-statement program over 1,000 padding tables took {ratio:.1f}x "
+        f"its time over 10, over the 4x ceiling"
+    )
+
+
 class TestInterpreterOverhead:
     """Interpreter dispatch vs direct calls (ablation input)."""
 

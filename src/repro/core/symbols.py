@@ -176,8 +176,10 @@ class Value(Symbol):
         payload = self.payload
         # Order numbers before everything else, then strings, then the rest
         # by repr; this keeps sorting total across heterogeneous payloads.
+        # Numbers compare exactly, so only equal ones tie (a float key would
+        # tie unequal ints beyond 2**53, and overflow beyond 1e308).
         if isinstance(payload, (bool, int, float)):
-            return (self._sort_rank, 0, float(payload))
+            return (self._sort_rank, 0, payload)
         if isinstance(payload, str):
             return (self._sort_rank, 2, payload)
         return (self._sort_rank, 3, repr(payload))

@@ -63,12 +63,11 @@ class Table:
     attribute column, and position (0, 0) holds the table name.
     """
 
-    __slots__ = ("_grid", "_hash", "_sort_key", "__weakref__")
+    __slots__ = ("_grid", "_hash", "__weakref__")
 
     def __init__(self, grid: Iterable[Iterable[Symbol]]):
         object.__setattr__(self, "_grid", _freeze_grid(grid))
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_sort_key", None)
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Table is immutable")
@@ -235,9 +234,20 @@ class Table:
         return Table(zip(*self._grid))
 
     def with_name(self, name: Symbol) -> "Table":
-        """A copy whose table-name position holds ``name``."""
-        first = (name,) + self._grid[0][1:]
-        return Table((first,) + self._grid[1:])
+        """A copy whose table-name position holds ``name``.
+
+        The rest of the grid is frozen and checked already, so only the
+        new name is checked and the rows are shared.
+        """
+        if not isinstance(name, Symbol):
+            raise SchemaError(
+                f"grid entry (0,0) is {name!r}, not a Symbol; "
+                "use repro.core.builders for coercing plain Python objects"
+            )
+        table = object.__new__(Table)
+        object.__setattr__(table, "_grid", ((name,) + self._grid[0][1:],) + self._grid[1:])
+        object.__setattr__(table, "_hash", None)
+        return table
 
     def with_entry(self, i: int, j: int, symbol: Symbol) -> "Table":
         """A copy with entry (i, j) replaced by ``symbol``."""
@@ -324,17 +334,10 @@ class Table:
     def sort_key(self) -> tuple:
         """A key totally ordering tables (used for canonical database order).
 
-        Cached: the grid is immutable, and :class:`TabularDatabase` re-sorts
-        its tables after every program statement, so without the cache this
-        key dominates interpreter time on multi-statement programs.
+        Its first component is the table name's key, so tables under
+        different names are ordered by their names alone.
         """
-        if self._sort_key is None:
-            object.__setattr__(
-                self,
-                "_sort_key",
-                tuple(tuple(s.sort_key() for s in row) for row in self._grid),
-            )
-        return self._sort_key
+        return tuple(tuple(s.sort_key() for s in row) for row in self._grid)
 
     def equivalent(self, other: "Table") -> bool:
         """Equality up to permutations of data rows and of data columns.

@@ -70,6 +70,12 @@ class TestSorts:
         assert Value(2) == Value(2.0)
         assert Value(2).sort_key() == Value(2.0).sort_key()
 
+    def test_unequal_numbers_never_tie(self):
+        # float(2**53 + 1) == float(2**53), and float(10**400) overflows.
+        numbers = [2**53, 2**53 + 1, 2.0**53 + 2, 1e308, 10**400]
+        keys = [Value(n).sort_key() for n in numbers]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
     def test_total_order_across_sorts(self):
         symbols = [Value("z"), Name("a"), NULL, Value(1), TaggedValue(0)]
         ordered = sorted(symbols, key=lambda s: s.sort_key())

@@ -137,6 +137,15 @@ class TestDerivedTables:
     def test_with_name(self):
         assert simple().with_name(N("S")).name == N("S")
 
+    def test_with_name_equals_a_rebuilt_table(self):
+        renamed = simple().with_name(N("S"))
+        rebuilt = Table([(N("S"),) + simple().grid[0][1:], *simple().grid[1:]])
+        assert renamed == rebuilt and hash(renamed) == hash(rebuilt)
+
+    def test_with_name_rejects_a_non_symbol(self):
+        with pytest.raises(SchemaError, match=r"grid entry \(0,0\)"):
+            simple().with_name("S")
+
     def test_with_entry(self):
         t = simple().with_entry(1, 1, V(99))
         assert t.entry(1, 1) == V(99)
