@@ -8,9 +8,9 @@ Three guarantees are measured:
 * **enabled** — running the Figure 4 pivot pipeline with a prebuilt
   ANALYZE snapshot installed (so every dispatch predicts, runs, and
   scores) stays under the 1.5x overhead gate;
-* **ANALYZE itself** — one statistics pass over the pivot database on
-  both engines, timed so the trajectory catches regressions in the
-  sketch-building path.
+* **ANALYZE itself** — one statistics pass over the pivot database,
+  timed so the trajectory catches regressions in the sketch-building
+  path.
 
 The exactness of the estimated run is asserted against the plain one,
 so estimation provably does not change results.
@@ -94,16 +94,12 @@ class TestEstimationOverhead:
 
 
 class TestAnalyzeCost:
-    def test_analyze_vector(self, benchmark):
-        stats = benchmark(lambda: analyze_database(sales_info1(), engine="vector"))
-        assert stats.total_rows == 8
-
     def test_analyze_naive(self, benchmark):
-        stats = benchmark(lambda: analyze_database(sales_info1(), engine="naive"))
+        stats = benchmark(lambda: analyze_database(sales_info1()))
         assert stats.total_rows == 8
 
     def test_report_analyze_cost(self):
-        """One-shot ANALYZE timings on both engines, for the trajectory."""
+        """One-shot ANALYZE timing, for the trajectory."""
 
         def clock(fn, repeats=20):
             best = float("inf")
@@ -114,13 +110,6 @@ class TestAnalyzeCost:
             return best
 
         db = sales_info1()
-        vector = clock(lambda: analyze_database(db, engine="vector"))
-        naive = clock(lambda: analyze_database(db, engine="naive"))
-        report(
-            "analyze-cost",
-            vector_ms=round(vector * 1e3, 3),
-            naive_ms=round(naive * 1e3, 3),
-        )
-        assert analyze_database(db, engine="vector") == analyze_database(
-            db, engine="naive"
-        )
+        best = clock(lambda: analyze_database(db))
+        report("analyze-cost", analyze_ms=round(best * 1e3, 3))
+        assert analyze_database(db).total_rows == 8

@@ -32,16 +32,15 @@ Commands:
   input-cell → output-cell provenance graph;
 * ``stats [--json]`` — run every bundled pipeline and print the
   aggregated per-operation metrics;
-* ``analyze [workload|example] [--engine naive|vector] [--top-k N]
-  [--out PATH] [--json]`` — the ANALYZE pass: compute per-table row
-  counts and per-column NDV / min / max / null fractions / top-K
-  frequency sketches for a workload's database (``tc:N`` or any
-  TA-program example), print the summary, and (``--out``) persist the
-  snapshot as schema-versioned JSON for ``trace --stats`` /
-  ``run --stats`` to consume;
-* ``stats-audit [--seeds N] [--engine naive|vector] [--tc N]
-  [--out PATH] [--json]`` — the estimator's accuracy audit: replay the
-  example corpus plus ``--seeds`` differential-fuzzer cases with fresh
+* ``analyze [workload|example] [--top-k N] [--out PATH] [--json]`` —
+  the ANALYZE pass: compute per-table row counts and per-column NDV /
+  min / max / null fractions / top-K frequency sketches for a
+  workload's database (``tc:N`` or any TA-program example), print the
+  summary, and (``--out``) persist the snapshot as schema-versioned
+  JSON for ``trace --stats`` / ``run --stats`` to consume;
+* ``stats-audit [--seeds N] [--tc N] [--out PATH] [--json]`` — the
+  estimator's accuracy audit: replay the example corpus plus
+  ``--seeds`` differential-fuzzer cases with fresh
   ANALYZE stats installed, score every cardinality estimate against the
   actual rows, and report per-op p50/p95/max q-error plus workload
   fingerprint aggregates; exit 1 unless every dispatched op kind was
@@ -1082,20 +1081,14 @@ def _analyze(args: list[str], opts: dict) -> int:
     label, _program, db = _workload(
         args[0] if args else "tc:8", "it has no tabular database to ANALYZE"
     )
-    stats = analyze_database(
-        db,
-        engine=opts.get("--engine", "vector"),
-        top_k=opts.get("--top-k", DEFAULT_TOP_K),
-    )
+    stats = analyze_database(db, top_k=opts.get("--top-k", DEFAULT_TOP_K))
     written = None
     if "--out" in opts:
         written = stats.save(opts["--out"])
     if "--json" in opts:
         print(json.dumps(stats.to_json(), indent=2))
         return 0
-    print(
-        f"ANALYZE of {label} ({stats.engine} engine, top-{stats.top_k} sketches)"
-    )
+    print(f"ANALYZE of {label} (top-{stats.top_k} sketches)")
     print(
         f"fingerprint {stats.fingerprint}  "
         f"{len(stats.tables)} table(s), {stats.total_rows} data row(s)"
@@ -1123,7 +1116,6 @@ def _stats_audit(args: list[str], opts: dict) -> int:
     out_path = opts.get("--out")
     report = stats_audit(
         seeds=opts.get("--seeds", DEFAULT_AUDIT_SEEDS),
-        engine=opts.get("--engine", "vector"),
         tc_size=opts.get("--tc", 6),
     )
     if out_path is not None:
@@ -1138,7 +1130,7 @@ def _stats_audit(args: list[str], opts: dict) -> int:
             f"stats audit: {corpus['cases']} case(s) "
             f"({corpus['fuzz_seeds']} fuzz seed(s), {corpus['errors']} "
             f"raised), {report['overall']['estimates']} estimate(s) scored "
-            f"in {corpus['elapsed_s']}s on the {report['engine']} engine"
+            f"in {corpus['elapsed_s']}s"
         )
         print()
         width = max((len(op) for op in report["ops"]), default=2)
@@ -1634,9 +1626,9 @@ ARGUMENTS: dict[str, tuple[int | None, dict]] = {
     }),
     "lineage": (1, {"--cell": str, "--audit": bool, "--dot": str, "--graph-json": str}),
     "stats": (0, {"--json": bool}),
-    "analyze": (1, {"--engine": ENGINE, "--top-k": int, "--out": str, "--json": bool}),
+    "analyze": (1, {"--top-k": int, "--out": str, "--json": bool}),
     "stats-audit": (0, {
-        "--seeds": int, "--engine": ENGINE, "--tc": int, "--out": str, "--json": bool,
+        "--seeds": int, "--tc": int, "--out": str, "--json": bool,
     }),
     "optimize": (1, {
         "--analyze": bool, "--stats": str, "--rules": str, "--explain": bool,

@@ -19,7 +19,8 @@ Model here:
 * :class:`Star` — a wild card, optionally subscripted; wildcards are bound
   by table-name matching and are then the *same* symbol everywhere they
   occur in the statement;
-* :class:`Pair` — ``((row-param, col-param))``: the set of entries
+* :class:`Pair` — the paper's ``((row-param, col-param))``, written
+  ``(row, col)`` in program text: the set of entries
   ``τ_i^j`` of the table under consideration whose row attribute matches
   the first component and whose column attribute matches the second
   (:data:`ANY` matches everything);
@@ -180,12 +181,12 @@ ANY = AnyParam()
 
 
 class Nothing(Parameter):
-    """The empty attribute set.
+    """The empty attribute set, written ``{}``.
 
-    Arises from programmatic empty sets (e.g. a projection onto no
-    attributes, or a purge with an empty grouping key); the textual
-    grammar has no literal for it, matching the paper's non-empty positive
-    lists, but compiled programs need it.
+    Arises from empty sets (e.g. a projection onto no attributes, or a
+    purge with an empty grouping key).  The paper's positive lists are
+    non-empty, but compiled programs need it, so the textual grammar
+    accepts ``{}`` for it.
     """
 
     def evaluate(self, binding: Binding, table: Table | None) -> frozenset[Symbol]:
@@ -211,7 +212,7 @@ def _component_matches(
 
 
 class Pair(Parameter):
-    """``((row-param, col-param))`` — data-dependent entry selection.
+    """``(row-param, col-param)`` — data-dependent entry selection.
 
     Evaluates, on the table under consideration, to the set of data
     entries ``τ_i^j`` (i, j ≥ 1) whose row attribute ``τ_i^0`` matches the
@@ -246,7 +247,7 @@ class Pair(Parameter):
         return f"Pair({self.row!r}, {self.col!r})"
 
     def __str__(self) -> str:
-        return f"(({self.row}, {self.col}))"
+        return f"({self.row}, {self.col})"
 
 
 class ParamSet(Parameter):

@@ -17,118 +17,62 @@ Grammar (EBNF)::
     statement  = assignment | while ;
     assignment = nameparam "<-" OP { keyword param } "(" nameparam { "," nameparam } ")" ;
     while      = "while" nameparam "do" { statement } "end" ;
-    param      = item | "{" item { "," item } [ "-" item { "," item } ] "}" ;
-    item       = NAME | STAR | "null" | "any" | STRING | NUMBER
+    param      = item | "{" "}"
+               | "{" item { "," item } [ "-" item { "," item } ] "}" ;
+    item       = NAME | STAR | "null" | "⊥" | "any" | STRING | NUMBER
                | "(" param "," param ")" ;
     nameparam  = NAME | STAR ;
 
-``null`` is the inapplicable ⊥, ``any`` the catch-all pair component,
-``*``/``*1``/``*2`` are wildcards, quoted strings and numbers are values,
-bare identifiers are names.  ``#`` starts a comment.  Operation names and
-their keywords come from :mod:`repro.algebra.programs.registry`
-(e.g. ``GROUP`` takes ``by`` and ``on``).
+``null`` and ``⊥`` are the inapplicable ⊥, ``{}`` is the empty attribute
+set, ``any`` the catch-all pair component, ``*``/``*1``/``*2`` are
+wildcards, quoted strings and numbers are values, bare identifiers are
+names.  ``#`` starts a comment.  Operation names and their keywords come
+from :mod:`repro.algebra.programs.registry` (e.g. ``GROUP`` takes ``by``
+and ``on``).  A statement prints in this syntax, so ``repr`` of an
+assignment parses back to the same assignment text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from ...core import NULL, ParseError, Value
-from .params import ANY, Lit, Pair, Parameter, ParamSet, Star
+from ...core import NULL
+from ...core.lexer import IDENT, NUMBER, STRING, Cursor
+from .params import ANY, NOTHING, Lit, Pair, Parameter, ParamSet, Star
 from .registry import OPERATIONS
 from .statements import Assignment, Program, Statement, While
 
 __all__ = ["parse_program", "parse_statement"]
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow><-)
-  | (?P<star>\*[0-9]*)
-  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
-  | (?P<string>'[^']*'|"[^"]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[{}(),\-])
-    """,
-    re.VERBOSE,
+    "|".join(
+        (
+            r"(?P<ws>\s+)",
+            r"(?P<comment>#[^\n]*)",
+            r"(?P<arrow><-)",
+            r"(?P<star>\*[0-9]*)",
+            NUMBER,
+            STRING,
+            IDENT,
+            r"(?P<sym>[{}(),\-⊥])",
+        )
+    )
 )
 
 _KEYWORDS = {"while", "do", "end", "null", "any"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = match.lastgroup or ""
-        chunk = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    # -- token plumbing -------------------------------------------------
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind or (text is not None and token.text != text):
-            wanted = text if text is not None else kind
-            raise ParseError(
-                f"expected {wanted!r}, found {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
-        return self.advance()
-
-    def at_ident(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "ident" and token.text == text
-
-    # -- grammar ----------------------------------------------------------
+class _Parser(Cursor):
+    pattern = _TOKEN_RE
 
     def parse_program(self) -> Program:
         statements: list[Statement] = []
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             statements.append(self.parse_statement())
         return Program(statements)
 
     def parse_statement(self) -> Statement:
-        if self.at_ident("while"):
+        if self.at("ident", "while"):
             return self.parse_while()
         return self.parse_assignment()
 
@@ -137,10 +81,9 @@ class _Parser:
         condition = self.parse_name_param()
         self.expect("ident", "do")
         body: list[Statement] = []
-        while not self.at_ident("end"):
-            if self.peek().kind == "eof":
-                token = self.peek()
-                raise ParseError("while without matching 'end'", token.line, token.column)
+        while not self.at("ident", "end"):
+            if self.at("eof"):
+                raise self.error("while without matching 'end'")
             body.append(self.parse_statement())
         self.expect("ident", "end")
         return While(condition, body)
@@ -151,78 +94,70 @@ class _Parser:
         op_token = self.expect("ident")
         op_key = op_token.text.upper().replace("_", "")
         if op_key not in OPERATIONS:
-            raise ParseError(
-                f"unknown operation {op_token.text!r}", op_token.line, op_token.column
-            )
+            raise self.error(f"unknown operation {op_token.text!r}", op_token)
         spec = OPERATIONS[op_key]
         params: dict[str, Parameter] = {}
-        while self.peek().kind == "ident" and self.peek().text in spec.params:
+        while self.at("ident") and self.peek().text in spec.params:
             keyword = self.advance().text
             if keyword in params:
-                token = self.peek()
-                raise ParseError(f"duplicate parameter {keyword!r}", token.line, token.column)
+                raise self.error(f"duplicate parameter {keyword!r}")
             params[keyword] = self.parse_param()
         self.expect("sym", "(")
         args = [self.parse_name_param()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.at("sym", ","):
             self.advance()
             args.append(self.parse_name_param())
         self.expect("sym", ")")
         try:
             return Assignment(target, op_key, args, params)
         except Exception as exc:
-            raise ParseError(f"{exc}", op_token.line, op_token.column) from exc
+            raise self.error(f"{exc}", op_token) from exc
 
     def parse_name_param(self) -> Parameter:
         token = self.peek()
         if token.kind == "star":
-            self.advance()
-            index = int(token.text[1:]) if len(token.text) > 1 else 0
-            return Star(index)
+            return self.parse_star()
         if token.kind == "ident" and token.text not in _KEYWORDS:
             self.advance()
             return Lit(token.text)
-        raise ParseError(
-            f"expected a table name or wildcard, found {token.text!r}",
-            token.line,
-            token.column,
-        )
+        raise self.error(f"expected a table name or wildcard, found {token.text!r}")
+
+    def parse_star(self) -> Star:
+        text = self.advance().text
+        return Star(int(text[1:]) if len(text) > 1 else 0)
 
     def parse_param(self) -> Parameter:
-        token = self.peek()
-        if token.kind == "sym" and token.text == "{":
+        if self.at("sym", "{"):
             return self.parse_param_set()
         return self.parse_item()
 
     def parse_param_set(self) -> Parameter:
         self.expect("sym", "{")
-        positive = [self.parse_item()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        if self.at("sym", "}"):
             self.advance()
-            positive.append(self.parse_item())
+            return NOTHING
+        positive = self.parse_items()
         negative: list[Parameter] = []
-        if self.peek().kind == "sym" and self.peek().text == "-":
+        if self.at("sym", "-"):
             self.advance()
-            negative.append(self.parse_item())
-            while self.peek().kind == "sym" and self.peek().text == ",":
-                self.advance()
-                negative.append(self.parse_item())
+            negative = self.parse_items()
         self.expect("sym", "}")
         return ParamSet(positive, negative)
+
+    def parse_items(self) -> list[Parameter]:
+        items = [self.parse_item()]
+        while self.at("sym", ","):
+            self.advance()
+            items.append(self.parse_item())
+        return items
 
     def parse_item(self) -> Parameter:
         token = self.peek()
         if token.kind == "star":
-            self.advance()
-            index = int(token.text[1:]) if len(token.text) > 1 else 0
-            return Star(index)
-        if token.kind == "string":
-            self.advance()
-            return Lit(Value(token.text[1:-1]))
-        if token.kind == "number":
-            self.advance()
-            number = float(token.text) if "." in token.text else int(token.text)
-            return Lit(Value(number))
+            return self.parse_star()
+        value = self.literal()
+        if value is not None:
+            return Lit(value)
         if token.kind == "ident":
             if token.text == "null":
                 self.advance()
@@ -233,6 +168,9 @@ class _Parser:
             if token.text not in _KEYWORDS:
                 self.advance()
                 return Lit(token.text)
+        if token.kind == "sym" and token.text == "⊥":
+            self.advance()
+            return Lit(NULL)
         if token.kind == "sym" and token.text == "(":
             self.advance()
             row = self.parse_param()
@@ -240,11 +178,7 @@ class _Parser:
             col = self.parse_param()
             self.expect("sym", ")")
             return Pair(row, col)
-        raise ParseError(
-            f"expected a parameter item, found {token.text or 'end of input'!r}",
-            token.line,
-            token.column,
-        )
+        raise self.error(f"expected a parameter item, found {self.found()!r}")
 
 
 def parse_program(text: str) -> Program:
@@ -256,7 +190,5 @@ def parse_statement(text: str) -> Statement:
     """Parse a single statement (assignment or while)."""
     parser = _Parser(text)
     statement = parser.parse_statement()
-    token = parser.peek()
-    if token.kind != "eof":
-        raise ParseError(f"trailing input {token.text!r}", token.line, token.column)
+    parser.expect_end()
     return statement

@@ -98,6 +98,10 @@ class TabularDatabase:
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("TabularDatabase is immutable")
 
+    def __reduce__(self):
+        # Rebuilt from the tables, so no cached hash crosses processes.
+        return (type(self), (self.tables,))
+
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------

@@ -152,7 +152,7 @@ class StatsError(ReproError):
     """A statistics snapshot could not be computed, written, or read.
 
     Covers unreadable/corrupt stats files, schema-version mismatches,
-    and invalid ANALYZE parameters (unknown engine, non-positive top-K).
+    and an invalid ANALYZE parameter (a non-positive top-K).
     """
 
 

@@ -88,6 +88,12 @@ class Symbol:
             return NotImplemented
         return self.sort_key() < other.sort_key()
 
+    def __setstate__(self, state: tuple) -> None:
+        # ``pickle`` and ``copy`` restore the slots (a lineage copy's
+        # ``prov`` among them) here, past the ``__setattr__`` guards.
+        for key, value in state[1].items():
+            object.__setattr__(self, key, value)
+
 
 class Name(Symbol):
     """A symbol of the name sort 𝒩 (table and attribute names).

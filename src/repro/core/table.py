@@ -72,6 +72,11 @@ class Table:
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Table is immutable")
 
+    def __reduce__(self):
+        # Rebuilt from the grid, so the cached hash of a string grid is
+        # never carried into a process with another hash seed.
+        return (type(self), (self._grid,))
+
     # ------------------------------------------------------------------
     # Basic shape and access
     # ------------------------------------------------------------------

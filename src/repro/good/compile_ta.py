@@ -41,6 +41,7 @@ from ..relational import (
     SelectEq,
     Union,
     compile_program as compile_fw_to_ta,
+    compile_span,
 )
 from .embed import EDGES_SCHEMA, NODES_SCHEMA
 from .operations import (
@@ -323,16 +324,8 @@ class _Emitter:
 
 def compile_to_fw(program: GoodProgram) -> FWProgram:
     """Compile a GOOD program (sans abstraction) into FO + while + new."""
-    from ..obs.runtime import OBS as _OBS, span as _span
-    from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
-
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.good")
-    with (
-        _span("compile.good", operations=len(program.operations))
-        if _OBS.active
-        else _NULL_SPAN
+    with compile_span(
+        "compile.good", lambda: {"operations": len(program.operations)}
     ) as sp:
         emitter = _Emitter()
         for operation in program:

@@ -32,7 +32,6 @@ ratios, exactly like a database engine's ``EXPLAIN ANALYZE``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,10 +51,9 @@ __all__ = [
 #: One shape is a ``(rows, cols)`` pair for a single table.
 Shape = tuple[int, int]
 
-#: Default conversion from cost units (≈ cells touched) to seconds.
-#: 150ns/cell is representative of the pure-Python engine on current
-#: hardware; :meth:`CostModel.calibrated` re-measures it in-process.
-DEFAULT_NS_PER_UNIT = 150.0
+#: Conversion from cost units (≈ cells touched) to seconds: 150ns/cell
+#: is representative of the pure-Python engine on current hardware.
+NS_PER_UNIT = 150.0
 
 #: Cap on the SETNEW power-set exponent so estimates stay finite.
 _SETNEW_CAP = 30
@@ -281,10 +279,7 @@ ESTIMATORS: dict[str, _Est] = {
 class CostModel:
     """Shape-based estimates for every registered TA operation."""
 
-    __slots__ = ("ns_per_unit",)
-
-    def __init__(self, ns_per_unit: float = DEFAULT_NS_PER_UNIT):
-        self.ns_per_unit = float(ns_per_unit)
+    __slots__ = ()
 
     def covers(self, op: str) -> bool:
         """True iff the model has an estimator for ``op``."""
@@ -305,29 +300,7 @@ class CostModel:
 
     def estimate_seconds(self, estimate: CostEstimate) -> float:
         """The predicted wall time for one estimate."""
-        return estimate.cost_units * self.ns_per_unit * 1e-9
-
-    @classmethod
-    def calibrated(cls) -> "CostModel":
-        """A model whose time constant was measured in-process.
-
-        Runs a short GROUP loop on a synthetic table and divides the
-        best wall time by the model's own cost units, so estimates are
-        in this machine's (and Python's) terms.
-        """
-        from ..algebra import group
-        from ..data import synthetic_sales_table
-
-        table = synthetic_sales_table(n_parts=25, n_regions=4, seed=7)
-        probe = cls()
-        estimate = probe.estimate("GROUP", [(table.height, table.width)])
-        assert estimate is not None
-        best = math.inf
-        for _ in range(5):
-            start = time.perf_counter()
-            group(table, by="Region", on="Sold")
-            best = min(best, time.perf_counter() - start)
-        return cls(ns_per_unit=max(1.0, best * 1e9 / estimate.cost_units))
+        return estimate.cost_units * NS_PER_UNIT * 1e-9
 
 
 #: The shared default model used by ``repro trace --analyze``.

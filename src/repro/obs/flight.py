@@ -227,7 +227,6 @@ class FlightRecorder:
             manifest["supervisor"] = self.supervisor_history
         if stats is not None:
             manifest["stats"] = {
-                "engine": stats.engine,
                 "fingerprint": stats.fingerprint,
                 "tables": len(stats.tables),
                 "age_seconds": round(stats.age_seconds(), 3),

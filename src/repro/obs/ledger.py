@@ -4,19 +4,16 @@ Every other observability surface — spans, events, q-error scores,
 fallback reasons, budget outcomes — evaporates at process exit.  The
 ledger is the piece that survives: an **append-only, schema-versioned
 on-disk journal** of run manifests, one JSON line per run, written to
-rotating segment files with a compacted index.  It is the durable
-substrate two ROADMAP items read from: the multi-tenant service's
-per-tenant accounting and the cost-based optimizer's per-fingerprint
-latency/q-error feedback loop.
+rotating segment files.  It is the durable substrate two ROADMAP items
+read from: the multi-tenant service's per-tenant accounting and the
+cost-based optimizer's per-fingerprint latency/q-error feedback loop.
 
 Layout of a ledger directory::
 
     ledger/
     ├── LEDGER.json          # header: {"format": 1, "created": ...}
     ├── segment-000001.jsonl # run manifests, one JSON object per line
-    ├── segment-000002.jsonl # opened when the previous segment filled
-    └── index.json           # compacted per-run summaries (a cache —
-                             # rebuilt from the segments when missing)
+    └── segment-000002.jsonl # opened when the previous segment filled
 
 Durability rules:
 
@@ -29,9 +26,10 @@ Durability rules:
 * a ledger whose header carries a *different* schema version is
   **rejected** with a typed :class:`~repro.core.errors.LedgerError`
   rather than silently reinterpreted, and so is an individual record
-  whose ``v`` disagrees with the header;
-* ``index.json`` is a cache: deleting it loses nothing (reopen rebuilds
-  it from the segments).
+  whose ``v`` disagrees with the header.
+
+The per-run index that ``runs()`` and ``get()`` read lives in memory and
+is rebuilt from the segments on every open.
 
 The manifests themselves are built by :class:`RunRecorder`, a
 :class:`~repro.obs.events.RingSubscriber` on the live event bus — the
@@ -130,7 +128,6 @@ def database_digest(db) -> tuple[str, int, int, list]:
 # ----------------------------------------------------------------------
 
 _HEADER_NAME = "LEDGER.json"
-_INDEX_NAME = "index.json"
 _SEGMENT_PREFIX = "segment-"
 
 
@@ -281,7 +278,6 @@ class RunLedger:
         else:
             self._segment_records = 0
             self._segment_bytes = 0
-        self._write_index()
 
     def _admit(self, manifest: dict, segment_name: str) -> None:
         """Index one parsed record, rejecting foreign schema versions."""
@@ -401,25 +397,6 @@ class RunLedger:
             self._segment_records += 1
             self._segment_bytes += len(encoded)
             self._admit(manifest, segment.name)
-            self._write_index()
-
-    def _write_index(self) -> None:
-        """Rewrite the compacted index (atomically; it is only a cache)."""
-        index_path = self.directory / _INDEX_NAME
-        payload = {
-            "format": LEDGER_SCHEMA_VERSION,
-            "runs": [
-                {"segment": self._index[run_id][0], **self._index[run_id][1]}
-                for run_id in self._order
-            ],
-        }
-        tmp = index_path.with_suffix(".json.tmp")
-        try:
-            tmp.write_text(json.dumps(payload, indent=2) + "\n")
-            tmp.replace(index_path)
-        except OSError:
-            # The index is a cache; a failed rewrite costs a rescan later.
-            pass
 
     # -- reading --------------------------------------------------------
 

@@ -115,9 +115,9 @@ def observation(memory: bool = False) -> Iterator[Observation]:
 def span(name: str, **attributes):
     """A span under the active tracer, or the shared no-op span.
 
-    The one-line guard used by the compilers and bridges::
+    The one-line guard used by the OLAP and n-dim bridges::
 
-        with _span("compile.schemalog", rules=len(program)):
+        with _span("bridge.cube_to_ndtable", arity=cube.arity):
             ...
     """
     if OBS.active:

@@ -17,16 +17,6 @@ never assumed: :func:`analyze_database` walks every table of a
   frequency sketch** (the K most common non-null entries with their
   exact counts — a complete histogram whenever ``NDV <= K``).
 
-Two computation paths produce *identical* statistics (pinned by the
-parity tests):
-
-* ``engine="vector"`` (the default) interns each table through the
-  vector engine's :class:`~repro.engine.interning.SymbolInterner` and
-  counts over the integer id-columns — ⊥ is always id 0, so null
-  stripping is plain truthiness and counting runs at C speed;
-* ``engine="naive"`` counts directly over the symbol grid, the fallback
-  when no interner is wanted (and the differential baseline).
-
 A :class:`DatabaseStats` snapshot is schema-versioned JSON on disk
 (:meth:`DatabaseStats.save` / :func:`load_stats`), stamped with its
 creation time and a content fingerprint of the analyzed database so the
@@ -164,12 +154,11 @@ class TableStats:
 class DatabaseStats:
     """One ANALYZE snapshot of a whole database, with provenance stamps."""
 
-    __slots__ = ("version", "created", "engine", "top_k", "fingerprint", "tables")
+    __slots__ = ("version", "created", "top_k", "fingerprint", "tables")
 
     def __init__(
         self,
         tables: Sequence[TableStats],
-        engine: str,
         fingerprint: str,
         top_k: int = DEFAULT_TOP_K,
         created: float | None = None,
@@ -177,7 +166,6 @@ class DatabaseStats:
     ):
         self.version = version
         self.created = time.time() if created is None else float(created)
-        self.engine = engine
         self.top_k = int(top_k)
         self.fingerprint = fingerprint
         self.tables = tuple(tables)
@@ -214,7 +202,6 @@ class DatabaseStats:
         return {
             "version": self.version,
             "created": round(self.created, 6),
-            "engine": self.engine,
             "top_k": self.top_k,
             "fingerprint": self.fingerprint,
             "tables": [stats.to_json() for stats in self.tables],
@@ -229,7 +216,10 @@ class DatabaseStats:
 
     @classmethod
     def from_json(cls, data: dict) -> "DatabaseStats":
-        """Rebuild a snapshot from its wire form (validated first)."""
+        """Rebuild a snapshot from its wire form (validated first).
+
+        The ``engine`` key that older snapshots carry is ignored.
+        """
         problems = validate_stats_data(data)
         if problems:
             raise StatsError(
@@ -263,7 +253,6 @@ class DatabaseStats:
             )
         return cls(
             tables,
-            engine=str(data["engine"]),
             fingerprint=str(data["fingerprint"]),
             top_k=int(data["top_k"]),
             created=float(data["created"]),
@@ -283,7 +272,7 @@ class DatabaseStats:
 
     def __repr__(self) -> str:
         return (
-            f"DatabaseStats({len(self.tables)} table(s), engine={self.engine!r}, "
+            f"DatabaseStats({len(self.tables)} table(s), "
             f"fingerprint={self.fingerprint!r})"
         )
 
@@ -314,8 +303,6 @@ def validate_stats_data(data: object) -> list[str]:
         )
     if not isinstance(data.get("created"), (int, float)):
         problems.append("created is not a number")
-    if not isinstance(data.get("engine"), str):
-        problems.append("engine is not a string")
     if not isinstance(data.get("top_k"), int) or isinstance(data.get("top_k"), bool):
         problems.append("top_k is not an integer")
     if not isinstance(data.get("fingerprint"), str):
@@ -406,7 +393,7 @@ def database_fingerprint(db: TabularDatabase) -> str:
 def _column_stats_from_counts(
     attribute: Symbol, counts: Counter, nulls: int, top_k: int
 ) -> ColumnStats:
-    """Shared tail of both paths: order-independent sketch construction."""
+    """Order-independent sketch construction from one column's counts."""
     if counts:
         ordered = sorted(counts.items(), key=lambda item: item[0].sort_key())
         low, high = ordered[0][0], ordered[-1][0]
@@ -426,7 +413,8 @@ def _column_stats_from_counts(
     )
 
 
-def _analyze_table_naive(table: Table, top_k: int) -> TableStats:
+def analyze_table_stats(table: Table, top_k: int = DEFAULT_TOP_K) -> TableStats:
+    """Statistics for one table, counted over its symbol grid."""
     columns: list[ColumnStats] = []
     for j in table.data_col_indices():
         entries = table.data_column(j)
@@ -451,63 +439,9 @@ def _analyze_table_naive(table: Table, top_k: int) -> TableStats:
     )
 
 
-def _analyze_table_vector(table: Table, interner, top_k: int) -> TableStats:
-    """Counting over interned id-columns: ⊥ is id 0, truthiness strips it."""
-    idt = interner.intern_table(table)
-    symbol = interner.symbol
-    columns: list[ColumnStats] = []
-    for j, col in enumerate(idt.cols):
-        id_counts = Counter(col)
-        nulls = id_counts.pop(0, 0)
-        counts = Counter({symbol(i): count for i, count in id_counts.items()})
-        columns.append(
-            _column_stats_from_counts(symbol(idt.col_attrs[j]), counts, nulls, top_k)
-        )
-    return TableStats(
-        name=str(symbol(idt.name)),
-        height=idt.height,
-        width=idt.width,
-        distinct_rows=len(set(idt.rows)),
-        columns=tuple(columns),
-    )
-
-
-def analyze_table_stats(
-    table: Table, top_k: int = DEFAULT_TOP_K, interner=None
-) -> TableStats:
-    """Statistics for one table (vector path when an interner is given)."""
-    if interner is not None:
-        return _analyze_table_vector(table, interner, top_k)
-    return _analyze_table_naive(table, top_k)
-
-
-def analyze_database(
-    db: TabularDatabase,
-    engine: str = "vector",
-    top_k: int = DEFAULT_TOP_K,
-) -> DatabaseStats:
-    """The ANALYZE pass: one :class:`DatabaseStats` snapshot of ``db``.
-
-    ``engine="vector"`` (default) counts over interned id-columns;
-    ``engine="naive"`` counts over the symbol grid.  Both paths produce
-    identical statistics — the parity tests pin that.
-    """
-    if engine not in ("vector", "naive"):
-        raise StatsError(f"unknown ANALYZE engine {engine!r}; expected vector or naive")
+def analyze_database(db: TabularDatabase, top_k: int = DEFAULT_TOP_K) -> DatabaseStats:
+    """The ANALYZE pass: one :class:`DatabaseStats` snapshot of ``db``."""
     if top_k < 1:
         raise StatsError(f"top_k must be >= 1, got {top_k}")
-    interner = None
-    if engine == "vector":
-        from ..engine.interning import SymbolInterner
-
-        interner = SymbolInterner()
-    tables = tuple(
-        analyze_table_stats(table, top_k=top_k, interner=interner)
-        for table in db.tables
-    )
-    return DatabaseStats(
-        tables,
-        engine=engine,
-        fingerprint=database_fingerprint(db),
-        top_k=top_k,
-    )
+    tables = tuple(analyze_table_stats(table, top_k=top_k) for table in db.tables)
+    return DatabaseStats(tables, fingerprint=database_fingerprint(db), top_k=top_k)

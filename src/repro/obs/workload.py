@@ -299,17 +299,16 @@ OPTIMIZER_REGRESSION_TOLERANCE = 1.25
 
 def stats_audit(
     seeds: int = DEFAULT_AUDIT_SEEDS,
-    engine: str = "vector",
     tc_size: int = 6,
     top_k: int | None = None,
     regression_tolerance: float = OPTIMIZER_REGRESSION_TOLERANCE,
 ) -> dict:
     """Replay the corpus under estimation; the machine-readable report.
 
-    Each case is ANALYZEd first (``engine`` selects the stats path), then
-    run with the resulting snapshot installed, so base-table predictions
-    are stats-derived and intermediates exercise the shape fallback —
-    exactly the mix a cost-based optimizer would see.  Cases raising a
+    Each case is ANALYZEd first, then run with the resulting snapshot
+    installed, so base-table predictions are stats-derived and
+    intermediates exercise the shape fallback — exactly the mix a
+    cost-based optimizer would see.  Cases raising a
     :class:`~repro.core.errors.ReproError` (the fuzz corpus legitimately
     hits undefined operations) still contribute every op completed
     before the error.
@@ -340,9 +339,7 @@ def stats_audit(
     with event_stream() as bus:
         workload = WorkloadLog(bus)
         for label, program, db, kwargs in _audit_corpus(seeds, tc_size):
-            stats = analyze_database(
-                db, engine=engine, top_k=top_k or DEFAULT_TOP_K
-            )
+            stats = analyze_database(db, top_k=top_k or DEFAULT_TOP_K)
             cases += 1
             with estimation(stats, accuracy=accuracy):
                 try:
@@ -381,7 +378,6 @@ def stats_audit(
     return {
         "version": 1,
         "stats_schema_version": STATS_SCHEMA_VERSION,
-        "engine": engine,
         "corpus": {
             "cases": cases,
             "errors": errors,

@@ -15,7 +15,7 @@ from .algebra import (
     SelectEq,
     Union,
 )
-from .compile_ta import TEMP_PREFIX, compile_expression, compile_program
+from .compile_ta import TEMP_PREFIX, compile_expression, compile_program, compile_span
 from .fo_while import Assign, AssignNew, AssignSetNew, FWProgram, FWStatement, WhileNotEmpty
 from .relation import Relation, RelationalDatabase
 from .to_tabular import (
@@ -52,5 +52,6 @@ __all__ = [
     "tabular_to_relational",
     "compile_program",
     "compile_expression",
+    "compile_span",
     "TEMP_PREFIX",
 ]

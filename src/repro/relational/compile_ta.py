@@ -35,10 +35,13 @@ restricted comparison ignores them.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..core import EvaluationError, SchemaError, Value
 from ..algebra.programs import Assignment, Program, Statement, While
+from ..obs import runtime as _obs
+from ..obs.trace import NULL_SPAN
+from ..runtime import governor as _gv
 from .algebra import (
     ConstColumn,
     Difference,
@@ -55,7 +58,7 @@ from .algebra import (
 )
 from .fo_while import Assign, AssignNew, AssignSetNew, FWProgram, FWStatement, WhileNotEmpty
 
-__all__ = ["compile_program", "compile_expression", "TEMP_PREFIX"]
+__all__ = ["compile_program", "compile_expression", "compile_span", "TEMP_PREFIX"]
 
 #: Prefix reserved for the compiler's intermediate tables.
 TEMP_PREFIX = "__fw"
@@ -254,6 +257,22 @@ def compile_expression(expr: Expr, schemas: Mapping[str, tuple[str, ...]], targe
     return Program(compiler.statements)
 
 
+def compile_span(name: str, attributes: Callable[[], dict]):
+    """Enter a compiler: the governor's check, then its ``compile.*`` span.
+
+    Every compiler into tabular algebra — FO + while + new here, and the
+    SchemaLog_d, SchemaSQL_d and GOOD front ends — starts here.  The span
+    is the shared no-op span unless observation is on, and only then is
+    ``attributes`` called for the span's attributes.
+    """
+    gov = _gv.GOV
+    if gov.active and gov.governor is not None:
+        gov.governor.check(op=name)
+    if _obs.OBS.active:
+        return _obs.OBS.tracer.span(name, **attributes())
+    return NULL_SPAN
+
+
 def compile_program(
     program: FWProgram, schemas: Mapping[str, tuple[str, ...]]
 ) -> Program:
@@ -262,17 +281,7 @@ def compile_program(
     ``schemas`` gives the input relations' schemas (the compile-time
     environment Theorem 4.1's simulation needs).
     """
-    from ..obs.runtime import OBS as _OBS, span as _span
-    from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
-
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.fo_while")
-    with (
-        _span("compile.fo_while", statements=len(program))
-        if _OBS.active
-        else _NULL_SPAN
-    ) as sp:
+    with compile_span("compile.fo_while", lambda: {"statements": len(program)}) as sp:
         compiler = _Compiler(dict(schemas))
         for statement in program.statements:
             compiler.compile_statement(statement)

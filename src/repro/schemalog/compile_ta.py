@@ -53,6 +53,7 @@ from ..relational import (
     Union,
     WhileNotEmpty,
     compile_program as compile_fw_to_ta,
+    compile_span,
 )
 from .model import FACTS_SCHEMA
 from .stratify import stratify
@@ -204,40 +205,28 @@ def compile_to_fw(program: SchemaLogProgram) -> FWProgram:
         raise EvaluationError(
             "ground facts are not compilable; add them to the Facts relation"
         )
-    from ..obs.runtime import OBS as _OBS, span as _span
-    from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
-
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.schemalog")
     strata = stratify(program)
-    with (
-        _span("compile.schemalog", rules=len(program), strata=len(strata))
-        if _OBS.active
-        else _NULL_SPAN
+    with compile_span(
+        "compile.schemalog", lambda: {"rules": len(program), "strata": len(strata)}
     ):
-        return _compile_strata_to_fw(strata)
-
-
-def _compile_strata_to_fw(strata) -> FWProgram:
-    statements = [Assign(DERIVED, Rel(FACTS))]
-    for level, stratum_rules in enumerate(strata):
-        union: Expr = rule_to_expression(stratum_rules[0])
-        for rule in stratum_rules[1:]:
-            union = Union(union, rule_to_expression(rule))
-        delta = f"Delta{level}"
-        statements.append(Assign(delta, Rel(DERIVED)))
-        statements.append(
-            WhileNotEmpty(
-                delta,
-                [
-                    Assign("New", union),
-                    Assign(delta, Difference(Rel("New"), Rel(DERIVED))),
-                    Assign(DERIVED, Union(Rel(DERIVED), Rel(delta))),
-                ],
+        statements = [Assign(DERIVED, Rel(FACTS))]
+        for level, stratum_rules in enumerate(strata):
+            union: Expr = rule_to_expression(stratum_rules[0])
+            for rule in stratum_rules[1:]:
+                union = Union(union, rule_to_expression(rule))
+            delta = f"Delta{level}"
+            statements.append(Assign(delta, Rel(DERIVED)))
+            statements.append(
+                WhileNotEmpty(
+                    delta,
+                    [
+                        Assign("New", union),
+                        Assign(delta, Difference(Rel("New"), Rel(DERIVED))),
+                        Assign(DERIVED, Union(Rel(DERIVED), Rel(delta))),
+                    ],
+                )
             )
-        )
-    return FWProgram(statements)
+        return FWProgram(statements)
 
 
 def compile_to_ta(program: SchemaLogProgram) -> Program:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 
-from ..core import Name, ParseError, Value
+from ..core import Name
+from ..core.lexer import IDENT, NUMBER, STRING, Cursor
 from .terms import (
     Builtin,
     Const,
@@ -40,69 +41,24 @@ from .terms import (
 __all__ = ["parse_schemalog", "parse_rule"]
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>[%#][^\n]*)
-  | (?P<implies>:-)
-  | (?P<arrow>->)
-  | (?P<op><=|>=|!=|=|<|>)
-  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
-  | (?P<string>'[^']*'|"[^"]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[\[\]:,.])
-    """,
-    re.VERBOSE,
+    "|".join(
+        (
+            r"(?P<ws>\s+)",
+            r"(?P<comment>[%#][^\n]*)",
+            r"(?P<implies>:-)",
+            r"(?P<arrow>->)",
+            r"(?P<op><=|>=|!=|=|<|>)",
+            NUMBER,
+            STRING,
+            IDENT,
+            r"(?P<sym>[\[\]:,.])",
+        )
+    )
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line")
-
-    def __init__(self, kind: str, text: str, line: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        kind = match.lastgroup or ""
-        chunk = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line))
-        line += chunk.count("\n")
-        pos = match.end()
-    tokens.append(_Token("eof", "", line))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise ParseError(
-                f"expected {text or kind!r}, found {token.text or 'end of input'!r}",
-                token.line,
-            )
-        return self.advance()
+class _Parser(Cursor):
+    pattern = _TOKEN_RE
 
     def parse_term(self) -> Term:
         token = self.peek()
@@ -111,14 +67,10 @@ class _Parser:
             if token.text[0].isupper() or token.text[0] == "_":
                 return Var(token.text)
             return Const(Name(token.text))
-        if token.kind == "string":
-            self.advance()
-            return Const(Value(token.text[1:-1]))
-        if token.kind == "number":
-            self.advance()
-            number = float(token.text) if "." in token.text else int(token.text)
-            return Const(Value(number))
-        raise ParseError(f"expected a term, found {token.text!r}", token.line)
+        value = self.literal()
+        if value is not None:
+            return Const(value)
+        raise self.error(f"expected a term, found {token.text!r}")
 
     def parse_atom(self):
         token = self.peek()
@@ -126,14 +78,13 @@ class _Parser:
             self.advance()
             inner = self.parse_atom()
             if not isinstance(inner, SchemaAtom):
-                raise ParseError("'not' applies to schema atoms only", token.line)
+                raise self.error("'not' applies to schema atoms only", token)
             try:
                 return NegatedAtom(inner)
             except ValueError as exc:
-                raise ParseError(str(exc), token.line) from exc
+                raise self.error(str(exc), token) from exc
         first = self.parse_term()
-        token = self.peek()
-        if token.kind == "sym" and token.text == "[":
+        if self.at("sym", "["):
             self.advance()
             tid = self.parse_term()
             self.expect("sym", ":")
@@ -142,37 +93,35 @@ class _Parser:
             value = self.parse_term()
             self.expect("sym", "]")
             return SchemaAtom(first, tid, attr, value)
-        if token.kind == "op":
+        if self.at("op"):
             op = self.advance().text
             right = self.parse_term()
             return Builtin(op, first, right)
-        raise ParseError(
-            f"expected '[' or a comparison after a term, found {token.text!r}",
-            token.line,
+        raise self.error(
+            f"expected '[' or a comparison after a term, found {self.peek().text!r}"
         )
 
     def parse_rule(self) -> Rule:
         head = self.parse_atom()
         if not isinstance(head, SchemaAtom):
-            token = self.peek()
-            raise ParseError("a rule head must be a schema atom", token.line)
+            raise self.error("a rule head must be a schema atom")
         body: list = []
         token = self.peek()
         if token.kind == "implies":
             self.advance()
             body.append(self.parse_atom())
-            while self.peek().kind == "sym" and self.peek().text == ",":
+            while self.at("sym", ","):
                 self.advance()
                 body.append(self.parse_atom())
         self.expect("sym", ".")
         try:
             return Rule(head, tuple(body))
         except ValueError as exc:
-            raise ParseError(str(exc), token.line) from exc
+            raise self.error(str(exc), token) from exc
 
     def parse_program(self) -> SchemaLogProgram:
         rules = []
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             rules.append(self.parse_rule())
         return SchemaLogProgram(tuple(rules))
 
@@ -186,7 +135,5 @@ def parse_rule(text: str) -> Rule:
     """Parse a single rule (must consume the whole input)."""
     parser = _Parser(text)
     rule = parser.parse_rule()
-    token = parser.peek()
-    if token.kind != "eof":
-        raise ParseError(f"trailing input {token.text!r}", token.line)
+    parser.expect_end()
     return rule

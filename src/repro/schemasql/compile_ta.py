@@ -31,6 +31,7 @@ from ..relational import (
     SelectConst,
     SelectEq,
     compile_program as compile_fw_to_ta,
+    compile_span,
 )
 from ..schemalog import FACTS_SCHEMA
 from .ast import (
@@ -221,20 +222,9 @@ def query_to_expression(query: SchemaSQLQuery) -> Expr:
 
 def compile_to_fw(query: SchemaSQLQuery) -> FWProgram:
     """The FO + while + new program binding the INTO relation."""
-    from ..obs.runtime import OBS as _OBS, span as _span
-    from ..obs.trace import NULL_SPAN as _NULL_SPAN
-    from ..runtime.governor import GOV as _GOV
-
-    if _GOV.active and _GOV.governor is not None:
-        _GOV.governor.check(op="compile.schemasql")
-    with (
-        _span(
-            "compile.schemasql",
-            select_items=len(query.select),
-            conditions=len(query.where),
-        )
-        if _OBS.active
-        else _NULL_SPAN
+    with compile_span(
+        "compile.schemasql",
+        lambda: {"select_items": len(query.select), "conditions": len(query.where)},
     ):
         return FWProgram([Assign(query.into, query_to_expression(query))])
 

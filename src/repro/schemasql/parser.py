@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from ..core import ParseError, Value
+from ..core.lexer import IDENT, NUMBER, STRING, Cursor
 from .ast import (
     AttrVarDecl,
     ColumnRef,
@@ -40,65 +40,29 @@ from .ast import (
 __all__ = ["parse_schemasql"]
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<arrow>->)
-  | (?P<neq><>)
-  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
-  | (?P<string>'[^']*'|"[^"]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[,.=()])
-    """,
-    re.VERBOSE,
+    "|".join(
+        (
+            r"(?P<ws>\s+)",
+            r"(?P<comment>--[^\n]*)",
+            r"(?P<arrow>->)",
+            r"(?P<neq><>)",
+            NUMBER,
+            STRING,
+            IDENT,
+            r"(?P<sym>[,.=()])",
+        )
+    )
 )
 
 _KEYWORDS = {"select", "into", "from", "where", "as", "and"}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line")
-
-    def __init__(self, kind: str, text: str, line: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        kind = match.lastgroup or ""
-        chunk = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line))
-        line += chunk.count("\n")
-        pos = match.end()
-    tokens.append(_Token("eof", "", line))
-    return tokens
 
 
 def _is_var(text: str) -> bool:
     return text[0].isupper() or text[0] == "_"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+class _Parser(Cursor):
+    pattern = _TOKEN_RE
 
     def at_keyword(self, word: str) -> bool:
         token = self.peek()
@@ -106,24 +70,17 @@ class _Parser:
 
     def expect_keyword(self, word: str) -> None:
         if not self.at_keyword(word):
-            token = self.peek()
-            raise ParseError(
-                f"expected {word.upper()}, found {token.text or 'end of input'!r}",
-                token.line,
-            )
+            raise self.error(f"expected {word.upper()}, found {self.found()!r}")
         self.advance()
 
     def expect_ident(self, variable: bool | None = None) -> str:
         token = self.peek()
         if token.kind != "ident" or token.text.lower() in _KEYWORDS:
-            raise ParseError(
-                f"expected an identifier, found {token.text or 'end of input'!r}",
-                token.line,
-            )
+            raise self.error(f"expected an identifier, found {self.found()!r}")
         if variable is True and not _is_var(token.text):
-            raise ParseError(f"expected a variable, found {token.text!r}", token.line)
+            raise self.error(f"expected a variable, found {token.text!r}")
         if variable is False and _is_var(token.text):
-            raise ParseError(f"expected a name, found {token.text!r}", token.line)
+            raise self.error(f"expected a name, found {token.text!r}")
         return self.advance().text
 
     # -- grammar -----------------------------------------------------------
@@ -131,14 +88,14 @@ class _Parser:
     def parse_query(self) -> SchemaSQLQuery:
         self.expect_keyword("select")
         select = [self.parse_select_item()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.at("sym", ","):
             self.advance()
             select.append(self.parse_select_item())
         self.expect_keyword("into")
         into = self.expect_ident(variable=False)
         self.expect_keyword("from")
         from_items = [self.parse_from_item()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.at("sym", ","):
             self.advance()
             from_items.append(self.parse_from_item())
         where: list[Condition] = []
@@ -148,13 +105,11 @@ class _Parser:
             while self.at_keyword("and"):
                 self.advance()
                 where.append(self.parse_condition())
-        token = self.peek()
-        if token.kind != "eof":
-            raise ParseError(f"trailing input {token.text!r}", token.line)
+        self.expect_end()
         try:
             return SchemaSQLQuery(tuple(select), into, tuple(from_items), tuple(where))
         except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+            raise self.error(str(exc), self.tokens[0]) from exc
 
     def parse_select_item(self) -> SelectItem:
         expression = self.parse_expression()
@@ -163,28 +118,22 @@ class _Parser:
         return SelectItem(expression, alias)
 
     def parse_from_item(self) -> FromItem:
-        token = self.peek()
-        if token.kind == "arrow":
+        if self.at("arrow"):
             self.advance()
             return RelVarDecl(self.expect_ident(variable=True))
         source = self.expect_ident()
         source_is_var = _is_var(source)
-        if self.peek().kind == "arrow":
+        if self.at("arrow"):
             self.advance()
             return AttrVarDecl(source, self.expect_ident(variable=True), source_is_var)
         return TupleVarDecl(source, self.expect_ident(variable=True), source_is_var)
 
     def parse_expression(self) -> Expression:
-        token = self.peek()
-        if token.kind == "string":
-            self.advance()
-            return Literal(Value(token.text[1:-1]))
-        if token.kind == "number":
-            self.advance()
-            number = float(token.text) if "." in token.text else int(token.text)
-            return Literal(Value(number))
+        value = self.literal()
+        if value is not None:
+            return Literal(value)
         name = self.expect_ident(variable=True)
-        if self.peek().kind == "sym" and self.peek().text == ".":
+        if self.at("sym", "."):
             self.advance()
             attr = self.expect_ident()
             return ColumnRef(name, attr, attr_is_var=_is_var(attr))
@@ -192,17 +141,13 @@ class _Parser:
 
     def parse_condition(self) -> Condition:
         left = self.parse_expression()
-        token = self.peek()
-        if token.kind == "neq":
+        if self.at("neq"):
             op = "<>"
-            self.advance()
-        elif token.kind == "sym" and token.text == "=":
+        elif self.at("sym", "="):
             op = "="
-            self.advance()
         else:
-            raise ParseError(
-                f"expected = or <>, found {token.text or 'end of input'!r}", token.line
-            )
+            raise self.error(f"expected = or <>, found {self.found()!r}")
+        self.advance()
         right = self.parse_expression()
         return Condition(op, left, right)
 

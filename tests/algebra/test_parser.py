@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algebra.programs import (
+    NOTHING,
     Assignment,
     Lit,
     Pair,
@@ -14,6 +15,10 @@ from repro.algebra.programs import (
 )
 from repro.core import NULL, N, ParseError, V, database, make_table
 from repro.data import sales_info1, sales_info2
+from repro.data.programs import random_case, random_rewrite_case
+from repro.engine.optimizer import optimize_program
+from repro.obs.examples import EXAMPLES
+from repro.runtime.workloads import resolve_workload
 
 
 class TestParsing:
@@ -111,7 +116,7 @@ class TestParseErrors:
             "T <- GROUP by {Region} (Sales)",  # missing 'on'
             "T <- UNION (R",  # unclosed parens
             "while Work do T <- DEDUP (Work)",  # missing end
-            "T <- GROUP by {} on {Sold} (Sales)",  # empty set
+            "T <- GROUP by { - Region} on {Sold} (Sales)",  # no positive item
             "T GROUP (R)",  # missing arrow
             "T <- UNION ()",  # no arguments
         ],
@@ -127,6 +132,54 @@ class TestParseErrors:
             assert exc.line == 2
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+    def test_error_message_names_line_and_column(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("T <- UNION (R,\n  S")
+        assert str(info.value) == "expected ')', found 'end of input' at line 2, column 4"
+        assert (info.value.line, info.value.column) == (2, 4)
+
+
+def _assignments(program):
+    for statement in program.statements:
+        if isinstance(statement, While):
+            yield from _assignments(statement.body)
+        else:
+            yield statement
+
+
+def _assert_round_trips(program):
+    for statement in _assignments(program):
+        text = repr(statement)
+        assert repr(parse_statement(text)) == text
+
+
+class TestPrintedFormParses:
+    """``repr`` of an assignment is program text that parses back to it."""
+
+    def test_bottom_and_empty_set(self):
+        stmt = parse_statement("T <- CLEANUP by {} on {⊥} (R)")
+        assert stmt.params["by"] is NOTHING
+        assert stmt.params["on"].positive[0].symbol is NULL
+        assert parse_statement("T <- CONSTCOLUMN attr A value ⊥ (R)").params["value"].symbol is NULL
+        assert repr(stmt) == "T <- CLEANUP by {} on {⊥} (R)"
+
+    def test_pair_prints_as_it_parses(self):
+        stmt = parse_statement("T <- PROJECT attrs {(Region, any)} (R)")
+        assert repr(stmt) == "T <- PROJECT attrs {(Region, any)} (R)"
+
+    def test_fuzz_assignments_round_trip(self):
+        for seed in range(300):
+            for generate in (random_case, random_rewrite_case):
+                _assert_round_trips(generate(seed)[0])
+
+    @pytest.mark.parametrize(
+        "spec", [name for name, ex in EXAMPLES.items() if ex.build is not None] + ["tc:6"]
+    )
+    def test_bundled_plans_round_trip(self, spec):
+        _label, program, _db = resolve_workload(spec)
+        _assert_round_trips(program)
+        _assert_round_trips(optimize_program(program, cache=None).program)
 
 
 class TestParsedExecution:

@@ -192,6 +192,14 @@ class TestZeroOverheadSmoke:
             runtime_module.span = original
         assert calls == []  # the OBS.active guard short-circuited the call
 
+    def test_compile_span_skips_attributes_when_disabled(self):
+        from repro.relational import compile_span
+
+        calls = []
+        with compile_span("compile.fo_while", lambda: calls.append(1) or {}) as sp:
+            assert sp is NULL_SPAN
+        assert calls == []
+
     def test_disabled_overhead_is_bounded(self):
         """Timing smoke: the guarded path is within noise of the raw call.
 

@@ -61,10 +61,8 @@ class TestLedgerBasics:
         directory = tmp_path / "led"
         ledger = RunLedger(directory)
         run_id = ledger.record(_manifest())
-        (directory / "index.json").unlink()
         reopened = RunLedger(directory)
         assert reopened.get(run_id)["run_id"] == run_id
-        assert (directory / "index.json").exists()
 
     def test_filters_and_limit(self, tmp_path):
         ledger = RunLedger(tmp_path / "led")

@@ -1,12 +1,14 @@
-"""The ANALYZE pass: parity, persistence, and schema validation."""
+"""The ANALYZE pass: counts, persistence, and schema validation."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core import database, make_table
 from repro.core.errors import StatsError
 from repro.data import sales_info1, sales_info2, sales_info4
+from repro.engine.interning import SymbolInterner
 from repro.obs.stats import (
     DEFAULT_TOP_K,
     STATS_SCHEMA_VERSION,
@@ -61,34 +63,56 @@ class TestAnalyze:
         assert len(column.top) == 3
         assert column.ndv == 10
 
-    def test_bad_engine_raises(self):
+    def test_bad_top_k_raises(self):
         with pytest.raises(StatsError):
-            analyze_database(sales_info1(), engine="gpu")
+            analyze_database(sales_info1(), top_k=0)
+
+
+def _analyzed_counts(db):
+    """ANALYZE's counts, with a sketch large enough to be the histogram."""
+    out = []
+    for t in analyze_database(db, top_k=10**6).tables:
+        columns = [(c.attribute, c.nulls, c.ndv, dict(c.top)) for c in t.columns]
+        out.append((t.name, t.height, t.width, t.distinct_rows, columns))
+    return out
+
+
+def _interned_counts(db):
+    """The same counts taken over the vector engine's interned id-columns
+    (⊥ is id 0): an independent recount of the symbol-grid pass."""
+    interner = SymbolInterner()
+    symbol = interner.symbol
+    out = []
+    for table in db.tables:
+        idt = interner.intern_table(table)
+        columns = []
+        for attr, col in zip(idt.col_attrs, idt.cols):
+            counts = Counter(col)
+            nulls = counts.pop(0, 0)
+            histogram = {symbol(i): n for i, n in counts.items()}
+            columns.append((symbol(attr), nulls, len(histogram), histogram))
+        out.append((str(symbol(idt.name)), idt.height, idt.width, len(set(idt.rows)), columns))
+    return out
 
 
 class TestParity:
+    """ANALYZE agrees with a recount over interned id-columns."""
+
     @pytest.mark.parametrize("db_factory", [sales_info1, sales_info2, sales_info4])
     def test_naive_and_vector_agree_on_figures(self, db_factory):
         db = db_factory()
-        assert analyze_database(db, engine="naive") == analyze_database(
-            db, engine="vector"
-        )
+        assert _analyzed_counts(db) == _interned_counts(db)
 
     def test_naive_and_vector_agree_on_fixpoint_output(self):
         # The while-fixpoint's output database (transitive closure) has
-        # duplicated names and intermediate tables — the stress case for
-        # interned counting.
+        # duplicated names and intermediate tables.
         _label, program, db = parse_workload("tc:6")
         result = program.run(db)
-        assert analyze_database(result, engine="naive") == analyze_database(
-            result, engine="vector"
-        )
+        assert _analyzed_counts(result) == _interned_counts(result)
 
     def test_parity_with_nulls(self):
         db = database(_nulled_table())
-        assert analyze_database(db, engine="naive") == analyze_database(
-            db, engine="vector"
-        )
+        assert _analyzed_counts(db) == _interned_counts(db)
 
 
 class TestPersistence:

@@ -96,7 +96,6 @@ class TestStatsAudit:
         report = stats_audit(seeds=8, tc_size=4)
         assert report["version"] == 1
         assert report["stats_schema_version"] == STATS_SCHEMA_VERSION
-        assert report["engine"] == "vector"
         assert report["corpus"]["cases"] > 8
         assert report["overall"]["estimates"] > 0
         assert report["overall"]["p50"] >= 1.0
@@ -126,6 +125,6 @@ class TestStatsAudit:
             assert set(record["sources"]) >= {"stats", "shape"}
 
     def test_naive_engine_audit_runs(self):
-        report = stats_audit(seeds=2, tc_size=4, engine="naive")
-        assert report["engine"] == "naive"
+        report = stats_audit(seeds=2, tc_size=4)
+        assert "engine" not in report
         assert report["overall"]["estimates"] > 0

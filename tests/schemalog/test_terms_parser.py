@@ -100,6 +100,12 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_schemalog(text)
 
+    def test_error_names_line_and_column(self):
+        with pytest.raises(ParseError) as info:
+            parse_schemalog("r[T: a -> X] :-\n  e[T: a X].")
+        assert str(info.value) == "expected 'arrow', found 'X' at line 2, column 10"
+        assert (info.value.line, info.value.column) == (2, 10)
+
     def test_str_round_trip(self):
         rule = parse_rule("out[T: a -> X] :- in[T: a -> X], X != 'v'.")
         assert parse_rule(str(rule)) == rule

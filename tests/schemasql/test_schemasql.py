@@ -95,6 +95,15 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_schemasql(text)
 
+    def test_error_names_line_and_column(self):
+        with pytest.raises(ParseError) as info:
+            parse_schemasql("SELECT T.part AS p\nINTO Out FROM east T")
+        assert str(info.value) == "expected a name, found 'Out' at line 2, column 6"
+        assert (info.value.line, info.value.column) == (2, 6)
+        with pytest.raises(ParseError) as info:
+            parse_schemasql("SELECT T.part AS p, T.sold AS p INTO out FROM east T")
+        assert (info.value.line, info.value.column) == (1, 1)
+
 
 class TestValidation:
     def test_undeclared_tuple_variable(self, db):

@@ -496,14 +496,12 @@ class TestAnalyze:
     def test_analyze_workload_summary(self):
         code, output = run_cli("analyze", "tc:6")
         assert code == 0
-        assert "ANALYZE of tc:6" in output
-        assert "vector engine" in output
+        assert "ANALYZE of tc:6 (top-8 sketches)" in output
         assert "ndv" in output
 
     def test_analyze_example_naive(self):
-        code, output = run_cli("analyze", "fig4-group", "--engine", "naive")
+        code, output = run_cli("analyze", "fig4-group")
         assert code == 0
-        assert "naive engine" in output
         assert "Sales: 8 rows x 3 cols" in output
 
     def test_analyze_json_is_schema_valid(self):
@@ -539,9 +537,10 @@ class TestAnalyze:
         )
 
     def test_analyze_bad_engine_exits_two(self):
-        code, output = run_cli("analyze", "tc:6", "--engine", "gpu")
+        # ANALYZE has one counting path, so --engine is an unknown flag.
+        code, output = run_cli("analyze", "tc:6", "--engine", "naive")
         assert code == 2
-        assert "invalid --engine" in output
+        assert "--engine" in output
 
     def test_analyze_non_program_example_exits_two(self):
         code, output = run_cli("analyze", "olap")
@@ -580,9 +579,9 @@ class TestStatsAudit:
         assert "invalid --seeds" in output
 
     def test_audit_bad_engine_exits_two(self):
-        code, output = run_cli("stats-audit", "--engine", "gpu")
+        code, output = run_cli("stats-audit", "--engine", "naive")
         assert code == 2
-        assert "invalid --engine" in output
+        assert "--engine" in output
 
 
 class TestStatsFlags:
