@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.data import synthetic_sales_table
-from repro.obs import OBS, Observation
+from repro.obs import EVT, Observation
 from repro.obs.regress import current_git_sha, update_trajectory
 
 #: Row counts for scaling sweeps (kept laptop-friendly).
@@ -74,8 +74,8 @@ def report(label: str, **values) -> None:
     rendered = "  ".join(f"{k}={v}" for k, v in values.items())
     print(f"[{label}] {rendered}")
     record: dict = {"label": label, "values": values}
-    if OBS.active:
-        metrics = Observation(OBS.tracer).metrics
+    if EVT.observer is not None:
+        metrics = Observation(EVT.observer).metrics
         if not metrics.is_empty():
             record["metrics"] = metrics.snapshot()
     _RUN["records"].append(record)

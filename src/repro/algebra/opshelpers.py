@@ -3,7 +3,7 @@
 Operations accept attribute parameters as symbols, strings (coerced to
 names), ``None`` (coerced to ⊥), or iterables thereof; the helpers here
 normalize those inputs and provide the small pieces of shared machinery
-(column/row selection by attribute set, row-attribute combination).
+(column selection by attribute set, row-attribute combination).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "as_attr_symbol",
     "as_attr_set",
     "columns_with_attr_in",
-    "rows_with_attr_in",
     "combine_row_attributes",
 ]
 
@@ -51,11 +50,6 @@ def columns_with_attr_in(table: Table, attrs: frozenset[Symbol]) -> list[int]:
     """Data-column indices whose column attribute lies in ``attrs``, in order."""
     header = table.row(0)
     return [j for j in range(1, table.ncols) if header[j] in attrs]
-
-
-def rows_with_attr_in(table: Table, attrs: frozenset[Symbol]) -> list[int]:
-    """Data-row indices whose row attribute lies in ``attrs``, in order."""
-    return [i for i in range(1, table.nrows) if table.entry(i, 0) in attrs]
 
 
 def combine_row_attributes(left: Symbol, right: Symbol) -> Symbol:

@@ -23,7 +23,7 @@ sorting; it carries no model-level meaning).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 __all__ = [
     "Symbol",
@@ -340,9 +340,3 @@ def weakly_contained(left: Iterable[Symbol], right: Iterable[Symbol]) -> bool:
 def weakly_equal(left: Iterable[Symbol], right: Iterable[Symbol]) -> bool:
     """Weak equality ``A ≈ B``:  ``A ⊑ B`` and ``B ⊑ A``."""
     return strip_null(left) == strip_null(right)
-
-
-def iter_symbols(objs: Iterable[object]) -> Iterator[Symbol]:
-    """Coerce each object in ``objs`` via :func:`coerce_symbol`."""
-    for obj in objs:
-        yield coerce_symbol(obj)

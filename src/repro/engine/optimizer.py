@@ -948,8 +948,7 @@ class ChainJoin(Statement):
         return Table(grid)
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
-        obs = _obs.OBS
-        if obs.active and obs.lineage is not None:
+        if _obs.OBS.lineage is not None:
             gov = _gv.GOV
             if gov.active and gov.governor is not None:
                 gov.governor.check(op=CHAINJOIN_OP)

@@ -326,11 +326,12 @@ def compile_to_fw(program: GoodProgram) -> FWProgram:
     """Compile a GOOD program (sans abstraction) into FO + while + new."""
     with compile_span(
         "compile.good", lambda: {"operations": len(program.operations)}
-    ) as sp:
+    ) as boundary:
         emitter = _Emitter()
         for operation in program:
             emitter.compile_operation(operation)
-        sp.set(fw_statements=len(emitter.statements))
+        if boundary is not None:
+            boundary.set(fw_statements=len(emitter.statements))
         return FWProgram(emitter.statements)
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from ..core import Name, SchemaError, Symbol
-from ..obs.runtime import OBS as _OBS, span as _span
-from ..obs.trace import NULL_SPAN as _NULL_SPAN
+from ..obs import events as _ev
 from ..olap import Cube
 from .ndtable import NDTable
 
@@ -36,7 +35,7 @@ def cube_to_ndtable(cube: Cube) -> NDTable:
             "one-dimensional cubes have no faithful NDTable embedding "
             "(attribute and data positions coincide)"
         )
-    with (_span("bridge.cube_to_ndtable", arity=cube.arity, cells=len(cube.cells)) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.cube_to_ndtable", arity=cube.arity, cells=len(cube.cells)) if _ev.EVT.active else _ev.NO_BOUNDARY):
         return _cube_to_ndtable(cube)
 
 
@@ -69,7 +68,7 @@ def ndtable_to_cube(table: NDTable, dims: tuple[str, ...] | None = None) -> Cube
             "one-dimensional tables carry no separable data region "
             "(attribute and data positions coincide)"
         )
-    with (_span("bridge.ndtable_to_cube", arity=table.arity) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.ndtable_to_cube", arity=table.arity) if _ev.EVT.active else _ev.NO_BOUNDARY):
         return _ndtable_to_cube(table, dims)
 
 

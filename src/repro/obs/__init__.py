@@ -2,12 +2,13 @@
 
 The engine is instrumented at every layer — the algebra operation
 registry, the program interpreter, the FO+while+new interpreter, the
-SchemaLog/SchemaSQL/GOOD compilers, and the OLAP/n-dim bridges — but all
-instrumentation is a strict no-op until an :func:`observation` scope is
-entered (one attribute check per scope guards every hot path).  The
-registry's dispatch events are the one record of an op boundary: the
-observation builds its op spans from them and its metrics from the
-spans.
+SchemaLog/SchemaSQL/GOOD compilers, the OLAP/n-dim bridges and the
+governor — and every layer publishes on one event feed, which is a
+strict no-op until an :func:`event_stream` or :func:`observation` scope
+switches it on (one ``EVT.active`` check guards every hot path).  The
+op events and the structural boundary events are the one record of a
+run: an observation builds its span trees from them and its metrics
+from the spans, and a ring that retained them rebuilds the same trees.
 
 Typical use::
 
@@ -27,12 +28,13 @@ cell-level why-provenance queries and the witness-replay audit, and
 """
 
 from .metrics import MetricsRegistry, OpMetrics
-from .runtime import OBS, Observation, observation, span
-from .trace import NULL_SPAN, Span, Tracer
+from .runtime import OBS, Observation, observation
+from .trace import Span, Tracer
 from .events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
     EVT,
+    Boundary,
     Event,
     EventBus,
     JsonlEventWriter,
@@ -108,7 +110,6 @@ from .estimator import (
     qerror,
 )
 from .workload import (
-    WorkloadLog,
     fingerprint_program,
     normalize_program,
     stats_audit,
@@ -135,13 +136,13 @@ __all__ = [
     "EVT",
     "EST",
     "LEDGER_SCHEMA_VERSION",
-    "NULL_SPAN",
     "EVENT_KINDS",
     "EVENT_SCHEMA_VERSION",
     "DEFAULT_TOP_K",
     "QERROR_BUCKETS",
     "STATS_SCHEMA_VERSION",
     "AuditResult",
+    "Boundary",
     "CardinalityEstimator",
     "CellRef",
     "ColumnStats",
@@ -172,7 +173,6 @@ __all__ = [
     "TableStats",
     "Tracer",
     "Witness",
-    "WorkloadLog",
     "analyze_database",
     "analyze_records",
     "analyze_table_stats",
@@ -212,7 +212,6 @@ __all__ = [
     "replay_run",
     "resolve_runnable",
     "sentinel_report",
-    "span",
     "stats_audit",
     "span_tree_text",
     "table_origins",

@@ -9,7 +9,7 @@ table, and continuously measures how wrong every prediction was via the
 estimation accuracy metric (1.0 is perfect, symmetric in over- and
 under-estimation).
 
-The scope follows the ``OBS``/``GOV``/``EVT`` architecture exactly: one
+The scope follows the ``GOV``/``EVT`` architecture exactly: one
 module-level singleton, :data:`EST`, guards the registry chokepoint.
 When ``EST.active`` is False — the default — dispatch falls through
 after a single attribute check and the zero-allocation audit holds.

@@ -183,11 +183,11 @@ class FlightRecorder:
             for event in events:
                 handle.write(json.dumps(event.to_json()) + "\n")
 
-        obs = _obs.OBS
-        if obs.active:
+        tracer = EVT.observer
+        if tracer is not None:
             from .explain import explain_text
 
-            snapshot = _obs.Observation(obs.tracer)
+            snapshot = _obs.Observation(tracer)
             (bundle / "metrics.json").write_text(
                 json.dumps(snapshot.metrics.snapshot(), indent=2) + "\n"
             )

@@ -2,19 +2,15 @@
 
 A :class:`Span` is one timed region of work — an operation invocation, a
 program statement, a while-loop iteration, a compilation phase — with a
-name, free-form attributes, and children.  A :class:`Tracer` collects
-spans into per-thread trees: each thread keeps its own open-span stack,
-so concurrent interpreter runs never interleave their trees, and
-completed top-level spans are appended to a shared, lock-protected root
-list.  Structural spans are opened with :meth:`Tracer.span`; op spans
-are built by :meth:`Tracer.collect` from the registry's dispatch events,
-the one record of an op boundary.
-
-The tracer is built for instrumentation that must vanish when disabled:
-:data:`NULL_SPAN` is a shared do-nothing context manager, and every
-``span(...)`` call site in the engine is guarded by a single attribute
-check on the global observation state (see :mod:`repro.obs.runtime`), so
-the untraced hot path pays essentially nothing.
+name, free-form attributes, and children.  A :class:`Tracer` is a pure
+consumer of the event feed (:mod:`repro.obs.events`): installed as the
+``EVT.observer`` by an ``observation()`` scope, it opens and closes every
+span from the ``span_start``/``span_finish`` (op) and
+``boundary_start``/``boundary_finish`` (structural) events on one
+open-span stack per thread, so concurrent interpreter runs never
+interleave their trees, and completed top-level spans are appended to a
+shared, lock-protected root list.  Fed the events a ring retained, a
+fresh tracer rebuilds the same trees after the fact.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import time
 import tracemalloc
 from typing import Iterator
 
-__all__ = ["Span", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -32,8 +28,8 @@ class Span:
 
     ``start``/``end`` are :func:`time.perf_counter` stamps; ``error``
     holds ``repr(exception)`` when the region raised; ``kernel`` marks
-    an op span whose result a vector kernel produced.  Spans are context
-    managers only through their owning :class:`Tracer`.
+    an op span whose result a vector kernel produced.  A :class:`Tracer`
+    builds them from the event feed.
     """
 
     __slots__ = ("name", "attributes", "start", "end", "children", "thread_id", "error", "kernel")
@@ -52,11 +48,6 @@ class Span:
     def duration(self) -> float:
         """Wall-clock seconds spent inside the span."""
         return max(0.0, self.end - self.start)
-
-    def set(self, **attributes) -> "Span":
-        """Attach or overwrite attributes; returns the span for chaining."""
-        self.attributes.update(attributes)
-        return self
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth first."""
@@ -92,64 +83,21 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
-class _ActiveSpan:
-    """Context manager pairing a span with its tracer's stack discipline."""
+class _Open:
+    """One open span on a thread's stack: ``op`` marks an op span (the
+    target of ``error``, ``engine_dispatch`` and ``fault_injected``);
+    ``mem_start`` is the traced memory at entry, or -1."""
 
-    __slots__ = ("_tracer", "span", "_is_root", "_mem_start")
+    __slots__ = ("span", "op", "mem_start")
 
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
+    def __init__(self, span: Span, op: bool, mem_start: int):
         self.span = span
-        self._is_root = False
-        self._mem_start = -1
-
-    def __enter__(self) -> Span:
-        self._is_root = self._tracer._push(self.span)
-        if self._tracer.memory and tracemalloc.is_tracing():
-            self._mem_start, _peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-        self.span.start = time.perf_counter()
-        return self.span
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        self.span.end = time.perf_counter()
-        if self._mem_start >= 0 and tracemalloc.is_tracing():
-            # Peak allocation above the level at span entry.  The peak
-            # counter is process-global and reset at every span entry, so
-            # a parent whose child reset it under-reports its own peak;
-            # leaf spans (the operation calls the profiler attributes
-            # hotspots to) are exact.
-            _current, peak = tracemalloc.get_traced_memory()
-            self.span.attributes["mem_peak_kb"] = round(
-                max(0, peak - self._mem_start) / 1024.0, 3
-            )
-        if exc is not None:
-            self.span.error = repr(exc)
-        self._tracer._pop(self.span, self._is_root)
-        return False
-
-
-class _NullSpan:
-    """Shared no-op stand-in for a span when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        return False
-
-    def set(self, **attributes) -> "_NullSpan":
-        return self
-
-
-#: The singleton disabled span; ``with NULL_SPAN as sp: sp.set(...)`` is free.
-NULL_SPAN = _NullSpan()
+        self.op = op
+        self.mem_start = mem_start
 
 
 class Tracer:
-    """Collects span trees, one open-span stack per thread.
+    """Builds span trees from the event feed, one open-span stack per thread.
 
     ``memory=True`` additionally records each span's peak ``tracemalloc``
     allocation (as a ``mem_peak_kb`` attribute) — the caller is
@@ -165,66 +113,52 @@ class Tracer:
         self._roots: list[Span] = []
         self.memory = memory
 
-    # -- stack discipline ----------------------------------------------
-
-    def _stack(self) -> list[Span]:
+    def _stack(self) -> list[_Open]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
         return stack
 
-    def _push(self, span: Span) -> bool:
-        """Attach under the open span; True iff ``span`` starts a new tree."""
-        stack = self._stack()
-        is_root = not stack
-        if stack:
-            stack[-1].children.append(span)
-        stack.append(span)
-        return is_root
-
-    def _pop(self, span: Span, is_root: bool) -> None:
-        stack = self._stack()
-        # Exception safety: unwind past any spans abandoned by a raise.
-        while stack:
-            if stack.pop() is span:
-                break
-        if is_root:
-            with self._lock:
-                self._roots.append(span)
-
-    def _ops(self) -> list[_ActiveSpan]:
-        ops = getattr(self._local, "ops", None)
-        if ops is None:
-            ops = self._local.ops = []
-        return ops
-
-    # -- public API -----------------------------------------------------
-
     def collect(self, kind: str, data: dict) -> None:
-        """Build op spans from the dispatch events (the ``EVT.observer``).
+        """Open, annotate and close spans from one event (the ``EVT.observer``).
 
-        ``span_start`` opens an op span under this thread's open span,
-        carrying its payload as attributes; ``span_finish`` adds its
-        payload and closes it.  ``error`` records the failure,
-        ``engine_dispatch`` marks the span kernel-produced and
-        ``fault_injected`` nests a ``fault`` span under it.  An event
-        with no open op span on its thread — a scope entered mid-op, a
-        backend dispatched outside the registry — is ignored.
+        ``span_start`` and ``boundary_start`` open a span under this
+        thread's open span, carrying the payload as attributes;
+        ``span_finish`` and ``boundary_finish`` add their payload and
+        close it.  ``error`` records an op's failure, ``engine_dispatch``
+        marks the op span kernel-produced and ``fault_injected`` nests a
+        ``fault`` span under it.  An event that matches no open span on
+        its thread — a scope entered mid-region, a backend dispatched
+        outside the registry — is ignored.
         """
-        ops = self._ops()
-        if kind == "span_start":
-            attributes = {k: v for k, v in data.items() if k != "op"}
-            ops.append(_ActiveSpan(self, Span(data["op"], attributes)))
-            ops[-1].__enter__()
+        stack = self._stack()
+        if kind == "span_start" or kind == "boundary_start":
+            key = "op" if kind == "span_start" else "name"
+            span = Span(data[key], {k: v for k, v in data.items() if k != key})
+            mem_start = -1
+            if self.memory and tracemalloc.is_tracing():
+                mem_start, _peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+            if stack:
+                stack[-1].span.children.append(span)
+            stack.append(_Open(span, kind == "span_start", mem_start))
+            span.start = time.perf_counter()
             return
-        if not ops:
+        if not stack:
             return
-        span = ops[-1].span
-        if kind == "span_finish":
-            for key, value in data.items():
-                if key not in ("op", "ok", "duration_ms"):
-                    span.attributes[key] = value
-            ops.pop().__exit__(None, None, None)
+        top = stack[-1]
+        span = top.span
+        if kind == "boundary_finish":
+            if top.op or span.name != data["name"]:
+                return
+            error = data.get("error")
+            if error is not None:
+                span.error = error
+            self._close(stack, data, ("name", "ok", "error"))
+        elif not top.op:
+            return
+        elif kind == "span_finish":
+            self._close(stack, data, ("op", "ok", "duration_ms"))
         elif kind == "error":
             span.error = f"{data['error_type']}({data['error']!r})"
         elif kind == "engine_dispatch":
@@ -237,22 +171,30 @@ class Tracer:
             fault.start = fault.end = time.perf_counter()
             span.children.append(fault)
 
-    def span(self, name: str, **attributes) -> _ActiveSpan:
-        """Open a new span nested under the current thread's open span."""
-        return _ActiveSpan(self, Span(name, attributes))
-
-    def current(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+    def _close(self, stack: list[_Open], data: dict, skip: tuple[str, ...]) -> None:
+        """Close the top span with the finish payload (minus ``skip``)."""
+        top = stack.pop()
+        span = top.span
+        span.end = time.perf_counter()
+        for key, value in data.items():
+            if key not in skip:
+                span.attributes[key] = value
+        if top.mem_start >= 0 and tracemalloc.is_tracing():
+            # Peak allocation above the level at span entry.  The peak
+            # counter is process-global and reset at every span entry, so
+            # a parent whose child reset it under-reports its own peak;
+            # leaf spans (the operation calls the profiler attributes
+            # hotspots to) are exact.
+            _current, peak = tracemalloc.get_traced_memory()
+            span.attributes["mem_peak_kb"] = round(
+                max(0, peak - top.mem_start) / 1024.0, 3
+            )
+        if not stack:
+            with self._lock:
+                self._roots.append(span)
 
     @property
     def roots(self) -> tuple[Span, ...]:
         """All completed top-level spans, in completion order."""
         with self._lock:
             return tuple(self._roots)
-
-    def reset(self) -> None:
-        """Drop all collected roots (open stacks are per-thread and unaffected)."""
-        with self._lock:
-            self._roots.clear()

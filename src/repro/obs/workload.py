@@ -8,9 +8,6 @@ Two halves, both consumers of the statistics layer:
   replaced by ``?``.  Two runs of ``SELECTCONST on {Part} = 'nuts'`` and
   ``= 'bolts'`` therefore share a fingerprint, exactly like normalized
   query digests in a database's workload repository.
-  :class:`WorkloadLog` subscribes to the live event bus and aggregates
-  per-fingerprint call counts, latency percentiles, dispatched-op
-  counts, actual cardinalities, and estimate q-errors.
 
 * **The audit** — :func:`stats_audit` replays a corpus (the bundled
   TA-program examples, the synthetic transitive-closure fixpoint, and
@@ -30,17 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 from .estimator import QERROR_BUCKETS, EstimateAccuracy, _percentile, estimation
-from .events import EVT, Event, EventBus, event_stream
+from .runtime import observation
 from .stats import STATS_SCHEMA_VERSION, analyze_database
 
 __all__ = [
     "normalize_program",
     "fingerprint_program",
-    "WorkloadLog",
     "stats_audit",
     "DEFAULT_AUDIT_SEEDS",
 ]
@@ -97,157 +91,6 @@ def fingerprint_program(program) -> str:
     """A 16-hex-digit digest of the normalized program."""
     normalized = normalize_program(program)
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
-
-
-# ----------------------------------------------------------------------
-# The workload log
-# ----------------------------------------------------------------------
-
-class _FingerprintRecord:
-    """Aggregates for one normalized program shape."""
-
-    __slots__ = (
-        "fingerprint",
-        "normalized",
-        "calls",
-        "errors",
-        "ops",
-        "rows_out",
-        "estimates",
-        "qerror_sum",
-        "qerror_max",
-        "_latencies",
-    )
-
-    def __init__(self, fingerprint: str, normalized: str):
-        self.fingerprint = fingerprint
-        self.normalized = normalized
-        self.calls = 0
-        self.errors = 0
-        self.ops = 0
-        self.rows_out = 0
-        self.estimates = 0
-        self.qerror_sum = 0.0
-        self.qerror_max = 0.0
-        self._latencies: list[float] = []
-
-    def snapshot(self) -> dict:
-        ordered = sorted(self._latencies)
-        return {
-            "fingerprint": self.fingerprint,
-            "normalized": self.normalized,
-            "calls": self.calls,
-            "errors": self.errors,
-            "ops": self.ops,
-            "rows_out": self.rows_out,
-            "latency_ms": {
-                "p50": round(_percentile(ordered, 0.50) * 1e3, 3),
-                "p95": round(_percentile(ordered, 0.95) * 1e3, 3),
-                "max": round(ordered[-1] * 1e3, 3) if ordered else 0.0,
-            },
-            "estimates": self.estimates,
-            "q_error": {
-                "mean": (
-                    round(self.qerror_sum / self.estimates, 3) if self.estimates else 0.0
-                ),
-                "max": round(self.qerror_max, 3),
-            },
-        }
-
-
-class WorkloadLog:
-    """Per-fingerprint workload aggregates fed from the event bus.
-
-    Attach to a live bus, then bracket each program run with
-    :meth:`track` — events published while a run is open (op
-    ``span_finish`` row counts, ``op_estimate`` q-errors) are attributed
-    to that run's fingerprint::
-
-        with event_stream() as bus:
-            log = WorkloadLog(bus)
-            with log.track(program):
-                program.run(db)
-        print(log.snapshot())
-    """
-
-    __slots__ = ("records", "dispatched", "_bus", "_current", "ignored")
-
-    def __init__(self, bus: EventBus | None = None):
-        self.records: dict[str, _FingerprintRecord] = {}
-        #: Per-op dispatch counts across every event seen (tracked or not):
-        #: the audit's coverage check compares these against scored ops.
-        self.dispatched: dict[str, int] = {}
-        self._current: _FingerprintRecord | None = None
-        #: Events that arrived outside any tracked run.
-        self.ignored = 0
-        self._bus = bus
-        if bus is not None:
-            bus.attach(self._on_event)
-
-    def _on_event(self, event: Event) -> None:
-        if event.kind == "span_finish" and event.data.get("ok", True):
-            # Failed dispatches have no actual cardinality to score, so
-            # coverage counts completed ops only.
-            op = event.data.get("op")
-            if op:
-                op = str(op)
-                self.dispatched[op] = self.dispatched.get(op, 0) + 1
-        record = self._current
-        if record is None:
-            if event.kind in ("span_finish", "op_estimate", "error"):
-                self.ignored += 1
-            return
-        if event.kind == "span_finish":
-            record.ops += 1
-            record.rows_out += int(event.data.get("rows_out", 0) or 0)
-        elif event.kind == "op_estimate":
-            q = float(event.data.get("q_error", 1.0))
-            record.estimates += 1
-            record.qerror_sum += q
-            if q > record.qerror_max:
-                record.qerror_max = q
-        elif event.kind == "error":
-            record.errors += 1
-
-    def _record_for(self, program) -> _FingerprintRecord:
-        normalized = normalize_program(program)
-        fingerprint = hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
-        record = self.records.get(fingerprint)
-        if record is None:
-            record = self.records[fingerprint] = _FingerprintRecord(
-                fingerprint, normalized
-            )
-        return record
-
-    @contextmanager
-    def track(self, program) -> Iterator[_FingerprintRecord]:
-        """Attribute bus events and latency to ``program``'s fingerprint."""
-        record = self._record_for(program)
-        record.calls += 1
-        previous = self._current
-        self._current = record
-        started = time.perf_counter()
-        try:
-            yield record
-        except Exception:
-            record.errors += 1
-            raise
-        finally:
-            record._latencies.append(time.perf_counter() - started)
-            self._current = previous
-
-    def snapshot(self) -> dict:
-        """Per-fingerprint aggregates, busiest first."""
-        ordered = sorted(
-            self.records.values(), key=lambda r: (-r.calls, r.fingerprint)
-        )
-        return {
-            "fingerprints": [record.snapshot() for record in ordered],
-            "ignored_events": self.ignored,
-        }
-
-    def __repr__(self) -> str:
-        return f"WorkloadLog({len(self.records)} fingerprint(s))"
 
 
 # ----------------------------------------------------------------------
@@ -330,25 +173,22 @@ def stats_audit(
 
     accuracy = EstimateAccuracy()
     opt_accuracy = EstimateAccuracy()
-    workload = None
     cases = errors = 0
     opt_cases = opt_errors = opt_rewrites = 0
     plan_cache = PlanCache()
     started = time.perf_counter()
     rewritable = []
-    with event_stream() as bus:
-        workload = WorkloadLog(bus)
-        for label, program, db, kwargs in _audit_corpus(seeds, tc_size):
+    with observation() as baseline:
+        for _label, program, db, kwargs in _audit_corpus(seeds, tc_size):
             stats = analyze_database(db, top_k=top_k or DEFAULT_TOP_K)
             cases += 1
             with estimation(stats, accuracy=accuracy):
                 try:
-                    with workload.track(_LabeledProgram(label)):
-                        program.run(db, **kwargs)
+                    program.run(db, **kwargs)
                 except ReproError:
                     errors += 1
             rewritable.append((db, program, kwargs, stats))
-    # The post-rewrite pass runs outside the event stream: coverage is a
+    # The post-rewrite pass runs outside the observation: coverage is a
     # property of the *baseline* corpus, and the rewritten plans dispatch
     # ops (fused PRODUCTSELECT, CHAINJOIN) the baseline never does.
     for db, program, kwargs, stats in rewritable:
@@ -367,7 +207,13 @@ def stats_audit(
 
     ops_report = accuracy.snapshot()
     estimated_ops = set(ops_report)
-    dispatched = _dispatched_ops(workload)
+    # An op was dispatched when one of its calls completed: a failed
+    # call has no actual cardinality to score.
+    dispatched = {
+        name
+        for name, record in baseline.metrics.operations.items()
+        if record.calls > record.errors
+    }
     missing = sorted(dispatched - estimated_ops)
     overall = _accuracy_overall(accuracy)
     opt_overall = _accuracy_overall(opt_accuracy)
@@ -403,29 +249,4 @@ def stats_audit(
             "missing": missing,
             "complete": not missing,
         },
-        "workload": workload.snapshot(),
     }
-
-
-class _LabeledProgram:
-    """A corpus entry's stand-in program: fingerprints by its label.
-
-    The audit's workload log keys cases by corpus label instead of
-    re-deriving statement structure.
-    """
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-    @property
-    def statements(self):
-        return (self.label,)
-
-
-def _dispatched_ops(workload: WorkloadLog | None) -> set[str]:
-    """Op kinds that actually dispatched, from the bus-fed span events."""
-    if workload is None:
-        return set()
-    return set(workload.dispatched)

@@ -30,8 +30,7 @@ from ..core import (
     Table,
     TabularDatabase,
 )
-from ..obs.runtime import OBS as _OBS, span as _span
-from ..obs.trace import NULL_SPAN as _NULL_SPAN
+from ..obs import events as _ev
 from .cube import Cube
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
 
 def cube_to_relation_table(cube: Cube, name: str = "Facts") -> Table:
     """The relation-style fact table: one row per applicable cell."""
-    with (_span("bridge.cube_to_relation_table", cells=len(cube.cells)) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.cube_to_relation_table", cells=len(cube.cells)) if _ev.EVT.active else _ev.NO_BOUNDARY):
         header: list[Symbol] = [Name(name)]
         header += [Name(d) for d in cube.dims]
         header.append(Name(cube.measure))
@@ -82,7 +81,7 @@ def cube_to_grouped_table(
             f"grouped bridge needs exactly the dimensions {(row_dim, col_dim)}, "
             f"cube has {cube.dims}"
         )
-    with (_span("bridge.cube_to_grouped_table", row_dim=row_dim, col_dim=col_dim) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.cube_to_grouped_table", row_dim=row_dim, col_dim=col_dim) if _ev.EVT.active else _ev.NO_BOUNDARY):
         relation = cube_to_relation_table(cube, name)
         return group_compact(relation, by=col_dim, on=cube.measure)
 
@@ -117,7 +116,7 @@ def cube_to_database(
     Computed through the tabular SPLIT on the relation-style fact table —
     the paper's own route from the relational to the per-region shape.
     """
-    with (_span("bridge.cube_to_database", split_dim=split_dim) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.cube_to_database", split_dim=split_dim) if _ev.EVT.active else _ev.NO_BOUNDARY):
         relation = cube_to_relation_table(cube, name)
         return TabularDatabase(split(relation, on=split_dim))
 
@@ -129,7 +128,7 @@ def relation_table_to_cube(
     combine: Callable | None = None,
 ) -> Cube:
     """Read a cube out of a relation-style fact table."""
-    with (_span("bridge.relation_table_to_cube", rows=table.height) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.relation_table_to_cube", rows=table.height) if _ev.EVT.active else _ev.NO_BOUNDARY):
         return _relation_table_to_cube(table, dims, measure, combine)
 
 
@@ -161,7 +160,7 @@ def matrix_table_to_cube(
     table: Table, row_dim: str, col_dim: str, measure: str = "Value"
 ) -> Cube:
     """Read a cube out of a ``SalesInfo3``-shaped matrix table."""
-    with (_span("bridge.matrix_table_to_cube", rows=table.height, cols=table.width) if _OBS.active else _NULL_SPAN):
+    with (_ev.Boundary("bridge.matrix_table_to_cube", rows=table.height, cols=table.width) if _ev.EVT.active else _ev.NO_BOUNDARY):
         return _matrix_table_to_cube(table, row_dim, col_dim, measure)
 
 

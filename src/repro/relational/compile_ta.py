@@ -39,8 +39,7 @@ from typing import Callable, Mapping
 
 from ..core import EvaluationError, SchemaError, Value
 from ..algebra.programs import Assignment, Program, Statement, While
-from ..obs import runtime as _obs
-from ..obs.trace import NULL_SPAN
+from ..obs import events as _ev
 from ..runtime import governor as _gv
 from .algebra import (
     ConstColumn,
@@ -258,19 +257,21 @@ def compile_expression(expr: Expr, schemas: Mapping[str, tuple[str, ...]], targe
 
 
 def compile_span(name: str, attributes: Callable[[], dict]):
-    """Enter a compiler: the governor's check, then its ``compile.*`` span.
+    """Enter a compiler: the governor's check, then its ``compile.*`` boundary.
 
     Every compiler into tabular algebra — FO + while + new here, and the
-    SchemaLog_d, SchemaSQL_d and GOOD front ends — starts here.  The span
-    is the shared no-op span unless observation is on, and only then is
-    ``attributes`` called for the span's attributes.
+    SchemaLog_d, SchemaSQL_d and GOOD front ends — starts here.  With
+    the event feed on this is a :class:`~repro.obs.events.Boundary`
+    starting with ``attributes()``; with it off, the shared
+    :data:`~repro.obs.events.NO_BOUNDARY` (which binds ``None``), and
+    ``attributes`` is never called.
     """
     gov = _gv.GOV
     if gov.active and gov.governor is not None:
         gov.governor.check(op=name)
-    if _obs.OBS.active:
-        return _obs.OBS.tracer.span(name, **attributes())
-    return NULL_SPAN
+    if _ev.EVT.active:
+        return _ev.Boundary(name, **attributes())
+    return _ev.NO_BOUNDARY
 
 
 def compile_program(
@@ -281,9 +282,10 @@ def compile_program(
     ``schemas`` gives the input relations' schemas (the compile-time
     environment Theorem 4.1's simulation needs).
     """
-    with compile_span("compile.fo_while", lambda: {"statements": len(program)}) as sp:
+    with compile_span("compile.fo_while", lambda: {"statements": len(program)}) as boundary:
         compiler = _Compiler(dict(schemas))
         for statement in program.statements:
             compiler.compile_statement(statement)
-        sp.set(compiled_statements=len(compiler.statements))
+        if boundary is not None:
+            boundary.set(compiled_statements=len(compiler.statements))
         return Program(compiler.statements)

@@ -25,7 +25,7 @@ from ..core import (
     FreshValueSource,
     SchemaError,
 )
-from ..obs import runtime as _obs
+from ..obs import events as _ev
 from ..runtime.governor import GOV as _GOV, IterationBudget
 from .algebra import Expr
 from .relation import Relation, RelationalDatabase
@@ -158,23 +158,20 @@ class WhileNotEmpty(FWStatement):
         self.body = body if isinstance(body, FWProgram) else FWProgram(body)
 
     def execute(self, db, fresh, budget):
-        obs = _obs.OBS
-        if not obs.active:
-            while self.name in db and len(db.relation(self.name)) > 0:
-                budget.tick(self.name)
-                db = self.body._execute(db, fresh, budget)
-            return db
-        tracer = obs.tracer
-        with tracer.span("fw-while", text=f"while {self.name}") as sp:
+        evented = _ev.EVT.active
+        region = _ev.Boundary("fw-while", text=f"while {self.name}") if evented else _ev.NO_BOUNDARY
+        with region as boundary:
             iterations = 0
             condition_rows: list[int] = []
             while self.name in db and len(db.relation(self.name)) > 0:
                 budget.tick(self.name)
                 iterations += 1
-                condition_rows.append(len(db.relation(self.name)))
-                with tracer.span("iteration", n=iterations):
+                if evented:
+                    condition_rows.append(len(db.relation(self.name)))
+                with _ev.Boundary("iteration", n=iterations) if evented else _ev.NO_BOUNDARY:
                     db = self.body._execute(db, fresh, budget)
-            sp.set(iterations=iterations, condition_rows=condition_rows)
+            if evented:
+                boundary.set(iterations=iterations, condition_rows=condition_rows)
             return db
 
     def __repr__(self) -> str:
@@ -197,19 +194,19 @@ class FWProgram:
             # the per-statement check is this language's only chokepoint
             # for deadlines and cancellation between while ticks.
             gov.governor.check()
-        obs = _obs.OBS
-        if not obs.active:
-            for statement in self.statements:
-                db = statement.execute(db, fresh, budget)
-            return db
+        evented = _ev.EVT.active
         for statement in self.statements:
-            if isinstance(statement, WhileNotEmpty):
-                db = statement.execute(db, fresh, budget)  # spans itself
-                continue
-            with obs.tracer.span("fw-statement", text=repr(statement)) as sp:
+            # A while loop publishes its own boundary.
+            bounded = evented and not isinstance(statement, WhileNotEmpty)
+            region = (
+                _ev.Boundary("fw-statement", text=repr(statement))
+                if bounded
+                else _ev.NO_BOUNDARY
+            )
+            with region as boundary:
                 db = statement.execute(db, fresh, budget)
-                if isinstance(statement, (Assign, AssignNew, AssignSetNew)):
-                    sp.set(rows_out=len(db.relation(statement.name)))
+                if bounded and isinstance(statement, (Assign, AssignNew, AssignSetNew)):
+                    boundary.set(rows_out=len(db.relation(statement.name)))
         return db
 
     def run(
@@ -221,10 +218,11 @@ class FWProgram:
         """Execute against ``db`` and return the final database."""
         source = fresh if fresh is not None else FreshValueSource()
         source.advance_past(db.symbols())
-        obs = _obs.OBS
-        if not obs.active:
-            return self._execute(db, source, _Budget(max_while_iterations))
-        with obs.tracer.span("fw-program", statements=len(self.statements)):
+        with (
+            _ev.Boundary("fw-program", statements=len(self.statements))
+            if _ev.EVT.active
+            else _ev.NO_BOUNDARY
+        ):
             return self._execute(db, source, _Budget(max_while_iterations))
 
     def __len__(self) -> int:

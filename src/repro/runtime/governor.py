@@ -38,7 +38,6 @@ from typing import Iterator
 
 from ..core.errors import BudgetExceededError, CancelledError, NonTerminationError
 from ..obs import events as _ev
-from ..obs import runtime as _obs
 
 __all__ = [
     "GOV",
@@ -352,18 +351,19 @@ def governed(
 
     Installs a fresh :class:`ResourceGovernor` over ``limits`` (or the
     given ``governor``) plus an optional fault plan, restoring the
-    previous state on exit so scopes nest.  When an observation scope is
-    also active, the whole governed region is wrapped in a ``governed``
-    trace span carrying the limits on entry and the governor's counters
-    on exit — budget trips therefore surface as errored spans in EXPLAIN.
+    previous state on exit so scopes nest.  With the event feed on, the
+    whole governed region is a ``governed`` boundary carrying the limits
+    on entry and the governor's counters on exit — budget trips
+    therefore close it with ``ok`` false and surface as errored spans in
+    EXPLAIN.
     """
     gov = governor if governor is not None else ResourceGovernor(limits)
     previous = (GOV.active, GOV.governor, GOV.faults)
     GOV.governor, GOV.faults = gov, faults
     GOV.active = True
-    obs = _obs.OBS
     try:
-        if obs.active:
+        region = _ev.NO_BOUNDARY
+        if _ev.EVT.active:
             configured = {
                 k: v
                 for k, v in (
@@ -376,10 +376,10 @@ def governed(
                 )
                 if v is not None
             }
-            with obs.tracer.span("governed", limits=configured) as sp:
-                yield gov
-                sp.set(governor=gov.snapshot())
-        else:
+            region = _ev.Boundary("governed", limits=configured)
+        with region as boundary:
             yield gov
+            if boundary is not None:
+                boundary.set(governor=gov.snapshot())
     finally:
         GOV.active, GOV.governor, GOV.faults = previous

@@ -233,9 +233,10 @@ class _ShedScopes:
     """Temporarily flip the optional observability layers off.
 
     Under memory pressure the supervisor sheds the layers a run can
-    live without — events, metrics/tracing, estimation — while keeping
-    the governor (the thing enforcing the budget) fully armed.  The
-    previous state is restored on exit, whatever it was.
+    live without — the event feed (and with it every span) and
+    estimation — while keeping the governor (the thing enforcing the
+    budget) fully armed.  The previous state is restored on exit,
+    whatever it was.
     """
 
     def __init__(self):
@@ -243,9 +244,8 @@ class _ShedScopes:
 
     def __enter__(self):
         from ..obs import estimator as _est
-        from ..obs import runtime as _obs
 
-        for state in (_ev.EVT, _obs.OBS, _est.EST):
+        for state in (_ev.EVT, _est.EST):
             self._saved.append((state, state.active))
             state.active = False
         return self

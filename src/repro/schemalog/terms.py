@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union as TypingUnion
 
-from ..core import Symbol, coerce_symbol
+from ..core import Symbol
 
 __all__ = [
     "Var",
@@ -54,13 +54,6 @@ class Const:
 
 
 Term = TypingUnion[Var, Const]
-
-
-def as_term(obj: object) -> Term:
-    """Coerce: Var/Const pass, Symbols and plain values become constants."""
-    if isinstance(obj, (Var, Const)):
-        return obj
-    return Const(coerce_symbol(obj))
 
 
 @dataclass(frozen=True)

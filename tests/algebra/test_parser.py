@@ -155,7 +155,8 @@ def _assert_round_trips(program):
 
 
 class TestPrintedFormParses:
-    """``repr`` of an assignment is program text that parses back to it."""
+    """``repr`` of an assignment, a loop or a program is program text
+    that parses back to it."""
 
     def test_bottom_and_empty_set(self):
         stmt = parse_statement("T <- CLEANUP by {} on {⊥} (R)")
@@ -180,6 +181,22 @@ class TestPrintedFormParses:
         _label, program, _db = resolve_workload(spec)
         _assert_round_trips(program)
         _assert_round_trips(optimize_program(program, cache=None).program)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [name for name, ex in EXAMPLES.items() if ex.build is not None]
+        + ["tc:6", "chain:4"],
+    )
+    def test_programs_print_as_program_text(self, spec):
+        # The examples include the compiled FO+while, SchemaLog,
+        # SchemaSQL and GOOD programs; tc:6 nests a loop.
+        _label, program, _db = resolve_workload(spec)
+        text = repr(program)
+        assert repr(parse_program(text)) == text
+
+    def test_nested_loops_print_indented(self):
+        text = "while A do\n  B <- DEDUP (A)\n  while B do\n    B <- DIFFERENCE (B, B)\n  end\nend"
+        assert repr(parse_program(text)) == text
 
 
 class TestParsedExecution:

@@ -410,6 +410,29 @@ class TestChainJoin:
             lineage_db = Program([chain]).run(db)
         assert lineage_db == program.run(db)
 
+    @pytest.mark.parametrize("spec", ["chain:3", "chain:4"])
+    def test_lineage_alone_keeps_every_cells_provenance(self, spec):
+        # No observation scope: lineage alone must route the chain
+        # through its source statements, whose row-attribute fold
+        # threads the join provenance.
+        from repro.obs.lineage import lineage, provenance
+        from repro.runtime.workloads import resolve_workload
+
+        _label, program, db = resolve_workload(spec)
+        plan = optimize_program(program, analyze_database(db), cache=None).program
+        assert any(isinstance(s, ChainJoin) for s in plan.statements)
+
+        def cells(prog):
+            with lineage() as lin:
+                out = prog.run(lin.tag_database(db))
+            return [
+                [(symbol, provenance(symbol)) for symbol in row]
+                for table in out.tables
+                for row in table.grid
+            ]
+
+        assert cells(plan) == cells(program)
+
     def test_repr_names_order_and_conds(self):
         _program, chain, _db2 = self._optimized_chain()
         text = repr(chain)

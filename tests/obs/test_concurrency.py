@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.algebra.programs import parse_program
 from repro.data import sales_info1
-from repro.obs import EventBus, MetricsRegistry, Tracer, observation
+from repro.obs import Boundary, EventBus, MetricsRegistry, observation
 
 PIVOT = """
     Grouped <- GROUP by {Region} on {Sold} (Sales)
@@ -121,16 +121,17 @@ class TestRegistryPrimitives:
         assert record.rows_out == 2 * total
 
     def test_tracer_roots_are_complete_under_contention(self):
-        tracer = Tracer()
         spans_per_worker = 200
 
         def open_close(worker):
             for index in range(spans_per_worker):
-                with tracer.span(f"w{worker}", n=index):
+                with Boundary(f"w{worker}", n=index):
                     pass
 
-        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-            list(pool.map(open_close, range(WORKERS)))
+        with observation() as obs:
+            with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+                list(pool.map(open_close, range(WORKERS)))
+        tracer = obs.tracer
         assert len(tracer.roots) == WORKERS * spans_per_worker
         names = {root.name for root in tracer.roots}
         assert names == {f"w{w}" for w in range(WORKERS)}

@@ -11,19 +11,58 @@ from repro.algebra.programs import parse_program
 from repro.algebra.programs.registry import OPERATIONS
 from repro.core import database, make_table
 from repro.data import figure4_bottom, figure4_top, sales_info1
-from repro.obs import NULL_SPAN, OBS, observation, span
+from repro.obs import EVT, observation
+from repro.obs import events as events_module
 
 
 class TestDisabledState:
     def test_observation_is_off_by_default(self):
-        assert OBS.active is False
-        assert OBS.tracer is None
+        assert EVT.active is False
+        assert EVT.observer is None
 
-    def test_span_helper_is_free_when_disabled(self):
-        # The no-op path hands back one shared singleton: nothing is
-        # allocated, nothing is recorded.
-        assert span("op") is NULL_SPAN
-        assert span("op", rows=10) is NULL_SPAN
+    def test_no_boundary_is_built_when_disabled(self):
+        # Every structural site enters the shared NO_BOUNDARY instead:
+        # no Boundary, no attributes, nothing published.
+        from repro.obs.examples import EXAMPLES, run_example
+        from repro.relational import (
+            Assign,
+            Difference,
+            FWProgram,
+            Rel,
+            Relation,
+            RelationalDatabase,
+            WhileNotEmpty,
+        )
+        from repro.runtime import Limits, governed
+
+        fw = FWProgram(
+            [
+                Assign("D", Rel("R")),
+                WhileNotEmpty("D", [Assign("D", Difference(Rel("D"), Rel("R")))]),
+            ]
+        )
+        fw_db = RelationalDatabase([Relation("R", ["A"], [("x",)])])
+
+        def run_everything():
+            with governed(Limits()):
+                for name in EXAMPLES:
+                    run_example(name)
+                fw.run(fw_db)
+
+        built = []
+        original = events_module.Boundary
+        try:
+            events_module.Boundary = lambda *a, **k: built.append(a[0]) or original(*a, **k)
+            run_everything()
+            assert built == []
+            with observation():
+                run_everything()
+        finally:
+            events_module.Boundary = original
+        # ... and every kind of site builds them when the feed is on.
+        assert {"governed", "program", "statement", "while", "iteration",
+                "fw-program", "fw-statement", "fw-while", "compile.good",
+                "bridge.cube_to_ndtable"} <= set(built)
 
     def test_registry_invoke_records_nothing_when_disabled(self):
         spec = OPERATIONS["GROUP"]
@@ -31,7 +70,7 @@ class TestDisabledState:
             (figure4_top(),), {"by": {"Region"}, "on": {"Sold"}}, None
         )
         assert result == (figure4_bottom(),)
-        assert OBS.tracer is None
+        assert EVT.observer is None
 
     def test_program_results_identical_with_and_without_observation(self):
         text = """
@@ -58,12 +97,12 @@ class TestDisabledState:
 
     def test_scope_exit_returns_to_noop(self):
         with observation():
-            assert OBS.active
+            assert EVT.active
         spec = OPERATIONS["DEDUP"]
         table = make_table("T", ["A"], [["x"], ["x"]])
         (out,) = spec.invoke((table,), {}, None)
         assert out.height == 1
-        assert OBS.active is False
+        assert EVT.active is False
 
 
 class TestZeroOverheadSmoke:
@@ -168,36 +207,31 @@ class TestZeroOverheadSmoke:
         assert leaked == []
 
     def test_bridge_call_sites_skip_kwargs_when_disabled(self):
-        """The bridge/compiler guards must not even build span kwargs."""
+        """The bridge/compiler guards must not even build boundary kwargs."""
         from repro.data import figure4_top
+        from repro.obs.events import event_stream
         from repro.olap import relation_table_to_cube
 
         calls = []
-        import repro.obs.runtime as runtime_module
-
-        original = runtime_module.span
+        original = events_module.Boundary
         try:
-            runtime_module.span = lambda *a, **k: calls.append(a) or NULL_SPAN
-            # olap.bridge binds `span` at import time under its own name,
-            # so patch that binding too.
-            import repro.olap.bridge as bridge_module
-
-            bridge_original = bridge_module._span
-            bridge_module._span = runtime_module.span
-            try:
+            events_module.Boundary = lambda *a, **k: calls.append(a) or original(*a, **k)
+            relation_table_to_cube(figure4_top(), ["Part", "Region"], "Sold")
+            assert calls == []  # the EVT.active guard short-circuited the call
+            with event_stream():
                 relation_table_to_cube(figure4_top(), ["Part", "Region"], "Sold")
-            finally:
-                bridge_module._span = bridge_original
+            assert calls == [("bridge.relation_table_to_cube",)]
         finally:
-            runtime_module.span = original
-        assert calls == []  # the OBS.active guard short-circuited the call
+            events_module.Boundary = original
 
     def test_compile_span_skips_attributes_when_disabled(self):
         from repro.relational import compile_span
 
         calls = []
-        with compile_span("compile.fo_while", lambda: calls.append(1) or {}) as sp:
-            assert sp is NULL_SPAN
+        region = compile_span("compile.fo_while", lambda: calls.append(1) or {})
+        assert region is events_module.NO_BOUNDARY
+        with region as sp:
+            assert sp is None
         assert calls == []
 
     def test_disabled_overhead_is_bounded(self):

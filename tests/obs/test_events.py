@@ -246,12 +246,14 @@ class TestChokepointFeeds:
             ring = bus.ring(capacity=4096)
             run_hardened(program, db, checkpoint_path=path)
         kinds = self._kinds(ring)
-        assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_finish"
+        # The run events frame the run inside its governed boundary.
+        assert kinds[:2] == ["boundary_start", "run_start"]
+        assert kinds[-2:] == ["run_finish", "boundary_finish"]
+        assert ring.tail()[0].data["name"] == ring.tail()[-1].data["name"] == "governed"
         writes = [e for e in ring.tail() if e.kind == "checkpoint_write"]
         assert writes and all(e.data["path"] == str(path) for e in writes)
         assert writes[-1].data["done"] is True
-        finish = ring.tail()[-1]
+        finish = ring.tail()[-2]
         assert finish.data["governor"]["ops_dispatched"] > 0
 
     def test_hardened_resume_publishes_restore_event(self, tmp_path):

@@ -8,7 +8,8 @@ from repro.algebra.programs import parse_program
 from repro.core import database
 from repro.data import figure4_top
 from repro.obs import format_span, observation, span_tree_text
-from repro.obs.trace import Span, Tracer
+from repro.obs.events import Boundary
+from repro.obs.trace import Span
 
 #: The deterministic (timings-off) EXPLAIN of the Figure 4 group program.
 FIGURE4_GOLDEN = """\
@@ -87,13 +88,14 @@ class TestSpanFormatting:
         assert format_span(span, timings=False).endswith("!ValueError('boom')")
 
     def test_tree_uses_box_drawing(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            with tracer.span("a"):
-                with tracer.span("a1"):
+        with observation() as obs:
+            with Boundary("root"):
+                with Boundary("a"):
+                    with Boundary("a1"):
+                        pass
+                with Boundary("b"):
                     pass
-            with tracer.span("b"):
-                pass
+        (root,) = obs.spans
         text = span_tree_text(root, timings=False)
         assert text.splitlines() == [
             "root",

@@ -89,6 +89,7 @@ class TestDispatchLayerOrder:
             OPERATIONS["DEDUP"], table, {}, faults, [None, FaultInjectedError]
         )
         assert [e.kind for e in events] == [
+            "boundary_start",
             "span_start",
             "span_finish",
             "op_estimate",
@@ -96,9 +97,12 @@ class TestDispatchLayerOrder:
             "fault_injected",
             "error",
             "span_finish",
+            "boundary_finish",
         ]
-        assert events[1].data["ok"] is True
-        assert events[-1].data["ok"] is False
+        # The governed scope is the boundary around every call.
+        assert events[0].data["name"] == events[-1].data["name"] == "governed"
+        assert events[2].data["ok"] is True
+        assert events[-2].data["ok"] is False
         # The estimate rides on span_start into both op spans; the call
         # the fault refused is an errored span with the fault under it.
         served, refused = spans
@@ -127,8 +131,11 @@ class TestDispatchLayerOrder:
             None,
             [UndefinedOperationError],
         )
-        assert [e.kind for e in events] == ["span_start", "error", "span_finish"]
-        assert events[-1].data["ok"] is False
+        assert [e.kind for e in events] == [
+            "boundary_start", "span_start", "error", "span_finish", "boundary_finish"
+        ]
+        assert events[-2].data["ok"] is False
+        assert events[-1].data["name"] == "governed"
         (span,) = spans
         assert span.error is not None
         assert span.attributes["est_rows"] == 9

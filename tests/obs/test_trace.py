@@ -1,129 +1,136 @@
-"""Tracer unit tests: nesting, exception safety, thread isolation."""
+"""Tracer unit tests: spans built from the event feed — nesting,
+raising regions, thread isolation, root order."""
 
 import threading
 
 import pytest
 
-from repro.obs import NULL_SPAN, OBS, Tracer, observation
-from repro.obs.trace import Span
+from repro.obs import EVT, Tracer, observation
+from repro.obs.events import NO_BOUNDARY, Boundary, event_stream
 
 
 class TestSpanNesting:
     def test_with_blocks_nest(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                with tracer.span("leaf"):
-                    pass
-        assert tracer.roots == (outer,)
-        assert [c.name for c in outer.children] == ["inner"]
+        with observation() as obs:
+            with Boundary("outer"):
+                with Boundary("inner"):
+                    with Boundary("leaf"):
+                        pass
+        (outer,) = obs.spans
+        assert outer.name == "outer"
+        (inner,) = outer.children
+        assert inner.name == "inner"
         assert [c.name for c in inner.children] == ["leaf"]
 
     def test_siblings_stay_ordered(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            for name in ("a", "b", "c"):
-                with tracer.span(name):
-                    pass
+        with observation() as obs:
+            with Boundary("root"):
+                for name in ("a", "b", "c"):
+                    with Boundary(name):
+                        pass
+        (root,) = obs.spans
         assert [c.name for c in root.children] == ["a", "b", "c"]
 
     def test_sequential_roots(self):
-        tracer = Tracer()
-        with tracer.span("first"):
-            pass
-        with tracer.span("second"):
-            pass
-        assert [r.name for r in tracer.roots] == ["first", "second"]
+        with observation() as obs:
+            with Boundary("first"):
+                pass
+            with Boundary("second"):
+                pass
+        assert [r.name for r in obs.spans] == ["first", "second"]
 
     def test_durations_are_monotone(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                pass
+        with observation() as obs:
+            with Boundary("outer"):
+                with Boundary("inner"):
+                    pass
+        (outer,) = obs.spans
+        (inner,) = outer.children
         assert outer.duration >= inner.duration >= 0.0
 
     def test_attributes_and_walk(self):
-        tracer = Tracer()
-        with tracer.span("root", kind="test") as root:
-            root.set(extra=1)
-            with tracer.span("child"):
-                pass
-        assert root.attributes == {"kind": "test", "extra": 1}
-        assert [s.name for s in root.walk()] == ["root", "child"]
+        with observation() as obs:
+            with Boundary("root", kind="test") as root:
+                root.set(extra=1)
+                with Boundary("child"):
+                    pass
+        (span,) = obs.spans
+        assert span.attributes == {"kind": "test", "extra": 1}
+        assert [s.name for s in span.walk()] == ["root", "child"]
 
     def test_to_dict_is_jsonable(self):
         import json
 
-        tracer = Tracer()
-        with tracer.span("root", items=("a", "b"), obj=object()) as root:
-            pass
+        with observation() as obs:
+            with Boundary("root", items=("a", "b"), obj=object()):
+                pass
+        (root,) = obs.spans
         encoded = json.dumps(root.to_dict())
         assert '"root"' in encoded
 
     def test_current_tracks_open_span(self):
-        tracer = Tracer()
-        assert tracer.current() is None
-        with tracer.span("open") as span:
-            assert tracer.current() is span
-        assert tracer.current() is None
-
-    def test_reset_drops_roots(self):
-        tracer = Tracer()
-        with tracer.span("gone"):
-            pass
-        tracer.reset()
-        assert tracer.roots == ()
+        # The open boundary parents what starts inside it, and once it
+        # finishes the next start opens a new root.
+        with observation() as obs:
+            with Boundary("open"):
+                _dedup()
+            _dedup()
+        assert [r.name for r in obs.spans] == ["open", "DEDUP"]
+        assert [c.name for c in obs.spans[0].children] == ["DEDUP"]
 
 
 class TestExceptionSafety:
     def test_error_is_recorded_and_reraised(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError):
-            with tracer.span("boom"):
-                raise ValueError("nope")
-        (root,) = tracer.roots
+        with observation() as obs:
+            with pytest.raises(ValueError):
+                with Boundary("boom"):
+                    raise ValueError("nope")
+        (root,) = obs.spans
         assert root.error == "ValueError('nope')"
         assert root.end >= root.start
 
     def test_stack_recovers_after_nested_raise(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with pytest.raises(RuntimeError):
-                with tracer.span("failing"):
-                    raise RuntimeError("x")
-            with tracer.span("after"):
+        with observation() as obs:
+            with Boundary("outer"):
+                with pytest.raises(RuntimeError):
+                    with Boundary("failing"):
+                        raise RuntimeError("x")
+                with Boundary("after"):
+                    pass
+            with Boundary("next"):
                 pass
+        outer, after_outer = obs.spans
         assert [c.name for c in outer.children] == ["failing", "after"]
         assert outer.error is None
-        assert tracer.current() is None
+        assert (after_outer.name, after_outer.children) == ("next", [])
 
     def test_next_root_opens_cleanly_after_raise(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("failed"):
-                raise RuntimeError
-        with tracer.span("clean"):
-            pass
-        assert [r.name for r in tracer.roots] == ["failed", "clean"]
+        with observation() as obs:
+            with pytest.raises(RuntimeError):
+                with Boundary("failed"):
+                    raise RuntimeError
+            with Boundary("clean"):
+                pass
+        assert [r.name for r in obs.spans] == ["failed", "clean"]
 
 
 class TestThreadIsolation:
     def test_threads_build_separate_trees(self):
-        tracer = Tracer()
         barrier = threading.Barrier(2)
 
         def work(label: str) -> None:
-            with tracer.span(f"root-{label}"):
+            with Boundary(f"root-{label}"):
                 barrier.wait(timeout=5)  # both threads hold a span open
-                with tracer.span(f"child-{label}"):
+                with Boundary(f"child-{label}"):
                     pass
 
-        threads = [threading.Thread(target=work, args=(l,)) for l in ("a", "b")]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        roots = {r.name: r for r in tracer.roots}
+        with observation() as obs:
+            threads = [threading.Thread(target=work, args=(l,)) for l in ("a", "b")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        roots = {r.name: r for r in obs.spans}
         assert set(roots) == {"root-a", "root-b"}
         for label in ("a", "b"):
             root = roots[f"root-{label}"]
@@ -153,36 +160,71 @@ class TestThreadIsolation:
         assert obs.metrics.op("GROUP").calls == 3
 
 
-class TestNullSpan:
-    def test_null_span_is_inert_singleton(self):
-        with NULL_SPAN as sp:
-            assert sp is NULL_SPAN
-            assert sp.set(anything=1) is NULL_SPAN
+class TestBoundaryEvents:
+    def test_boundary_publishes_a_start_and_a_finish(self):
+        with event_stream() as bus:
+            ring = bus.ring()
+            with Boundary("region", a=1, b=2) as region:
+                region.set(c=3)
+            with pytest.raises(KeyError):
+                with Boundary("failing"):
+                    raise KeyError("k")
+        assert [(e.kind, e.data) for e in ring.tail()] == [
+            ("boundary_start", {"name": "region", "a": 1, "b": 2}),
+            ("boundary_finish", {"name": "region", "ok": True, "c": 3}),
+            ("boundary_start", {"name": "failing"}),
+            ("boundary_finish", {"name": "failing", "ok": False, "error": "KeyError('k')"}),
+        ]
 
-    def test_span_helper_returns_null_when_inactive(self):
-        from repro.obs import span
+    def test_no_boundary_binds_none_and_publishes_nothing(self):
+        with event_stream() as bus:
+            ring = bus.ring()
+            with NO_BOUNDARY as region:
+                assert region is None
+        assert ring.tail() == ()
 
-        assert not OBS.active
-        assert span("anything", x=1) is NULL_SPAN
+    def test_a_recorded_stream_rebuilds_the_trees(self):
+        with event_stream() as bus:
+            ring = bus.ring()
+            with Boundary("root", k=1):
+                _dedup()
+        tracer = Tracer()
+        for event in ring.tail():
+            tracer.collect(event.kind, event.data)
+        (root,) = tracer.roots
+        assert (root.name, root.attributes) == ("root", {"k": 1})
+        assert [c.name for c in root.children] == ["DEDUP"]
+
+    def test_finish_matching_no_open_boundary_is_ignored(self):
+        tracer = Tracer()
+        tracer.collect("boundary_finish", {"name": "orphan", "ok": True})
+        tracer.collect("boundary_start", {"name": "open"})
+        tracer.collect("boundary_finish", {"name": "other", "ok": True})
+        tracer.collect("span_finish", {"op": "DEDUP", "ok": True})
+        tracer.collect("error", {"op": "DEDUP", "error": "x", "error_type": "E"})
+        assert tracer.roots == ()
+        tracer.collect("boundary_finish", {"name": "open", "ok": True})
+        (root,) = tracer.roots
+        assert (root.name, root.error, root.children) == ("open", None, [])
 
 
 class TestObservationScope:
     def test_scope_installs_and_restores(self):
-        assert not OBS.active
+        assert not EVT.active
         with observation() as obs:
-            assert OBS.active
-            assert OBS.tracer is obs.tracer
-        assert not OBS.active
-        assert OBS.tracer is None
+            assert EVT.active
+            assert EVT.observer is obs.tracer
+        assert not EVT.active
+        assert EVT.observer is None
 
     def test_scopes_nest_and_shadow(self):
         with observation() as outer:
-            with outer.tracer.span("outer-span"):
+            with Boundary("outer-span"):
                 pass
             with observation() as inner:
-                with inner.tracer.span("inner-span"):
+                with Boundary("inner-span"):
                     pass
-            assert OBS.tracer is outer.tracer
+            assert EVT.observer is outer.tracer
         assert [r.name for r in outer.spans] == ["outer-span"]
         assert [r.name for r in inner.spans] == ["inner-span"]
 
@@ -190,7 +232,7 @@ class TestObservationScope:
         with pytest.raises(RuntimeError):
             with observation():
                 raise RuntimeError
-        assert not OBS.active
+        assert not EVT.active
 
 
 def _dedup(table=None):

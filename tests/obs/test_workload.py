@@ -3,16 +3,8 @@
 import json
 
 from repro.algebra.programs import parse_program
-from repro.data import sales_info1
-from repro.obs.estimator import estimation
-from repro.obs.events import event_stream
-from repro.obs.stats import STATS_SCHEMA_VERSION, analyze_database
-from repro.obs.workload import (
-    WorkloadLog,
-    fingerprint_program,
-    normalize_program,
-    stats_audit,
-)
+from repro.obs.stats import STATS_SCHEMA_VERSION
+from repro.obs.workload import fingerprint_program, normalize_program, stats_audit
 
 
 class TestFingerprint:
@@ -45,50 +37,6 @@ class TestFingerprint:
         program = parse_program("G <- GROUP by {Region} on {Sold} (Sales)")
         normalized = normalize_program(program)
         assert "Region" in normalized and "Sold" in normalized
-
-
-class TestWorkloadLog:
-    def test_track_aggregates_bus_events(self):
-        program = parse_program("G <- GROUP by {Region} on {Sold} (Sales)")
-        db = sales_info1()
-        with event_stream() as bus:
-            log = WorkloadLog(bus)
-            with estimation(analyze_database(db)):
-                for _ in range(2):
-                    with log.track(program):
-                        program.run(db)
-        snap = log.snapshot()
-        (record,) = snap["fingerprints"]
-        assert record["calls"] == 2
-        assert record["ops"] == 2
-        assert record["rows_out"] == 18
-        assert record["estimates"] == 2
-        assert record["q_error"]["max"] == 1.0
-        assert record["latency_ms"]["p50"] >= 0
-        assert log.dispatched == {"GROUP": 2}
-
-    def test_untracked_events_are_counted_not_attributed(self):
-        program = parse_program("G <- GROUP by {Region} on {Sold} (Sales)")
-        with event_stream() as bus:
-            log = WorkloadLog(bus)
-            program.run(sales_info1())  # outside any track()
-        assert log.records == {}
-        assert log.ignored > 0
-        assert log.dispatched == {"GROUP": 1}
-
-    def test_track_records_errors(self):
-        from repro.core.errors import ReproError
-
-        program = parse_program("T <- GROUP by {Missing} on {Sold} (Sales)")
-        with event_stream() as bus:
-            log = WorkloadLog(bus)
-            try:
-                with log.track(program):
-                    program.run(sales_info1())
-            except ReproError:
-                pass
-        (record,) = log.snapshot()["fingerprints"]
-        assert record["errors"] >= 1
 
 
 class TestStatsAudit:

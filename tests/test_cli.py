@@ -388,8 +388,10 @@ class TestRunEventFlags:
         code, _output = run_cli("run", "tc:4", "--events", str(events))
         assert code == 0
         decoded = [json.loads(line) for line in events.read_text().splitlines()]
-        assert decoded[0]["kind"] == "run_start"
-        assert decoded[-1]["kind"] == "run_finish"
+        # The run events frame the run inside its governed boundary.
+        assert [r["kind"] for r in decoded[:2]] == ["boundary_start", "run_start"]
+        assert [r["kind"] for r in decoded[-2:]] == ["run_finish", "boundary_finish"]
+        assert decoded[0]["data"]["name"] == decoded[-1]["data"]["name"] == "governed"
         kinds = {record["kind"] for record in decoded}
         assert {"span_start", "span_finish", "while_iteration"} <= kinds
 
