@@ -31,10 +31,10 @@ Durability rules:
 The per-run index that ``runs()`` and ``get()`` read lives in memory and
 is rebuilt from the segments on every open.
 
-The manifests themselves are built by :class:`RunRecorder`, a
-:class:`~repro.obs.events.RingSubscriber` on the live event bus — the
-engine hot path publishes the same events it always did and the ledger
-listens, so recording adds **no new hooks** to op dispatch.
+The manifests themselves are built by :class:`RunRecorder`, a callback
+subscriber on the live event bus that folds each event as it arrives —
+the engine hot path publishes the same events it always did and the
+ledger listens, so recording adds **no new hooks** to op dispatch.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from pathlib import Path
 
 from ..core.errors import BudgetExceededError, CancelledError, LedgerError
 from .estimator import _percentile
-from .events import EventBus, RingSubscriber
+from .events import EventBus
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -531,22 +531,29 @@ class RunLedger:
 
 
 # ----------------------------------------------------------------------
-# The recorder: event tail -> run manifest
+# The recorder: event stream -> run manifest
 # ----------------------------------------------------------------------
 
 class RunRecorder:
     """Builds one run manifest from the live event bus.
 
-    A bounded :class:`~repro.obs.events.RingSubscriber` retains the
-    run's events; :meth:`finish` drains it and folds the tail into the
-    manifest — per-op span summaries, est-vs-actual q-errors, fallback
-    reasons, while-iteration counts, checkpoint pointer, governor kills
-    — then appends to the ledger.  The ring's own drop count is recorded
-    in the manifest (``events.dropped``), so silently truncated
-    telemetry is visible to every later consumer.
+    The recorder is a callback subscriber: it folds each event into the
+    manifest as it is published — per-op span summaries, the ordered op
+    sequence, est-vs-actual q-errors, fallback reasons, while-iteration
+    counts, checkpoint pointer, governor kills — so every count is exact
+    however long the run.  :meth:`finish` detaches it and appends the
+    manifest to the ledger.  Only the op sequence grows with the run: it
+    keeps its first ``capacity`` records and counts the rest in the
+    manifest (``events.dropped``), so a truncated sequence is visible to
+    every later consumer.
     """
 
-    __slots__ = ("ring", "ledger", "run_id", "_bus", "_started")
+    __slots__ = (
+        "ledger", "run_id", "capacity", "received", "dropped", "_bus",
+        "_started", "_lock", "_spans", "_op_sequence", "_estimates",
+        "_fallbacks", "_while_iterations", "_checkpoint", "_governor_kills",
+        "_outcome_event", "_q_sum", "_q_max", "_q_count",
+    )
 
     def __init__(
         self,
@@ -555,14 +562,93 @@ class RunRecorder:
         capacity: int = 4096,
         run_id: str | None = None,
     ):
-        self.ring: RingSubscriber = bus.ring(capacity)
+        if capacity < 1:
+            raise ValueError(f"recorder capacity must be >= 1, got {capacity}")
         self.ledger = ledger
         self.run_id = run_id if run_id is not None else new_run_id()
+        self.capacity = capacity
+        #: Events folded, and op records the op sequence did not keep.
+        self.received = 0
+        self.dropped = 0
+        # Callbacks run outside the bus lock, so concurrent publishers
+        # fold under this one.
+        self._lock = threading.Lock()
+        self._spans: dict[str, dict] = {}
+        self._op_sequence: list[list] = []
+        self._estimates: dict[str, dict] = {}
+        self._fallbacks: dict[str, int] = {}
+        self._while_iterations = 0
+        self._checkpoint = None
+        self._governor_kills: list[dict] = []
+        self._outcome_event = None
+        self._q_sum = 0.0
+        self._q_max = 0.0
+        self._q_count = 0
         self._bus = bus
         self._started = time.perf_counter()
+        bus.attach(self)
 
     def detach(self) -> None:
-        self._bus.detach(self.ring)
+        self._bus.detach(self)
+
+    def __call__(self, event) -> None:
+        """Fold one published event into the manifest."""
+        kind = event.kind
+        data = event.data
+        with self._lock:
+            self.received += 1
+            if kind == "span_finish":
+                op = str(data.get("op", "?"))
+                record = self._spans.get(op)
+                if record is None:
+                    record = self._spans[op] = {
+                        "calls": 0, "errors": 0, "rows_out": 0, "ms": 0.0
+                    }
+                record["calls"] += 1
+                record["ms"] = round(
+                    record["ms"] + float(data.get("duration_ms", 0.0) or 0.0), 3
+                )
+                if data.get("ok", True):
+                    rows_out = int(data.get("rows_out", 0) or 0)
+                    record["rows_out"] += rows_out
+                    if len(self._op_sequence) < self.capacity:
+                        self._op_sequence.append([op, rows_out])
+                    else:
+                        self.dropped += 1
+                else:
+                    record["errors"] += 1
+            elif kind == "op_estimate":
+                op = str(data.get("op", "?"))
+                q = float(data.get("q_error", 1.0))
+                record = self._estimates.get(op)
+                if record is None:
+                    record = self._estimates[op] = {"count": 0, "q_max": 0.0}
+                record["count"] += 1
+                if q > record["q_max"]:
+                    record["q_max"] = round(q, 4)
+                self._q_sum += q
+                self._q_count += 1
+                if q > self._q_max:
+                    self._q_max = q
+            elif kind == "engine_fallback":
+                reason = str(data.get("reason", "?"))
+                self._fallbacks[reason] = self._fallbacks.get(reason, 0) + 1
+            elif kind == "while_iteration":
+                self._while_iterations += 1
+            elif kind == "checkpoint_write":
+                path = data.get("path")
+                if path is not None:
+                    self._checkpoint = str(path)
+            elif kind == "governor_kill":
+                self._governor_kills.append(
+                    {
+                        "kind": str(data.get("kind")),
+                        "limit": data.get("limit"),
+                        "used": data.get("used"),
+                    }
+                )
+            elif kind == "run_finish":
+                self._outcome_event = data
 
     def finish(
         self,
@@ -582,7 +668,7 @@ class RunRecorder:
         supervisor: dict | None = None,
         optimizer: dict | None = None,
     ) -> dict:
-        """Drain the ring, build the manifest, append it to the ledger.
+        """Detach, complete the manifest, append it to the ledger.
 
         ``replay_spec`` names how to re-derive the program and input
         database (a workload spec or example name); runs without one are
@@ -594,71 +680,9 @@ class RunRecorder:
         once.
         """
         elapsed_ms = round((time.perf_counter() - self._started) * 1e3, 3)
-        events = self.ring.drain()
         self.detach()
-
-        spans: dict[str, dict] = {}
-        op_sequence: list[list] = []
-        estimates_by_op: dict[str, dict] = {}
-        fallbacks: dict[str, int] = {}
-        while_iterations = 0
-        checkpoint = None
-        governor_kills: list[dict] = []
-        outcome_event = None
-        q_sum = 0.0
-        q_max = 0.0
-        q_count = 0
-        for event in events:
-            kind = event.kind
-            data = event.data
-            if kind == "span_finish":
-                op = str(data.get("op", "?"))
-                record = spans.get(op)
-                if record is None:
-                    record = spans[op] = {
-                        "calls": 0, "errors": 0, "rows_out": 0, "ms": 0.0
-                    }
-                record["calls"] += 1
-                record["ms"] = round(
-                    record["ms"] + float(data.get("duration_ms", 0.0) or 0.0), 3
-                )
-                if data.get("ok", True):
-                    rows_out = int(data.get("rows_out", 0) or 0)
-                    record["rows_out"] += rows_out
-                    op_sequence.append([op, rows_out])
-                else:
-                    record["errors"] += 1
-            elif kind == "op_estimate":
-                op = str(data.get("op", "?"))
-                q = float(data.get("q_error", 1.0))
-                record = estimates_by_op.get(op)
-                if record is None:
-                    record = estimates_by_op[op] = {"count": 0, "q_max": 0.0}
-                record["count"] += 1
-                if q > record["q_max"]:
-                    record["q_max"] = round(q, 4)
-                q_sum += q
-                q_count += 1
-                if q > q_max:
-                    q_max = q
-            elif kind == "engine_fallback":
-                reason = str(data.get("reason", "?"))
-                fallbacks[reason] = fallbacks.get(reason, 0) + 1
-            elif kind == "while_iteration":
-                while_iterations += 1
-            elif kind == "checkpoint_write":
-                path = data.get("path")
-                checkpoint = str(path) if path is not None else checkpoint
-            elif kind == "governor_kill":
-                governor_kills.append(
-                    {
-                        "kind": str(data.get("kind")),
-                        "limit": data.get("limit"),
-                        "used": data.get("used"),
-                    }
-                )
-            elif kind == "run_finish":
-                outcome_event = data
+        outcome_event = self._outcome_event
+        q_count = self._q_count
 
         if error is not None:
             if isinstance(error, (BudgetExceededError, CancelledError)):
@@ -678,8 +702,8 @@ class RunRecorder:
             outcome["error_type"] = type(error).__name__
             outcome["error"] = str(error)
             outcome["error_context"] = dict(getattr(error, "context", {}) or {})
-        if governor_kills:
-            outcome["governor_kills"] = governor_kills
+        if self._governor_kills:
+            outcome["governor_kills"] = self._governor_kills
 
         result: dict | None = None
         if result_db is not None:
@@ -742,22 +766,22 @@ class RunRecorder:
             "outcome": outcome,
             "elapsed_ms": elapsed_ms,
             "result": result,
-            "spans": spans,
-            "op_sequence": op_sequence,
+            "spans": self._spans,
+            "op_sequence": self._op_sequence,
             "estimates": {
                 "count": q_count,
-                "q_mean": round(q_sum / q_count, 4) if q_count else None,
-                "q_max": round(q_max, 4) if q_count else None,
-                "by_op": estimates_by_op,
+                "q_mean": round(self._q_sum / q_count, 4) if q_count else None,
+                "q_max": round(self._q_max, 4) if q_count else None,
+                "by_op": self._estimates,
             },
-            "fallbacks": fallbacks,
-            "while_iterations": while_iterations,
-            "checkpoint": checkpoint,
+            "fallbacks": self._fallbacks,
+            "while_iterations": self._while_iterations,
+            "checkpoint": self._checkpoint,
             "stats_fingerprint": getattr(stats, "fingerprint", None),
             "events": {
                 "published": self._bus.published,
-                "received": self.ring.received,
-                "dropped": self.ring.dropped,
+                "received": self.received,
+                "dropped": self.dropped,
             },
         }
         if supervisor is not None:
@@ -769,4 +793,7 @@ class RunRecorder:
         return manifest
 
     def __repr__(self) -> str:
-        return f"RunRecorder({self.run_id}, {self.ring!r})"
+        return (
+            f"RunRecorder({self.run_id}, {self.received} event(s) folded, "
+            f"{self.dropped} op record(s) dropped)"
+        )

@@ -239,10 +239,14 @@ def replay_run(manifest: dict, *, faults=None, engine: str | None = None) -> Rep
             if recorded_data is not None:
                 report.divergences.extend(_diff_databases(recorded_data, data))
         recorded_ops = manifest.get("op_sequence")
-        if recorded_ops is not None and list(map(list, recorded_ops)) != op_sequence:
-            report.divergences.append(
-                _diff_op_sequences(list(map(list, recorded_ops)), op_sequence)
+        if recorded_ops is not None:
+            divergence = _diff_op_sequences(
+                list(map(list, recorded_ops)),
+                op_sequence,
+                int((manifest.get("events") or {}).get("dropped") or 0),
             )
+            if divergence is not None:
+                report.divergences.append(divergence)
     return report
 
 
@@ -290,7 +294,15 @@ def _diff_databases(recorded: list, replayed: list) -> list[Divergence]:
     return divergences
 
 
-def _diff_op_sequences(recorded: list, replayed: list) -> Divergence:
+def _diff_op_sequences(
+    recorded: list, replayed: list, dropped: int
+) -> Divergence | None:
+    """The first difference between a recorded op trace and its replay.
+
+    A manifest keeps the head of a long trace and counts the records it
+    did not keep (``events.dropped``), so the kept head is compared op
+    by op and the full lengths by count.
+    """
     for position, (old, new) in enumerate(zip(recorded, replayed)):
         if old != new:
             return Divergence(
@@ -299,10 +311,12 @@ def _diff_op_sequences(recorded: list, replayed: list) -> Divergence:
                 recorded=old,
                 replayed=new,
             )
+    if len(recorded) + dropped == len(replayed):
+        return None
     return Divergence(
         "op_sequence",
         "op trace lengths differ",
-        recorded=len(recorded),
+        recorded=len(recorded) + dropped,
         replayed=len(replayed),
     )
 

@@ -8,6 +8,8 @@ regenerates the cell — the executable form of the paper's claim that TA
 transformations are constructive.
 """
 
+import contextlib
+
 import pytest
 
 from repro.algebra import cleanup, product, rename, setnew, tuplenew
@@ -313,6 +315,33 @@ class TestObservabilityIntegration:
         frontier = whiles[0].attributes["prov_frontier"]
         assert len(frontier) >= 2
         assert frontier == sorted(frontier)  # origins only accumulate
+
+    def test_provenance_counts_ride_only_with_an_observation(self):
+        """One rule for the op, statement and loop records: provenance
+        counts ride along only while an observation collects.  A stream
+        recorded under lineage alone carries none; one recorded beside an
+        observation rebuilds its provenance-annotated EXPLAIN."""
+        from repro.obs import Observation, Tracer
+        from repro.obs.events import event_stream
+        from repro.obs.examples import EXAMPLES
+
+        def recorded_fields(scope):
+            db, run = EXAMPLES["fo-while"].setup()
+            with scope() as obs, event_stream() as bus, lineage() as lin:
+                ring = bus.ring(capacity=1 << 20)
+                run(lin.tag_database(db))
+            events = ring.tail()
+            fields = {k for e in events for k in e.data if k.startswith("prov_")}
+            return obs, events, fields
+
+        _none, _events, fields = recorded_fields(contextlib.nullcontext)
+        assert fields == set()
+        obs, events, fields = recorded_fields(observation)
+        assert fields == {"prov_cells_in", "prov_cells_out", "prov_cells", "prov_frontier"}
+        tracer = Tracer()
+        for event in events:
+            tracer.collect(event.kind, event.data)
+        assert Observation(tracer).explain(timings=False) == obs.explain(timings=False)
 
     def test_explain_renders_prov_attributes(self):
         program = parse_program("Sales <- GROUP by {Region} on {Sold} (Sales)")

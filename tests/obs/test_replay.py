@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.algebra.programs.statements import Program, assign
+from repro.core import TabularDatabase, make_table
 from repro.core.errors import LedgerError
 from repro.obs.events import event_stream
 from repro.obs.ledger import RunLedger, RunRecorder
@@ -18,12 +20,12 @@ from repro.runtime.faults import FaultPlan, FaultRule
 from repro.runtime.workloads import parse_workload
 
 
-def _ledgered_run(tmp_path, spec="tc:4", engine="naive"):
+def _ledgered_run(tmp_path, spec="tc:4", engine="naive", capacity=4096):
     """Execute one clean ledgered run; returns (ledger, run_id)."""
     ledger = RunLedger(tmp_path / "led")
     _label, program, db = parse_workload(spec)
     with event_stream() as bus:
-        recorder = RunRecorder(bus, ledger)
+        recorder = RunRecorder(bus, ledger, capacity=capacity)
         result = run_hardened(program, db, engine=engine)
         recorder.finish(
             workload=spec, program=program, engine=engine,
@@ -95,6 +97,56 @@ class TestDivergence:
         manifest["program"]["fingerprint"] = "deadbeefdeadbeef"
         report = replay_run(manifest)
         assert any(d.kind == "program_drift" for d in report.divergences)
+
+
+class TestLongRuns:
+    """The manifest is folded as events arrive, so no event count
+    truncates it; only the op sequence is capped, by its head."""
+
+    def test_run_past_the_ring_size_records_and_replays_exactly(
+        self, tmp_path, monkeypatch
+    ):
+        # 1,100 one-op statements publish 4,404 events, more than the
+        # 4,096 a recorder holding the run's tail in a ring kept.
+        db = TabularDatabase([make_table("R", ["A"], [["a"]])])
+        program = Program([assign("T", "UNION", "R", "R") for _ in range(1100)])
+        ledger = RunLedger(tmp_path / "led")
+        with event_stream() as bus:
+            recorder = RunRecorder(bus, ledger)
+            result = run_hardened(program, db)
+            manifest = recorder.finish(
+                workload="long", program=program, result_db=result,
+                replay_spec="long",
+            )
+        assert manifest["events"]["received"] == bus.published > 4096
+        assert manifest["events"]["dropped"] == 0
+        assert manifest["spans"]["UNION"]["calls"] == 1100
+        assert len(manifest["op_sequence"]) == 1100
+        monkeypatch.setattr(
+            "repro.obs.replay.resolve_runnable", lambda spec: (program, db)
+        )
+        report = replay_from_ledger(ledger, recorder.run_id)
+        assert report.ok, report.render()
+
+    def test_truncated_op_sequence_replays_by_its_head(self, tmp_path):
+        ledger, run_id = _ledgered_run(tmp_path, spec="tc:6", capacity=8)
+        manifest = ledger.get(run_id)
+        assert len(manifest["op_sequence"]) == 8
+        assert manifest["events"]["dropped"] > 0
+        assert replay_from_ledger(ledger, run_id).ok
+
+    def test_truncated_op_sequence_still_diverges(self, tmp_path):
+        ledger, run_id = _ledgered_run(tmp_path, spec="tc:6", capacity=8)
+        manifest = json.loads(json.dumps(ledger.get(run_id)))
+        total = len(manifest["op_sequence"]) + manifest["events"]["dropped"]
+        manifest["events"]["dropped"] += 1
+        (divergence,) = replay_run(manifest).divergences
+        assert divergence.kind == "op_sequence"
+        assert (divergence.recorded, divergence.replayed) == (total + 1, total)
+        manifest["events"]["dropped"] -= 1
+        manifest["op_sequence"][-1][1] += 99
+        (divergence,) = replay_run(manifest).divergences
+        assert "dispatch #7" in divergence.detail
 
 
 class TestNonReplayable:
