@@ -182,6 +182,7 @@ killed or diverged, a gate tripped); 2 usage error; 3 missing input
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -1738,7 +1739,17 @@ def _usage() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _main(list(sys.argv[1:] if argv is None else argv))
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro stats | head -1``):
+        # stop quietly, with stdout on devnull so the interpreter's exit
+        # flush of the unread output cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(args: list[str]) -> int:
     if not args or args[0] in ("--help", "-h", "help"):
         print(_usage())
         return 0

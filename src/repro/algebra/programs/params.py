@@ -34,6 +34,8 @@ the statement is undefined").
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Iterable, Sequence
 
 from ...core import (
@@ -42,6 +44,7 @@ from ...core import (
     Name,
     Symbol,
     Table,
+    TaggedValue,
     UndefinedOperationError,
     coerce_symbol,
 )
@@ -59,7 +62,52 @@ __all__ = [
     "Binding",
     "as_parameter",
     "literal_symbol",
+    "literal_text",
 ]
+
+#: A name that prints bare: an identifier the grammar does not reserve.
+_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+#: Identifiers the program grammar reads as something other than a name.
+RESERVED = frozenset({"while", "do", "end", "null", "any"})
+
+
+def literal_text(symbol: Symbol) -> str:
+    """``symbol`` as program text the grammar reads back to an equal-``repr`` symbol.
+
+    Names print bare, or between backquotes (a backquote doubled) when
+    they are not a plain identifier or are reserved; ⊥ prints ``⊥`` and a
+    tagged value ``@n``.  Ints and finite floats print as numbers (floats
+    in ``repr`` form, exponents included), strings in single quotes —
+    double quotes when the text holds a single quote and no double one,
+    else with the single quote doubled — and booleans and non-finite
+    floats as ``$True``, ``$False``, ``$inf``, ``$-inf`` and ``$nan``.  A
+    value of any other payload type prints as ``$`` and its ``repr``,
+    which the grammar rejects rather than reading as another symbol.
+    """
+    if symbol.is_null:
+        return "⊥"
+    if isinstance(symbol, Name):
+        text = symbol.text
+        if _BARE_NAME.match(text) and text not in RESERVED:
+            return text
+        return "`" + text.replace("`", "``") + "`"
+    if isinstance(symbol, TaggedValue):
+        return f"@{symbol.payload}"
+    payload = symbol.payload
+    if isinstance(payload, bool) or (
+        isinstance(payload, float) and not math.isfinite(payload)
+    ):
+        return f"${payload!r}"
+    if isinstance(payload, (int, float)):
+        return repr(payload)
+    if isinstance(payload, str):
+        if "'" not in payload:
+            return f"'{payload}'"
+        if '"' not in payload:
+            return f'"{payload}"'
+        return "'" + payload.replace("'", "''") + "'"
+    return f"${payload!r}"
 
 
 class Binding:
@@ -130,10 +178,10 @@ class Lit(Parameter):
         return frozenset([self.symbol])
 
     def __repr__(self) -> str:
-        return f"Lit({self.symbol!s})"
+        return f"Lit({self.symbol!r})"
 
     def __str__(self) -> str:
-        return str(self.symbol)
+        return literal_text(self.symbol)
 
 
 def literal_symbol(param: object) -> Symbol | None:

@@ -20,15 +20,19 @@ Grammar (EBNF)::
     param      = item | "{" "}"
                | "{" item { "," item } [ "-" item { "," item } ] "}" ;
     item       = NAME | STAR | "null" | "⊥" | "any" | STRING | NUMBER
-               | "(" param "," param ")" ;
+               | TAGGED | SPECIAL | "(" param "," param ")" ;
     nameparam  = NAME | STAR ;
 
 ``null`` and ``⊥`` are the inapplicable ⊥, ``{}`` is the empty attribute
 set, ``any`` the catch-all pair component, ``*``/``*1``/``*2`` are
-wildcards, quoted strings and numbers are values, bare identifiers are
-names.  ``#`` starts a comment.  Operation names and their keywords come
-from :mod:`repro.algebra.programs.registry` (e.g. ``GROUP`` takes ``by``
-and ``on``).  A statement prints in this syntax, so ``repr`` of an
+wildcards.  Bare identifiers and backquoted text (```a b```, a backquote
+written twice) are names; quoted strings (the quote written twice inside)
+and numbers (``-3``, ``2.5``, ``1e+16``) are values, as are ``@n``
+(tagged value ``n``) and ``$True``, ``$False``, ``$inf``, ``$-inf``,
+``$nan``.  ``#`` starts a comment.  Operation names and their keywords
+come from :mod:`repro.algebra.programs.registry` (e.g. ``GROUP`` takes
+``by`` and ``on``).  Statements print in this syntax
+(:func:`~repro.algebra.programs.params.literal_text`), so ``repr`` of an
 assignment parses back to the same assignment text.
 """
 
@@ -36,9 +40,9 @@ from __future__ import annotations
 
 import re
 
-from ...core import NULL
+from ...core import NULL, Name, TaggedValue, Value
 from ...core.lexer import IDENT, NUMBER, STRING, Cursor
-from .params import ANY, NOTHING, Lit, Pair, Parameter, ParamSet, Star
+from .params import ANY, NOTHING, RESERVED, Lit, Pair, Parameter, ParamSet, Star
 from .registry import OPERATIONS
 from .statements import Assignment, Program, Statement, While
 
@@ -54,12 +58,22 @@ _TOKEN_RE = re.compile(
             NUMBER,
             STRING,
             IDENT,
+            r"(?P<quoted>`(?:[^`]|``)+`)",
+            r"(?P<tagged>@[0-9]+)",
+            r"(?P<special>\$(?:True|False|nan|-?inf))",
             r"(?P<sym>[{}(),\-⊥])",
         )
     )
 )
 
-_KEYWORDS = {"while", "do", "end", "null", "any"}
+#: The values only ``$`` spells.
+_SPECIAL = {
+    "$True": True,
+    "$False": False,
+    "$nan": float("nan"),
+    "$inf": float("inf"),
+    "$-inf": float("-inf"),
+}
 
 
 class _Parser(Cursor):
@@ -117,10 +131,21 @@ class _Parser(Cursor):
         token = self.peek()
         if token.kind == "star":
             return self.parse_star()
-        if token.kind == "ident" and token.text not in _KEYWORDS:
-            self.advance()
-            return Lit(token.text)
+        name = self.name()
+        if name is not None:
+            return Lit(name)
         raise self.error(f"expected a table name or wildcard, found {token.text!r}")
+
+    def name(self) -> Name | None:
+        """Consume a bare or backquoted name; None if the next token is neither."""
+        token = self.peek()
+        if token.kind == "quoted":
+            self.advance()
+            return Name(token.text[1:-1].replace("``", "`"))
+        if token.kind == "ident" and token.text not in RESERVED:
+            self.advance()
+            return Name(token.text)
+        return None
 
     def parse_star(self) -> Star:
         text = self.advance().text
@@ -158,17 +183,19 @@ class _Parser(Cursor):
         value = self.literal()
         if value is not None:
             return Lit(value)
-        if token.kind == "ident":
-            if token.text == "null":
-                self.advance()
-                return Lit(NULL)
-            if token.text == "any":
-                self.advance()
-                return ANY
-            if token.text not in _KEYWORDS:
-                self.advance()
-                return Lit(token.text)
-        if token.kind == "sym" and token.text == "⊥":
+        name = self.name()
+        if name is not None:
+            return Lit(name)
+        if token.kind == "tagged":
+            self.advance()
+            return Lit(TaggedValue(int(token.text[1:])))
+        if token.kind == "special":
+            self.advance()
+            return Lit(Value(_SPECIAL[token.text]))
+        if token.kind == "ident" and token.text == "any":
+            self.advance()
+            return ANY
+        if token.text in ("null", "⊥"):
             self.advance()
             return Lit(NULL)
         if token.kind == "sym" and token.text == "(":

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from ...core import EvaluationError, FreshValueSource, Symbol, Table
+from ...core import EvaluationError, FreshValueSource, Table
 from ...engine import runtime as _engine
 from ...obs import estimator as _est
 from ...obs import events as _ev

@@ -389,8 +389,9 @@ class While(Statement):
                         from ...obs.lineage import table_origins
 
                         prov_frontier.append(len(table_origins(db)))
+                body = self.iteration_body(db)
                 with _ev.Boundary("iteration", n=iterations) if evented else _ev.NO_BOUNDARY:
-                    db = self.body.execute(db, interp)
+                    db = body.execute(db, interp)
             if predicted_iterations is not None:
                 estimator = _est.EST.estimator
                 if estimator is not None:
@@ -408,6 +409,16 @@ class While(Statement):
                     prov_frontier.append(len(table_origins(db)))
                     boundary.set(prov_frontier=prov_frontier)
             return db
+
+    def iteration_body(self, db: TabularDatabase) -> "Program":
+        """The statements the next iteration runs over ``db``: the body.
+
+        The one per-iteration choice shared with the checkpointing loop
+        of :func:`~repro.runtime.checkpoint.run_hardened`; a semi-naive
+        loop (:class:`~repro.engine.optimizer.SemiNaiveWhile`) picks
+        between two bodies of one shape here.
+        """
+        return self.body
 
     def __repr__(self) -> str:
         body = "".join(f"\n  {line}" for line in repr(self.body).splitlines())

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import NULL, Symbol, Table, UndefinedOperationError
+from ..core import NULL, Symbol, Table
 from .opshelpers import as_attr_set, as_attr_symbol, columns_with_attr_in, require
 from .traditional import union
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core import Symbol, Table
+from ..core import Table
 from .opshelpers import as_attr_symbol
 
 __all__ = ["transpose", "switch", "dual"]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable
 
 from .errors import SchemaError
 from .symbols import NULL, Name, Symbol, TaggedValue, Value

@@ -22,9 +22,10 @@ from .symbols import Value
 
 __all__ = ["IDENT", "NUMBER", "STRING", "Cursor", "Token", "tokenize"]
 
-#: Token-pattern fragments common to the three grammars.
-NUMBER = r"(?P<number>-?[0-9]+(?:\.[0-9]+)?)"
-STRING = r"""(?P<string>'[^']*'|"[^"]*")"""
+#: Token-pattern fragments common to the three grammars.  Inside a
+#: string, its quote character is written twice.
+NUMBER = r"(?P<number>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+STRING = r"""(?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")"""
 IDENT = r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 
 _SKIPPED = ("ws", "comment")
@@ -104,12 +105,14 @@ class Cursor:
         """Consume a string or number token as a value; None if the next
         token is neither."""
         token = self.tokens[self.pos]
+        text = token.text
         if token.kind == "string":
             self.pos += 1
-            return Value(token.text[1:-1])
+            return Value(text[1:-1].replace(text[0] * 2, text[0]))
         if token.kind == "number":
             self.pos += 1
-            return Value(float(token.text) if "." in token.text else int(token.text))
+            exact = text.lstrip("-").isdigit()
+            return Value(int(text) if exact else float(text))
         return None
 
     def expect_end(self) -> None:

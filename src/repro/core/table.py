@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemaError
-from .symbols import NULL, Name, Symbol, weakly_contained, weakly_equal
+from .symbols import Symbol, weakly_contained
 
 __all__ = ["Table"]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..core import NULL, N, Name, Symbol, Table, TabularDatabase, V, Value, make_table
+from ..core import NULL, N, Symbol, Table, TabularDatabase, V, make_table
 
 __all__ = [
     "synthetic_sales_facts",

@@ -24,7 +24,7 @@ import random
 
 from ..algebra.programs.params import Star
 from ..algebra.programs.statements import Assignment, Program, Statement, While
-from ..core import TabularDatabase
+from ..core import Table, TabularDatabase, make_table
 from .generators import random_database
 
 __all__ = [
@@ -400,6 +400,63 @@ def _motif_idempotent_pair(rng: random.Random, bases: list[str]) -> list[Stateme
     ]
 
 
+def _motif_fixpoint(rng: random.Random, bases: list[str]) -> list[Statement]:
+    """A compiled-style transitive closure of the edge table ``E``:
+    semi-naive's redex.  ``Fix ← DEDUP (E)`` with ``Delta`` equal to it on
+    entry; the body joins ``Fix`` (on either side) to ``E``, sometimes
+    unions a filtered copy of ``Fix`` in, and ends with the tail the
+    Theorem 4.1 and 4.5 compilers emit."""
+    pair = ["Fx0", "Fx1"] if rng.random() < 0.5 else ["Fx1", "Fx0"]
+    body = [
+        Assignment("Fx0", "RENAME", ["Fix"], {"old": "B", "new": "M"}),
+        Assignment("Fx1", "RENAME", ["E"], {"old": "A", "new": "N"}),
+        Assignment("Fx2", "PRODUCT", pair),
+        Assignment("Fx2", "SELECT", ["Fx2"], {"left": "M", "right": "N"}),
+        Assignment("Fx3", "PROJECT", ["Fx2"], {"attrs": ["A", "B"]}),
+    ]
+    derived = "Fx3"
+    if rng.random() < 0.4:
+        value = rng.choice(_EDGE_VALUES)
+        body += [
+            Assignment("Fx4", "SELECTCONST", ["Fix"], {"attr": "A", "value": value}),
+            Assignment("Fx5", "CLASSICALUNION", ["Fx3", "Fx4"]),
+        ]
+        derived = "Fx5"
+    body += [
+        Assignment("New", "DEDUP", [derived]),
+        Assignment("Fx6", "DIFFERENCE", ["New", "Fix"]),
+        Assignment("Delta", "DEDUP", ["Fx6"]),
+        Assignment("Fx7", "CLASSICALUNION", ["Fix", "Delta"]),
+        Assignment("Fix", "DEDUP", ["Fx7"]),
+    ]
+    if rng.random() < 0.5:
+        entry = Assignment("Delta", "RENAME", ["Fix"], {"old": None, "new": None})
+    else:
+        entry = Assignment("Delta", "DEDUP", ["E"])
+    return [Assignment("Fix", "DEDUP", ["E"]), entry, While("Delta", Program(body))]
+
+
+#: Entries of the edge table: few enough that edges chain into paths.
+_EDGE_VALUES = VALUES[:5]
+
+
+def _edge_table(rng: random.Random) -> Table:
+    """The one table ``E`` the fixpoint motif reads: usually a relation on
+    distinct attributes ``A``, ``B`` in either order, sometimes a scheme
+    with a repeated, ⊥ or extra attribute, with a few ⊥ entries and row
+    attributes, so both branches of the semi-naive side conditions run."""
+    columns = rng.choice(
+        [("A", "B"), ("A", "B"), ("B", "A"), ("A", "A"), (None, "B"), ("A", "B", "C")]
+    )
+    height = rng.randrange(1, 6)
+    rows = [
+        [None if rng.random() < 0.1 else rng.choice(_EDGE_VALUES) for _ in columns]
+        for _ in range(height)
+    ]
+    row_attrs = [rng.choice(ATTRS) if rng.random() < 0.1 else None for _ in rows]
+    return make_table("E", columns, rows, row_attrs)
+
+
 _REWRITE_MOTIFS = (
     _motif_chain,
     _motif_renamed_self_join,
@@ -407,6 +464,7 @@ _REWRITE_MOTIFS = (
     _motif_duplicate,
     _motif_select_union,
     _motif_idempotent_pair,
+    _motif_fixpoint,
 )
 
 
@@ -430,11 +488,15 @@ def random_rewrite_case(seed: int) -> tuple[Program, TabularDatabase]:
     bases = sorted({str(t.name) for t in db.tables})
     sizes = _Sizes(db)
     statements: list[Statement] = []
+    motifs = []
     for _ in range(rng.randrange(2, 5)):
-        motif = rng.choice(_REWRITE_MOTIFS)
-        statements.extend(motif(rng, bases))
+        motifs.append(rng.choice(_REWRITE_MOTIFS))
+        statements.extend(motifs[-1](rng, bases))
         if rng.random() < 0.4:
             statements.extend(
                 _gen_statement(rng, sizes, allow_wildcards=False, safe_only=True)
             )
+    if _motif_fixpoint in motifs:
+        # Its own single table: no other motif or noise statement names E.
+        db = TabularDatabase([*db.tables, _edge_table(rng)])
     return Program(statements), db

@@ -81,6 +81,17 @@ that justifies it — the full derivations live in docs/OPTIMIZER.md):
     from both entry sets before comparing.  Fused as
     :class:`SelectUnion` so the selection runs on the inputs.
 
+``semi-naive``
+    A fixpoint ``while Δ`` that derives ``New`` from R by a chain linear
+    in R and ends ``X ← New \\ R; Δ ← DEDUP(X); Y ← R ∪ Δ; R ← DEDUP(Y)``,
+    with Δ = R on entry, derives New from Δ instead: the chain
+    distributes over R = R_old ∪ Δ and chain(R_old) ⊆ R, so ``New \\ R``
+    is unchanged, row order included.  :class:`SemiNaiveWhile` checks the
+    side conditions the program text cannot show (one table per name,
+    distinct attributes, no lineage scope) each iteration and runs the
+    source iteration where they fail; a :class:`Rederive` re-derives
+    New from R in the last iteration, so temporaries end as before.
+
 Plans are cached under ``(program text, stats fingerprint, enabled
 rules)`` — the exact program text plus the stats *content* fingerprint,
 so a re-ANALYZE invalidates every cached plan it could change.
@@ -89,6 +100,7 @@ so a re-ANALYZE invalidates every cached plan it could change.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -104,7 +116,7 @@ from ..algebra.programs.params import (
     as_parameter,
     literal_symbol,
 )
-from ..algebra.programs.registry import OPERATIONS, OpSpec
+from ..algebra.programs.registry import OPERATIONS, PARAM_SET, OpSpec
 from ..algebra.programs.statements import Assignment, Program, Statement, While
 from ..core import EvaluationError, Symbol, Table, TabularDatabase, weakly_equal
 from ..obs import events as _ev
@@ -125,6 +137,8 @@ __all__ = [
     "OPTIMIZER_STATS",
     "ChainJoin",
     "SelectUnion",
+    "SemiNaiveWhile",
+    "Rederive",
     "optimize_program",
     "plan_program",
     "count_fusions",
@@ -299,6 +313,10 @@ def _pushdown_swap(
     if not (isinstance(first, Assignment) and isinstance(second, Assignment)):
         return None
     if second.spec.name != "SELECT" or first.spec.name not in ("RENAME", "PROJECT"):
+        return None
+    if _is_identity_copy(first):
+        # A copy costs the same on either side of σ, and cse emits one
+        # after this pass ran: swapping it would make a second pass differ.
         return None
     if not (isinstance(first.target, Lit) and isinstance(second.target, Lit)):
         return None
@@ -1116,6 +1134,315 @@ def _apply_select_pushdown_union(
 
 
 # ----------------------------------------------------------------------
+# semi-naive: fixpoint loops derive from Δ instead of the whole of R
+# ----------------------------------------------------------------------
+
+#: Operations a loop prefix may use: deterministic, one result table per
+#: argument combination, and with a result scheme :func:`_result_scheme`
+#: computes from the argument schemes.
+_PREFIX_OPS = frozenset(
+    {
+        "RENAME", "PROJECT", "CONSTCOLUMN", "SELECT", "SELECTCONST", "DEDUP",
+        "DIFFERENCE", "INTERSECTION", "PRODUCT", "PRODUCTSELECT", "CLASSICALUNION",
+    }
+)  # fmt: skip
+
+
+def _result_scheme(statement: Assignment, schemes: list[tuple]) -> tuple:
+    """The column attributes ``statement`` produces from its arguments'.
+
+    Exact when every scheme involved has pairwise-distinct attributes:
+    then CLASSICALUNION merges each ⊥-padded pair of equal columns.
+    """
+    op, params, first = statement.spec.name, statement.params, schemes[0]
+    if op == "RENAME":
+        old, new = params["old"].symbol, params["new"].symbol
+        return tuple(new if a == old else a for a in first)
+    if op == "PROJECT":
+        keep = _lit_set(params["attrs"])
+        return tuple(a for a in first if a in keep)
+    if op == "CONSTCOLUMN":
+        return first + (params["attr"].symbol,)
+    if op in ("PRODUCT", "PRODUCTSELECT"):
+        return first + schemes[1]
+    if op == "CLASSICALUNION":
+        return first + tuple(a for a in schemes[1] if a not in first)
+    return first  # SELECT, SELECTCONST, DEDUP, DIFFERENCE, INTERSECTION
+
+
+def _literal_params(statement: Assignment) -> bool:
+    """Single parameters are literals, set parameters wildcard-free."""
+    return all(
+        _lit_set(statement.params[k]) is not None
+        if kind == PARAM_SET
+        else isinstance(statement.params[k], Lit)
+        for k, kind in statement.spec.params.items()
+    )
+
+
+def _linear_in(statement: Assignment, tainted: set[Symbol]) -> bool:
+    """Whether ``statement`` maps each row derived from R on its own.
+
+    Row-wise operations, DEDUP and CLASSICALUNION distribute over
+    R = R_old ∪ Δ; a product must read R on one side only, and a
+    DIFFERENCE or INTERSECTION only on the left (on the right R is not
+    monotone, or not row-wise).
+    """
+    flags = [a.symbol in tainted for a in statement.args]
+    op = statement.spec.name
+    if op in ("PRODUCT", "PRODUCTSELECT"):
+        return flags.count(True) == 1
+    if op in ("DIFFERENCE", "INTERSECTION"):
+        return flags == [True, False]
+    return True
+
+
+def _scheme_distinct(scheme: tuple) -> bool:
+    return len(set(scheme)) == len(scheme)
+
+
+class Rederive(Statement):
+    """``when Δ empty do P end``: run P when no table named Δ has rows.
+
+    Sits in a :class:`SemiNaiveWhile` body between ``Δ ← DEDUP (X)`` and
+    the update of R, with P the loop's original prefix.  Δ is empty there
+    exactly in the last iteration, and R still holds the value that
+    iteration started from, so P recomputes the temporaries (``New``
+    among them) a naive last iteration leaves behind.  A loop that never
+    iterates never reaches it.
+    """
+
+    def __init__(self, condition: Lit, prefix: Program):
+        self.condition = condition
+        self.prefix = prefix
+
+    def reads(self) -> frozenset[Symbol]:
+        names = {self.condition.symbol}
+        for statement in self.prefix.statements:
+            names |= statement.reads()
+        return frozenset(names)
+
+    def writes(self) -> frozenset[Symbol]:
+        return frozenset(s.target.symbol for s in self.prefix.statements)
+
+    def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
+        if any(t.height > 0 for t in db.tables_named(self.condition.symbol)):
+            return db
+        return self.prefix.execute(db, interp)
+
+    def __repr__(self) -> str:
+        body = "".join(f"\n  {line}" for line in repr(self.prefix).splitlines())
+        return f"when {self.condition} empty do{body}\nend"
+
+
+class SemiNaiveWhile(While):
+    """``while Δ do …`` whose derivation reads Δ where the source read R.
+
+    Built from the source loop's ``prefix`` (the statements up to New)
+    and its four-statement ``tail``.  ``body`` is the prefix with every
+    read of R made a read of Δ, then the tail with a :class:`Rederive` of
+    the source prefix inserted before the update of R; ``fallback`` is
+    the source body with the same :class:`Rederive`.  Both have one
+    shape, so a checkpoint taken in either resumes in either.  Each
+    iteration runs ``body`` when :meth:`delta_ready` holds for the
+    database it starts from, else ``fallback`` — the source iteration
+    itself.
+    """
+
+    def __init__(
+        self,
+        condition: Lit,
+        prefix: Sequence[Assignment],
+        tail: Sequence[Assignment],
+        recursive: Symbol,
+        inputs: tuple[Symbol, ...],
+    ):
+        derive = [
+            Assignment(
+                s.target,
+                s.spec.name,
+                [condition if a.symbol == recursive else a for a in s.args],
+                s.params,
+            )
+            for s in prefix
+        ]
+        rest = [*tail[:2], Rederive(condition, Program(prefix)), *tail[2:]]
+        super().__init__(condition, Program(derive + rest))
+        self.fallback = Program([*prefix, *rest])
+        self.prefix = tuple(prefix)
+        self.recursive = recursive
+        self.inputs = inputs
+        self.new = prefix[-1].target.symbol
+        #: The last scheme check, ``(schemes, verdict)``: a pure function
+        #: of the schemes, which stay fixed from the second iteration on.
+        self._memo: tuple = ((), False)
+
+    def _scheme_of_new(self, schemes: dict[Symbol, tuple]) -> tuple | None:
+        """New's scheme when the prefix reads R with ``schemes[R]``, or None
+        when some scheme on the way repeats an attribute."""
+        env = dict(schemes)
+        for statement in self.prefix:
+            scheme = _result_scheme(statement, [env[a.symbol] for a in statement.args])
+            if not _scheme_distinct(scheme):
+                return None
+            env[statement.target.symbol] = scheme
+        return env[self.new]
+
+    def delta_ready(self, db: TabularDatabase) -> bool:
+        """Whether deriving from Δ reproduces this iteration exactly.
+
+        R, Δ and every loop-invariant input are one table each, outside a
+        lineage scope; R's and Δ's schemes are permutations of one set of
+        distinct attributes, and the prefix derives New with one scheme,
+        never repeating an attribute, from either.  Then (docs/OPTIMIZER.md)
+        R's rows are the previous R's followed by Δ's, every row the
+        previous R derives is already in R, and the derivation from Δ
+        lists the rows that ``New \\ R`` keeps in the same order.
+        """
+        if _obs.OBS.lineage is not None:
+            return False
+        delta = self.condition.symbol
+        schemes: dict[Symbol, tuple] = {}
+        for name in (self.recursive, delta, *self.inputs):
+            tables = db.tables_named(name)
+            if len(tables) != 1:
+                return False
+            schemes[name] = tables[0].column_attributes
+        key = tuple(schemes.items())
+        memo = self._memo
+        if memo[0] == key:
+            return memo[1]
+        recursive = schemes[self.recursive]
+        ready = (
+            _scheme_distinct(recursive)
+            and Counter(recursive) == Counter(schemes[delta])
+            and (new := self._scheme_of_new(schemes)) is not None
+            and self._scheme_of_new({**schemes, self.recursive: schemes[delta]}) == new
+        )
+        self._memo = (key, ready)
+        return ready
+
+    def iteration_body(self, db: TabularDatabase) -> Program:
+        return self.body if self.delta_ready(db) else self.fallback
+
+    def __repr__(self) -> str:
+        body = "".join(f"\n  {line}" for line in repr(self.body).splitlines())
+        return f"while {self.condition} semi-naive {self.recursive} do{body}\nend"
+
+
+def _entry_copies(before: Sequence[Statement], recursive: Symbol, delta: Symbol) -> bool:
+    """Whether Δ provably equals R when a loop placed after ``before`` starts.
+
+    The last write of Δ is ``Δ ← RENAME ⊥ ⊥ (R)`` (an identity copy) after
+    the last write of R, or the last writes of R and Δ are ``DEDUP`` of
+    one relation that is not rewritten between them.
+    """
+    footprints = [s.writes() for s in before]
+
+    def last_write(name: Symbol) -> int | None:
+        for i in range(len(before) - 1, -1, -1):
+            if footprints[i] is None:
+                return None
+            if name in footprints[i]:
+                return i
+        return -1
+
+    j, k = last_write(delta), last_write(recursive)
+    if j is None or k is None or j < 0:
+        return False
+    copy = before[j]
+    if _is_identity_copy(copy):
+        return literal_symbol(copy.args[0]) == recursive and k < j
+    if k < 0 or not all(
+        isinstance(s, Assignment) and s.spec.name == "DEDUP" for s in (copy, before[k])
+    ):
+        return False
+    source = literal_symbol(copy.args[0])
+    lo, hi = sorted((j, k))
+    return (
+        source is not None
+        and literal_symbol(before[k].args[0]) == source
+        and source not in (recursive, delta)
+        and all(source not in footprints[i] for i in range(lo, hi))
+    )
+
+
+def _semi_naive(before: Sequence[Statement], loop: While) -> SemiNaiveWhile | None:
+    """The semi-naive form of ``loop``, or None when it does not qualify."""
+    delta = literal_symbol(loop.condition)
+    body = loop.body.statements
+    if type(loop) is not While or delta is None or len(body) < 5:
+        return None
+    if not all(
+        type(s) is Assignment
+        and isinstance(s.target, Lit)
+        and all(isinstance(a, Lit) for a in s.args)
+        for s in body
+    ):
+        return None
+    prefix, tail = body[:-4], body[-4:]
+    if tuple(s.spec.name for s in tail) != ("DIFFERENCE", "DEDUP", "CLASSICALUNION", "DEDUP"):
+        return None
+    diff, dedup_delta, union, dedup_r = tail
+    x, y, recursive = diff.target.symbol, union.target.symbol, dedup_r.target.symbol
+    new = diff.args[0].symbol
+    if not (
+        [a.symbol for a in diff.args] == [new, recursive]
+        and dedup_delta.target.symbol == delta
+        and dedup_delta.args[0].symbol == x
+        and [a.symbol for a in union.args] == [recursive, delta]
+        and dedup_r.args[0].symbol == y
+        and len({x, y, new, recursive, delta}) == 5
+    ):
+        return None
+    body_writes = {s.target.symbol for s in body}
+    written: set[Symbol] = set()
+    tainted: set[Symbol] = {recursive}
+    inputs: list[Symbol] = []
+    for statement in prefix:
+        if statement.spec.name not in _PREFIX_OPS or not _literal_params(statement):
+            return None
+        for arg in statement.args:
+            name = arg.symbol
+            if name == recursive or name in written:
+                continue
+            if name in body_writes:
+                return None  # carried from the previous iteration, Δ included
+            if name not in inputs:
+                inputs.append(name)
+        target = statement.target.symbol
+        if target in (x, y, recursive, delta):
+            return None
+        if any(a.symbol in tainted for a in statement.args):
+            if not _linear_in(statement, tainted):
+                return None
+            tainted.add(target)
+        else:
+            tainted.discard(target)
+        written.add(target)
+    if prefix[-1].target.symbol != new or new not in tainted:
+        return None
+    if not _entry_copies(before, recursive, delta):
+        return None
+    return SemiNaiveWhile(loop.condition, prefix, tail, recursive, tuple(inputs))
+
+
+def _apply_semi_naive(statements: list[Statement], ctx: _Context) -> list[Statement]:
+    out: list[Statement] = []
+    for statement in statements:
+        rewritten = _semi_naive(out, statement) if isinstance(statement, While) else None
+        if rewritten is not None:
+            ctx.record(
+                "semi-naive",
+                f"while {rewritten.condition} derives from {rewritten.condition} "
+                f"instead of {rewritten.recursive}; New re-derived on exit",
+            )
+            statement = rewritten
+        out.append(statement)
+    return out
+
+
+# ----------------------------------------------------------------------
 # The rule registry and the optimize driver
 # ----------------------------------------------------------------------
 
@@ -1168,6 +1495,14 @@ RULES: dict[str, RewriteRule] = {
             "is invisible to weak equality",
             _apply_select_pushdown_union,
         ),
+        RewriteRule(
+            "semi-naive",
+            "a derivation linear in R distributes over R = R_old ∪ Δ, and "
+            "what R_old derives is already in R, so New \\ R lists the same "
+            "rows in the same order when derived from Δ; the last iteration "
+            "re-derives New from R",
+            _apply_semi_naive,
+        ),
     )
 }
 
@@ -1181,6 +1516,7 @@ RULE_ORDER = (
     "fuse-product-select",
     "join-reorder",
     "select-pushdown-union",
+    "semi-naive",
 )
 
 
@@ -1255,7 +1591,8 @@ def _optimize_statements(
 ) -> list[Statement]:
     out: list[Statement] = []
     for statement in statements:
-        if isinstance(statement, While):
+        # A semi-naive loop is final: its two bodies must keep one shape.
+        if type(statement) is While:
             before = len(ctx.applied)
             body = _optimize_statements(statement.body.statements, ctx, enabled)
             if len(ctx.applied) != before:

@@ -14,7 +14,7 @@ database, so every result about the single-database language lifts.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ..core import (
     Name,

@@ -12,7 +12,7 @@ facts, provided here as :func:`federation_facts`.
 
 from __future__ import annotations
 
-from ..algebra.programs import Interpreter, Program, parse_program
+from ..algebra.programs import Program, parse_program
 from ..core import FreshValueSource, Name, SchemaError
 from ..schemalog import SchemaLogDatabase
 from .model import SEPARATOR, TabularFederation

@@ -13,7 +13,7 @@ GOOD runs with their tabular algebra counterparts.
 
 from __future__ import annotations
 
-from ..core import NULL, Name, SchemaError, Symbol, TabularDatabase
+from ..core import Name, SchemaError, Symbol, TabularDatabase
 from ..relational import Relation, RelationalDatabase, relational_to_tabular, tabular_to_relational
 from ..transform import are_isomorphic
 from .graph import GoodEdge, GoodNode, ObjectGraph

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 
 from ..core import (
     NULL,
-    FreshValueSource,
     Name,
     SchemaError,
     Symbol,

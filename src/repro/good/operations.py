@@ -22,11 +22,10 @@ determinacy discipline as tabular tagging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from ..core import EvaluationError, FreshValueSource, Name, SchemaError, Symbol
 from .graph import GoodEdge, GoodNode, ObjectGraph
-from .patterns import Embedding, Pattern
+from .patterns import Pattern
 
 __all__ = [
     "GoodOperation",

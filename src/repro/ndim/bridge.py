@@ -8,8 +8,6 @@ Section 4.3, at full generality.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-
 from ..core import Name, SchemaError, Symbol
 from ..obs import events as _ev
 from ..olap import Cube

@@ -18,7 +18,7 @@ coordinate values and whose name cell holds the measure name.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..core import NULL, SchemaError, Symbol, Table, coerce_symbol
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..core.database import TabularDatabase
 from ..core.symbols import Name, Null, Symbol, TaggedValue, Value

@@ -34,7 +34,7 @@ from ..core import (
     Value,
     coerce_symbol,
 )
-from .aggregates import AGGREGATES, aggregate
+from .aggregates import aggregate
 
 __all__ = [
     "block",

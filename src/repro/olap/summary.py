@@ -30,7 +30,7 @@ from ..core import (
     TabularDatabase,
 )
 from .aggregates import agg_sum
-from .bridge import cube_to_grouped_table, cube_to_matrix_table, cube_to_relation_table
+from .bridge import cube_to_matrix_table
 from .cube import Cube
 from .operations import TOTAL, cube_operator
 

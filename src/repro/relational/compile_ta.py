@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from ..core import EvaluationError, SchemaError, Value
+from ..core import EvaluationError, SchemaError
 from ..algebra.programs import Assignment, Program, Statement, While
 from ..obs import events as _ev
 from ..runtime import governor as _gv

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from ..core import NULL, Name, SchemaError, Symbol, coerce_symbol
+from ..core import SchemaError, Symbol, coerce_symbol
 
 __all__ = ["Relation", "RelationalDatabase"]
 

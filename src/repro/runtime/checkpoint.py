@@ -433,7 +433,6 @@ def _drive(program, db, interp, gov, write,
             if isinstance(statement, While):
                 # Step the fixpoint one body statement at a time so
                 # every completed body statement is a restart point.
-                body = statement.body.statements
                 if index == start_index:
                     # A mid-body resume re-enters iteration
                     # `start_iteration` at statement `start_body`
@@ -448,6 +447,7 @@ def _drive(program, db, interp, gov, write,
                             break
                         iteration += 1
                         totals = statement.tick(db, interp, iteration, totals)
+                    body = statement.iteration_body(db).statements
                     for position in range(body_pos, len(body)):
                         db = interp.commit(body[position], db)
                         write(

@@ -57,7 +57,7 @@ from ..relational import (
 )
 from .model import FACTS_SCHEMA
 from .stratify import stratify
-from .terms import Builtin, Const, NegatedAtom, Rule, SchemaAtom, SchemaLogProgram, Var
+from .terms import Builtin, Const, Rule, SchemaLogProgram, Var
 
 __all__ = ["rule_to_expression", "compile_to_fw", "compile_to_ta", "DERIVED", "FACTS"]
 

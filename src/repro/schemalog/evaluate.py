@@ -21,7 +21,6 @@ from ..core import EvaluationError, Symbol, Value
 from .model import Fact, SchemaLogDatabase
 from .stratify import stratify
 from .terms import (
-    Atom,
     Builtin,
     Const,
     NegatedAtom,

@@ -16,7 +16,7 @@ columns for literals.
 
 from __future__ import annotations
 
-from ..core import EvaluationError, Name, Symbol
+from ..core import Name, Symbol
 from ..algebra.programs import Program
 from ..relational import (
     Assign,
@@ -35,14 +35,11 @@ from ..relational import (
 )
 from ..schemalog import FACTS_SCHEMA
 from .ast import (
-    AttrVarDecl,
     ColumnRef,
     Condition,
     Expression,
     Literal,
-    RelVarDecl,
     SchemaSQLQuery,
-    TupleVarDecl,
     VarRef,
 )
 from .evaluate import QueryInfo, validate_query

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..canonical import decode, encode
-from ..core import FreshValueSource, TabularDatabase
+from ..core import TabularDatabase
 from .isomorphism import are_isomorphic
 
 __all__ = ["lift_to_rep", "normal_form", "normal_form_agrees"]

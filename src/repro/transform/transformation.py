@@ -27,18 +27,11 @@ completeness pipeline must compute the same transformation in normal form.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
-from ..core import (
-    NULL,
-    Name,
-    Symbol,
-    TabularDatabase,
-    Value,
-)
+from ..core import Symbol, TabularDatabase
 from .isomorphism import apply_symbol_map, are_isomorphic, automorphisms, movable_values
 
 __all__ = [

@@ -1,6 +1,8 @@
 """Unit tests for the textual tabular algebra syntax."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.programs import (
     NOTHING,
@@ -13,10 +15,10 @@ from repro.algebra.programs import (
     parse_program,
     parse_statement,
 )
-from repro.core import NULL, N, ParseError, V, database, make_table
+from repro.core import NULL, N, Name, ParseError, TaggedValue, V, Value, database, make_table
 from repro.data import sales_info1, sales_info2
 from repro.data.programs import random_case, random_rewrite_case
-from repro.engine.optimizer import optimize_program
+from repro.engine.optimizer import Rederive, optimize_program
 from repro.obs.examples import EXAMPLES
 from repro.runtime.workloads import resolve_workload
 
@@ -144,6 +146,8 @@ def _assignments(program):
     for statement in program.statements:
         if isinstance(statement, While):
             yield from _assignments(statement.body)
+        elif isinstance(statement, Rederive):
+            yield from _assignments(statement.prefix)
         else:
             yield statement
 
@@ -152,6 +156,68 @@ def _assert_round_trips(program):
     for statement in _assignments(program):
         text = repr(statement)
         assert repr(parse_statement(text)) == text
+
+
+#: Every sort of symbol a literal can hold: names of any text, ⊥, tagged
+#: values, and values with a bool, int, float or str payload.
+SYMBOLS = st.one_of(
+    st.text(min_size=1).map(Name),
+    st.just(NULL),
+    st.integers(min_value=0, max_value=2**70).map(TaggedValue),
+    st.one_of(
+        st.booleans(),
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(),
+    ).map(Value),
+)
+
+
+class TestLiteralsRoundTrip:
+    """Every literal prints as text that reads back to a symbol with the
+    same ``repr`` (``==`` is not enough: ``Value(1) == Value(True)``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(symbol=SYMBOLS)
+    def test_any_symbol_as_a_parameter(self, symbol):
+        text = repr(Assignment("T", "SELECTCONST", ["R"], {"attr": "A", "value": symbol}))
+        assert repr(parse_statement(text)) == text
+        assert repr(parse_statement(text).params["value"].symbol) == repr(symbol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.text(min_size=1).map(Name))
+    def test_any_name_as_a_table_name(self, name):
+        statement = parse_statement(repr(Assignment(name, "DEDUP", [name])))
+        assert repr(statement.target.symbol) == repr(name)
+        assert repr(statement.args[0].symbol) == repr(name)
+
+    @pytest.mark.parametrize(
+        "symbol,text",
+        [
+            (V(True), "$True"),
+            (N("True"), "True"),
+            (V(float("inf")), "$inf"),
+            (V(float("-inf")), "$-inf"),
+            (V(float("nan")), "$nan"),
+            (N("inf"), "inf"),
+            (V(1.5e-07), "1.5e-07"),
+            (V(1e16), "1e+16"),
+            (V(2**53 + 1), "9007199254740993"),
+            (V("a'b"), '"a\'b"'),
+            (V("a'\"b"), "'a''\"b'"),
+            (N("a b"), "`a b`"),
+            (N("while"), "`while`"),
+            (N("x`y"), "`x``y`"),
+            (TaggedValue(3), "@3"),
+        ],
+    )
+    def test_spelling(self, symbol, text):
+        assert str(Lit(symbol)) == text
+
+    def test_other_payloads_do_not_read_back_as_another_symbol(self):
+        text = repr(Assignment("T", "SELECTCONST", ["R"], {"attr": "A", "value": V((1, 2))}))
+        with pytest.raises(ParseError):
+            parse_statement(text)
 
 
 class TestPrintedFormParses:

@@ -116,6 +116,22 @@ class TestSelectPushdown:
         assert result.applied == ()
 
 
+    def test_leaves_identity_copies_in_place(self):
+        # cse emits copies after this pass runs; swapping σ below one
+        # would make a second optimize differ from the first.
+        program = Program(
+            [
+                assign("T", "DEDUP", "R"),
+                assign("U", "DEDUP", "T"),
+                assign("U", "SELECT", "U", left="B", right="B"),
+            ]
+        )
+        once = optimize_program(program, cache=None)
+        twice = optimize_program(once.program, cache=None)
+        assert twice.applied == ()
+        assert repr(twice.program) == repr(once.program)
+
+
 class TestPruneDeadProject:
     def test_removes_project_overwritten_before_read(self):
         program = Program(
@@ -544,6 +560,22 @@ class TestPlanCacheAndDriver:
         assert not result.cache_hit
         assert result.fingerprint == optimize_program(one, cache=None).fingerprint
         _same(two, result.program, db)
+
+    def test_literals_that_print_alike_get_their_own_plans(self):
+        # Plans are cached by program text: literals that printed alike
+        # would run each other's plans.
+        from repro.core import Name, Value
+        from repro.engine import run_program
+        from repro.obs.ledger import database_digest
+
+        db = _db(make_table("R", ["A", "B"], [[True, 1], ["True", 2], [3, 3]]))
+        stats = analyze_database(db)
+        for value in (Value(True), Name("True"), Value(float("inf")), Name("inf")):
+            program = Program([assign("T", "SELECTCONST", "R", attr="A", value=value)])
+            got = run_program(program, db, optimize=True, stats=stats)
+            expected = program.run(db)
+            assert got == expected
+            assert database_digest(got) == database_digest(expected)
 
     def test_fifo_eviction_at_capacity(self):
         cache = PlanCache(capacity=2)

@@ -159,6 +159,16 @@ class TestCrashAtomicity:
         assert load_checkpoint(path).iterations == 2
 
 
+def test_fingerprint_tells_literals_that_printed_alike_apart():
+    from repro.algebra.programs import Program, assign
+
+    programs = [
+        Program([assign("T", "SELECTCONST", "R", attr="A", value=value)])
+        for value in (Value(True), Name("True"), Value("True"))
+    ]
+    assert len({program_fingerprint(p) for p in programs}) == 3
+
+
 class TestRunHardened:
     def test_matches_vanilla_run(self):
         program, db = transitive_closure_workload(6)

@@ -1,7 +1,11 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -1226,6 +1230,25 @@ class TestUsageErrors:
         code, output = run_cli("supervise", "tc:4", "--breaker-threshold", "0")
         assert code == 2
         assert "error: failure_threshold must be >= 1, got 0" in output
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_ends_quietly(self):
+        # 235 KB of JSON overfills the pipe, so the rest of the output is
+        # written after the reader has gone, every time.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "schemalog", "--json"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert stderr == b""
 
 
 class TestPositionalEqualToAFlagValue:
