@@ -6,6 +6,7 @@ experiments' timings have context.  One benchmark per operation family
 over the shared size sweep.
 """
 
+import os
 import time
 
 import pytest
@@ -371,6 +372,65 @@ def test_statement_cost_ignores_table_count():
     assert ratio <= 4, (
         f"a 50-statement program over 1,000 padding tables took {ratio:.1f}x "
         f"its time over 10, over the 4x ceiling"
+    )
+
+
+def _checkpointed_tc8(directory, pad_rows):
+    """A checkpointed ``tc:8`` run, over one extra ``pad_rows``-row table
+    when ``pad_rows`` is non-zero: ``(symbols encoded, [bytes written by
+    each boundary])``."""
+    from repro.runtime import checkpoint as ck
+    from repro.runtime import run_hardened
+    from repro.runtime.workloads import parse_workload
+
+    _label, program, db = parse_workload("tc:8")
+    if pad_rows:
+        db = db.add(_relation("Pad", pad_rows))
+    encoded, sizes = [], []
+    encode, save = ck.symbol_to_data, ck.save_checkpoint
+
+    def counting(symbol):
+        encoded.append(symbol)
+        return encode(symbol)
+
+    def sizing(*args, **kwargs):
+        file = save(*args, **kwargs)
+        sizes.append(os.path.getsize(file))
+        return file
+
+    directory.mkdir()
+    ck.symbol_to_data, ck.save_checkpoint = counting, sizing
+    try:
+        run_hardened(program, db, checkpoint_path=directory / "ck.json")
+    finally:
+        ck.symbol_to_data, ck.save_checkpoint = encode, save
+    return len(encoded), sizes
+
+
+def test_checkpoint_bytes_ignore_an_unchanged_table(tmp_path):
+    """A checkpoint boundary writes only the tables it has not written
+    before, so a large table no statement touches costs its encoding
+    once, at boundary zero.  After that, a checkpointed ``tc:8`` over an
+    extra 2,000-row table writes no more bytes than without it, but for
+    the table's key in each boundary's order (~5 bytes).  Rewriting the
+    whole database at every boundary wrote the table ~100 times.
+
+    Counts symbols and bytes, not time, so it is exact on any host.
+    """
+    pad = _relation("Pad", 2_000)
+    plain_encoded, plain = _checkpointed_tc8(tmp_path / "plain", 0)
+    padded_encoded, padded = _checkpointed_tc8(tmp_path / "padded", 2_000)
+    report(
+        "checkpoint-bytes/padding",
+        boundaries=len(plain),
+        plain_after_zero=sum(plain[1:]),
+        padded_after_zero=sum(padded[1:]),
+        padded_boundary_zero=padded[0],
+    )
+    assert len(padded) == len(plain)
+    assert padded_encoded - plain_encoded == sum(len(row) for row in pad.grid)
+    assert sum(padded[1:]) <= sum(plain[1:]) + 8 * len(plain), (
+        "the unchanged table was written again after boundary zero"
     )
 
 

@@ -89,7 +89,7 @@ EVENT_KINDS = frozenset(
         "while_iteration",  # fixpoint tick: condition, iteration, frontier/total rows + deltas
         "governor_budget",  # per-tick budget headroom: elapsed vs deadline, rows vs cap
         "governor_kill",  # a budget tripped: kind, limit, used, op/statement/iteration
-        "checkpoint_write",  # checkpoint persisted: path, statement_index, iteration
+        "checkpoint_write",  # checkpoint persisted: path, statement_index, iteration, bytes, base
         "checkpoint_restore",  # resume restored state: path, statement_index, iteration
         "fault_injected",  # chaos plan fired: op, kind, occurrence, seed
         "engine_dispatch",  # vector kernel took an invocation: op

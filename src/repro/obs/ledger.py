@@ -540,19 +540,20 @@ class RunRecorder:
     The recorder is a callback subscriber: it folds each event into the
     manifest as it is published — per-op span summaries, the ordered op
     sequence, est-vs-actual q-errors, fallback reasons, while-iteration
-    counts, checkpoint pointer, governor kills — so every count is exact
-    however long the run.  :meth:`finish` detaches it and appends the
-    manifest to the ledger.  Only the op sequence grows with the run: it
-    keeps its first ``capacity`` records and counts the rest in the
-    manifest (``events.dropped``), so a truncated sequence is visible to
-    every later consumer.
+    counts, checkpoint pointer and write totals, governor kills — so
+    every count is exact however long the run.  :meth:`finish` detaches
+    it and appends the manifest to the ledger.  Only the op sequence
+    grows with the run: it keeps its first ``capacity`` records and
+    counts the rest in the manifest (``events.dropped``), so a truncated
+    sequence is visible to every later consumer.
     """
 
     __slots__ = (
         "ledger", "run_id", "capacity", "received", "dropped", "_bus",
         "_started", "_lock", "_spans", "_op_sequence", "_estimates",
-        "_fallbacks", "_while_iterations", "_checkpoint", "_governor_kills",
-        "_outcome_event", "_q_sum", "_q_max", "_q_count",
+        "_fallbacks", "_while_iterations", "_checkpoint", "_checkpoint_writes",
+        "_checkpoint_bytes", "_governor_kills", "_outcome_event", "_q_sum",
+        "_q_max", "_q_count",
     )
 
     def __init__(
@@ -579,6 +580,8 @@ class RunRecorder:
         self._fallbacks: dict[str, int] = {}
         self._while_iterations = 0
         self._checkpoint = None
+        self._checkpoint_writes = 0
+        self._checkpoint_bytes = 0
         self._governor_kills: list[dict] = []
         self._outcome_event = None
         self._q_sum = 0.0
@@ -639,6 +642,8 @@ class RunRecorder:
                 path = data.get("path")
                 if path is not None:
                     self._checkpoint = str(path)
+                self._checkpoint_writes += 1
+                self._checkpoint_bytes += int(data.get("bytes", 0) or 0)
             elif kind == "governor_kill":
                 self._governor_kills.append(
                     {
@@ -777,6 +782,8 @@ class RunRecorder:
             "fallbacks": self._fallbacks,
             "while_iterations": self._while_iterations,
             "checkpoint": self._checkpoint,
+            "checkpoint_writes": self._checkpoint_writes,
+            "checkpoint_bytes": self._checkpoint_bytes,
             "stats_fingerprint": getattr(stats, "fingerprint", None),
             "events": {
                 "published": self._bus.published,

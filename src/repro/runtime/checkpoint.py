@@ -2,13 +2,12 @@
 
 A checkpoint captures the complete interpreter environment at a
 statement boundary — the database, the fresh-value source's next tag,
-the index of the next top-level statement, and the while-iteration count
-— as a JSON file.  Because TA execution is deterministic given those
-four pieces (the paper's transformation condition (iv): determinacy up
-to the choice of new values, which the fresh source fixes), a
-deadline-killed or cancelled run restarted from its last checkpoint
-produces the *identical* final database, bit for bit, tagged values
-included.
+the index of the next top-level statement, and the while-iteration count.
+Because TA execution is deterministic given those four pieces (the
+paper's transformation condition (iv): determinacy up to the choice of
+new values, which the fresh source fixes), a deadline-killed or
+cancelled run restarted from its last checkpoint produces the
+*identical* final database, bit for bit, tagged values included.
 
 Granularity: checkpoints are written after every completed **top-level**
 statement, and — inside a **top-level** while loop — after every
@@ -20,13 +19,38 @@ with their enclosing body statement.  This keeps the inter-checkpoint
 stride small enough that even a tight deadline re-applied on every
 resume still makes forward progress.
 
+Layout (format 2): a statement ``T ← op(…)`` replaces only the tables
+named ``T`` (Section 3), so consecutive boundaries share all but a few
+table objects, and a checkpoint at ``path`` is a chain of files in which
+each boundary writes only the tables it has not written before:
+
+* ``path`` is the chain's *base*: a chain id, the program fingerprint,
+  the run state, the database's order of table keys and every table
+  under its per-run key.  It goes to a sibling temp file, is fsync'd and
+  is renamed over ``path``.
+* Each later boundary writes one *delta*, ``path.000001``,
+  ``path.000002``, …: the chain id, the run state, the order of table
+  keys and only the tables whose objects were not in the previous
+  boundary's database.  It is fsync'd once, where it lies.
+
+:func:`load_checkpoint` folds the base's consecutive deltas in order and
+stops at the first that is missing, torn (no final newline, or not
+JSON) or from another chain, so a run killed mid-delta resumes from the
+boundary before it.  A run's first boundary writes a base, and so does
+the next boundary whenever the deltas since the base outweigh it.  Once
+renamed in place, a base deletes every delta beside it; a kill between
+the rename and the deletes leaves some, and the chain id keeps them out
+of the fold.  One fsync per boundary; directory entries are not
+fsync'd, since losing one to a power cut re-exposes an earlier
+boundary, which is still a valid resume point.
+
 :func:`run_hardened` is the driver: it steps a
 :class:`~repro.algebra.programs.statements.Program` statement by
 statement under an optional :func:`~repro.runtime.governor.governed`
-scope, writes checkpoints, applies snapshot-and-commit semantics to the
-fresh-value source (a failed statement's minted tags are rolled back),
-and on ``resume=True`` restores state from the checkpoint file instead
-of starting over.
+scope, writes checkpoints through a :class:`CheckpointLog`, applies
+snapshot-and-commit semantics to the fresh-value source (a failed
+statement's minted tags are rolled back), and on ``resume=True``
+restores state from the checkpoint chain instead of starting over.
 """
 
 from __future__ import annotations
@@ -34,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +73,8 @@ from .governor import Limits, ResourceGovernor, governed
 __all__ = [
     "CHECKPOINT_FORMAT",
     "Checkpoint",
+    "CheckpointLog",
+    "delta_path",
     "symbol_to_data",
     "symbol_from_data",
     "table_to_data",
@@ -62,8 +87,11 @@ __all__ = [
     "run_hardened",
 ]
 
-#: Version stamp written into checkpoint files.
-CHECKPOINT_FORMAT = 1
+#: Version stamp written into every base.  Format 1 wrote the whole
+#: database into one file at every boundary; it no longer loads.
+CHECKPOINT_FORMAT = 2
+
+_COMPACT = (",", ":")
 
 
 # ----------------------------------------------------------------------
@@ -105,41 +133,9 @@ def symbol_from_data(data: list) -> Symbol:
     raise CheckpointError(f"unknown symbol sort in {data!r}")
 
 
-#: Encoded-grid memo, keyed by table object identity and validated (and
-#: evicted) through weak references.  Checkpoints are written after
-#: *every* statement, but a statement replaces only the tables carrying
-#: its target name — the rest of the database is the same objects, and a
-#: while-fixpoint re-serializing its whole database each body statement
-#: would otherwise redo that encoding work quadratically.  The cap is a
-#: backstop only; dead tables evict themselves.
-_TABLE_DATA_CACHE: dict[int, tuple[weakref.ref, list]] = {}
-_TABLE_DATA_CACHE_CAP = 8192
-
-
 def table_to_data(table: Table) -> list:
-    """One table as its encoded grid (row-major), memoized per object.
-
-    Tables are immutable and hash-caching, so the encoding of a given
-    object never changes; callers must treat the returned structure as
-    read-only (``json.dumps`` does).
-    """
-    key = id(table)
-    hit = _TABLE_DATA_CACHE.get(key)
-    if hit is not None and hit[0]() is table:
-        return hit[1]
-    data = [[symbol_to_data(entry) for entry in row] for row in table.grid]
-    if len(_TABLE_DATA_CACHE) >= _TABLE_DATA_CACHE_CAP:
-        _TABLE_DATA_CACHE.clear()
-    cache = _TABLE_DATA_CACHE
-
-    def _evict(_ref, _key=key, _cache=cache):
-        _cache.pop(_key, None)
-
-    try:
-        cache[key] = (weakref.ref(table, _evict), data)
-    except TypeError:  # pragma: no cover - Table is weak-referenceable
-        pass
-    return data
+    """One table as its encoded grid (row-major)."""
+    return [[symbol_to_data(entry) for entry in row] for row in table.grid]
 
 
 def table_from_data(data: list) -> Table:
@@ -168,7 +164,7 @@ def program_fingerprint(program) -> str:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint files
+# Checkpoint chains
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -189,80 +185,188 @@ class Checkpoint:
     body_index: int = 0
     done: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "fingerprint": self.fingerprint,
-            "statement_index": self.statement_index,
-            "body_index": self.body_index,
-            "iterations": self.iterations,
-            "next_tag": self.next_tag,
-            "done": self.done,
-            "database": database_to_data(self.db),
-        }
+
+def delta_path(path: str | Path, seq: int) -> Path:
+    """The file of the ``seq``-th delta after the base at ``path``."""
+    return Path(f"{os.fspath(path)}.{seq:06d}")
 
 
-def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> Path:
-    """Write one checkpoint crash-atomically.
+class CheckpointLog:
+    """One run's checkpoint chain, as far as its boundaries wrote it.
 
-    The payload goes to a sibling temp file, is fsynced, and then
-    renamed over the target: a ``kill -9`` at any instant leaves either
-    the previous complete checkpoint or the new complete one — never a
-    truncated file.  (The directory entry itself is not fsynced: losing
-    the *rename* to a power cut re-exposes the previous checkpoint,
-    which is still a valid resume point; what must never exist is a torn
-    file, and the data fsync before the rename guarantees that.)
+    ``live`` maps each table of the last boundary's database, by object
+    identity, to ``(table, key, text)``: its per-run key and its encoded
+    grid.  Holding the table keeps its id from being reused, and holding
+    the text lets a new base reuse it, so a table object is encoded once
+    while it stays in the database.  ``last`` is the size of the last file
+    written and whether it was a base.
     """
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    payload = json.dumps(checkpoint.to_json()) + "\n"
+
+    __slots__ = ("chain", "seq", "base_bytes", "delta_bytes", "live", "keys",
+                 "last")
+
+    def __init__(self):
+        self.chain: str | None = None
+        self.seq = 0
+        self.base_bytes = 0
+        self.delta_bytes = 0
+        self.live: dict[int, tuple[Table, str, str]] = {}
+        self.keys = 0
+        self.last = (0, False)
+
+    def write(self, path: Path, checkpoint: Checkpoint) -> Path:
+        """Write ``checkpoint`` as the chain's next file; return its path."""
+        live: dict[int, tuple[Table, str, str]] = {}
+        new = []
+        for table in checkpoint.db.tables:
+            entry = self.live.get(id(table))
+            if entry is None:
+                text = json.dumps(table_to_data(table), separators=_COMPACT)
+                entry = (table, str(self.keys), text)
+                self.keys += 1
+                new.append(entry)
+            live[id(table)] = entry
+        base = self.chain is None or self.delta_bytes > self.base_bytes
+        head = {
+            "chain": os.urandom(8).hex() if base else self.chain,
+            "statement_index": checkpoint.statement_index,
+            "body_index": checkpoint.body_index,
+            "iterations": checkpoint.iterations,
+            "next_tag": checkpoint.next_tag,
+            "done": checkpoint.done,
+            "order": [key for _table, key, _text in live.values()],
+        }
+        if base:
+            head = {"format": CHECKPOINT_FORMAT,
+                    "fingerprint": checkpoint.fingerprint, **head}
+        tables = ",".join(
+            f'"{key}":{text}'
+            for _table, key, text in (live.values() if base else new)
+        )
+        payload = (
+            json.dumps(head, separators=_COMPACT)[:-1]
+            + ',"tables":{' + tables + "}}\n"
+        )
+        target = path if base else delta_path(path, self.seq + 1)
+        written = f"{path}.tmp" if base else target
+        try:
+            with open(written, "w") as handle:
+                handle.write(payload)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if base:
+                os.replace(written, path)
+                _delete_deltas(path)
+        except OSError as err:
+            raise CheckpointError(f"cannot write checkpoint {target}: {err}") from err
+        if base:
+            self.chain, self.seq = head["chain"], 0
+            self.base_bytes, self.delta_bytes = len(payload), 0
+        else:
+            self.seq += 1
+            self.delta_bytes += len(payload)
+        self.live = live
+        self.last = (len(payload), base)
+        return target
+
+
+def _delete_deltas(path: Path) -> None:
+    """Delete every ``path.NNNNNN`` beside ``path``, past any gap too."""
+    prefix = f"{path.name}."
+    for name in os.listdir(path.parent):
+        if name.startswith(prefix) and name[len(prefix):].isdigit():
+            os.unlink(path.parent / name)
+
+
+def save_checkpoint(
+    path: str | Path, checkpoint: Checkpoint, log: CheckpointLog | None = None
+) -> Path:
+    """Write one boundary of ``log``'s chain at ``path``; return the file.
+
+    The file is the base ``path`` itself or the delta written after it.
+    Without a ``log`` the checkpoint is the base of a chain of its own.
+    A base is crash-atomic (temp file, fsync, rename): a ``kill -9`` at
+    any instant leaves the previous complete base or the new one.  A
+    delta is written in place and fsync'd; a torn one ends the fold.
+    """
+    return (CheckpointLog() if log is None else log).write(Path(path), checkpoint)
+
+
+def _parse(raw: bytes) -> dict | None:
+    """The object one checkpoint file holds; None when the file is torn."""
+    if not raw.endswith(b"\n"):
+        return None
     try:
-        with tmp.open("w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError as err:
-        raise CheckpointError(f"cannot write checkpoint {path}: {err}") from err
-    return path
+        data = json.loads(raw)
+    except ValueError:  # not JSON, or not even text
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _fold(tables: dict, record: dict, path: Path) -> dict:
+    """The live tables after ``record``: key -> encoded grid, in its order."""
+    try:
+        merged = {**tables, **record["tables"]}
+        return {key: merged[key] for key in record["order"]}
+    except (KeyError, TypeError) as err:
+        raise CheckpointError(f"checkpoint {path} is malformed: {err!r}") from err
 
 
 def load_checkpoint(path: str | Path, program=None) -> Checkpoint:
-    """Read one checkpoint; verify format and (optionally) the program.
+    """Fold one checkpoint chain; verify format and (optionally) the program.
 
     ``program``, when given, must fingerprint-match the checkpoint —
     resuming a checkpoint under a different program raises.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        raw = path.read_bytes()
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    except ValueError as err:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+    state = _parse(raw)
+    if state is None:
+        raise CheckpointError(f"checkpoint {path} is torn or not valid JSON")
+    if state.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
-            f"checkpoint {path} has format {data.get('format') if isinstance(data, dict) else '?'!r}; "
+            f"checkpoint {path} has format {state.get('format')!r}; "
             f"expected {CHECKPOINT_FORMAT}"
         )
-    fingerprint = str(data.get("fingerprint", ""))
+    fingerprint = str(state.get("fingerprint", ""))
     if program is not None and fingerprint != program_fingerprint(program):
         raise CheckpointError(
             f"checkpoint {path} was taken from a different program "
             f"(fingerprint {fingerprint} != {program_fingerprint(program)})"
         )
+    chain = state.get("chain")
+    if not isinstance(chain, str):
+        raise CheckpointError(f"checkpoint {path} is malformed: no chain id")
+    tables = _fold({}, state, path)
+    seq = 1
+    while True:
+        delta = delta_path(path, seq)
+        try:
+            record = _parse(delta.read_bytes())
+        except FileNotFoundError:
+            break
+        except OSError as err:
+            raise CheckpointError(f"cannot read checkpoint {delta}: {err}") from err
+        if record is None or record.get("chain") != chain:
+            break
+        tables = _fold(tables, record, delta)
+        state = record
+        seq += 1
     try:
         return Checkpoint(
-            statement_index=int(data["statement_index"]),
-            iterations=int(data["iterations"]),
-            next_tag=int(data["next_tag"]),
-            db=database_from_data(data["database"]),
+            statement_index=int(state["statement_index"]),
+            iterations=int(state["iterations"]),
+            next_tag=int(state["next_tag"]),
+            db=database_from_data(list(tables.values())),
             fingerprint=fingerprint,
-            body_index=int(data.get("body_index", 0)),
-            done=bool(data.get("done", False)),
+            body_index=int(state["body_index"]),
+            done=bool(state["done"]),
         )
     except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointError(f"checkpoint {path} is malformed: {err}") from err
+        raise CheckpointError(f"checkpoint {path} is malformed: {err!r}") from err
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +395,9 @@ def run_hardened(
     * a :class:`~repro.runtime.governor.ResourceGovernor` over ``limits``
       (and/or a :class:`~repro.runtime.faults.FaultPlan`) is installed
       around the whole run;
-    * after every completed boundary the environment is serialized to
-      ``checkpoint_path`` (when given);
+    * after every completed boundary the environment is written to the
+      checkpoint chain at ``checkpoint_path`` (when given), each
+      boundary writing only the tables the chain does not hold yet;
     * ``resume=True`` restores the environment from ``checkpoint_path``
       and continues from the recorded boundary — a killed run re-driven
       this way yields the identical final database;
@@ -348,6 +453,7 @@ def run_hardened(
             return db
 
     interp.fresh.advance_past(db.symbols())
+    log = CheckpointLog()
 
     def write(database: TabularDatabase, index: int, body_index: int = 0,
               iteration: int = 0, done: bool = False) -> None:
@@ -363,8 +469,10 @@ def run_hardened(
                     body_index=body_index,
                     done=done,
                 ),
+                log,
             )
             if _ev.EVT.active:
+                size, base = log.last
                 _ev.emit(
                     "checkpoint_write",
                     path=str(checkpoint_path),
@@ -372,6 +480,8 @@ def run_hardened(
                     body_index=body_index,
                     iteration=iteration,
                     done=done,
+                    bytes=size,
+                    base=base,
                 )
 
     with scope, governed(limits, faults=faults, governor=governor) as gov:

@@ -229,6 +229,42 @@ class TestRecorder:
         digest, _tables, _rows, _data = database_digest(program.run(db))
         assert stored["result"]["sha256"] == digest
 
+    def test_manifest_counts_checkpoint_writes_and_bytes(self, tmp_path, monkeypatch):
+        """Write amplification without a harness: the manifest sums the
+        ``checkpoint_write`` events, each of which names the run's path
+        and carries the size of the file that boundary wrote."""
+        import os
+
+        from repro.runtime import checkpoint as ck
+
+        save = ck.save_checkpoint
+        files = []
+
+        def saving(*args, **kwargs):
+            file = save(*args, **kwargs)
+            files.append((file.name, os.path.getsize(file)))
+            return file
+
+        monkeypatch.setattr(ck, "save_checkpoint", saving)
+        _label, program, db = parse_workload("tc:5")
+        path = tmp_path / "ck.json"
+        writes = []
+        with event_stream() as bus:
+            bus.attach(
+                lambda event: writes.append(event.data)
+                if event.kind == "checkpoint_write" else None
+            )
+            recorder = RunRecorder(bus, RunLedger(tmp_path / "led"))
+            result = run_hardened(program, db, checkpoint_path=path)
+            manifest = recorder.finish(workload="tc:5", result_db=result)
+        assert manifest["checkpoint"] == str(path)
+        assert manifest["checkpoint_writes"] == len(files) == len(writes)
+        assert manifest["checkpoint_bytes"] == sum(size for _name, size in files)
+        assert [(w["path"], w["bytes"], w["base"]) for w in writes] == [
+            (str(path), size, name == "ck.json") for name, size in files
+        ]
+        assert writes[0]["base"] and not all(w["base"] for w in writes)
+
     def test_killed_run_records_the_kill(self, tmp_path):
         ledger = RunLedger(tmp_path / "led")
         manifest = self._record_run(

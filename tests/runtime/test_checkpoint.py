@@ -20,6 +20,7 @@ from repro.runtime import (
     run_hardened,
     save_checkpoint,
 )
+from repro.runtime.checkpoint import delta_path
 from repro.runtime.workloads import transitive_closure_workload
 
 
@@ -90,10 +91,13 @@ class TestCheckpointFiles:
 
     def test_bad_format_is_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"format": 99}))
-        with pytest.raises(CheckpointError):
+        path.write_text(json.dumps({"format": 99}) + "\n")
+        with pytest.raises(CheckpointError, match="format 99"):
             load_checkpoint(path)
         path.write_text("not json at all {")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        path.write_bytes(b"\xff\xfe not even text\n")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         with pytest.raises(CheckpointError):
@@ -323,3 +327,230 @@ class TestSharedLoopTick:
         assert hardened == interpreted
         assert hardened_ticks == interpreted_ticks
         assert hardened_ticks[-2:] == [("governor_budget", 6), (last, 6)]
+
+
+class _Killed(BaseException):
+    """Stands in for a ``kill -9`` the instant a boundary's file is on disk."""
+
+
+def _run_killed(monkeypatch, program, db, path, kill_at=None, **kwargs):
+    """Run ``program`` checkpointed at ``path`` and die once ``kill_at``
+    boundaries are written (never when None).  Returns each boundary's
+    ``(file written, Checkpoint)`` in order."""
+    from repro.runtime import checkpoint as ck
+
+    save = ck.save_checkpoint
+    written = []
+
+    def saving(target, checkpoint, log=None):
+        file = save(target, checkpoint, log)
+        written.append((file, checkpoint))
+        if len(written) == kill_at:
+            raise _Killed
+        return file
+
+    monkeypatch.setattr(ck, "save_checkpoint", saving)
+    try:
+        run_hardened(program, db, checkpoint_path=path, **kwargs)
+    except _Killed:
+        pass
+    finally:
+        monkeypatch.setattr(ck, "save_checkpoint", save)
+    assert kill_at is None or len(written) == kill_at
+    return written
+
+
+def _state(checkpoint):
+    return (
+        checkpoint.statement_index,
+        checkpoint.body_index,
+        checkpoint.iterations,
+        checkpoint.next_tag,
+        checkpoint.done,
+    )
+
+
+def _assert_restores(path, program, expected):
+    """The chain at ``path`` folds to the boundary ``expected`` wrote."""
+    from repro.obs.ledger import database_digest
+
+    loaded = load_checkpoint(path, program)
+    assert _state(loaded) == _state(expected)
+    assert loaded.db == expected.db
+    assert database_digest(loaded.db)[0] == database_digest(expected.db)[0]
+
+
+def _assert_resumes_identically(path, program, db, **kwargs):
+    from repro.obs.ledger import database_digest
+
+    clean = program.run(db)
+    resumed = run_hardened(program, db, checkpoint_path=path, resume=True, **kwargs)
+    assert resumed == clean
+    assert database_digest(resumed)[0] == database_digest(clean)[0]
+    final = load_checkpoint(path)
+    assert final.done and final.db == clean
+    # The resumed run's bases deleted every older delta: what is left
+    # beside the base is its own chain, with no gap.
+    deltas = sorted(path.parent.glob(f"{path.name}.[0-9]*"))
+    assert deltas == [delta_path(path, seq) for seq in range(1, len(deltas) + 1)]
+    assert all(_chain_id(delta) == _chain_id(path) for delta in deltas)
+
+
+def _chain_id(file):
+    return json.loads(file.read_text())["chain"]
+
+
+def _longest_chain(monkeypatch, program, db, tmp_path, **kwargs):
+    """How many boundaries to let a run write so that its chain ends
+    longest: up to just before its last rebase."""
+    probe = tmp_path / "probe.json"
+    written = _run_killed(monkeypatch, program, db, probe, **kwargs)
+    return max(index for index, (file, _c) in enumerate(written) if file == probe)
+
+
+class TestDeltaChain:
+    """A checkpoint is a base plus deltas; the fold stops at the first
+    missing, torn or foreign delta, and resuming from whatever it folds
+    to reproduces the clean run."""
+
+    def test_boundaries_after_the_first_write_deltas(self, tmp_path, monkeypatch):
+        program, db = transitive_closure_workload(5)
+        path = tmp_path / "ck.json"
+        written = _run_killed(monkeypatch, program, db, path)
+        files = [file for file, _checkpoint in written]
+        assert files[:3] == [path, delta_path(path, 1), delta_path(path, 2)]
+        # Every file is a base or the next delta of the current chain.
+        seq = 0
+        for file in files:
+            seq = 0 if file == path else seq + 1
+            assert file == (path if seq == 0 else delta_path(path, seq))
+        _assert_restores(path, program, written[-1][1])
+
+    @pytest.mark.parametrize(
+        "cut", ["1 byte", "half", "length - 2", "newline", "not text"]
+    )
+    def test_torn_final_delta_resumes_from_the_previous_boundary(
+        self, tmp_path, monkeypatch, cut
+    ):
+        program, db = transitive_closure_workload(5)
+        full = _run_killed(monkeypatch, program, db, tmp_path / "probe.json")
+        # Die right after the run's last delta, then tear that delta.
+        kill_at = max(
+            index + 1
+            for index, (file, _checkpoint) in enumerate(full)
+            if file.name != "probe.json"
+        )
+        path = tmp_path / "ck.json"
+        written = _run_killed(monkeypatch, program, db, path, kill_at)
+        final = written[-1][0]
+        assert final != path
+        payload = final.read_bytes()
+        # Without its final newline a delta is torn even if it parses.
+        torn = {
+            "1 byte": payload[:1],
+            "half": payload[: len(payload) // 2],
+            "length - 2": payload[:-2],
+            "newline": payload[:-1],
+            "not text": b"\xff" * (len(payload) - 1) + b"\n",
+        }[cut]
+        final.write_bytes(torn)
+        _assert_restores(path, program, written[-2][1])
+        _assert_resumes_identically(path, program, db)
+
+    def test_a_gap_in_the_sequence_stops_the_fold(self, tmp_path, monkeypatch):
+        program, db = transitive_closure_workload(5)
+        kill_at = _longest_chain(monkeypatch, program, db, tmp_path)
+        path = tmp_path / "ck.json"
+        written = _run_killed(monkeypatch, program, db, path, kill_at)
+        base = max(index for index, (file, _c) in enumerate(written) if file == path)
+        assert len(written) - base > 3, "the chain needs 3 deltas"
+        delta_path(path, 2).unlink()
+        _assert_restores(path, program, written[base + 1][1])
+        _assert_resumes_identically(path, program, db)
+
+    def test_a_delta_of_an_older_chain_stops_the_fold(self, tmp_path, monkeypatch):
+        """A kill between a new base's rename and its deletes leaves the
+        older chain's deltas beside it; the chain id keeps them out."""
+        program, db = transitive_closure_workload(5)
+        kill_at = _longest_chain(monkeypatch, program, db, tmp_path)
+        path = tmp_path / "ck.json"
+        _run_killed(monkeypatch, program, db, path, kill_at)
+        older = {file: file.read_bytes() for file in tmp_path.glob("ck.json.[0-9]*")}
+        assert delta_path(path, 3) in older
+        restart = _run_killed(monkeypatch, program, db, path, 1)
+        for file, payload in older.items():
+            file.write_bytes(payload)
+        assert _chain_id(delta_path(path, 1)) != _chain_id(path)
+        _assert_restores(path, program, restart[0][1])
+        _assert_resumes_identically(path, program, db)
+
+    def test_a_base_deletes_every_older_delta(self, tmp_path, monkeypatch):
+        """A kill partway through a base's deletes leaves a gap before
+        the rest; the next base deletes those too, and nothing else."""
+        program, db = transitive_closure_workload(5)
+        kill_at = _longest_chain(monkeypatch, program, db, tmp_path)
+        path = tmp_path / "ck.json"
+        written = _run_killed(monkeypatch, program, db, path, kill_at)
+        assert delta_path(path, 3).exists()
+        delta_path(path, 1).unlink()
+        delta_path(path, 2).unlink()
+        kept = [tmp_path / "ck.json.bak", delta_path(tmp_path / "other.json", 3)]
+        for file in kept:
+            file.write_text("not a delta of ck.json\n")
+        save_checkpoint(path, written[0][1])
+        assert sorted(tmp_path.glob("ck.json.*")) == kept[:1]
+        assert all(file.exists() for file in kept)
+        _assert_restores(path, program, written[0][1])
+
+    def test_a_degrade_restart_deletes_the_older_chain(self, tmp_path, monkeypatch):
+        """A ``degrade`` decision restarts the run fresh on the naive
+        engine over the same path.  Its first base deletes the vector
+        run's deltas, so the new chain folds as if they never were."""
+        program, db = transitive_closure_workload(5)
+        kill_at = _longest_chain(monkeypatch, program, db, tmp_path, engine="vector")
+        path = tmp_path / "ck.json"
+        _run_killed(monkeypatch, program, db, path, kill_at, engine="vector")
+        assert delta_path(path, 3).exists()
+        restart = _run_killed(monkeypatch, program, db, path, 2, engine="naive")
+        assert [file for file, _c in restart] == [path, delta_path(path, 1)]
+        assert sorted(tmp_path.glob("ck.json.*")) == [delta_path(path, 1)]
+        _assert_restores(path, program, restart[-1][1])
+        _assert_resumes_identically(path, program, db, engine="naive")
+
+    def test_a_format_1_checkpoint_is_refused_with_exit_3(self, tmp_path):
+        from repro.__main__ import main
+
+        program, _db = transitive_closure_workload(4)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "format": 1, "fingerprint": program_fingerprint(program),
+            "statement_index": 0, "body_index": 0, "iterations": 0,
+            "next_tag": 0, "done": False, "database": [],
+        }) + "\n")
+        with pytest.raises(CheckpointError, match="format 1"):
+            load_checkpoint(path)
+        assert main(["run", "tc:4", "--resume", "--checkpoint", str(path)]) == 3
+
+    @pytest.mark.parametrize("optimized", [False, True], ids=["source", "optimized"])
+    @pytest.mark.parametrize("engine", ["naive", "vector"])
+    def test_a_kill_at_every_boundary_resumes_identically(
+        self, tmp_path, monkeypatch, engine, optimized
+    ):
+        from repro.engine.optimizer import optimize_program
+
+        program, db = transitive_closure_workload(5)
+        if optimized:
+            program = optimize_program(program, cache=None).program
+        boundaries = len(
+            _run_killed(
+                monkeypatch, program, db, tmp_path / "probe.json", engine=engine
+            )
+        )
+        for kill_at in range(1, boundaries + 1):
+            path = tmp_path / f"kill-{kill_at}" / "ck.json"
+            path.parent.mkdir()
+            written = _run_killed(
+                monkeypatch, program, db, path, kill_at, engine=engine
+            )
+            _assert_restores(path, None, written[-1][1])
+            _assert_resumes_identically(path, program, db, engine=engine)

@@ -6,17 +6,18 @@ Two pins:
   ``N - 1`` while iterations (the longest path in the seeded chain
   graph), identically on the naive and vectorized engines — a planner
   or kernel bug that perturbed the fixpoint would show up here first;
-* checkpoint writes no longer re-encode unchanged tables: a
-  while-fixpoint re-serializes its whole database after every body
-  statement, and :func:`repro.runtime.checkpoint.table_to_data` must
-  memoize per table object so only *replaced* tables pay encoding.
+* checkpoint writes encode only what is new: a while-fixpoint writes a
+  checkpoint after every body statement, and the run's checkpoint chain
+  encodes a table object once, when it first enters the database, so
+  only *replaced* tables pay encoding and the folded final checkpoint
+  equals the result.
 """
-
-import json
 
 import pytest
 
 from repro.obs import observation
+from repro.obs.events import event_stream
+from repro.obs.ledger import database_digest
 from repro.runtime import checkpoint as ck
 from repro.runtime import run_hardened
 from repro.runtime.workloads import parse_workload
@@ -39,40 +40,80 @@ def test_tc_results_agree_between_engines(engine):
     assert program.run(db, engine=engine) == program.run(db)
 
 
-def test_table_to_data_is_memoized_per_object():
-    _label, _program, db = parse_workload("tc:5")
-    table = db.tables[0]
-    first = ck.table_to_data(table)
-    assert ck.table_to_data(table) is first
+def test_a_table_in_the_chain_is_never_encoded_again(tmp_path, monkeypatch):
+    """Over whole checkpointed runs, rebases included, no table object is
+    encoded twice: a boundary encodes only the tables the previous one
+    lacked, and a new base reuses the text the chain already holds."""
+    _label, program, db = parse_workload("tc:6")
+    encode = ck.table_to_data
+    for engine in ("naive", "vector"):
+        encoded, writes = [], []
 
-    # An equal-but-distinct object encodes to equal data, fresh list.
-    clone = type(table)(table.grid)
-    other = ck.table_to_data(clone)
-    assert other == first and other is not first
+        def counting(table):
+            encoded.append(table)
+            return encode(table)
+
+        monkeypatch.setattr(ck, "table_to_data", counting)
+        with event_stream() as bus:
+            bus.attach(
+                lambda event: writes.append(event.data)
+                if event.kind == "checkpoint_write" else None
+            )
+            run_hardened(
+                program, db, checkpoint_path=tmp_path / f"{engine}.json",
+                engine=engine,
+            )
+        assert sum(write["base"] for write in writes) > 1, "the run never rebased"
+        assert len({id(table) for table in encoded}) == len(encoded)
 
 
 def test_checkpoint_writes_skip_reencoding_unchanged_tables(tmp_path, monkeypatch):
-    """After warming the memo, serializing the same database again must
-    not call symbol_to_data at all."""
-    _label, _program, db = parse_workload("tc:5")
-    first = ck.database_to_data(db)
+    """A boundary whose database holds the previous boundary's table
+    objects writes a delta without tables and never calls symbol_to_data;
+    one replaced table is the only one encoded."""
+    _label, program, db = parse_workload("tc:5")
+    path = tmp_path / "ck.json"
+    log = ck.CheckpointLog()
 
-    def boom(symbol):  # pragma: no cover - failure path
-        raise AssertionError("unchanged table was re-encoded")
+    def boundary(database, index):
+        return ck.Checkpoint(
+            statement_index=index, iterations=0, next_tag=0, db=database,
+            fingerprint=ck.program_fingerprint(program),
+        )
 
-    monkeypatch.setattr(ck, "symbol_to_data", boom)
-    assert ck.database_to_data(db) == first
+    assert ck.save_checkpoint(path, boundary(db, 0), log) == path
+    encoded = []
+    encode = ck.symbol_to_data
+
+    def recording(symbol):
+        encoded.append(symbol)
+        return encode(symbol)
+
+    monkeypatch.setattr(ck, "symbol_to_data", recording)
+    delta = ck.save_checkpoint(path, boundary(db, 1), log)
+    assert delta == ck.delta_path(path, 1)
+    assert '"tables":{}' in delta.read_text()
+    assert encoded == []
+
+    replaced = db.tables[0].with_name(db.tables[0].name)
+    assert replaced is not db.tables[0]
+    changed = db.remove(db.tables[0]).add(replaced)
+    ck.save_checkpoint(path, boundary(changed, 2), log)
+    assert len(encoded) == sum(len(row) for row in replaced.grid)
+    assert ck.load_checkpoint(path, program).db == changed
 
 
 def test_hardened_fixpoint_checkpoints_stay_consistent(tmp_path):
     """End to end: checkpointed hardened runs equal plain runs on both
-    engines, and the final checkpoint round-trips the database."""
+    engines, and the folded final checkpoint is done and equals the
+    result."""
     _label, program, db = parse_workload("tc:6")
     expected = program.run(db)
     for engine in ("naive", "vector"):
         path = tmp_path / f"tc-{engine}.json"
         result = run_hardened(program, db, checkpoint_path=path, engine=engine)
         assert result == expected
-        data = json.loads(path.read_text())
-        assert data["done"] is True
-        assert ck.database_from_data(data["database"]) == expected
+        final = ck.load_checkpoint(path)
+        assert final.done is True
+        assert final.db == result
+        assert database_digest(final.db)[0] == database_digest(result)[0]
