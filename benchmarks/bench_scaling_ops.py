@@ -375,6 +375,37 @@ def test_statement_cost_ignores_table_count():
     )
 
 
+#: Sizes of the ``restructure:N`` sweep, in parts: 240 to 1,920 rows.
+PIVOT_PARTS = (80, 160, 320, 640)
+
+
+def test_pivot_chain_scales_with_cells():
+    """GROUP → CLEANUP → PURGE → MERGECOMPACT (``restructure:N``) costs
+    time in proportion to GROUP's grid, which grows 4x when the rows
+    double: 1,920 rows take about 4x the time of 960.  A step that
+    compared pairs of rows or of columns would take 8x or more.
+
+    Wall clock, best of three per size, so the assertion also runs under
+    --benchmark-disable; the 6x ceiling leaves room for timer noise.
+    """
+    from repro.runtime.workloads import parse_workload
+
+    times = {}
+    for parts in PIVOT_PARTS:
+        _label, program, db = parse_workload(f"restructure:{parts}")
+        (sales,) = db.tables
+        flat = program.run(db).table("Flat")
+        assert sorted(flat.grid[1:]) == sorted(sales.grid[1:])
+        times[parts] = _best_of(lambda: program.run(db))
+        report(f"pivot-chain/{sales.height}", ms=round(times[parts] * 1e3, 3))
+    ratio = times[640] / times[320]
+    report("pivot-chain/doubling", ratio=round(ratio, 2))
+    assert ratio <= 6, (
+        f"restructure at 1,920 rows took {ratio:.1f}x its 960-row time, over "
+        f"the 6x ceiling"
+    )
+
+
 def _checkpointed_tc8(directory, pad_rows):
     """A checkpointed ``tc:8`` run, over one extra ``pad_rows``-row table
     when ``pad_rows`` is non-zero: ``(symbols encoded, [bytes written by

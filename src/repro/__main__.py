@@ -170,9 +170,9 @@ Every command's flags are declared once, in ``ARGUMENTS``, and validated
 before the command runs: an unknown flag (flags are never abbreviated), a
 repeated one, a flag missing its value or given an ill-typed one, and a
 surplus positional argument are usage errors — ``error: …`` on stdout,
-exit status 2.  Workload and example names (``tc:N``, ``chain:N``, an
-example or a unique prefix of one) all resolve through
-:func:`repro.runtime.workloads.resolve_workload`.
+exit status 2.  Workload and example names (``tc:N``, ``chain:N``,
+``restructure:N``, an example or a unique prefix of one) all resolve
+through :func:`repro.runtime.workloads.resolve_workload`.
 
 Exit codes, uniformly: 0 success; 1 failure (a check failed, a run was
 killed or diverged, a gate tripped); 2 usage error; 3 missing input

@@ -34,31 +34,41 @@ def _named(table: Table, name: object | None) -> Table:
     return table.with_name(as_attr_symbol(name))
 
 
-def _merge_rows(table: Table, rows: list[int]) -> list[Symbol] | None:
+def _merge_rows(rows: list[tuple[Symbol, ...]]) -> list[Symbol] | None:
     """Position-wise merge of a group of data rows, or None when incompatible.
 
     Compatible means: at every grid column (including column 0, the row
     attribute) the group's non-⊥ entries are all equal.  The merged row
-    takes each column's unique non-⊥ entry, or ⊥.
+    takes each column's first non-⊥ entry, or ⊥.
+
+    The group merges column by column.  A column the whole group agrees
+    on (in GROUP's output most are all ⊥) is settled by one C-level
+    count; only a column whose entries differ walks its entries.
+    ``first == first`` leaves a payload unequal to itself (NaN) to that
+    walk, which finds it a conflict.
 
     Under an active lineage scope each merged cell derives from *all* of
     the group's entries in that column (⊥ entries included), so
     duplicate elimination unions rather than drops provenance.
     """
     lin = _obs.OBS.lineage
+    size = len(rows)
     merged: list[Symbol] = []
-    for j in range(table.ncols):
-        candidate: Symbol = NULL
-        for i in rows:
-            entry = table.entry(i, j)
-            if entry.is_null:
-                continue
-            if candidate.is_null:
-                candidate = entry
-            elif candidate != entry:
-                return None
+    for column in zip(*rows):
+        first = column[0]
+        if column.count(first) == size and (first is NULL or first == first):
+            candidate = NULL if first is NULL or first.is_null else first
+        else:
+            candidate = NULL
+            for entry in column:
+                if entry is NULL or entry.is_null:
+                    continue
+                if candidate is NULL:
+                    candidate = entry
+                elif candidate != entry:
+                    return None
         if lin is not None:
-            candidate = derived_from(candidate, (table.entry(i, j) for i in rows))
+            candidate = derived_from(candidate, column)
         merged.append(candidate)
     return merged
 
@@ -74,44 +84,29 @@ def cleanup(table: Table, by: object, on: object, name: object | None = None) ->
     by_set = as_attr_set(by)
     on_set = as_attr_set(on)
     by_cols = columns_with_attr_in(table, by_set)
+    rows = table.grid
 
-    # Group the ℬ-rows by (row attribute, 𝒜-subtuple); keep first positions.
-    order: list[tuple[Symbol, tuple[Symbol, ...]]] = []
+    # Group the ℬ-rows by (row attribute, 𝒜-subtuple), in first-seen order.
     groups: dict[tuple[Symbol, tuple[Symbol, ...]], list[int]] = {}
-    untouched: list[int] = []
     for i in table.data_row_indices():
-        attr = table.entry(i, 0)
-        if attr not in on_set:
-            untouched.append(i)
-            continue
-        key = (attr, tuple(table.entry(i, j) for j in by_cols))
-        if key not in groups:
-            order.append(key)
-            groups[key] = []
-        groups[key].append(i)
+        row = rows[i]
+        if row[0] in on_set:
+            groups.setdefault((row[0], tuple(row[j] for j in by_cols)), []).append(i)
 
-    # Emit rows in original order; each group appears (merged or intact) at
-    # its first member's position.
-    replacement: dict[int, list[list[Symbol]]] = {}
+    # Each merged group appears at its first member's position.
+    replacement: dict[int, list[Symbol]] = {}
     skip: set[int] = set()
-    for key in order:
-        rows = groups[key]
-        if len(rows) == 1:
+    for members in groups.values():
+        if len(members) == 1:
             continue
-        merged = _merge_rows(table, rows)
+        merged = _merge_rows([rows[i] for i in members])
         if merged is None:
             continue
-        replacement[rows[0]] = [merged]
-        skip.update(rows[1:])
+        replacement[members[0]] = merged
+        skip.update(members[1:])
 
-    grid: list[tuple[Symbol, ...] | list[Symbol]] = [table.row(0)]
-    for i in table.data_row_indices():
-        if i in skip:
-            continue
-        if i in replacement:
-            grid.extend(replacement[i])
-        else:
-            grid.append(table.row(i))
+    grid = [rows[0]]
+    grid += (replacement.get(i, rows[i]) for i in table.data_row_indices() if i not in skip)
     return _named(Table(grid), name)
 
 

@@ -68,37 +68,36 @@ def group(table: Table, by: object, on: object, name: object | None = None) -> T
     on_cols = columns_with_attr_in(table, on_set)
     require(bool(by_cols), f"GROUP: no column carries a by-attribute from {sorted(map(str, by_set))}")
     require(bool(on_cols), f"GROUP: no column carries an on-attribute from {sorted(map(str, on_set))}")
-    rest_cols = [
-        j for j in table.data_col_indices() if j not in set(by_cols) and j not in set(on_cols)
-    ]
-    data_rows = list(table.data_row_indices())
+    pivoted = set(by_cols) | set(on_cols)
+    rest_cols = [j for j in table.data_col_indices() if j not in pivoted]
+    attrs, *data = table.grid
     block_width = len(on_cols)
-    n_blocks = len(data_rows)
 
-    header: list[Symbol] = [table.name]
-    header += [table.entry(0, j) for j in rest_cols]
-    for _ in range(n_blocks):
-        header += [table.entry(0, j) for j in on_cols]
-    grid = [header]
+    # Rows are built from whole tuples: a row's ⊥ blocks are slices of
+    # one all-⊥ tuple as wide as every block together.
+    rest_nulls = (NULL,) * len(rest_cols)
+    pad = (NULL,) * (block_width * len(data))
+    grid = [
+        (attrs[0],)
+        + tuple(attrs[j] for j in rest_cols)
+        + tuple(attrs[j] for j in on_cols) * len(data)
+    ]
 
     # One header data row per 𝒜-column.
     for c in by_cols:
-        row: list[Symbol] = [table.entry(0, c)]
-        row += [NULL] * len(rest_cols)
-        for i in data_rows:
-            row += [table.entry(i, c)] * block_width
-        grid.append(row)
+        values = tuple(entry for row in data for entry in (row[c],) * block_width)
+        grid.append((attrs[c],) + rest_nulls + values)
 
     # One data row per original data row, its ℬ-entries under its own block.
-    for position, i in enumerate(data_rows):
-        row = [table.entry(i, 0)]
-        row += [table.entry(i, j) for j in rest_cols]
-        for block in range(n_blocks):
-            if block == position:
-                row += [table.entry(i, j) for j in on_cols]
-            else:
-                row += [NULL] * block_width
-        grid.append(row)
+    for position, row in enumerate(data):
+        start = position * block_width
+        grid.append(
+            (row[0],)
+            + tuple(row[j] for j in rest_cols)
+            + pad[:start]
+            + tuple(row[j] for j in on_cols)
+            + pad[start + block_width:]
+        )
 
     return _named(Table(grid), name)
 

@@ -167,8 +167,9 @@ class LedgerError(ReproError):
 
 
 class WorkloadSpecError(ReproError):
-    """A workload spec (``tc:N``, ``chain:N``, an example name) that
-    resolves to no runnable TA program; the subclasses say why."""
+    """A workload spec (``tc:N``, ``chain:N``, ``restructure:N``, an
+    example name) that resolves to no runnable TA program; the
+    subclasses say why."""
 
 
 class MalformedSpecError(WorkloadSpecError):

@@ -34,23 +34,44 @@ from .symbols import Symbol, weakly_contained
 __all__ = ["Table"]
 
 
+#: The entry types seen to be :class:`Symbol` subclasses.  A row whose
+#: entry types are all in here passes the entry check in one C-level pass.
+_SYMBOL_TYPES: set[type] = set()
+
+
 def _freeze_grid(rows: Iterable[Iterable[Symbol]]) -> tuple[tuple[Symbol, ...], ...]:
     grid = tuple(tuple(row) for row in rows)
     if not grid or not grid[0]:
         raise SchemaError("a table requires at least the name position (a 1x1 grid)")
     ncols = len(grid[0])
+    known = _SYMBOL_TYPES
     for i, row in enumerate(grid):
         if len(row) != ncols:
             raise SchemaError(
                 f"ragged grid: row {i} has {len(row)} entries, expected {ncols}"
             )
+        if known.issuperset(map(type, row)):
+            continue
         for j, entry in enumerate(row):
             if not isinstance(entry, Symbol):
                 raise SchemaError(
                     f"grid entry ({i},{j}) is {entry!r}, not a Symbol; "
                     "use repro.core.builders for coercing plain Python objects"
                 )
+        known.update(kind for kind in map(type, row) if issubclass(kind, Symbol))
     return grid
+
+
+def _from_checked(grid: tuple[tuple[Symbol, ...], ...]) -> "Table":
+    """A table over ``grid`` without checking it again.
+
+    Only for a grid that rearranges the entries of a checked one (plus,
+    in :meth:`Table.with_name`, one entry checked by the caller).
+    """
+    table = object.__new__(Table)
+    object.__setattr__(table, "_grid", grid)
+    object.__setattr__(table, "_hash", None)
+    return table
 
 
 class Table:
@@ -235,8 +256,11 @@ class Table:
     # ------------------------------------------------------------------
 
     def transpose(self) -> "Table":
-        """The matrix transpose (column attributes become row attributes)."""
-        return Table(zip(*self._grid))
+        """The matrix transpose (column attributes become row attributes).
+
+        A permutation of a checked grid, so it is not checked again.
+        """
+        return _from_checked(tuple(zip(*self._grid)))
 
     def with_name(self, name: Symbol) -> "Table":
         """A copy whose table-name position holds ``name``.
@@ -249,10 +273,7 @@ class Table:
                 f"grid entry (0,0) is {name!r}, not a Symbol; "
                 "use repro.core.builders for coercing plain Python objects"
             )
-        table = object.__new__(Table)
-        object.__setattr__(table, "_grid", ((name,) + self._grid[0][1:],) + self._grid[1:])
-        object.__setattr__(table, "_hash", None)
-        return table
+        return _from_checked(((name,) + self._grid[0][1:],) + self._grid[1:])
 
     def with_entry(self, i: int, j: int, symbol: Symbol) -> "Table":
         """A copy with entry (i, j) replaced by ``symbol``."""

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -61,6 +62,7 @@ __all__ = [
     "RunRecorder",
     "new_run_id",
     "database_digest",
+    "result_block",
 ]
 
 #: Version stamp carried by the ledger header and by every record.
@@ -114,13 +116,34 @@ def database_digest(db) -> tuple[str, int, int, list]:
     exactly the state a resume would restore — byte-identical results
     have byte-identical digests across processes.
     """
+    block = result_block(db, cap=math.inf)
+    return block["sha256"], block["tables"], block["rows"], block["data"]
+
+
+def result_block(db, cap: float) -> dict:
+    """A manifest's ``result`` block for the final database ``db``.
+
+    :func:`database_digest`'s digest, table and row counts, then
+    ``data``, the encoded tables, when their JSON text fits in ``cap``
+    bytes, else ``data`` None and the text's ``bytes``.  The text is
+    encoded once for both: ``data`` holds only lists, so the digest's
+    sorted keys change nothing.
+    """
     from ..runtime.checkpoint import database_to_data
 
     data = database_to_data(db)
     payload = json.dumps(data, separators=(",", ":"), sort_keys=True)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    rows = sum(len(table) for table in data)
-    return digest, len(data), rows, data
+    block = {
+        "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        "tables": len(data),
+        "rows": sum(len(table) for table in data),
+    }
+    if len(payload) <= cap:
+        block["data"] = data
+    else:
+        block["data"] = None
+        block["bytes"] = len(payload)
+    return block
 
 
 # ----------------------------------------------------------------------
@@ -712,23 +735,13 @@ class RunRecorder:
 
         result: dict | None = None
         if result_db is not None:
-            digest, tables, rows, data = database_digest(result_db)
-            result = {"sha256": digest, "tables": tables, "rows": rows}
-            cap = (
-                result_bytes_cap
-                if result_bytes_cap is not None
-                else (
+            if result_bytes_cap is None:
+                result_bytes_cap = (
                     self.ledger.result_bytes_cap
                     if self.ledger is not None
                     else DEFAULT_RESULT_BYTES_CAP
                 )
-            )
-            payload = json.dumps(data, separators=(",", ":"))
-            if len(payload) <= cap:
-                result["data"] = data
-            else:
-                result["data"] = None
-                result["bytes"] = len(payload)
+            result = result_block(result_db, result_bytes_cap)
 
         program_block: dict | None = None
         if program is not None:

@@ -554,7 +554,7 @@ class Supervisor:
             return
         if self.ledger is None:
             return
-        from ..obs.ledger import database_digest
+        from ..obs.ledger import result_block
 
         if run.error is None:
             status = "ok"
@@ -566,18 +566,9 @@ class Supervisor:
         if run.error is not None:
             outcome["error_type"] = type(run.error).__name__
             outcome["error"] = str(run.error)
-        result_block = None
+        result = None
         if run.result is not None:
-            digest, tables, rows, data = database_digest(run.result)
-            result_block = {"sha256": digest, "tables": tables, "rows": rows}
-            import json as _json
-
-            payload = _json.dumps(data, separators=(",", ":"))
-            if len(payload) <= self.ledger.result_bytes_cap:
-                result_block["data"] = data
-            else:
-                result_block["data"] = None
-                result_block["bytes"] = len(payload)
+            result = result_block(run.result, self.ledger.result_bytes_cap)
         self.ledger.record(
             {
                 "run_id": run.run_id,
@@ -585,7 +576,7 @@ class Supervisor:
                 "workload": {
                     "label": run.workload,
                     "spec": spec,
-                    "replayable": spec is not None and result_block is not None,
+                    "replayable": spec is not None and result is not None,
                 },
                 "program": {
                     "repr": None,
@@ -596,7 +587,7 @@ class Supervisor:
                 "limits": _limits_json(limits),
                 "outcome": outcome,
                 "elapsed_ms": round(run.elapsed_s * 1e3, 3),
-                "result": result_block,
+                "result": result,
                 "supervisor": run.history(),
             }
         )

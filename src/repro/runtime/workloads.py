@@ -13,9 +13,14 @@ that a 50 ms deadline reliably kills it mid-fixpoint, short enough that
 CI converges quickly even when every resume attempt re-applies the same
 50 ms deadline.
 
-Every spec a user or a ledger names — ``tc:12``, ``chain:4``, a bundled
-example or a unique prefix of one — becomes a runnable program through
-:func:`resolve_workload`, the single resolver behind ``python -m repro
+Beside it, ``restructure:N`` pivots a relation into the paper's
+``SalesInfo2`` shape and back, the workload whose cost grows with the
+square of its rows.
+
+Every spec a user or a ledger names — ``tc:12``, ``chain:4``,
+``restructure:80``, a bundled example or a unique prefix of one —
+becomes a runnable program through :func:`resolve_workload`, the single
+resolver behind ``python -m repro
 run``/``supervise``/``analyze``/``optimize``/``engine-report``, ledger
 replay, crash recovery and the stats audit.
 
@@ -33,8 +38,10 @@ from ..core.errors import MalformedSpecError, NotAProgramError, UnknownSpecError
 __all__ = [
     "DEFAULT_TC_NODES",
     "DEFAULT_CHAIN_ROWS",
+    "DEFAULT_RESTRUCTURE_PARTS",
     "transitive_closure_workload",
     "chain_join_workload",
+    "restructure_workload",
     "parse_workload",
     "lookup_example",
     "resolve_workload",
@@ -45,6 +52,18 @@ DEFAULT_TC_NODES = 12
 
 #: Per-table rows used when ``chain`` is requested without a size.
 DEFAULT_CHAIN_ROWS = 8
+
+#: Parts used when ``restructure`` is requested without a size (240 rows).
+DEFAULT_RESTRUCTURE_PARTS = 80
+
+#: Figure 1's pivot from ``SalesInfo1`` to ``SalesInfo2`` (Sections 3.2
+#: and 3.4, Figures 4 and 5) and the unpivot back to a relation.
+RESTRUCTURE_PROGRAM = """
+    Grouped <- GROUP by {Region} on {Sold} (Sales)
+    Cleaned <- CLEANUP by {Part} on {null} (Grouped)
+    Pivot   <- PURGE on {Sold} by {Region} (Cleaned)
+    Flat    <- MERGECOMPACT on {Sold} by {Region} (Pivot)
+"""
 
 
 def transitive_closure_workload(nodes: int = DEFAULT_TC_NODES):
@@ -138,10 +157,38 @@ def chain_join_workload(rows: int = DEFAULT_CHAIN_ROWS):
     return program, db
 
 
-#: Synthetic workload kinds: spec name -> (builder, default size).
+def restructure_workload(parts: int = DEFAULT_RESTRUCTURE_PARTS):
+    """``(program, db)``: pivot a relation to ``SalesInfo2`` and back.
+
+    ``Sales(Part, Region, Sold)`` holds ``parts`` parts in 4 regions,
+    each part missing from one region, so ``3 * parts`` rows.  The
+    program is GROUP → CLEANUP → PURGE → MERGECOMPACT
+    (:data:`RESTRUCTURE_PROGRAM`); ``parts=80`` is the shape of the
+    end-to-end ``restructure`` workload.  GROUP's grid has ``(3 * parts
+    + 2)²`` cells, so the time grows about 4x when ``parts`` doubles.
+    """
+    from ..algebra.programs import parse_program
+    from ..core import TabularDatabase, make_table
+
+    if parts < 1:
+        raise MalformedSpecError(f"restructure workload needs >= 1 part, got {parts}")
+    facts = [
+        (f"part{p}", f"region{r}", 10 + (37 * p + 11 * r) % 990)
+        for p in range(parts)
+        for r in range(4)
+        if r != p % 4
+    ]
+    sales = make_table("Sales", ["Part", "Region", "Sold"], facts)
+    return parse_program(RESTRUCTURE_PROGRAM), TabularDatabase([sales])
+
+
+#: Synthetic workload kinds: spec name -> (build function, default size).  No
+#: kind may share a bundled example's name (``pivot`` is one), which it
+#: would shadow.
 _KINDS = {
     "tc": (transitive_closure_workload, DEFAULT_TC_NODES),
     "chain": (chain_join_workload, DEFAULT_CHAIN_ROWS),
+    "restructure": (restructure_workload, DEFAULT_RESTRUCTURE_PARTS),
 }
 
 
@@ -149,9 +196,10 @@ def parse_workload(spec: str):
     """Resolve a synthetic workload spec to ``(label, program, db)``, or None.
 
     Recognized specs: ``tc`` / ``tc:N`` (transitive closure of an N-node
-    chain) and ``chain`` / ``chain:N`` (a 4-way product chain with late
-    selections over N-row tables).  Anything else returns None.  A
-    recognized-but-malformed size raises
+    chain), ``chain`` / ``chain:N`` (a 4-way product chain with late
+    selections over N-row tables) and ``restructure`` /
+    ``restructure:N`` (the pivot and unpivot of a 3N-row relation).
+    Anything else returns None.  A recognized-but-malformed size raises
     :class:`~repro.core.errors.MalformedSpecError`.  Callers outside
     this module want :func:`resolve_workload`, which also knows the
     bundled examples.
@@ -198,9 +246,9 @@ def lookup_example(spec: str):
 def resolve_workload(spec: str):
     """``(label, program, db)`` for any spec the CLI, replay and recovery accept.
 
-    ``tc[:N]`` and ``chain[:N]`` build the synthetic workloads; anything
-    else names a bundled example by full name or unique prefix, labelled
-    by its full name.  Failures raise a typed
+    ``tc[:N]``, ``chain[:N]`` and ``restructure[:N]`` build the
+    synthetic workloads; anything else names a bundled example by full
+    name or unique prefix, labelled by its full name.  Failures raise a typed
     :class:`~repro.core.errors.WorkloadSpecError`:
     :class:`~repro.core.errors.MalformedSpecError` for a bad size,
     :class:`~repro.core.errors.UnknownSpecError` for a name that matches

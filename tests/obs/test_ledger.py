@@ -283,6 +283,23 @@ class TestRecorder:
         assert manifest["result"]["data"] is None
         assert manifest["result"]["bytes"] > 64
 
+    @pytest.mark.parametrize("cap", [64, 1 << 20])
+    def test_recorder_and_supervisor_write_one_result_block(self, tmp_path, cap):
+        from repro.runtime.supervisor import Supervisor
+
+        recorded = self._record_run(RunLedger(tmp_path / "rec", result_bytes_cap=cap))
+        _label, program, db = parse_workload("tc:4")
+        ledger = RunLedger(tmp_path / "sup", result_bytes_cap=cap)
+        run = Supervisor(ledger=ledger, sleep=lambda s: None).submit(
+            program, db, workload="tc:4", spec="tc:4"
+        )
+        assert ledger.get(run.run_id)["result"] == recorded["result"]
+        digest, tables, rows, data = database_digest(program.run(db))
+        size = len(json.dumps(data, separators=(",", ":")))
+        expected = {"sha256": digest, "tables": tables, "rows": rows}
+        expected.update({"data": data} if size <= cap else {"data": None, "bytes": size})
+        assert recorded["result"] == expected
+
     def test_recorder_ring_drops_are_visible(self, tmp_path):
         ledger = RunLedger(tmp_path / "led")
         _label, program, db = parse_workload("tc:6")

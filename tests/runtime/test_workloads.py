@@ -18,9 +18,16 @@ from repro.obs.ledger import RunLedger, new_run_id
 from repro.obs.replay import resolve_runnable
 from repro.runtime import Limits, run_hardened
 from repro.runtime.supervisor import Supervisor
-from repro.runtime.workloads import resolve_workload, transitive_closure_workload
+from repro.runtime.workloads import (
+    resolve_workload,
+    restructure_workload,
+    transitive_closure_workload,
+)
 
-SPECS = [*EXAMPLES, "tc:5", "chain:3", "fig5", "fig", "nope", "tc:x"]
+SPECS = [
+    *EXAMPLES, "tc:5", "chain:3", "restructure:4", "fig5", "fig", "nope", "tc:x",
+    "restructure:0",
+]
 
 #: The specs that must fail, and how.
 FAILURES = {
@@ -28,6 +35,7 @@ FAILURES = {
     "fig": UnknownSpecError,
     "nope": UnknownSpecError,
     "tc:x": MalformedSpecError,
+    "restructure:0": MalformedSpecError,
 }
 
 
@@ -111,3 +119,16 @@ def test_examples_hand_over_their_ta_program():
         program, db = example.build()
         setup_db, run = example.setup()
         assert run(setup_db) == program.run(db), name
+
+
+def test_restructure_pivots_and_unpivots_3n_rows():
+    program, db = restructure_workload(5)
+    (sales,) = db.tables
+    assert sales.height == 15 and sales.width == 3
+    out = program.run(db)
+    flat = next(t for t in out.tables if str(t.name) == "Flat")
+    assert sorted(flat.grid[1:]) == sorted(sales.grid[1:])
+    pivot = next(t for t in out.tables if str(t.name) == "Pivot")
+    assert pivot.height == 1 + 5  # the Region header row, one row per part
+    assert resolve_workload("restructure")[0] == "restructure:80"
+    assert resolve_workload("pivot")[0] == "pivot"  # the example stays reachable
