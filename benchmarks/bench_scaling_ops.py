@@ -185,18 +185,17 @@ def _best_of(fn, reps=3):
 
 
 @pytest.mark.parametrize(
-    "make_case,floor",
-    [(_product_select_case, 5.0), (_dedup_fan_case, 5.0)],
-    ids=["product_select", "dedup"],
+    "make_case,floor", [(_product_select_case, 5.0)], ids=["product_select"]
 )
 def test_backend_speedup_floor(make_case, floor):
     """The vectorized backend is ≥5x faster at the largest sweep size.
 
-    Measured directly (best of three wall-clock runs) rather than via the
-    benchmark fixture so the assertion also runs under
-    ``--benchmark-disable``.  Current margins are ~31x (product/select)
-    and ~7x (dedup fan-out), so the 5x floor has headroom against CI
-    timer noise.
+    The vector plan fuses the PRODUCT/SELECT pair into one PRODUCTSELECT,
+    whose naive op hash-joins; the naive run materializes the whole
+    product first.  Measured directly (best of three wall-clock runs)
+    rather than via the benchmark fixture so the assertion also runs
+    under ``--benchmark-disable``.  DEDUP has no kernel, so both engines
+    run the same op; :func:`test_dedup_scales_linearly` guards it.
     """
     program, db = make_case(160)
     expected = run_program(program, db, engine="naive")
@@ -234,23 +233,9 @@ def _relation(name, n_rows, offset=0, distinct=None):
     return Table(grid)
 
 
-#: One case per kernel: its input tables and evaluated arguments.
-#: PRODUCTSELECT, whose naive form materializes the whole product, gets
-#: 150 rows a side, the rest 1,000, so every naive op runs for a few ms
-#: to a few hundred ms.
+#: One case per kernel: its input tables and evaluated arguments, 1,000
+#: rows, so every naive op runs for a few ms.
 _KERNEL_CASES = {
-    "CLASSICALUNION": lambda: (
-        (_relation("R", 500), _relation("R", 500, offset=250)),
-        {},
-    ),
-    "DEDUP": lambda: ((_relation("R", 1000, distinct=100),), {}),
-    "PRODUCTSELECT": lambda: (
-        (
-            _keyed_relation("R", 150, "K", 18, "a"),
-            _keyed_relation("S", 150, "J", 18, "b"),
-        ),
-        {"left": "K", "right": "J"},
-    ),
     "SELECT": lambda: ((_relation("R", 1000),), {"left": "A", "right": "B"}),
     "SELECTCONST": lambda: ((_relation("R", 1000),), {"attr": "C", "value": "c0"}),
 }
@@ -308,7 +293,21 @@ def _difference_family_case(op, n_rows):
 )
 def test_difference_family_scales_linearly(op):
     """The naive difference family hashes row keys: 10x the rows costs
-    about 10x the time, where the pairwise subsumption scan cost ~100x.
+    about 10x the time, where the pairwise subsumption scan cost ~100x."""
+    _assert_scales_linearly(op, lambda n_rows: _difference_family_case(op, n_rows))
+
+
+def test_dedup_scales_linearly():
+    """Naive DEDUP hashes whole rows, each repeated ten times: 10x the
+    rows costs about 10x the time."""
+    _assert_scales_linearly(
+        "DEDUP", lambda n_rows: ((_relation("R", n_rows, distinct=n_rows // 10),), {})
+    )
+
+
+def _assert_scales_linearly(op, make_case):
+    """``op``'s naive form at 10,000 rows takes at most 25x its time at
+    1,000 rows.
 
     Wall clock, best of three per size, so the assertion also runs under
     --benchmark-disable; the 25x ceiling leaves room for timer noise and
@@ -317,7 +316,7 @@ def test_difference_family_scales_linearly(op):
     naive_op = OPERATIONS[op].function
     times = {}
     for n_rows in (1_000, 10_000):
-        tables, kwargs = _difference_family_case(op, n_rows)
+        tables, kwargs = make_case(n_rows)
         times[n_rows] = _best_of(lambda: naive_op(*tables, **kwargs))
     ratio = times[10_000] / times[1_000]
     report(

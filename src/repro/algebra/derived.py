@@ -13,29 +13,38 @@ the paper itself describes:
   Section 3.2/3.4 running example, yielding the *economical* grouped table
   the authors "had in mind … when we conceived this operation" (the bold
   ``Sales`` of ``SalesInfo2``);
-* :func:`merge_compact` — MERGE followed by removal of the all-⊥ rows via
-  projection/difference, recovering the relation-style table (Figure 4
-  top from Figure 5);
+* :func:`merge_compact` — MERGE followed by removal of the all-⊥ rows,
+  recovering the relation-style table (Figure 4 top from Figure 5);
 * :func:`collapse_compact` — COLLAPSE followed by redundancy removal;
 * :func:`drop_all_null_rows` — "selecting out the tuples with Sold entry
   ⊥", the difference-based simulation the paper sketches.
 
+:func:`deduplicate`, :func:`product_select` and :func:`drop_all_null_rows`
+compute their composition directly (by hashing whole rows, by pushing
+the selection below the product, by one ⊥ test per row); the literal
+compositions are the hypothesis references that pin them.
+
 Provenance contract: derived operations inherit lineage behaviour from
-the primitives they compose; nothing here needs its own hook.  The one
-symbol-*creating* site, :func:`const_column`, deliberately emits cells
-with empty lineage — a constant genuinely derives from no input cell,
-and the witness-replay audit treats it as vacuously constructive.
+the primitives they compose.  The direct paths of :func:`deduplicate`
+and :func:`product_select` would drop provenance a merge or a product
+row records, so under an active lineage scope they run the literal
+composition; :func:`drop_all_null_rows` only keeps input rows, as the
+difference it replaces does.  The one symbol-*creating* site,
+:func:`const_column`, deliberately emits cells with empty lineage — a
+constant genuinely derives from no input cell, and the witness-replay
+audit treats it as vacuously constructive.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import NULL, Symbol, Table
-from .opshelpers import as_attr_set, as_attr_symbol
+from ..core import NULL, Symbol, Table, strip_null
+from ..obs import runtime as _obs
+from .opshelpers import as_attr_set, as_attr_symbol, combine_row_attributes
 from .redundancy import cleanup, purge
 from .restructuring import collapse, group, merge
-from .traditional import difference, product, project, select, select_constant, union
+from .traditional import product, project, select, union
 
 __all__ = [
     "classical_union",
@@ -67,10 +76,36 @@ def _row_attr_universe(table: Table) -> frozenset[Symbol]:
 
 def deduplicate(table: Table, name: object | None = None) -> Table:
     """Duplicate-row elimination: clean-up by the full scheme, on every
-    row attribute (identical rows always merge position-wise)."""
-    return _named(
-        cleanup(table, by=_scheme(table), on=_row_attr_universe(table)), name
-    )
+    row attribute.
+
+    Keyed by every column, clean-up groups exactly the identical rows
+    (row attribute included), so each row is hashed whole and the first
+    row of a group stands for it as CLEAN-UP's merge writes it: each
+    ⊥-like entry becomes the ⊥ constant.  A group whose first row holds
+    an entry unequal to itself (a NaN, equal to its copies only by
+    identity) is a conflict for that merge, so all its rows stay.  A
+    table without duplicates comes back as it is.  Under an active
+    lineage scope the clean-up runs literally, so a merged cell derives
+    from every row it absorbed.
+    """
+    if _obs.OBS.lineage is not None:
+        return _named(
+            cleanup(table, by=_scheme(table), on=_row_attr_universe(table)), name
+        )
+    rows = table.grid[1:]
+    first: dict[tuple[Symbol, ...], int] = {}
+    firsts = [first.setdefault(row, i) for i, row in enumerate(rows)]
+    if len(first) == len(rows):
+        return _named(table, name)
+    absorbing = {j for i, j in enumerate(firsts) if j != i}
+    merging = {j for j in absorbing if all(e is NULL or e == e for e in rows[j])}
+    grid = [table.grid[0]]
+    for i, (row, j) in enumerate(zip(rows, firsts)):
+        if j not in merging:
+            grid.append(row)
+        elif j == i:
+            grid.append(tuple(NULL if e.is_null else e for e in row))
+    return _named(Table(grid), name)
 
 
 def deduplicate_columns(table: Table, name: object | None = None) -> Table:
@@ -99,17 +134,55 @@ def classical_union(rho: Table, sigma: Table, name: object | None = None) -> Tab
 def product_select(
     rho: Table, sigma: Table, left: object, right: object, name: object | None = None
 ) -> Table:
-    """``σ_{left ≈ right}(ρ × σ)`` as one operation.
+    """``σ_{left ≈ right}(ρ × σ)`` as one operation, the selection
+    pushed below the product.
 
-    Semantically nothing but the composition — this definition *is* the
-    reference the vectorized backend is differentially tested against.
-    The planner rewrites adjacent ``T ← PRODUCT; T ← SELECT (T)`` pairs
-    into this operation so the vector kernel can push the selection
-    below the product (hash join / pre-filter) instead of materializing
-    ``|ρ|·|σ|`` rows first; on the naive engine the fused statement
-    costs the same as the pair it replaces.
+    The condition on a product row is ``τ(A) ≈ τ(B)``, and each entry
+    set splits by side: ``τ(A) = τ_ρ(A) ∪ τ_σ(A)``.  When neither
+    attribute has columns on both sides the condition factors: ``A = B``
+    keeps every row (a plain product), both attributes on one side
+    select that side before the product, and attributes on opposite
+    sides join on their ⊥-stripped entry sets, hashed on σ's side.  An
+    attribute with columns on both sides, or an active lineage scope,
+    gets the literal composition.  Rows keep the product's order, so
+    every path returns the composition's grid.
+
+    The optimizer's ``fuse-product-select`` rule rewrites adjacent
+    ``T ← PRODUCT; T ← SELECT (T)`` pairs into this operation, so a join
+    never materializes the ``|ρ|·|σ|`` rows the selection drops.
     """
-    return _named(select(product(rho, sigma), left, right), name)
+    a, b = as_attr_symbol(left), as_attr_symbol(right)
+    if _obs.OBS.lineage is not None:
+        return _named(select(product(rho, sigma), a, b), name)
+    a_rho, a_sigma = rho.columns_named(a), sigma.columns_named(a)
+    b_rho, b_sigma = rho.columns_named(b), sigma.columns_named(b)
+    if a == b:
+        joined = product(rho, sigma)
+    elif (a_rho and a_sigma) or (b_rho and b_sigma):
+        joined = select(product(rho, sigma), a, b)
+    elif not (a_sigma or b_sigma):
+        joined = product(select(rho, a, b), sigma)
+    elif not (a_rho or b_rho):
+        joined = product(rho, select(sigma, a, b))
+    else:
+        joined = _equi_join(rho, sigma, a_rho or b_rho, a_sigma or b_sigma)
+    return _named(joined, name)
+
+
+def _equi_join(
+    rho: Table, sigma: Table, rho_cols: list[int], sigma_cols: list[int]
+) -> Table:
+    """The rows of ``ρ × σ``, in product order, whose ⊥-stripped entry
+    sets under ``rho_cols`` (in ρ) and ``sigma_cols`` (in σ) are equal."""
+    matches: dict[frozenset[Symbol], list[tuple[Symbol, ...]]] = {}
+    for right in sigma.grid[1:]:
+        matches.setdefault(strip_null(right[j] for j in sigma_cols), []).append(right)
+    grid = [rho.row(0) + sigma.column_attributes]
+    for left in rho.grid[1:]:
+        for right in matches.get(strip_null(left[j] for j in rho_cols), ()):
+            attr = combine_row_attributes(left[0], right[0])
+            grid.append((attr,) + left[1:] + right[1:])
+    return Table(grid)
 
 
 def const_column(
@@ -136,10 +209,19 @@ def drop_all_null_rows(table: Table, attr: object, name: object | None = None) -
     """Remove the data rows whose ``attr``-entries are entirely ⊥.
 
     This is the paper's "selecting out the tuples with Sold entry ⊥ …
-    simulated using projection, transposition, and difference": here
-    realized as ``R \\ σ_{attr=⊥}(R)``.
+    simulated using projection, transposition, and difference", that is
+    ``R \\ σ_{attr=⊥}(R)``.  Each row the selection keeps is its own
+    mutually subsuming partner in the difference, and a row with a
+    non-⊥ ``attr``-entry has none there, so the difference keeps, in
+    order, exactly the rows with some non-⊥ entry in an ``attr`` column;
+    they are filtered directly.  A table without an ``attr`` column
+    loses every row.
     """
-    return _named(difference(table, select_constant(table, attr, None)), name)
+    cols = table.columns_named(as_attr_symbol(attr))
+    grid = table.grid
+    kept = [grid[0]]
+    kept += (row for row in grid[1:] if any(not row[j].is_null for j in cols))
+    return _named(Table(kept), name)
 
 
 def group_compact(table: Table, by: object, on: object, name: object | None = None) -> Table:

@@ -82,12 +82,6 @@ class IdTable:
     def width(self) -> int:
         return len(self.col_attrs)
 
-    def transposed(self) -> "IdTable":
-        """The matrix transpose: attribute regions swap, data flips."""
-        return IdTable(
-            self.name, self.row_attrs, self.col_attrs, cols=self.rows, rows=self.cols
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"IdTable({self.height}x{self.width} name={self.name})"
 

@@ -56,9 +56,9 @@ that justifies it — the full derivations live in docs/OPTIMIZER.md):
     source target were overwritten in between.
 
 ``fuse-product-select``
-    σ_{a≈b}(R × S) as one PRODUCTSELECT, so the kernel can push the
-    selection below the product (hash join) instead of materializing
-    ``|R|·|S|`` rows first.
+    σ_{a≈b}(R × S) as one PRODUCTSELECT, which pushes the selection
+    below the product (hash join) instead of materializing ``|R|·|S|``
+    rows first.
 
 ``join-reorder``
     × is associative/commutative up to column order and σ-filters

@@ -52,6 +52,37 @@ def test_random_programs_agree(family, offset, share, flags, chunk):
             pytest.fail(describe_failure(seed, program, db, message))
 
 
+def _nan_case(last):
+    """R holds one row with a NaN; the product with S's two rows copies
+    that one NaN object into both rows of U."""
+    from repro.algebra.programs import parse_program
+    from repro.core import NULL, Name, Table, TabularDatabase, Value
+
+    rho = Table([[Name("R"), Name("A")], [NULL, Value(float("nan"))]])
+    sigma = Table([[Name("S"), Name("B")], [NULL, Value(1)], [NULL, Value(2)]])
+    program = parse_program(
+        f"T <- PRODUCT (R, S)\nU <- PROJECT attrs {{A}} (T)\n{last}\n"
+    )
+    return program, TabularDatabase([rho, sigma])
+
+
+@pytest.mark.parametrize(
+    "last,height",
+    [("W <- DEDUP (U)", 2), ("W <- CLASSICALUNION (U, U)", 4)],
+    ids=["dedup", "classical-union"],
+)
+def test_rows_sharing_a_nan_object_stay_apart(last, height):
+    """A NaN equals itself only by identity, so CLEAN-UP's merge finds
+    two rows sharing one NaN object a conflict and keeps both.  Id-level
+    kernels that interned the NaN to one id once merged them on the
+    vector engine (1 row against 2 for DEDUP, against 4 for
+    CLASSICALUNION)."""
+    program, db = _nan_case(last)
+    message = check_case(program, db)
+    assert message is None, message
+    assert program.run(db).tables_named("W")[0].height == height
+
+
 def test_budget_covers_the_issue_floor():
     """The default corpus is at least the 200 programs the issue pins."""
     default = 200

@@ -1,24 +1,33 @@
-"""Kernel-level properties: interning round-trips, kernels ≡ naive ops.
+"""Kernel-level properties: interning round-trips, kernels ≡ naive ops,
+and the naive ops' direct paths ≡ their literal definitions.
 
-Hypothesis drives structured random tables through each kernel and the
-naive operation it replaces; grids must match cell for cell.  The
-hash-dedup case is additionally checked against an independent
-quadratic reference, and product/select pushdown against the explicit
-post-filter composition.
+Hypothesis drives structured random tables through the SELECT and
+SELECTCONST kernels and the naive operations they replace; grids must
+match cell for cell.
 
-The difference family has no kernel: its naive ops hash each row's
-mutual-subsumption key.  Because the naive algebra is the oracle for
-the kernels, the optimizer and replay, those ops are pinned here to the
-paper's definition itself, a literal pairwise scan over
-``Table.rows_subsume_each_other``.
+Because the naive algebra is the oracle for the kernels, the optimizer
+and replay, the naive ops that compute a composition directly are
+pinned here to the composition itself, by grid and by the checkpoint
+encoding's JSON text (``==`` cannot tell ``Value(1)`` from
+``Value(True)``; the encoding can): DEDUP, which hashes whole rows,
+against clean-up by the full scheme and an independent quadratic
+reference; PRODUCTSELECT, which pushes the selection below the
+product, against ``select(product(…))``, also under ``lineage()``;
+CLASSICALUNION against the Section 3.4 recipe; and the difference
+family, which hashes each row's mutual-subsumption key, against a
+literal pairwise scan over ``Table.rows_subsume_each_other``.
 """
 
-from hypothesis import given, settings
+import json
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import (
     classical_union,
+    cleanup,
     deduplicate,
+    deduplicate_columns,
     difference,
     drop_all_null_rows,
     intersection,
@@ -26,22 +35,35 @@ from repro.algebra import (
     product_select,
     select,
     select_constant,
+    union,
 )
 from repro.core import NULL, Name, TaggedValue, Table, Value
 from repro.engine.interning import SymbolInterner
 from repro.engine.kernels import KERNELS
 from repro.engine.runtime import VectorEngine
+from repro.obs.lineage import CellRef, lineage, with_prov
+from repro.runtime.checkpoint import table_to_data
 
-ATTRS = [NULL, Name("A"), Name("B"), Name("C")]
+A, B, C, X = Name("A"), Name("B"), Name("C"), Value("x")
+ATTRS = [NULL, A, B, C]
 ENTRIES = [
     NULL, Name("A"), Name("B"), Value("x"), Value("y"), Value("z"), Value(3),
     # Equal across payload types (1 == 1.0 == True) or not (tags, sorts).
     Value(1), Value(1.0), Value(True), TaggedValue(1), Name("x"),
 ]
+NAN = Value(float("nan"))  # one object: equal to itself only by identity
+#: Lineage copies carrying provenance, of ⊥ among them.
+TAGGED = [
+    with_prov(NULL, frozenset({CellRef(9, 0, 0)})),
+    with_prov(Value("x"), frozenset({CellRef(9, 0, 1)})),
+]
+RICH_ENTRIES = ENTRIES + [NAN, *TAGGED]
+#: Few distinct entries, ⊥ often, so join keys collide and differ by ⊥.
+JOIN_ENTRIES = [NULL, NULL, Value("x"), Value(1), Value(True), NAN, *TAGGED]
 
 
 @st.composite
-def tables(draw, max_height=5, max_width=4):
+def tables(draw, max_height=5, max_width=4, entries=ENTRIES):
     """Adversarial tables: ⊥ and repeated attrs, names in data."""
     height = draw(st.integers(0, max_height))
     width = draw(st.integers(0, max_width))
@@ -50,12 +72,30 @@ def tables(draw, max_height=5, max_width=4):
     grid = [header]
     for _ in range(height):
         row_attr = draw(st.sampled_from(ATTRS))
-        grid.append([row_attr] + [draw(st.sampled_from(ENTRIES)) for _ in range(width)])
+        grid.append([row_attr] + [draw(st.sampled_from(entries)) for _ in range(width)])
     return Table(grid)
 
 
 def _kernel(name, tables_in, arguments):
     return KERNELS[name](SymbolInterner(), tables_in, arguments)
+
+
+def _assert_same(fast, literal):
+    assert fast.grid == literal.grid
+    assert json.dumps(table_to_data(fast)) == json.dumps(table_to_data(literal))
+
+
+def _cells(table):
+    return [[(type(entry), entry.prov) for entry in row] for row in table.grid]
+
+
+def _literal_deduplicate(table):
+    """Clean-up by the full scheme, on every row attribute."""
+    return cleanup(
+        table,
+        by=frozenset(table.column_attributes),
+        on=frozenset(table.row_attributes) | {NULL},
+    )
 
 
 @given(tables())
@@ -75,9 +115,8 @@ def test_intern_table_caches_by_identity(table):
 
 @given(tables())
 def test_hash_dedup_equals_quadratic_dedup(table):
-    fast = _kernel("DEDUP", [table], {})
-    reference = deduplicate(table)
-    assert fast.grid == reference.grid
+    fast = deduplicate(table)
+    _assert_same(fast, _literal_deduplicate(table))
 
     # Independent quadratic reference: keep the first of any identical
     # (row attribute, data row) pair, preserving order.
@@ -86,17 +125,61 @@ def test_hash_dedup_equals_quadratic_dedup(table):
         if row not in seen:
             seen.append(row)
             kept.append(row)
-    assert fast.grid == Table(kept).grid
+    _assert_same(fast, Table(kept))
 
 
-@settings(max_examples=60)
-@given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3),
-       st.sampled_from(ATTRS), st.sampled_from(ATTRS))
-def test_pushdown_equals_post_filter(rho, sigma, left, right):
-    fused = _kernel("PRODUCTSELECT", [rho, sigma], {"left": left, "right": right})
+@st.composite
+def join_pairs(draw):
+    """ρ with an A column, σ with a B column, each with up to three more,
+    mostly C: A and B sit on opposite sides, C and ⊥ on either or both."""
+
+    def side(name, attr):
+        extra = draw(st.lists(st.sampled_from([attr, C, C, NULL]), max_size=3))
+        header = [Name(name), *draw(st.permutations([attr, *extra]))]
+        rows = [
+            [draw(st.sampled_from(ATTRS))]
+            + [draw(st.sampled_from(JOIN_ENTRIES)) for _ in header[1:]]
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        return Table([header] + rows)
+
+    return side("R", A), side("S", B)
+
+
+#: Half the draws pick attributes on opposite sides (a hash join unless
+#: C lies on both sides); the rest any pair, for the other branches.
+ATTR_PAIRS = st.one_of(
+    st.sampled_from([(A, B), (B, A), (A, C), (C, B)]),
+    st.tuples(st.sampled_from(ATTRS), st.sampled_from(ATTRS)),
+)
+
+
+def _pair(rho_header, rho_row, sigma_header, sigma_row):
+    return (Table([[Name("R"), *rho_header], rho_row]),
+            Table([[Name("S"), *sigma_header], sigma_row]))
+
+
+@settings(max_examples=400)
+@given(join_pairs(), ATTR_PAIRS)
+# Opposite sides: the joined row's attribute combines both sides' (⊥, B).
+@example(_pair([A], [NULL, X], [B], [B, X]), (A, B))
+# C on both sides: τ(C) = {x} from ρ alone, so a join of A with σ's C
+# alone (∅ = ∅) would wrongly keep the row.
+@example(_pair([A, C], [NULL, NULL, X], [B, C], [NULL, X, NULL]), (A, C))
+def test_pushdown_equals_post_filter(pair, attrs):
+    """Every branch — plain product, one-sided pre-filter, hash join on
+    opposite sides, literal scan for an attribute on both sides — keeps
+    exactly the post-filter's rows, in its order; under ``lineage()``
+    the cells carry the post-filter's provenance too."""
+    (rho, sigma), (left, right) = pair, attrs
     post = select(product(rho, sigma), left, right)
-    assert fused.grid == post.grid
-    assert product_select(rho, sigma, left, right).grid == post.grid
+    _assert_same(product_select(rho, sigma, left, right), post)
+    with lineage() as lin:
+        rho_t, sigma_t = lin.tag_table(rho), lin.tag_table(sigma)
+        fused = product_select(rho_t, sigma_t, left, right)
+        post = select(product(rho_t, sigma_t), left, right)
+        _assert_same(fused, post)
+        assert _cells(fused) == _cells(post)
 
 
 @st.composite
@@ -155,20 +238,33 @@ def test_intersection_equals_double_subsumption_scan(pair):
     assert intersection(rho, sigma).grid == expected.grid
 
 
-@settings(max_examples=100)
-@given(tables(), st.sampled_from(ATTRS))
+@settings(max_examples=200)
+@given(tables(entries=RICH_ENTRIES), st.sampled_from([*ATTRS, Name("Z")]))
+# A lineage copy of ⊥ is ⊥; one non-⊥ entry among the A columns keeps a row.
+@example(Table([[Name("R"), A], [NULL, TAGGED[0]]]), A)
+@example(Table([[Name("R"), A, A], [NULL, X, NULL]]), A)
 def test_drop_null_rows_equals_subsumption_scan(table, attr):
-    expected = _subsumption_scan(table, select_constant(table, attr, None))
-    assert drop_all_null_rows(table, attr).grid == expected.grid
+    """The direct ⊥ filter keeps the rows of ``R \\ σ_{attr=⊥}(R)``, by
+    the hashed difference and by the pairwise scan; ``Z`` is never in
+    the scheme, and under ``lineage()`` the rows keep their cells."""
+    fast = drop_all_null_rows(table, attr)
+    _assert_same(fast, difference(table, select_constant(table, attr, None)))
+    _assert_same(fast, _subsumption_scan(table, select_constant(table, attr, None)))
+    with lineage() as lin:
+        tagged = lin.tag_table(table)
+        fast = drop_all_null_rows(tagged, attr)
+        literal = difference(tagged, select_constant(tagged, attr, None))
+        _assert_same(fast, literal)
+        assert _cells(fast) == _cells(literal)
 
 
 @settings(max_examples=60)
 @given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
-def test_classical_union_kernel_matches(rho, sigma):
-    assert (
-        _kernel("CLASSICALUNION", [rho, sigma], {}).grid
-        == classical_union(rho, sigma).grid
-    )
+def test_classical_union_equals_literal_recipe(rho, sigma):
+    """Tabular union, purge of the redundant columns, clean-up of the
+    duplicate rows by the full scheme (Section 3.4)."""
+    literal = _literal_deduplicate(deduplicate_columns(union(rho, sigma)))
+    _assert_same(classical_union(rho, sigma), literal)
 
 
 @given(tables(), st.sampled_from(ATTRS), st.sampled_from(ATTRS))
@@ -191,19 +287,22 @@ def test_dispatch_declines_unknown_ops_and_counts():
     backend = VectorEngine()
     table = Table([[Name("R"), Name("A")], [NULL, Value("x")]])
     assert backend.dispatch("GROUP", [table], {"by": frozenset(), "on": frozenset()}) is None
-    produced = backend.dispatch("DEDUP", [table], {})
-    assert produced is not None and produced.grid == deduplicate(table).grid
-    assert backend.stats["fallbacks"] == 1
+    assert backend.dispatch("DEDUP", [table], {}) is None
+    arguments = {"attr": "A", "value": "x"}
+    produced = backend.dispatch("SELECTCONST", [table], arguments)
+    assert produced is not None
+    assert produced.grid == select_constant(table, **arguments).grid
+    assert backend.stats["fallbacks"] == 2
     assert backend.stats["kernel_calls"] == 1
-    assert backend.stats["fallback:GROUP"] == 1
-    assert backend.stats["kernel:DEDUP"] == 1
+    assert backend.stats["reason:GROUP:no_kernel"] == 1
+    assert backend.stats["reason:DEDUP:no_kernel"] == 1
+    assert backend.stats["kernel:SELECTCONST"] == 1
 
 
 def test_dispatch_falls_back_under_lineage():
-    from repro.obs.lineage import lineage
-
     backend = VectorEngine()
     table = Table([[Name("R"), Name("A")], [NULL, Value("x")]])
     with lineage():
-        assert backend.dispatch("DEDUP", [table], {}) is None
-    assert backend.stats["fallback:DEDUP"] == 1
+        assert backend.dispatch("SELECTCONST", [table], {"attr": "A", "value": "x"}) is None
+    assert backend.stats["fallback:SELECTCONST"] == 1
+    assert backend.stats["reason:SELECTCONST:lineage_active"] == 1

@@ -1,6 +1,6 @@
 """Edge paths of the engine runtime: lazy exports, bad engine names,
-kernel-declined dispatch, metrics counting, interner cache bounds, and
-runs that leave no cyclic garbage."""
+kernel-declined dispatch, metrics counting, interner cache bounds, id
+tables built from rows, and runs that leave no cyclic garbage."""
 
 import gc
 
@@ -36,18 +36,21 @@ def test_run_program_rejects_unknown_engine():
         run_program(program, db, engine="turbo")
 
 
+_PICK_X = {"attr": "A", "value": "x"}
+
+
 def test_dispatch_counts_a_kernel_that_declines():
     backend = VectorEngine()
     backend.kernels = dict(backend.kernels)
-    backend.kernels["DEDUP"] = lambda interner, tables, arguments: None
-    assert backend.dispatch("DEDUP", [_table()], {}) is None
-    assert backend.stats["fallback:DEDUP"] == 1
+    backend.kernels["SELECTCONST"] = lambda interner, tables, arguments: None
+    assert backend.dispatch("SELECTCONST", [_table()], _PICK_X) is None
+    assert backend.stats["reason:SELECTCONST:kernel_declined"] == 1
 
 
 def test_dispatch_counts_vector_kernel_hits_metric():
     with observation() as obs, engine_scope() as backend:
-        OPERATIONS["DEDUP"].invoke((_table(),), {}, None)
-    assert backend.stats["kernel:DEDUP"] == 1
+        OPERATIONS["SELECTCONST"].invoke((_table(),), _PICK_X, None)
+    assert backend.stats["kernel:SELECTCONST"] == 1
     counters = obs.metrics.snapshot()["counters"]
     assert counters["vector_kernel_hits"] == 1
 
@@ -89,12 +92,10 @@ def test_interner_cache_clears_at_capacity(monkeypatch):
     assert interner.intern_table(b) is interner.intern_table(b)
 
 
-def test_idtable_from_empty_rows_and_transpose():
+def test_idtable_from_empty_rows():
     empty = IdTable(1, (2, 3), (), rows=())
     assert empty.height == 0 and empty.width == 2
-    assert empty.rows == ()
+    assert empty.rows == () and empty.cols == ((), ())
 
     idt = IdTable(1, (2,), (0, 0), rows=((5,), (6,)))
-    flipped = idt.transposed()
-    assert flipped.height == idt.width and flipped.width == idt.height
-    assert flipped.transposed().rows == idt.rows
+    assert idt.cols == ((5, 6),) and idt.rows == ((5,), (6,))

@@ -225,15 +225,16 @@ class TestChokepointFeeds:
     def test_engine_dispatch_and_fallback_events(self):
         from repro.engine.runtime import engine_scope
 
-        # The pivot's three ops have no kernel; the trailing DEDUP has one.
-        program = parse_program(PIVOT + "Distinct <- DEDUP (Pivot)\n")
+        # The pivot's three ops have no kernel; the trailing SELECTCONST
+        # has one.
+        program = parse_program(PIVOT + "Nuts <- SELECTCONST attr Part value nuts (Pivot)\n")
         with event_stream() as bus:
             ring = bus.ring(capacity=4096)
             with engine_scope():
                 program.run(sales_info1())
         dispatches = [e for e in ring.tail() if e.kind == "engine_dispatch"]
         fallbacks = [e for e in ring.tail() if e.kind == "engine_fallback"]
-        assert {e.data["op"] for e in dispatches} == {"DEDUP"}
+        assert {e.data["op"] for e in dispatches} == {"SELECTCONST"}
         assert {e.data["op"] for e in fallbacks} == {"GROUP", "CLEANUP", "PURGE"}
         assert all(e.data["reason"] == "no_kernel" for e in fallbacks)
 

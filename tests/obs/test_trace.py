@@ -324,7 +324,8 @@ class TestEventCollector:
 
         table = make_table("T", ["A"], [["x"], ["x"]])
         with observation() as obs:
-            assert VectorEngine().dispatch("DEDUP", [table], {}) is not None
+            arguments = {"attr": "A", "value": "x"}
+            assert VectorEngine().dispatch("SELECTCONST", [table], arguments) is not None
         assert obs.spans == ()
         assert obs.metrics.is_empty()
 

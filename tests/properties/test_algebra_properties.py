@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import (
+    classical_union,
     cleanup,
     collapse_compact,
     deduplicate,
     difference,
+    drop_all_null_rows,
     group,
     group_compact,
     intersection,
     merge_compact,
     product,
+    product_select,
     project,
     purge,
     rename,
@@ -102,6 +105,32 @@ class TestGenericity:
         before = cleanup(permute_values(t, perm), by="A", on=[None])
         after = permute_values(cleanup(t, by="A", on=[None]), perm)
         assert before == after
+
+    @given(tables(), value_permutations())
+    @settings(max_examples=50)
+    def test_deduplicate_generic(self, t, perm):
+        assert deduplicate(permute_values(t, perm)) == permute_values(deduplicate(t), perm)
+
+    @given(tables(), tables(name="S"), value_permutations(),
+           st.sampled_from(["A", "B", "X"]), st.sampled_from(["A", "B", "X"]))
+    @settings(max_examples=100)
+    def test_product_select_generic(self, a, b, perm, left, right):
+        before = product_select(permute_values(a, perm), permute_values(b, perm), left, right)
+        assert before == permute_values(product_select(a, b, left, right), perm)
+
+    @given(tables(), tables(), value_permutations())
+    @settings(max_examples=50)
+    def test_classical_union_generic(self, a, b, perm):
+        assert classical_union(
+            permute_values(a, perm), permute_values(b, perm)
+        ) == permute_values(classical_union(a, b), perm)
+
+    @given(tables(), value_permutations(), st.sampled_from(["A", "B", "X"]))
+    @settings(max_examples=50)
+    def test_drop_null_rows_generic(self, t, perm, attr):
+        assert drop_all_null_rows(permute_values(t, perm), attr) == permute_values(
+            drop_all_null_rows(t, attr), perm
+        )
 
 
 class TestPermutationInvariance:

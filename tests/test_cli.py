@@ -673,23 +673,28 @@ class TestEngineReport:
     def test_json_report(self):
         import json
 
-        code, output = run_cli("engine-report", "tc:6", "--json")
+        code, output = run_cli("engine-report", "schemasql", "tc:6", "--json")
         assert code == 0
         data = json.loads(output)
         assert data["coverage"] == 1.0
         assert data["attributed"] == data["fallbacks"]
-        assert data["corpus"] == ["tc:6"]
+        assert data["corpus"] == ["schemasql", "tc:6"]
         assert data["kernel_calls"] > 0
+        assert data["ops"]["SELECT"]["kernel"] > 0
+        assert data["ops"]["SELECTCONST"]["kernel"] > 0
 
     def test_reports_the_planned_program(self):
         import json
 
         # The report must show what a vector run executes: the planner
-        # fuses each PRODUCT/SELECT pair, so neither op is dispatched alone.
+        # fuses each PRODUCT/SELECT pair, so neither op is dispatched
+        # alone, and the fused op, which has no kernel, runs naive.
         code, output = run_cli("engine-report", "tc:6", "--json")
         assert code == 0
         ops = json.loads(output)["ops"]
-        assert ops["PRODUCTSELECT"]["kernel"] > 0
+        fused = ops["PRODUCTSELECT"]
+        assert fused["kernel"] == 0 and fused["fallback"] > 0
+        assert fused["reasons"] == {"no_kernel": fused["fallback"]}
         assert "PRODUCT" not in ops and "SELECT" not in ops
 
     def test_explicit_example_spec(self):
