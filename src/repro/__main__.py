@@ -11,7 +11,7 @@ Commands:
   bundled pipeline under the tracer and print its EXPLAIN report
   (nested span tree, per-op wall time and row flow, metrics tables);
   ``--analyze`` adds the EXPLAIN ANALYZE comparison (estimated vs.
-  actual rows/time with mis-estimation ratios); ``--stats PATH``
+  actual rows with mis-estimation ratios, and actual times); ``--stats PATH
   installs a persisted ANALYZE snapshot so the plan's ``est_rows``
   come from measured statistics instead of shape heuristics (the
   ANALYZE report then carries a ``Src`` column attributing each

@@ -69,8 +69,9 @@ that justifies it — the full derivations live in docs/OPTIMIZER.md):
     the matches lexicographically (= the nested-loop order) and emits
     rows with columns and the row-attribute fold in syntactic order.
     Ordering is chosen by dynamic programming over the C_out cost
-    (sum of estimated intermediate cardinalities) for chains of ≤ 8
-    leaves and greedily beyond, with selectivities from ANALYZE NDVs;
+    (sum of estimated intermediate cardinalities, from the estimator's
+    chain formula) for chains of ≤ 8 leaves and greedily beyond, with
+    selectivities from ANALYZE NDVs;
     missing stats keep the syntactic order, and stale stats (shape
     mismatch at run time, the estimator's staleness guard) fall back
     per combination.
@@ -102,7 +103,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..algebra.opshelpers import combine_row_attributes
 from ..algebra.programs.params import (
@@ -121,6 +122,7 @@ from ..algebra.programs.statements import Assignment, Program, Statement, While
 from ..core import EvaluationError, Symbol, Table, TabularDatabase, weakly_equal
 from ..obs import events as _ev
 from ..obs import runtime as _obs
+from ..obs.estimator import chain_rows
 from ..obs.stats import DatabaseStats
 from ..runtime import governor as _gv
 
@@ -598,9 +600,9 @@ def _apply_fusion(statements: list[Statement], ctx: _Context) -> list[Statement]
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Cond:
-    """One σ_{left≈right} applied when the chain had ``prefix`` leaves."""
+class _Cond(NamedTuple):
+    """One σ_{left≈right} applied when the chain had ``prefix`` leaves:
+    the condition triple :func:`~repro.obs.estimator.chain_rows` reads."""
 
     left: Symbol
     right: Symbol
@@ -699,42 +701,7 @@ def _order_chain(chain: _Chain, stats: DatabaseStats | None) -> OrderDecision:
                 outcome="stats-missing", reason=f"no stats for {name}", **base
             )
         per_leaf.append(entries)
-    heights = [sum(e.height for e in entries) for entries in per_leaf]
-
-    def has(leaf: int, attr: Symbol) -> bool:
-        return any(e.column_for(attr) is not None for e in per_leaf[leaf])
-
-    def ndv(leaf: int, attr: Symbol) -> int:
-        best = 0
-        for entry in per_leaf[leaf]:
-            column = entry.column_for(attr)
-            if column is not None:
-                best = max(best, column.ndv)
-        return best
-
-    selective: list[tuple[frozenset[int], float]] = []
-    for cond in chain.conds:
-        involved = frozenset(
-            l
-            for l in range(cond.prefix)
-            if has(l, cond.left) or has(l, cond.right)
-        )
-        if not involved:
-            # Neither attribute occurs: both entry sets are always ∅,
-            # the condition keeps every row.
-            continue
-        ndv_left = max((ndv(l, cond.left) for l in involved), default=0)
-        ndv_right = max((ndv(l, cond.right) for l in involved), default=0)
-        selective.append((involved, 1.0 / max(ndv_left, ndv_right, 1)))
-
-    def est(subset: frozenset[int]) -> float:
-        rows = 1.0
-        for l in subset:
-            rows *= heights[l]
-        for involved, sel in selective:
-            if involved <= subset:
-                rows *= sel
-        return rows
+    est = chain_rows(per_leaf, chain.conds)
 
     def order_cost(order: Sequence[int]) -> float:
         return sum(est(frozenset(order[:p])) for p in range(2, k + 1))
@@ -828,9 +795,7 @@ class ChainJoin(Statement):
         self._spec = OpSpec(
             name=CHAINJOIN_OP, function=self._join_tables, arity=len(chain.leaves)
         )
-        self._arguments = {
-            "conds": tuple((c.left, c.right, c.prefix) for c in self.conds)
-        }
+        self._arguments = {"conds": self.conds}
 
     def reads(self) -> frozenset[Symbol]:
         return frozenset(self.leaves)

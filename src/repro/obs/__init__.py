@@ -70,8 +70,6 @@ from .explain import (
     span_tree_text,
 )
 from .cost import (
-    CostEstimate,
-    CostModel,
     analyze_records,
     analyze_table,
     explain_analyze_text,
@@ -146,8 +144,6 @@ __all__ = [
     "CardinalityEstimator",
     "CellRef",
     "ColumnStats",
-    "CostEstimate",
-    "CostModel",
     "DatabaseStats",
     "Divergence",
     "DriftFinding",

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Attributes rendered specially (not as generic ``key=value`` pairs).
-#: ``shapes_in``/``shapes_out`` are the cost model's per-table inputs and
+#: ``shapes_in``/``shapes_out`` are the shape rules' per-table inputs and
 #: merely restate the summed figures, so they are suppressed from the line.
 _SHAPE_KEYS = (
     "rows_in",

@@ -10,8 +10,8 @@ Two halves, both consumers of the statistics layer:
   query digests in a database's workload repository.
 
 * **The audit** — :func:`stats_audit` replays a corpus (the bundled
-  TA-program examples, the synthetic transitive-closure fixpoint, and
-  seeded cases from the differential fuzzer's generator,
+  TA-program examples, the synthetic transitive-closure fixpoint, two
+  join chains, and seeded cases from the differential fuzzer's generator,
   :func:`repro.data.programs.random_case`) with ANALYZE stats installed,
   and reports per-op p50/p95/max q-error plus a coverage check that
   every dispatched op kind was scored.  ``python -m repro stats-audit``
@@ -97,15 +97,22 @@ def fingerprint_program(program) -> str:
 # The q-error audit
 # ----------------------------------------------------------------------
 
+#: Join chains ``join-reorder`` fires on, so the post-rewrite pass
+#: scores the CHAINJOIN estimate the optimizer chose its order by.
+_AUDIT_CHAINS = ("chain:4", "chain:6")
+
+
 def _audit_corpus(seeds: int, tc_size: int) -> list[tuple]:
     """``(label, program, database, run-kwargs)`` tuples: every TA-program
-    example, ``tc:<tc_size>``, then ``seeds`` differential-fuzzer cases."""
+    example, ``tc:<tc_size>``, the join chains, then ``seeds``
+    differential-fuzzer cases."""
     from ..data.programs import random_case
     from ..runtime.workloads import resolve_workload
     from .examples import EXAMPLES
 
     specs = [name for name in sorted(EXAMPLES) if EXAMPLES[name].build is not None]
-    corpus = [(*resolve_workload(spec), {}) for spec in specs + [f"tc:{tc_size}"]]
+    specs += [f"tc:{tc_size}", *_AUDIT_CHAINS]
+    corpus = [(*resolve_workload(spec), {}) for spec in specs]
     for seed in range(seeds):
         program, db = random_case(seed)
         kwargs = {"max_while_iterations": _FUZZ_WHILE_BUDGET}

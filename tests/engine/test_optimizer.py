@@ -6,11 +6,16 @@ refuse, how chains are costed and ordered, what the cache keys on, and
 what ChainJoin/SelectUnion do in their fallback paths.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.programs.params import Lit, Star
 from repro.algebra.programs.statements import Assignment, Program, While, assign
-from repro.core import EvaluationError, TabularDatabase, make_table
+from repro.core import EvaluationError, TabularDatabase, attr_symbol, make_table
+from repro.engine import optimizer
 from repro.engine.optimizer import (
     OPTIMIZER_STATS,
     PLAN_CACHE,
@@ -36,14 +41,14 @@ def _base(name, attr, values):
 
 
 def _chain_db(rows=3):
-    # A/D share attr X and B/C share attr Y, so σ_{X≈X};σ_{Y≈Y} rewards
-    # the non-adjacent pairings (A,D) and (B,C) — a syntactic fold pays
-    # for the full cross product before either filter applies.
+    # A/D share their values and B/C theirs, so σ_{A0≈D0};σ_{B0≈C0}
+    # rewards the non-adjacent pairings (A,D) and (B,C) — a syntactic
+    # fold pays for the full cross product before either filter applies.
     return _db(
-        _base("A", "X", [f"a{i}" for i in range(rows)]),
-        _base("B", "Y", [f"c{i}" for i in range(rows)]),
-        _base("C", "Y", [f"c{i}" for i in range(rows)]),
-        _base("D", "X", [f"a{i}" for i in range(rows)]),
+        _base("A", "A0", [f"a{i}" for i in range(rows)]),
+        _base("B", "B0", [f"c{i}" for i in range(rows)]),
+        _base("C", "C0", [f"c{i}" for i in range(rows)]),
+        _base("D", "D0", [f"a{i}" for i in range(rows)]),
     )
 
 
@@ -60,6 +65,97 @@ def _chain_program():
 
 def _same(program, optimized, db):
     assert program.run(db) == optimized.run(db)
+
+
+def _reference_chain_rows(per_leaf, conds):
+    """The subset formula ``_order_chain`` kept for itself before the
+    estimator's :func:`~repro.obs.estimator.chain_rows` replaced it
+    (unchanged but for unpacking each condition triple): the reference
+    that join orders are unchanged."""
+    heights = [sum(e.height for e in entries) for entries in per_leaf]
+
+    def has(leaf, attr):
+        return any(e.column_for(attr) is not None for e in per_leaf[leaf])
+
+    def ndv(leaf, attr):
+        best = 0
+        for entry in per_leaf[leaf]:
+            column = entry.column_for(attr)
+            if column is not None:
+                best = max(best, column.ndv)
+        return best
+
+    selective = []
+    for left, right, prefix in conds:
+        involved = frozenset(
+            l for l in range(prefix) if has(l, left) or has(l, right)
+        )
+        if not involved:
+            continue
+        ndv_left = max((ndv(l, left) for l in involved), default=0)
+        ndv_right = max((ndv(l, right) for l in involved), default=0)
+        selective.append((involved, 1.0 / max(ndv_left, ndv_right, 1)))
+
+    def est(subset):
+        rows = 1.0
+        for l in subset:
+            rows *= heights[l]
+        for involved, sel in selective:
+            if involved <= subset:
+                rows *= sel
+        return rows
+
+    return est
+
+
+_CHAIN_ATTRS = ("A", "B", "C", "D")
+
+
+@st.composite
+def _random_chains(draw):
+    """A 3–10-leaf chain without a reflexive condition, and its stats.
+
+    Each leaf name binds one or two tables of 0–4 rows over 1–3
+    (possibly repeated) attributes, with ⊥ entries; conditions may name
+    ``E``, which no table carries.
+    """
+    k = draw(st.integers(3, 10))
+    tables = []
+    for leaf in range(k):
+        for _copy in range(draw(st.integers(1, 2))):
+            attrs = draw(st.lists(st.sampled_from(_CHAIN_ATTRS), min_size=1, max_size=3))
+            rows = draw(
+                st.lists(
+                    st.lists(
+                        st.sampled_from(["u", "v", "w", None]),
+                        min_size=len(attrs),
+                        max_size=len(attrs),
+                    ),
+                    max_size=4,
+                )
+            )
+            tables.append(make_table(f"L{leaf}", attrs, rows))
+    pairs = st.lists(
+        st.sampled_from(_CHAIN_ATTRS + ("E",)), min_size=2, max_size=2, unique=True
+    )
+    conds = tuple(
+        optimizer._Cond(attr_symbol(left), attr_symbol(right), draw(st.integers(2, k)))
+        for left, right in draw(st.lists(pairs, max_size=4))
+    )
+    leaves = tuple(attr_symbol(f"L{leaf}") for leaf in range(k))
+    chain = optimizer._Chain(attr_symbol("T"), leaves, conds, (), 0)
+    return chain, analyze_database(_db(*tables))
+
+
+def _decision_fields(decision):
+    return (
+        tuple(decision.order),
+        decision.outcome,
+        decision.reason,
+        decision.est_rows,
+        decision.cost_syntactic,
+        decision.cost_chosen,
+    )
 
 
 class TestSelectPushdown:
@@ -329,8 +425,8 @@ class TestJoinReorder:
                 assign("T", "PRODUCT", "A", "B"),
                 assign("T", "PRODUCT", "T", "C"),
                 assign("T", "PRODUCT", "T", "D"),
-                assign("T", "SELECT", "T", left="X", right="X"),
-                assign("T", "SELECT", "T", left="Y", right="Y"),
+                assign("T", "SELECT", "T", left="A0", right="D0"),
+                assign("T", "SELECT", "T", left="B0", right="C0"),
             ]
         )
         result = optimize_program(program, stats, rules=["join-reorder"], cache=None)
@@ -346,7 +442,7 @@ class TestJoinReorder:
         program = Program(
             [
                 assign("T", "PRODUCT", "A", "B"),
-                assign("T", "SELECT", "T", left="X", right="X"),
+                assign("T", "SELECT", "T", left="A0", right="B0"),
             ]
         )
         stats = analyze_database(_chain_db())
@@ -358,25 +454,36 @@ class TestJoinReorder:
         tables = [_base(name, f"K{i}", ["u", "v"]) for i, name in enumerate(names)]
         # Make the *last* two leaves join selectively so a greedy start
         # pairing them beats the syntactic fold.
-        tables[7] = _base("L7", "J", ["u", "v", "w"])
-        tables[8] = _base("L8", "J", ["u", "v", "w"])
+        tables[7] = _base("L7", "J7", ["u", "v", "w"])
+        tables[8] = _base("L8", "J8", ["u", "v", "w"])
         db = _db(*tables)
         statements = [assign("T", "PRODUCT", names[0], names[1])]
         for name in names[2:]:
             statements.append(assign("T", "PRODUCT", "T", name))
-        statements.append(assign("T", "SELECT", "T", left="J", right="J"))
+        statements.append(assign("T", "SELECT", "T", left="J7", right="J8"))
         program = Program(statements)
         stats = analyze_database(db)
         result = optimize_program(program, stats, rules=["join-reorder"], cache=None)
         (decision,) = result.decisions
         assert "greedy" in decision.reason
+        assert decision.outcome == "reordered"
+        assert tuple(decision.order[:2]) in ((7, 8), (8, 7))
         _same(program, result.program, db)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_random_chains())
+    def test_orders_match_the_reference_subset_formula(self, case):
+        chain, stats = case
+        decision = optimizer._order_chain(chain, stats)
+        with mock.patch.object(optimizer, "chain_rows", _reference_chain_rows):
+            reference = optimizer._order_chain(chain, stats)
+        assert _decision_fields(decision) == _decision_fields(reference)
 
     def test_chain_inside_while_body_is_reordered(self):
         db = _chain_db()
         stats = analyze_database(db)
         body = list(_chain_program().statements) + [
-            assign("T", "SELECT", "T", left="X", right="X"),
+            assign("T", "SELECT", "T", left="B0", right="C0"),
             assign("Flag", "DIFFERENCE", "Flag", "Flag"),
         ]
         program = Program([While("Flag", Program(body))])
@@ -397,8 +504,8 @@ class TestChainJoin:
                 assign("T", "PRODUCT", "A", "B"),
                 assign("T", "PRODUCT", "T", "C"),
                 assign("T", "PRODUCT", "T", "D"),
-                assign("T", "SELECT", "T", left="X", right="X"),
-                assign("T", "SELECT", "T", left="Y", right="Y"),
+                assign("T", "SELECT", "T", left="A0", right="D0"),
+                assign("T", "SELECT", "T", left="B0", right="C0"),
             ]
         )
         result = optimize_program(program, stats, rules=["join-reorder"], cache=None)
@@ -409,7 +516,7 @@ class TestChainJoin:
         program, chain, _db_planned = self._optimized_chain()
         # A grown table no longer matches the planning snapshot's shape.
         grown = _db(
-            _base("A", "X", [f"a{i}" for i in range(7)]),
+            _base("A", "A0", [f"a{i}" for i in range(7)]),
             *[t for t in _chain_db().tables if str(t.name) != "A"],
         )
         assert not chain._stats_fresh(
@@ -453,6 +560,30 @@ class TestChainJoin:
         _program, chain, _db2 = self._optimized_chain()
         text = repr(chain)
         assert "CHAINJOIN" in text and "order [" in text and "conds [" in text
+
+    def test_chainjoin_span_carries_the_decisions_estimate(self):
+        # One model: the CHAINJOIN op span's est_rows is the estimate
+        # the order was chosen by.  At 49 rows the float product lands
+        # just under 49², so an integer copy of the formula disagrees.
+        from repro.obs.estimator import estimation
+        from repro.obs.runtime import observation
+        from repro.runtime.workloads import resolve_workload
+
+        _label, program, db = resolve_workload("chain:49")
+        stats = analyze_database(db)
+        result = optimize_program(program, stats, rules=["join-reorder"], cache=None)
+        (decision,) = result.decisions
+        assert decision.outcome == "reordered"
+        with observation() as obs, estimation(stats):
+            result.program.run(db)
+        (span,) = [
+            span
+            for root in obs.spans
+            for span in root.walk()
+            if span.name == "CHAINJOIN"
+        ]
+        assert span.attributes["est_source"] == "stats"
+        assert span.attributes["est_rows"] == decision.est_rows
 
     def test_explain_span_carries_order_and_estimate(self):
         from repro.obs.estimator import estimation
@@ -529,7 +660,7 @@ class TestPlanCacheAndDriver:
         db = _chain_db()
         optimize_program(_chain_program(), analyze_database(db), cache=cache)
         grown = _db(
-            _base("A", "X", [f"a{i}" for i in range(9)]),
+            _base("A", "A0", [f"a{i}" for i in range(9)]),
             *[t for t in db.tables if str(t.name) != "A"],
         )
         result = optimize_program(

@@ -1,4 +1,4 @@
-"""The cost model and the EXPLAIN ANALYZE report."""
+"""The estimator's shape rules and the EXPLAIN ANALYZE report."""
 
 import pytest
 
@@ -6,13 +6,12 @@ from repro.algebra.programs import parse_program
 from repro.algebra.programs.registry import OPERATIONS
 from repro.data import sales_info1, sales_info2
 from repro.obs import (
-    CostModel,
     analyze_records,
     analyze_table,
     explain_analyze_text,
     observation,
 )
-from repro.obs.cost import ESTIMATORS
+from repro.obs.estimator import SHAPE_RULES, shape_estimate
 
 PIVOT = """
     Grouped <- GROUP by {Region} on {Sold} (Sales)
@@ -23,50 +22,48 @@ PIVOT = """
 
 class TestModelCoverage:
     def test_every_registered_operation_has_an_estimator(self):
-        missing = sorted(set(OPERATIONS) - set(ESTIMATORS))
+        missing = sorted(set(OPERATIONS) - set(SHAPE_RULES))
         assert missing == []
 
     def test_estimates_are_well_formed_for_every_operation(self):
-        model = CostModel()
         for name in OPERATIONS:
-            estimate = model.estimate(name, [(8, 3), (8, 3)])
+            estimate = shape_estimate(name, [(8, 3), (8, 3)])
             assert estimate is not None, name
-            assert estimate.op == name
-            assert estimate.tables_out >= 0
-            assert estimate.rows_out >= 0
-            assert estimate.cols_out >= 0
-            assert estimate.cost_units > 0
-            assert model.estimate_seconds(estimate) > 0
+            tables, rows, cols, cost_units = estimate
+            assert tables >= 0
+            assert rows >= 0
+            assert cols >= 0
+            assert cost_units > 0
 
     def test_unknown_operation_estimates_to_none(self):
-        assert CostModel().estimate("FROBNICATE", [(4, 4)]) is None
+        assert shape_estimate("FROBNICATE", [(4, 4)]) is None
 
 
 class TestEstimates:
     def test_merge_estimate_matches_figure5_exactly(self):
         # SalesInfo2's pivot is 4×5; MERGE unfolds it to the printed
         # 12×3 table — the shape heuristic nails this one.
-        estimate = CostModel().estimate("MERGE", [(4, 5)])
-        assert (estimate.rows_out, estimate.cols_out) == (12, 3)
+        _tables, rows, cols, _cost = shape_estimate("MERGE", [(4, 5)])
+        assert (rows, cols) == (12, 3)
 
     def test_union_follows_the_figure3_shape_laws(self):
-        estimate = CostModel().estimate("UNION", [(3, 2), (5, 4)])
-        assert estimate.rows_out == 8
-        assert estimate.cols_out == 6
+        _tables, rows, cols, _cost = shape_estimate("UNION", [(3, 2), (5, 4)])
+        assert rows == 8
+        assert cols == 6
 
     def test_product_is_quadratic(self):
-        small = CostModel().estimate("PRODUCT", [(10, 2), (10, 2)])
-        large = CostModel().estimate("PRODUCT", [(100, 2), (100, 2)])
-        assert large.rows_out == 100 * small.rows_out
-        assert large.cost_units > 50 * small.cost_units
+        _t, small_rows, _c, small_cost = shape_estimate("PRODUCT", [(10, 2), (10, 2)])
+        _t, large_rows, _c, large_cost = shape_estimate("PRODUCT", [(100, 2), (100, 2)])
+        assert large_rows == 100 * small_rows
+        assert large_cost > 50 * small_cost
 
     def test_setnew_carries_the_power_set_blowup(self):
-        estimate = CostModel().estimate("SETNEW", [(10, 2)])
-        assert estimate.rows_out == 2**10
+        _tables, rows, _cols, _cost = shape_estimate("SETNEW", [(10, 2)])
+        assert rows == 2**10
 
     def test_transpose_swaps_the_shape(self):
-        estimate = CostModel().estimate("TRANSPOSE", [(7, 3)])
-        assert (estimate.rows_out, estimate.cols_out) == (3, 7)
+        _tables, rows, cols, _cost = shape_estimate("TRANSPOSE", [(7, 3)])
+        assert (rows, cols) == (3, 7)
 
 
 class TestAnalyze:
@@ -88,7 +85,8 @@ class TestAnalyze:
             group["act_rows"] / group["est_rows"]
         )
         assert group["act_ms"] > 0
-        assert group["time_ratio"] > 0
+        # No time is predicted: nothing calibrates one.
+        assert "est_ms" not in group and "time_ratio" not in group
 
     def test_merge_row_estimate_is_exact_on_figure5(self):
         with observation() as obs:
@@ -109,7 +107,8 @@ class TestAnalyze:
         text = explain_analyze_text(self.observed_pivot())
         assert "EXPLAIN ANALYZE" in text
         assert "Row ratio" in text
-        assert "Time ratio" in text
+        assert "Act ms" in text
+        assert "Est ms" not in text and "Time ratio" not in text
         assert "worst row mis-estimate" in text
 
     def test_empty_observation_yields_no_records(self):

@@ -9,8 +9,7 @@ the files under ``golden/``:
 * ``<run>.explain.txt`` — ``explain(timings=False)``;
 * ``<run>.metrics.json`` — ``metrics.snapshot()`` without
   ``wall_time_ms`` and ``hist``;
-* ``<run>.analyze.json`` — ``analyze_records`` without ``est_ms``,
-  ``act_ms`` and ``time_ratio``.
+* ``<run>.analyze.json`` — ``analyze_records`` without ``act_ms``.
 
 Each run is also recorded by a ring on the event feed alone: every
 boundary start closes with its own finish, LIFO, and the retained
@@ -44,7 +43,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 _METRIC_TIME_KEYS = ("wall_time_ms", "hist")
 
 #: EXPLAIN ANALYZE record fields that carry wall-clock time.
-_ANALYZE_TIME_KEYS = ("est_ms", "act_ms", "time_ratio")
+_ANALYZE_TIME_KEYS = ("act_ms",)
 
 
 # Each run takes the scope to run in (a context-manager factory) and

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.algebra.programs import parse_program
-from repro.core import attr_symbol, data_symbol, database, make_table
+from repro.algebra.programs.registry import OPERATIONS
+from repro.core import NULL, attr_symbol, data_symbol, database, make_table
 from repro.data import figure4_top, sales_info1, sales_info2
 from repro.obs import observation
 from repro.obs.cost import analyze_records
@@ -12,6 +13,7 @@ from repro.obs.estimator import (
     QERROR_BUCKETS,
     CardinalityEstimator,
     EstimateAccuracy,
+    chain_rows,
     estimation,
     qerror,
 )
@@ -136,6 +138,61 @@ class TestFormulas:
             {"attr": attr_symbol("Part"), "value": data_symbol("widgets")},
         )
         assert rows == 0
+
+    # R(A, B): 5 rows, B is ⊥ in 3 of them; C is in no column.
+    _NULLS = make_table(
+        "R",
+        ["A", "B"],
+        [["a1", None], ["a2", "b"], ["a3", None], ["a4", "c"], ["a5", None]],
+    )
+
+    def _exact(self, op, tables, arguments):
+        """The stats prediction and the op's actual rows, side by side."""
+        estimator = CardinalityEstimator(analyze_database(database(*tables)))
+        rows, source = estimator.predict(op, tables, arguments)
+        (actual,) = OPERATIONS[op].invoke(tables, arguments, None)
+        return rows, source, actual.height
+
+    def test_selectconst_null_on_a_column_counts_its_nulls(self):
+        arguments = {"attr": attr_symbol("B"), "value": NULL}
+        assert self._exact("SELECTCONST", (self._NULLS,), arguments) == (3, "stats", 3)
+
+    def test_selectconst_null_on_an_absent_attribute_keeps_every_row(self):
+        # No C column: every row's C entry set is ∅, weakly equal to {⊥}.
+        arguments = {"attr": attr_symbol("C"), "value": NULL}
+        assert self._exact("SELECTCONST", (self._NULLS,), arguments) == (5, "stats", 5)
+
+    def test_dropnullrows_on_an_absent_attribute_keeps_nothing(self):
+        arguments = {"attr": attr_symbol("C")}
+        assert self._exact("DROPNULLROWS", (self._NULLS,), arguments) == (0, "stats", 0)
+
+    def test_reflexive_select_keeps_every_row(self):
+        table = make_table("R", ["A"], [[f"v{i % 3}"] for i in range(6)])
+        arguments = {"left": attr_symbol("A"), "right": attr_symbol("A")}
+        assert self._exact("SELECT", (table,), arguments) == (6, "stats", 6)
+
+    def test_reflexive_productselect_keeps_every_pair(self):
+        left = make_table("R", ["A"], [[f"v{i % 3}"] for i in range(6)])
+        right = make_table("S", ["A"], [[f"v{i}"] for i in range(3)])
+        arguments = {"left": attr_symbol("A"), "right": attr_symbol("A")}
+        assert self._exact("PRODUCTSELECT", (left, right), arguments) == (
+            18,
+            "stats",
+            18,
+        )
+
+    def test_reflexive_chain_condition_has_selectivity_one(self):
+        tables = [
+            make_table(name, ["A"], [[f"v{i}"] for i in range(3)]) for name in "RST"
+        ]
+        stats = analyze_database(database(*tables))
+        leaves = [stats.for_name(name) for name in "RST"]
+        a = attr_symbol("A")
+        everything = frozenset(range(3))
+        assert chain_rows(leaves, [(a, a, 3)])(everything) == 27
+        # σ_{A≈B} over the same leaves is a 1/NDV(A) filter.
+        b = attr_symbol("B")
+        assert chain_rows(leaves, [(a, b, 3)])(everything) == pytest.approx(9)
 
     def test_unmatched_table_falls_back_to_shape(self):
         stats = analyze_database(sales_info1())

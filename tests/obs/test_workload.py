@@ -72,6 +72,14 @@ class TestStatsAudit:
             assert record["max"] >= record["p95"]
             assert set(record["sources"]) >= {"stats", "shape"}
 
+    def test_post_rewrite_pass_scores_the_chosen_join_order(self):
+        # The join chains reorder, so the estimate the optimizer planned
+        # with is scored, from stats, in the post-rewrite pass.
+        report = stats_audit(seeds=2, tc_size=4)
+        chainjoin = report["optimizer"]["ops"]["CHAINJOIN"]
+        assert chainjoin["sources"]["stats"] > 0
+        assert not report["optimizer"]["regressed"]
+
     def test_naive_engine_audit_runs(self):
         report = stats_audit(seeds=2, tc_size=4)
         assert "engine" not in report

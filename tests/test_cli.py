@@ -109,7 +109,8 @@ class TestTrace:
         assert "Est rows" in output
         assert "Act rows" in output
         assert "Row ratio" in output
-        assert "Time ratio" in output
+        assert "Act ms" in output
+        assert "Est ms" not in output and "Time ratio" not in output
         assert "MERGE" in output
 
     def test_trace_analyze_json_carries_records(self):
@@ -119,7 +120,8 @@ class TestTrace:
         assert code == 0
         data = json.loads(output)
         assert [r["op"] for r in data["analyze"]] == ["GROUP", "CLEANUP", "PURGE"]
-        assert all("row_ratio" in r and "time_ratio" in r for r in data["analyze"])
+        assert all("row_ratio" in r and "act_ms" in r for r in data["analyze"])
+        assert not any("est_ms" in r or "time_ratio" in r for r in data["analyze"])
 
 
 class TestProfile:
