@@ -278,7 +278,8 @@ def test_every_kernel_pays_for_itself(op):
 
 def _difference_family_case(op, n_rows):
     """``op``'s inputs at ``n_rows``: σ is offset by half, so half of ρ's
-    rows have a mutually subsuming partner; DROPNULLROWS drops a fifth."""
+    rows have a mutually subsuming partner (a duplicate, for
+    CLASSICALUNION); DROPNULLROWS drops a fifth."""
     if op == "DROPNULLROWS":
         return (_relation("R", n_rows),), {"attr": "D"}
     return (_relation("R", n_rows), _relation("S", n_rows, offset=n_rows // 2)), {}
@@ -288,12 +289,13 @@ def _difference_family_case(op, n_rows):
 # -k "rows10 or not rows", which pytest matches case-insensitively.
 @pytest.mark.parametrize(
     "op",
-    ["DIFFERENCE", "DROPNULLROWS", "INTERSECTION"],
-    ids=["DIFFERENCE", "DROPNULL", "INTERSECTION"],
+    ["DIFFERENCE", "DROPNULLROWS", "INTERSECTION", "CLASSICALUNION"],
+    ids=["DIFFERENCE", "DROPNULL", "INTERSECTION", "CLASSICALUNION"],
 )
 def test_difference_family_scales_linearly(op):
-    """The naive difference family hashes row keys: 10x the rows costs
-    about 10x the time, where the pairwise subsumption scan cost ~100x."""
+    """The naive difference family, and CLASSICALUNION over the same two
+    inputs, hash row keys: 10x the rows costs about 10x the time, where
+    the pairwise subsumption scan cost ~100x."""
     _assert_scales_linearly(op, lambda n_rows: _difference_family_case(op, n_rows))
 
 

@@ -21,15 +21,19 @@ the paper itself describes:
 
 :func:`deduplicate`, :func:`product_select` and :func:`drop_all_null_rows`
 compute their composition directly (by hashing whole rows, by pushing
-the selection below the product, by one ⊥ test per row); the literal
-compositions are the hypothesis references that pin them.
+the selection below the product and joining on one key per row, by one
+⊥ test per row), and so does :func:`classical_union` of two
+relation-style tables over one attribute set (by aligning σ's columns
+to ρ's instead of purging the union); the literal compositions are the
+hypothesis references that pin them.
 
 Provenance contract: derived operations inherit lineage behaviour from
-the primitives they compose.  The direct paths of :func:`deduplicate`
-and :func:`product_select` would drop provenance a merge or a product
-row records, so under an active lineage scope they run the literal
-composition; :func:`drop_all_null_rows` only keeps input rows, as the
-difference it replaces does.  The one symbol-*creating* site,
+the primitives they compose.  The direct paths of :func:`deduplicate`,
+:func:`product_select` and :func:`classical_union` would drop
+provenance a merge or a product row records, so under an active
+lineage scope they run the literal composition;
+:func:`drop_all_null_rows` only keeps input rows, as the difference it
+replaces does.  The one symbol-*creating* site,
 :func:`const_column`, deliberately emits cells with empty lineage — a
 constant genuinely derives from no input cell, and the witness-replay
 audit treats it as vacuously constructive.
@@ -37,14 +41,16 @@ audit treats it as vacuously constructive.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from ..core import NULL, Symbol, Table, strip_null
+from ..core import NULL, Null, Symbol, Table, strip_null
 from ..obs import runtime as _obs
 from .opshelpers import as_attr_set, as_attr_symbol, combine_row_attributes
 from .redundancy import cleanup, purge
 from .restructuring import collapse, group, merge
-from .traditional import product, project, select, union
+from .traditional import aligned_rows, product, project, select, union
 
 __all__ = [
     "classical_union",
@@ -123,12 +129,34 @@ def deduplicate_columns(table: Table, name: object | None = None) -> Table:
 def classical_union(rho: Table, sigma: Table, name: object | None = None) -> Table:
     """Classical union of two union-compatible relation-style tables.
 
-    Exactly the Section 3.4 recipe: tabular union (schemes concatenate,
-    rows pad with ⊥), purge to eliminate the redundant columns, clean-up
-    to eliminate duplicate rows.
+    The Section 3.4 recipe: tabular union (schemes concatenate, rows pad
+    with ⊥), purge to eliminate the redundant columns, clean-up to
+    eliminate duplicate rows.
+
+    When ρ and σ are relation-style over one attribute set (see
+    :func:`~repro.algebra.traditional.aligned_rows`), the purge only
+    undoes the union's own padding: each attribute's two columns merge
+    into ρ's, ρ's rows keep their entries, σ's rows take ρ's column
+    order, and the merge writes every ⊥-like entry (a lineage copy of ⊥
+    too) as the ⊥ constant, attributes included.  Those rows are built
+    directly and deduplicated.  Every other input, and every input under
+    an active lineage scope (where a merged attribute derives from both
+    tables' attributes), runs the recipe.
     """
-    combined = union(rho, sigma)
-    return _named(deduplicate(deduplicate_columns(combined)), name)
+    rows = aligned_rows(rho, sigma)
+    if rows is None or _obs.OBS.lineage is not None:
+        return _named(deduplicate(deduplicate_columns(union(rho, sigma))), name)
+    return _named(deduplicate(Table(_null_constant([*rho.grid, *rows]))), name)
+
+
+def _null_constant(grid: list[tuple[Symbol, ...]]) -> list[tuple[Symbol, ...]]:
+    """``grid`` with every ⊥-like entry outside column 0 written as the
+    ⊥ constant, as a merge writes it; as it is when it holds no lineage
+    copy of ⊥ (one pass over the entry types)."""
+    kinds = set(map(type, chain.from_iterable(grid)))
+    if all(kind is Null or not issubclass(kind, Null) for kind in kinds):
+        return grid
+    return [(row[0], *(NULL if entry.is_null else entry for entry in row[1:])) for row in grid]
 
 
 def product_select(
@@ -142,8 +170,9 @@ def product_select(
     attribute has columns on both sides the condition factors: ``A = B``
     keeps every row (a plain product), both attributes on one side
     select that side before the product, and attributes on opposite
-    sides join on their ⊥-stripped entry sets, hashed on σ's side.  An
-    attribute with columns on both sides, or an active lineage scope,
+    sides join on their ⊥-stripped entry sets, hashed on σ's side (on
+    the entry itself when each side has one column for its attribute).
+    An attribute with columns on both sides, or an active lineage scope,
     gets the literal composition.  Rows keep the product's order, so
     every path returns the composition's grid.
 
@@ -173,16 +202,30 @@ def _equi_join(
     rho: Table, sigma: Table, rho_cols: list[int], sigma_cols: list[int]
 ) -> Table:
     """The rows of ``ρ × σ``, in product order, whose ⊥-stripped entry
-    sets under ``rho_cols`` (in ρ) and ``sigma_cols`` (in σ) are equal."""
-    matches: dict[frozenset[Symbol], list[tuple[Symbol, ...]]] = {}
+    sets under ``rho_cols`` (in ρ) and ``sigma_cols`` (in σ) are equal.
+
+    With one column a side the entry itself is the key: ``{x} ≈ {y}``
+    iff ``x == y``, and every ⊥ equals the ⊥ constant, so ``∅ ≈ ∅``
+    matches too.  Otherwise a row's key is its ⊥-stripped entry set.
+    """
+    if len(rho_cols) == len(sigma_cols) == 1:
+        rho_key, sigma_key = itemgetter(*rho_cols), itemgetter(*sigma_cols)
+    else:
+        rho_key, sigma_key = _entry_set(rho_cols), _entry_set(sigma_cols)
+    matches: dict[Symbol | frozenset[Symbol], list[tuple[Symbol, ...]]] = {}
     for right in sigma.grid[1:]:
-        matches.setdefault(strip_null(right[j] for j in sigma_cols), []).append(right)
+        matches.setdefault(sigma_key(right), []).append(right)
     grid = [rho.row(0) + sigma.column_attributes]
     for left in rho.grid[1:]:
-        for right in matches.get(strip_null(left[j] for j in rho_cols), ()):
+        for right in matches.get(rho_key(left), ()):
             attr = combine_row_attributes(left[0], right[0])
             grid.append((attr,) + left[1:] + right[1:])
     return Table(grid)
+
+
+def _entry_set(cols: list[int]) -> Callable[[tuple[Symbol, ...]], frozenset[Symbol]]:
+    """A row's ⊥-stripped entry set under ``cols``."""
+    return lambda row: strip_null(row[j] for j in cols)
 
 
 def const_column(

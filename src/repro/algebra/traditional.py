@@ -18,7 +18,8 @@ of an assignment statement); by default the left operand's name is kept.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from ..core import NULL, Null, Symbol, Table
 from ..obs import runtime as _obs
@@ -83,15 +84,43 @@ def _mutual_subsumption_keys(table: Table) -> Iterator[tuple]:
         yield row[0], frozenset(pairs)
 
 
+def aligned_rows(rho: Table, sigma: Table) -> Iterable[tuple[Symbol, ...]] | None:
+    """σ's data rows with their columns in ρ's attribute order, when ρ
+    and σ are relation-style over one attribute set; otherwise None.
+
+    Relation-style means distinct column attributes.  An attribute
+    unequal to itself (a NaN) is distinct from every attribute, its own
+    copy in the other table included, so it takes the general path.
+    Decided from the two attribute rows alone, in O(width); when the
+    orders already match, σ's rows come as they are.
+    """
+    attrs = rho.column_attributes
+    position = {attr: j for j, attr in enumerate(sigma.column_attributes, start=1)}
+    if len(attrs) != sigma.width or len(position) != sigma.width:
+        return None
+    order = [position.get(attr) for attr in attrs]
+    if None in order or len(set(order)) != len(order):
+        return None
+    if not all(attr == attr for attr in attrs):
+        return None
+    if order == sorted(order):
+        return sigma.grid[1:]
+    return map(itemgetter(0, *order), sigma.grid[1:])
+
+
 def _rows_by_key(rho: Table, sigma: Table, keep_present: bool) -> list:
     """ρ's attribute row, then its data rows in order whose key is (or,
     with ``keep_present`` false, is not) among σ's keys."""
-    keys = set(_mutual_subsumption_keys(sigma))
     grid = rho.grid
+    rows = aligned_rows(rho, sigma)
+    if rows is None:
+        keys = set(_mutual_subsumption_keys(sigma))
+        rho_keys = _mutual_subsumption_keys(rho)
+    else:
+        keys = set(rows)
+        rho_keys = grid[1:]
     kept = [grid[0]]
-    for row, key in zip(grid[1:], _mutual_subsumption_keys(rho)):
-        if (key in keys) == keep_present:
-            kept.append(row)
+    kept += [row for row, key in zip(grid[1:], rho_keys) if (key in keys) == keep_present]
     return kept
 
 
@@ -114,6 +143,14 @@ def difference(rho: Table, sigma: Table, name: object | None = None) -> Table:
     stream past in order, which gives exactly the pairwise scan's rows
     (:meth:`Table.rows_subsume_each_other` is that definition) in
     O(|ρ| + |σ|) hashed lookups.
+
+    When ρ and σ are relation-style over one attribute set (see
+    :func:`aligned_rows`) each attribute holds one entry per row, so
+    ``ρ_i(a) ≈ σ_k(a)`` says the two entries are equal or both ⊥, and
+    mutual subsumption is plain equality once σ's columns stand in ρ's
+    order.  Then a ρ row is its own key, row attribute included, and σ's
+    rows are keyed in ρ's column order (as they are, when the orders
+    already match).
     """
     return _named(Table(_rows_by_key(rho, sigma, keep_present=False)), name)
 
@@ -122,7 +159,8 @@ def intersection(rho: Table, sigma: Table, name: object | None = None) -> Table:
     """Tabular intersection, defined as ``R \\ (R \\ S)`` in the usual way.
 
     Computed directly: keep, in order, the rows of ρ whose
-    mutual-subsumption key (see :func:`difference`) occurs among σ's.
+    mutual-subsumption key (see :func:`difference`, relation-style
+    inputs included) occurs among σ's.
     That is ``R \\ (R \\ S)`` row for row: a ρ row whose key σ lacks is
     itself in ``R \\ S`` and so removes itself, while a ρ row whose key σ
     has meets no row of ``R \\ S`` with that key.

@@ -164,7 +164,10 @@ class Value(Symbol):
         )
 
     def __hash__(self) -> int:
-        return hash((Value, self.payload))
+        # Allocates nothing (a str caches its hash, an int is its own) and
+        # hashes 1, 1.0 and True alike, as equality needs.  A Name keeps
+        # its tuple hash, so Name("x") and Value("x") hash apart.
+        return hash(self.payload)
 
     def __repr__(self) -> str:
         return f"Value({self.payload!r})"

@@ -591,12 +591,10 @@ class CardinalityEstimator:
             rows = chain_rows([[s] for s in stats], arguments.get("conds", ()))
             return int(rows(frozenset(range(len(stats)))))
         if op == "PRODUCTSELECT":
-            s2 = stats[1]
-            left, right = arguments.get("left"), arguments.get("right")
-            if left == right:
-                return h1 * s2.height  # weak equality is reflexive
-            ndv = max(self._ndv(s1, left), self._ndv(s2, right), 1)
-            return (h1 * s2.height) // ndv
+            # σ_{left≈right}(ρ × σ) is a 2-leaf chain: either attribute
+            # may sit in either table.
+            cond = (arguments.get("left"), arguments.get("right"), 2)
+            return int(chain_rows([[s1], [stats[1]]], [cond])(frozenset({0, 1})))
         if op in ("UNION", "COLLAPSE", "COLLAPSECOMPACT"):
             return sum(s.height for s in stats)
         if op == "CLASSICALUNION":

@@ -17,7 +17,7 @@ each cell's provenance, also under ``lineage()``.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import (
@@ -249,9 +249,58 @@ def test_deduplicate_equals_per_cell_definition(table):
         _assert_same(deduplicate(tagged), reference_deduplicate(tagged))
 
 
+@st.composite
+def relation_pairs(draw):
+    """ρ relation-style (distinct column attributes, ⊥ among them) and σ
+    some of its rows with the columns permuted and no column added, each
+    row attribute and now and then an entry redrawn: the pairs whose
+    classical union aligns σ's columns to ρ's."""
+    header = draw(st.lists(st.sampled_from(ATTRS), unique=True, max_size=4))
+    rows = [
+        [draw(st.sampled_from(ATTRS))] + [draw(st.sampled_from(ENTRIES)) for _ in header]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    cols = draw(st.permutations(range(1, len(header) + 1)))
+    grid = [[Name("S"), *(header[j - 1] for j in cols)]]
+    for row in draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else ():
+        attr = draw(st.sampled_from([row[0], row[0], *ATTRS]))
+        other = draw(st.sampled_from(ENTRIES))
+        grid.append([attr, *(draw(st.sampled_from([row[j], row[j], other])) for j in cols)])
+    return Table([[Name("R"), *header], *rows]), Table(grid)
+
+
+def _pair(rho_header, rho_row, sigma_header, sigma_row):
+    return (Table([[Name("R"), *rho_header], rho_row]),
+            Table([[Name("S"), *sigma_header], sigma_row]))
+
+
+A, B, X = Name("A"), Name("B"), Value("x")
+NULL_COPY = with_prov(NULL, frozenset({CellRef(9, 2, 0)}))  # a lineage copy of ⊥
+
+
 @settings(max_examples=150)
-@given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
-def test_classical_union_equals_per_cell_definition(rho, sigma):
+@given(st.one_of(st.tuples(tables(max_height=4, max_width=3),
+                           tables(max_height=4, max_width=3)),
+                 relation_pairs()))
+# One NaN object on both sides: rows holding it never merge.
+@example(_pair([A, B], [NULL, NAN, X], [B, A], [NULL, X, NAN]))
+# Value(1) in ρ, Value(True) in σ: one row, ρ's copy.
+@example(_pair([A], [NULL, Value(1)], [A], [NULL, Value(True)]))
+# Lineage copies of ⊥ outside lineage(), as entry and as attribute:
+# the merge writes the ⊥ constant.
+@example(_pair([A, B], [NULL, NULL_COPY, X], [B, A], [NULL, Value("y"), NULL]))
+@example(_pair([NULL_COPY, A], [NULL, X, NULL_COPY], [A, NULL], [A, NULL, X]))
+# ⊥ as a column attribute, σ's columns swapped.
+@example(_pair([NULL, A], [A, X, NULL], [A, NULL], [A, NULL, X]))
+# Zero width: a row is its row attribute.
+@example(_pair([], [A], [], [A]))
+# A repeated attribute, unequal attribute sets, and one NaN object as
+# both tables' attribute (PURGE keeps its two columns): the general path.
+@example(_pair([A, A], [NULL, NULL, X], [A, B], [NULL, X, NULL]))
+@example(_pair([A], [NULL, X], [B], [NULL, X]))
+@example(_pair([NAN], [NULL, X], [NAN], [NULL, X]))
+def test_classical_union_equals_per_cell_definition(pair):
+    rho, sigma = pair
     _assert_same(classical_union(rho, sigma), reference_classical_union(rho, sigma))
     combined = union(rho, sigma)
     _assert_same(

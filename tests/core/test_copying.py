@@ -1,7 +1,12 @@
 """Symbols, tables and databases survive ``pickle``, ``copy`` and ``deepcopy``."""
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +69,68 @@ def test_lineage_copies_keep_their_provenance():
     tagged_null = with_prov(NULL, frozenset({"cell"}))
     for out in _copies(tagged_null):
         assert out is not NULL and out == NULL and provenance(out) == {"cell"}
+
+
+def _under_seed(seed, script, stdin=None):
+    """``script``'s standard output, run in a fresh interpreter under
+    ``PYTHONHASHSEED=seed``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, input=stdin, capture_output=True, timeout=300, check=True,
+    )
+    return done.stdout
+
+
+class TestHashSeed:
+    """A Value hashes its payload, and a ``str`` hashes differently under
+    each hash seed, so set and dict iteration order follows the seed.
+    Results and unpickled lookups must not."""
+
+    RUN = (
+        "import json\n"
+        "from repro.engine import run_program\n"
+        "from repro.obs.examples import EXAMPLES\n"
+        "from repro.obs.ledger import database_digest\n"
+        "from repro.runtime.workloads import resolve_workload\n"
+        "specs = [name for name in sorted(EXAMPLES) if EXAMPLES[name].build]\n"
+        "specs += ['tc:16', 'chain:8', 'restructure:80']\n"
+        "digests = {}\n"
+        "for spec in specs:\n"
+        "    _, program, db = resolve_workload(spec)\n"
+        "    for optimize in (False, True):\n"
+        "        result = run_program(program, db, optimize=optimize)\n"
+        "        digests[f'{spec} optimize={optimize}'] = database_digest(result)[0]\n"
+        "print(json.dumps(digests))\n"
+    )
+
+    def test_every_run_ignores_the_hash_seed(self):
+        first, second = (json.loads(_under_seed(seed, self.RUN)) for seed in ("0", "1"))
+        assert first and first == second
+
+    DUMP = (
+        "import pickle, sys\n"
+        "from repro.core import database, make_table\n"
+        "db = database(\n"
+        "    make_table('Sales', ['Part', 'Region'], [('nuts', 'east'), ('bolts', None)]),\n"
+        "    make_table('Regions', ['Region'], [('east',), (1,)]),\n"
+        ")\n"
+        "sys.stdout.buffer.write(pickle.dumps(db))\n"
+    )
+    LOAD = (
+        "import json, pickle, sys\n"
+        "from repro.core import Name, Value\n"
+        "db = pickle.loads(sys.stdin.buffer.read())\n"
+        "sales = db.table('Sales')\n"
+        "print(json.dumps([\n"
+        "    len(db.tables_named('Sales')), len(db.tables_named(Name('Regions'))),\n"
+        "    sales in db, Value('east') in sales.symbols(), Value('bolts') in db.symbols(),\n"
+        "    Value(True) in db.symbols(), Name('Region') in db.names(),\n"
+        "]))\n"
+    )
+
+    def test_a_pickle_crosses_hash_seeds(self):
+        pickled = _under_seed("0", self.DUMP)
+        found = json.loads(_under_seed("1", self.LOAD, stdin=pickled))
+        assert found == [1, 1, True, True, True, True, True]

@@ -14,8 +14,9 @@ against clean-up by the full scheme and an independent quadratic
 reference; PRODUCTSELECT, which pushes the selection below the
 product, against ``select(product(…))``, also under ``lineage()``;
 CLASSICALUNION against the Section 3.4 recipe; and the difference
-family, which hashes each row's mutual-subsumption key, against a
-literal pairwise scan over ``Table.rows_subsume_each_other``.
+family, which hashes each row's mutual-subsumption key (a relation-style
+pair's aligned rows), against a literal pairwise scan over
+``Table.rows_subsume_each_other``.
 """
 
 import json
@@ -159,10 +160,39 @@ def _pair(rho_header, rho_row, sigma_header, sigma_row):
             Table([[Name("S"), *sigma_header], sigma_row]))
 
 
+#: Pairs at the edges of the relation-style row key.
+EDGE_PAIRS = [
+    # One NaN object on both sides: equal to itself by identity only.
+    _pair([A, B], [NULL, NAN, X], [B, A], [NULL, X, NAN]),
+    # Value(1) in ρ, Value(True) in σ: equal rows; the union keeps ρ's.
+    _pair([A], [NULL, Value(1)], [A], [NULL, Value(True)]),
+    # A lineage copy of ⊥ outside lineage(): the union writes ⊥ itself.
+    _pair([A, B], [NULL, TAGGED[0], X], [B, A], [NULL, Value("y"), NULL]),
+    # ⊥ as a column attribute, σ's columns swapped.
+    _pair([NULL, A], [A, X, NULL], [A, NULL], [A, NULL, X]),
+    # Zero width: a row is its row attribute.
+    _pair([], [A], [], [A]),
+    # A repeated attribute, unequal attribute sets, and one NaN object as
+    # both tables' attribute (PURGE keeps its two columns): the general path.
+    _pair([A, A], [NULL, NULL, X], [A, B], [NULL, X, NULL]),
+    _pair([A], [NULL, X], [B], [NULL, X]),
+    _pair([NAN], [NULL, X], [NAN], [NULL, X]),
+]
+
+
+def edge_examples(test):
+    """``test`` with every :data:`EDGE_PAIRS` pair as an explicit example."""
+    for pair in EDGE_PAIRS:
+        test = example(pair)(test)
+    return test
+
+
 @settings(max_examples=400)
 @given(join_pairs(), ATTR_PAIRS)
 # Opposite sides: the joined row's attribute combines both sides' (⊥, B).
 @example(_pair([A], [NULL, X], [B], [B, X]), (A, B))
+# One NaN object on both sides: the entry key matches it by identity.
+@example(_pair([A], [NULL, NAN], [B], [NULL, NAN]), (A, B))
 # C on both sides: τ(C) = {x} from ρ alone, so a join of A with σ's C
 # alone (∅ = ∅) would wrongly keep the row.
 @example(_pair([A, C], [NULL, NULL, X], [B, C], [NULL, X, NULL]), (A, C))
@@ -183,16 +213,44 @@ def test_pushdown_equals_post_filter(pair, attrs):
 
 
 @st.composite
+def relation_pairs(draw):
+    """ρ relation-style (distinct column attributes, ⊥ among them) and σ
+    some of its rows with the columns permuted and no column added.
+
+    Each σ row keeps or redraws its row attribute and, now and then, an
+    entry (``Value(True)`` for ``Value(1)`` matches; ``x`` for ``y``
+    does not).  The two share one attribute set, so the difference
+    family and CLASSICALUNION align σ's columns to ρ's.
+    """
+    header = draw(st.lists(st.sampled_from(ATTRS), unique=True, max_size=3))
+    rows = [
+        [draw(st.sampled_from(ATTRS))] + [draw(st.sampled_from(RICH_ENTRIES)) for _ in header]
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    cols = draw(st.permutations(range(1, len(header) + 1)))
+    grid = [[Name("S"), *(header[j - 1] for j in cols)]]
+    for row in draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else ():
+        attr = draw(st.sampled_from([row[0], row[0], *ATTRS]))
+        other = draw(st.sampled_from(RICH_ENTRIES))
+        grid.append([attr, *(draw(st.sampled_from([row[j], row[j], other])) for j in cols)])
+    return Table([[Name("R"), *header], *rows]), Table(grid)
+
+
+@st.composite
 def table_pairs(draw):
-    """ρ and σ: independent, or σ reshaped from some of ρ's rows.
+    """ρ and σ: independent, σ reshaped from some of ρ's rows, or a
+    :func:`relation_pairs` pair.
 
     The reshaping permutes σ's columns and adds one that is all ⊥ or
     repeats another, which keeps every entry set weakly equal, and it
     keeps or redraws each row attribute — so rows that mutually subsume
     each other, under the same or another row attribute, are common.
     """
+    shape = draw(st.sampled_from(["independent", "reshaped", "relation"]))
+    if shape == "relation":
+        return draw(relation_pairs())
     rho = draw(tables(max_height=4, max_width=3))
-    if draw(st.booleans()):
+    if shape == "independent":
         return rho, draw(tables(max_height=4, max_width=3))
     cols = draw(st.permutations(range(1, rho.ncols)))
     extra = draw(st.sampled_from([None, *cols]))
@@ -225,6 +283,7 @@ def _subsumption_scan(rho, sigma):
 
 @settings(max_examples=150)
 @given(table_pairs())
+@edge_examples
 def test_difference_equals_subsumption_scan(pair):
     rho, sigma = pair
     assert difference(rho, sigma).grid == _subsumption_scan(rho, sigma).grid
@@ -232,6 +291,7 @@ def test_difference_equals_subsumption_scan(pair):
 
 @settings(max_examples=150)
 @given(table_pairs())
+@edge_examples
 def test_intersection_equals_double_subsumption_scan(pair):
     rho, sigma = pair
     expected = _subsumption_scan(rho, _subsumption_scan(rho, sigma))
@@ -259,10 +319,12 @@ def test_drop_null_rows_equals_subsumption_scan(table, attr):
 
 
 @settings(max_examples=60)
-@given(tables(max_height=4, max_width=3), tables(max_height=4, max_width=3))
-def test_classical_union_equals_literal_recipe(rho, sigma):
+@given(table_pairs())
+@edge_examples
+def test_classical_union_equals_literal_recipe(pair):
     """Tabular union, purge of the redundant columns, clean-up of the
     duplicate rows by the full scheme (Section 3.4)."""
+    rho, sigma = pair
     literal = _literal_deduplicate(deduplicate_columns(union(rho, sigma)))
     _assert_same(classical_union(rho, sigma), literal)
 

@@ -181,6 +181,19 @@ class TestFormulas:
             18,
         )
 
+    def test_productselect_finds_either_attribute_on_either_side(self):
+        # σ_{B≈A}(R(A) × S(B)) over 6 distinct values a side is the same
+        # 2-leaf chain as σ_{A≈B}: 36 pairs, 1 / NDV of them kept.
+        left = make_table("R", ["A"], [[f"v{i}"] for i in range(6)])
+        right = make_table("S", ["B"], [[f"v{i}"] for i in range(6)])
+        a, b = attr_symbol("A"), attr_symbol("B")
+        for arguments in ({"left": a, "right": b}, {"left": b, "right": a}):
+            assert self._exact("PRODUCTSELECT", (left, right), arguments) == (
+                6,
+                "stats",
+                6,
+            )
+
     def test_reflexive_chain_condition_has_selectivity_one(self):
         tables = [
             make_table(name, ["A"], [[f"v{i}"] for i in range(3)]) for name in "RST"
