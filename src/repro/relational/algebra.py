@@ -36,7 +36,14 @@ class Expr:
     """Abstract base of relational algebra expressions."""
 
     def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        """The output schema against ``db`` (validates the expression)."""
+        """The output schema against ``db`` (validates the expression).
+
+        Raises :class:`~repro.core.SchemaError` exactly where
+        :meth:`evaluate` would.  This is also the Theorem 4.1 compiler's
+        typing (:mod:`repro.relational.compile_ta`): the compiler calls it
+        over a database of empty relations, one per name in scope, so a
+        compiled program is rejected exactly where native evaluation is.
+        """
         raise NotImplementedError
 
     def evaluate(self, db: RelationalDatabase) -> Relation:
@@ -317,24 +324,37 @@ class Join(Expr):
         self.left = left
         self.right = right
 
-    def _plan(self, db: RelationalDatabase) -> tuple[Expr, tuple[str, ...]]:
+    def expand(self, db: RelationalDatabase) -> Project:
+        """The join as π(σ(left × ρ(right))) over the operand schemas in ``db``.
+
+        Each common attribute ``X`` of the right operand is renamed to
+        ``__join_X``, selected equal to ``X`` and projected away; the
+        projection's attributes are the join's schema.  This is the one
+        expansion: :meth:`schema`, :meth:`evaluate` and the Theorem 4.1
+        compiler all call it.
+        """
         left_schema = self.left.schema(db)
         right_schema = self.right.schema(db)
         common = [a for a in left_schema if a in right_schema]
+        # The rename and the product below are the expansion's only
+        # checks that can fail; make them here, so the join's schema
+        # raises where evaluating its expansion would.
+        taken = {f"__join_{a}" for a in common} & {*left_schema, *right_schema}
+        if taken:
+            raise SchemaError(f"natural join's temporaries {sorted(taken)} are in use")
         renamed: Expr = self.right
         for attr in common:
             renamed = RenameAttr(renamed, attr, f"__join_{attr}")
         plan: Expr = Product(self.left, renamed)
         for attr in common:
             plan = SelectEq(plan, attr, f"__join_{attr}")
-        output = left_schema + tuple(a for a in right_schema if a not in common)
-        return Project(plan, output), output
+        return Project(plan, left_schema + tuple(a for a in right_schema if a not in common))
 
     def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        return self._plan(db)[1]
+        return self.expand(db).attrs
 
     def evaluate(self, db: RelationalDatabase) -> Relation:
-        return self._plan(db)[0].evaluate(db)
+        return self.expand(db).evaluate(db)
 
     def __repr__(self) -> str:
         return f"({self.left!r} ⋈ {self.right!r})"

@@ -24,10 +24,14 @@ FO + while + new          tabular algebra
 ``while R ≠ ∅``           ``while R``
 =======================  =================================================
 
-Natural join is compiled by static expansion into rename/product/select/
-project, which requires the operand schemas; the compiler therefore tracks
-schemas statically through the program (input schemas are given, and a
-while body must be schema-stable, which one extra compilation pass checks).
+The compiler types with the evaluator's own schema function,
+:meth:`~repro.relational.algebra.Expr.schema`, over an environment of
+empty relations (input schemas are given), so it rejects exactly the
+programs native evaluation rejects.  Each statement's expression is typed
+once, before anything is emitted; natural join compiles through
+:meth:`~repro.relational.algebra.Join.expand`, the expansion evaluation
+uses.  A while body must be schema-stable: typing the body once more,
+from the environment it leaves, must leave that environment unchanged.
 
 Intermediate results live in reserved ``__fw<i>`` tables; ``outputs``
 restricted comparison ignores them.
@@ -56,18 +60,17 @@ from .algebra import (
     Union,
 )
 from .fo_while import Assign, AssignNew, AssignSetNew, FWProgram, FWStatement, WhileNotEmpty
+from .relation import Relation, RelationalDatabase
 
 __all__ = ["compile_program", "compile_expression", "compile_span", "TEMP_PREFIX"]
 
 #: Prefix reserved for the compiler's intermediate tables.
 TEMP_PREFIX = "__fw"
 
-SchemaEnv = dict[str, tuple[str, ...]]
-
 
 class _Compiler:
-    def __init__(self, env: SchemaEnv):
-        self.env: SchemaEnv = dict(env)
+    def __init__(self, env: RelationalDatabase):
+        self.env = env
         self.counter = 0
         self.statements: list[Statement] = []
 
@@ -84,61 +87,11 @@ class _Compiler:
 
     # -- expressions ------------------------------------------------------
 
-    def schema_of(self, expr: Expr) -> tuple[str, ...]:
-        """Static schema computation mirroring ``Expr.schema``."""
-        if isinstance(expr, Rel):
-            if expr.name not in self.env:
-                raise SchemaError(f"unknown relation {expr.name!r} at compile time")
-            return self.env[expr.name]
-        if isinstance(expr, (Union, Difference, Intersection)):
-            left = self.schema_of(expr.left)
-            if left != self.schema_of(expr.right):
-                raise SchemaError("union-incompatible schemas")
-            return left
-        if isinstance(expr, Product):
-            left = self.schema_of(expr.left)
-            right = self.schema_of(expr.right)
-            if set(left) & set(right):
-                raise SchemaError("product schemas overlap")
-            return left + right
-        if isinstance(expr, Project):
-            inner = self.schema_of(expr.inner)
-            missing = [a for a in expr.attrs if a not in inner]
-            if missing:
-                raise SchemaError(f"projection onto unknown attributes {missing}")
-            return expr.attrs
-        if isinstance(expr, (SelectEq, SelectConst)):
-            return self.schema_of(expr.inner)
-        if isinstance(expr, RenameAttr):
-            inner = self.schema_of(expr.inner)
-            if expr.old not in inner:
-                raise SchemaError(f"renaming unknown attribute {expr.old!r}")
-            return tuple(expr.new if a == expr.old else a for a in inner)
-        if isinstance(expr, ConstColumn):
-            inner = self.schema_of(expr.inner)
-            if expr.attr in inner:
-                raise SchemaError(f"attribute {expr.attr!r} already present")
-            return inner + (expr.attr,)
-        if isinstance(expr, Join):
-            return self.schema_of(self.expand_join(expr))
-        raise EvaluationError(f"cannot compile expression {expr!r}")
-
-    def expand_join(self, join: Join) -> Expr:
-        """Statically expand a natural join (needs both operand schemas)."""
-        left_schema = self.schema_of(join.left)
-        right_schema = self.schema_of(join.right)
-        common = [a for a in left_schema if a in right_schema]
-        renamed: Expr = join.right
-        for attr in common:
-            renamed = RenameAttr(renamed, attr, f"__join_{attr}")
-        plan: Expr = Product(join.left, renamed)
-        for attr in common:
-            plan = SelectEq(plan, attr, f"__join_{attr}")
-        output = left_schema + tuple(a for a in right_schema if a not in common)
-        return Project(plan, output)
-
     def compile_expr(self, expr: Expr) -> str:
-        """Emit statements computing ``expr``; return the holding table name."""
+        """Emit statements computing ``expr``; return the holding table name.
+
+        ``expr`` has been typed against ``self.env`` already.
+        """
         if isinstance(expr, Rel):
             return expr.name
         if isinstance(expr, Union):
@@ -151,7 +104,6 @@ class _Compiler:
             left, right = self.compile_expr(expr.left), self.compile_expr(expr.right)
             return self.emit(self.fresh_temp(), "INTERSECTION", [left, right])
         if isinstance(expr, Product):
-            self.schema_of(expr)  # validate disjointness
             left, right = self.compile_expr(expr.left), self.compile_expr(expr.right)
             return self.emit(self.fresh_temp(), "PRODUCT", [left, right])
         if isinstance(expr, Project):
@@ -166,7 +118,7 @@ class _Compiler:
             # temp has exactly one reader (this select), and emitting
             # ``T <- SELECT (T)`` right after ``T <- PRODUCT`` gives the
             # vector engine's planner the adjacent same-target pair it
-            # fuses into a PRODUCTSELECT hash join (expand_join produces
+            # fuses into a PRODUCTSELECT hash join (Join.expand produces
             # precisely this shape for every join condition).
             target = inner if inner.startswith(TEMP_PREFIX) else self.fresh_temp()
             return self.emit(
@@ -186,7 +138,6 @@ class _Compiler:
                 self.fresh_temp(), "RENAME", [inner], {"old": expr.old, "new": expr.new}
             )
         if isinstance(expr, ConstColumn):
-            self.schema_of(expr)  # validate attribute freshness
             inner = self.compile_expr(expr.inner)
             return self.emit(
                 self.fresh_temp(),
@@ -195,64 +146,76 @@ class _Compiler:
                 {"attr": expr.attr, "value": expr.value},
             )
         if isinstance(expr, Join):
-            return self.compile_expr(self.expand_join(expr))
+            return self.compile_expr(expr.expand(self.env))
         raise EvaluationError(f"cannot compile expression {expr!r}")
 
     # -- statements -------------------------------------------------------
 
     def compile_statement(self, statement: FWStatement) -> None:
-        if isinstance(statement, Assign):
-            schema = self.schema_of(statement.expr)
-            holder = self.compile_expr(statement.expr)
-            self.emit(statement.name, "DEDUP", [holder])
-            self.env[statement.name] = schema
-        elif isinstance(statement, AssignNew):
-            schema = self.schema_of(statement.expr)
-            if statement.id_attr in schema:
-                raise SchemaError(
-                    f"new: attribute {statement.id_attr!r} already in {schema}"
-                )
-            holder = self.compile_expr(statement.expr)
-            self.emit(
-                statement.name, "TUPLENEW", [holder], {"attr": statement.id_attr}
-            )
-            self.env[statement.name] = schema + (statement.id_attr,)
+        if isinstance(statement, WhileNotEmpty):
+            outer, self.statements = self.statements, []
+            for body_statement in statement.body.statements:
+                self.compile_statement(body_statement)
+            body, self.statements = self.statements, outer
+            _require_stable(self.env, statement)
+            self.statements.append(While(statement.name, Program(body)))
+            return
+        after = _typed(self.env, statement)
+        holder = self.compile_expr(statement.expr)
+        if isinstance(statement, AssignNew):
+            self.emit(statement.name, "TUPLENEW", [holder], {"attr": statement.id_attr})
         elif isinstance(statement, AssignSetNew):
-            schema = self.schema_of(statement.expr)
-            if statement.set_attr in schema:
-                raise SchemaError(
-                    f"setnew: attribute {statement.set_attr!r} already in {schema}"
-                )
-            holder = self.compile_expr(statement.expr)
-            self.emit(
-                statement.name, "SETNEW", [holder], {"attr": statement.set_attr}
-            )
-            self.env[statement.name] = schema + (statement.set_attr,)
-        elif isinstance(statement, WhileNotEmpty):
-            inner = _Compiler(self.env)
-            inner.counter = self.counter
-            for body_statement in statement.body.statements:
-                inner.compile_statement(body_statement)
-            # schema stability: a second pass from the post-body environment
-            # must reproduce it, otherwise iteration is not well-typed
-            check = _Compiler(inner.env)
-            check.counter = inner.counter
-            for body_statement in statement.body.statements:
-                check.compile_statement(body_statement)
-            if check.env != inner.env:
-                raise SchemaError("while body is not schema-stable")
-            self.counter = inner.counter
-            self.env = inner.env
-            self.statements.append(While(statement.name, Program(inner.statements)))
+            self.emit(statement.name, "SETNEW", [holder], {"attr": statement.set_attr})
         else:
-            raise EvaluationError(f"cannot compile statement {statement!r}")
+            self.emit(statement.name, "DEDUP", [holder])
+        self.env = after
+
+
+def _environment(schemas: Mapping[str, tuple[str, ...]]) -> RelationalDatabase:
+    """The compile-time environment: an empty relation per input schema."""
+    return RelationalDatabase(Relation(name, schema) for name, schema in schemas.items())
+
+
+def _typed(env: RelationalDatabase, statement: FWStatement) -> RelationalDatabase:
+    """The environment after ``statement``, typing its expression once.
+
+    Raises :class:`~repro.core.SchemaError` where running ``statement``
+    natively would; a while loop must also be schema-stable.
+    """
+    if isinstance(statement, WhileNotEmpty):
+        for body_statement in statement.body.statements:
+            env = _typed(env, body_statement)
+        _require_stable(env, statement)
+        return env
+    if not isinstance(statement, (Assign, AssignNew, AssignSetNew)):
+        raise EvaluationError(f"cannot compile statement {statement!r}")
+    schema = statement.expr.schema(env)
+    if isinstance(statement, (AssignNew, AssignSetNew)):
+        attr = statement.id_attr if isinstance(statement, AssignNew) else statement.set_attr
+        if attr in schema:
+            raise SchemaError(f"{statement!r}: attribute {attr!r} already in {schema}")
+        schema += (attr,)
+    return env.set(Relation(statement.name, schema))
+
+
+def _require_stable(after: RelationalDatabase, loop: WhileNotEmpty) -> None:
+    """Reject a loop whose body, typed from the environment ``after`` it
+    leaves, changes that environment: the next iteration would not be
+    well-typed.  Types only; emits nothing."""
+    env = after
+    for body_statement in loop.body.statements:
+        env = _typed(env, body_statement)
+    if env != after:
+        raise SchemaError("while body is not schema-stable")
 
 
 def compile_expression(expr: Expr, schemas: Mapping[str, tuple[str, ...]], target: str) -> Program:
-    """Compile a single expression into a TA program binding ``target``."""
-    compiler = _Compiler(dict(schemas))
-    holder = compiler.compile_expr(expr)
-    compiler.emit(target, "DEDUP", [holder])
+    """Compile a single expression into a TA program binding ``target``.
+
+    The whole expression is typed up front, as ``target := expr``.
+    """
+    compiler = _Compiler(_environment(schemas))
+    compiler.compile_statement(Assign(target, expr))
     return Program(compiler.statements)
 
 
@@ -283,7 +246,7 @@ def compile_program(
     environment Theorem 4.1's simulation needs).
     """
     with compile_span("compile.fo_while", lambda: {"statements": len(program)}) as boundary:
-        compiler = _Compiler(dict(schemas))
+        compiler = _Compiler(_environment(schemas))
         for statement in program.statements:
             compiler.compile_statement(statement)
         if boundary is not None:

@@ -1,17 +1,25 @@
 """Theorem 4.1 tests: FO + while + new simulated within the tabular algebra.
 
-Every test runs a program twice — natively over relations and compiled to
-tabular algebra over the tabular embedding — and demands identical results
-for the output relations (ignoring the compiler's ``__fw`` temporaries).
+Most tests run a program twice — natively over relations and compiled to
+tabular algebra over the tabular embedding — and demand identical results
+for the output relations (ignoring the compiler's ``__fw`` temporaries),
+or a :class:`SchemaError` from both native evaluation and the compiler.
+``TestTypingCost`` counts the compiler's schema lookups.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import SchemaError
 from repro.data import generators
+from repro.obs.examples import EXAMPLES
 from repro.relational import (
     Assign,
     AssignNew,
+    ConstColumn,
     Difference,
     FWProgram,
     Intersection,
@@ -95,6 +103,36 @@ class TestExpressionCompilation:
     def test_expression_agrees(self, expr):
         program = FWProgram([Assign("Out", expr)])
         assert_agree(program, GRAPH, SCHEMAS, ["Out"])
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            SelectEq(Rel("E"), "A", "C"),
+            SelectConst(Rel("E"), "C", 1),
+            RenameAttr(Rel("E"), "A", "B"),
+        ],
+        ids=["select-eq-absent", "select-const-absent", "rename-onto-existing"],
+    )
+    def test_ill_typed_statement_rejected(self, expr):
+        program = FWProgram([Assign("Out", expr)])
+        with pytest.raises(SchemaError):
+            program.run(GRAPH)
+        with pytest.raises(SchemaError):
+            compile_program(program, SCHEMAS)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Union(Rel("E"), RenameAttr(Rel("E"), "A", "C")),
+            Project(Rel("E"), ["C"]),
+        ],
+        ids=["union-incompatible", "project-absent"],
+    )
+    def test_ill_typed_expression_rejected(self, expr):
+        with pytest.raises(SchemaError):
+            expr.evaluate(GRAPH)
+        with pytest.raises(SchemaError):
+            compile_expression(expr, SCHEMAS, "Out")
 
     def test_compile_expression_helper(self):
         program = compile_expression(Project(Rel("E"), ["A"]), SCHEMAS, "Out")
@@ -233,3 +271,112 @@ class TestProgramCompilation:
     def test_unknown_relation_rejected_at_compile_time(self):
         with pytest.raises(SchemaError):
             compile_program(FWProgram([Assign("X", Rel("Nope"))]), SCHEMAS)
+
+
+# -- a randomized Theorem 4.1 over expressions ---------------------------
+
+ORACLE_SCHEMAS = {"R": ("A", "B"), "S": ("B", "C")}
+ORACLE_ATTRS = ("A", "B", "C", "D")  # D is in neither schema
+ORACLE_VALUES = (1, 2, 5)
+
+
+def expressions(depth: int = 4):
+    """Expressions of depth at most ``depth`` over R(A,B) and S(B,C).
+
+    The root is one of the ten ``Expr`` kinds other than a relation
+    reference; each operand is a reference with probability 1/2, else
+    an expression drawn the same way one level shallower.
+    """
+    leaves = st.sampled_from(sorted(ORACLE_SCHEMAS)).map(Rel)
+    if depth == 0:
+        return leaves
+    deeper = expressions(depth - 1)
+    inner = st.booleans().flatmap(lambda leaf: leaves if leaf else deeper)
+    attr = st.sampled_from(ORACLE_ATTRS)
+    value = st.sampled_from(ORACLE_VALUES)
+    return st.one_of(
+        st.builds(Union, inner, inner),
+        st.builds(Difference, inner, inner),
+        st.builds(Intersection, inner, inner),
+        st.builds(Product, inner, inner),
+        st.builds(Join, inner, inner),
+        st.builds(Project, inner, st.lists(attr, min_size=1, max_size=3, unique=True)),
+        st.builds(SelectEq, inner, attr, attr),
+        st.builds(SelectConst, inner, attr, value),
+        st.builds(RenameAttr, inner, attr, attr),
+        st.builds(ConstColumn, inner, attr, value),
+    )
+
+
+ORACLE_ROWS = st.frozensets(
+    st.tuples(st.sampled_from(ORACLE_VALUES), st.sampled_from(ORACLE_VALUES)),
+    max_size=4,
+)
+
+
+class TestRandomizedExpressions:
+    @given(expressions(), ORACLE_ROWS, ORACLE_ROWS)
+    @settings(max_examples=600, deadline=None)
+    # TA PROJECT keeps the table's column order, native π the list's.
+    @example(
+        SelectConst(
+            Project(SelectEq(Intersection(Rel("R"), Rel("R")), "B", "A"), ["B", "A"]),
+            "A",
+            5,
+        ),
+        frozenset({(5, 5), (1, 2)}),
+        frozenset(),
+    )
+    # Join.expand's temporary attribute is taken on the right.
+    @example(
+        Join(Rel("R"), RenameAttr(Rel("S"), "C", "__join_B")),
+        frozenset({(1, 2)}),
+        frozenset({(2, 1)}),
+    )
+    def test_native_and_compiled_agree(self, expr, r_rows, s_rows):
+        db = RelationalDatabase(
+            [Relation("R", ["A", "B"], r_rows), Relation("S", ["B", "C"], s_rows)]
+        )
+        try:
+            native = expr.evaluate(db)
+        except SchemaError:
+            with pytest.raises(SchemaError):
+                compile_expression(expr, ORACLE_SCHEMAS, "Out")
+            return
+        program = compile_expression(expr, ORACLE_SCHEMAS, "Out")
+        out = program.run(relational_to_tabular(db))
+        simulated = table_to_relation(out.tables_named("Out")[0])
+        assert sorted(simulated.schema) == sorted(native.schema)
+        order = [simulated.schema.index(a) for a in native.schema]
+        assert {tuple(row[i] for i in order) for row in simulated.tuples} == native.tuples
+
+
+class TestTypingCost:
+    """The compiler asks each relation reference for its schema at most
+    twice: once typing its statement, once checking its while body is
+    schema-stable.  Counts, not times, so a re-walk shows on any host."""
+
+    @pytest.fixture
+    def schema_calls(self, monkeypatch):
+        calls: Counter = Counter()
+        schema = Rel.schema
+
+        def counted(rel, db):
+            calls[rel] += 1
+            return schema(rel, db)
+
+        monkeypatch.setattr(Rel, "schema", counted)
+        return calls
+
+    def test_schemalog_example(self, schema_calls):
+        EXAMPLES["schemalog"].build()
+        assert schema_calls and max(schema_calls.values()) <= 2
+
+    def test_deep_chain(self, schema_calls):
+        chain = Rel("E")
+        for level in range(64):
+            renamed = RenameAttr(RenameAttr(Rel("E"), "A", f"A{level}"), "B", f"B{level}")
+            chain = ConstColumn(Product(chain, renamed), f"C{level}", level)
+        compile_program(FWProgram([Assign("Out", chain)]), SCHEMAS)
+        assert len(schema_calls) == 65
+        assert max(schema_calls.values()) <= 2
