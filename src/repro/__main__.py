@@ -665,19 +665,12 @@ def _run(args: list[str], opts: dict) -> int:
     resume = "--resume" in opts
     verify = "--verify" in opts
     json_out = "--json" in opts
-    limits_info = {
-        "deadline_ms": opts.get("--deadline"),
-        "max_rows": opts.get("--max-rows"),
-        "max_rows_per_op": opts.get("--max-rows-per-op"),
-        "max_cells_per_op": opts.get("--max-cells-per-op"),
-        "max_while": opts.get("--max-while"),
-    }
     limits = Limits(
         deadline_s=_seconds(opts, "--deadline"),
-        max_total_rows=limits_info["max_rows"],
-        max_rows_per_op=limits_info["max_rows_per_op"],
-        max_cells_per_op=limits_info["max_cells_per_op"],
-        max_while_iterations=limits_info["max_while"],
+        max_total_rows=opts.get("--max-rows"),
+        max_rows_per_op=opts.get("--max-rows-per-op"),
+        max_cells_per_op=opts.get("--max-cells-per-op"),
+        max_while_iterations=opts.get("--max-while"),
     )
     if resume and checkpoint is None:
         raise UsageError("--resume requires --checkpoint PATH")
@@ -844,7 +837,7 @@ def _run(args: list[str], opts: dict) -> int:
             if run_recorder is not None:
                 run_recorder.finish(
                     workload=label, program=program, engine=engine,
-                    error=err, limits=limits_info, attempts=1,
+                    error=err, limits=limits, attempts=1,
                     kills=kills, stats=stats, replay_spec=label,
                     optimizer=optimizer_manifest,
                 )
@@ -867,7 +860,7 @@ def _run(args: list[str], opts: dict) -> int:
     if run_recorder is not None:
         run_recorder.finish(
             workload=label, program=program, engine=engine,
-            result_db=result, limits=limits_info, attempts=1,
+            result_db=result, limits=limits, attempts=1,
             kills=[], stats=stats, replay_spec=label,
             optimizer=optimizer_manifest,
         )

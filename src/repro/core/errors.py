@@ -80,6 +80,13 @@ class CancelledError(ContextualError):
     """
 
 
+def outcome_status(error: BaseException | None) -> str:
+    """A run's recorded outcome: ``ok`` (no error), ``killed`` or ``error``."""
+    if error is None:
+        return "ok"
+    return "killed" if isinstance(error, (BudgetExceededError, CancelledError)) else "error"
+
+
 class LimitExceededError(BudgetExceededError):
     """A resource guard tripped (e.g. SETNEW on too many data rows).
 

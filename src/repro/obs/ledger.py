@@ -31,10 +31,13 @@ Durability rules:
 The per-run index that ``runs()`` and ``get()`` read lives in memory and
 is rebuilt from the segments on every open.
 
-The manifests themselves are built by :class:`RunRecorder`, a callback
-subscriber on the live event bus that folds each event as it arrives —
-the engine hot path publishes the same events it always did and the
-ledger listens, so recording adds **no new hooks** to op dispatch.
+The manifests themselves are built by :class:`RunRecorder`, the one
+manifest writer: a callback subscriber on the live event bus that folds
+each event as it arrives — the engine hot path publishes the same events
+it always did and the ledger listens, so recording adds **no new hooks**
+to op dispatch.  A recorder without a bus (the supervisor's, when its
+caller folds no events) writes the event-derived fields as null: not
+observed.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import time
 import warnings
 from pathlib import Path
 
-from ..core.errors import BudgetExceededError, CancelledError, LedgerError
+from ..core.errors import LedgerError, outcome_status
 from .estimator import _percentile
 from .events import EventBus
 
@@ -558,7 +561,7 @@ class RunLedger:
 # ----------------------------------------------------------------------
 
 class RunRecorder:
-    """Builds one run manifest from the live event bus.
+    """Builds one run manifest, folding the live event bus when it has one.
 
     The recorder is a callback subscriber: it folds each event into the
     manifest as it is published — per-op span summaries, the ordered op
@@ -569,6 +572,11 @@ class RunRecorder:
     grows with the run: it keeps its first ``capacity`` records and
     counts the rest in the manifest (``events.dropped``), so a truncated
     sequence is visible to every later consumer.
+
+    With ``bus`` None, or when no event reached it, the recorder observed
+    nothing: ``spans``, ``op_sequence``, ``estimates``, ``fallbacks`` and
+    ``while_iterations`` are null, never empty, so no reader mistakes
+    "not observed" for "none happened".
     """
 
     __slots__ = (
@@ -581,7 +589,7 @@ class RunRecorder:
 
     def __init__(
         self,
-        bus: EventBus,
+        bus: EventBus | None = None,
         ledger: RunLedger | None = None,
         capacity: int = 4096,
         run_id: str | None = None,
@@ -612,10 +620,12 @@ class RunRecorder:
         self._q_count = 0
         self._bus = bus
         self._started = time.perf_counter()
-        bus.attach(self)
+        if bus is not None:
+            bus.attach(self)
 
     def detach(self) -> None:
-        self._bus.detach(self)
+        if self._bus is not None:
+            self._bus.detach(self)
 
     def __call__(self, event) -> None:
         """Fold one published event into the manifest."""
@@ -687,42 +697,42 @@ class RunRecorder:
         seed: int = 0,
         result_db=None,
         error: BaseException | None = None,
-        limits: dict | None = None,
+        limits=None,
         attempts: int = 1,
         kills: list[str] | None = None,
         stats=None,
         replay_spec: str | None = None,
-        result_bytes_cap: int | None = None,
+        result_bytes_cap: float | None = None,
         supervisor: dict | None = None,
         optimizer: dict | None = None,
+        checkpoint_totals: tuple | None = None,
     ) -> dict:
         """Detach, complete the manifest, append it to the ledger.
 
         ``replay_spec`` names how to re-derive the program and input
         database (a workload spec or example name); runs without one are
-        recorded but marked non-replayable.  ``optimizer`` records that
-        the run executed a rewritten plan (enabled rules + the stats
+        recorded but marked non-replayable.  ``limits`` is the run's
+        :class:`~repro.runtime.governor.Limits`.  ``optimizer`` records
+        that the run executed a rewritten plan (enabled rules + the stats
         snapshot the plan was chosen from), so replay can re-derive the
-        same plan instead of diverging on the program fingerprint.  The
+        same plan instead of diverging on the program fingerprint.
+        ``checkpoint_totals``, ``(path, writes, bytes)`` as the run's own
+        :class:`~repro.runtime.checkpoint.CheckpointLog` counted them,
+        replaces the totals folded from ``checkpoint_write`` events.  The
         recorder detaches from the bus, so a recorder finishes exactly
         once.
         """
+        from .workload import program_identity
+
         elapsed_ms = round((time.perf_counter() - self._started) * 1e3, 3)
         self.detach()
         outcome_event = self._outcome_event
         q_count = self._q_count
+        observed = self.received > 0
 
-        if error is not None:
-            if isinstance(error, (BudgetExceededError, CancelledError)):
-                status = "killed"
-            else:
-                status = "error"
-        elif outcome_event is not None and outcome_event.get("outcome") not in (
-            None, "ok"
-        ):
+        status = outcome_status(error)
+        if status == "ok" and (outcome_event or {}).get("outcome") not in (None, "ok"):
             status = str(outcome_event["outcome"])
-        else:
-            status = "ok"
         outcome: dict = {"status": status, "attempts": attempts}
         if kills:
             outcome["kills"] = list(kills)
@@ -743,47 +753,8 @@ class RunRecorder:
                 )
             result = result_block(result_db, result_bytes_cap)
 
-        program_block: dict | None = None
-        if program is not None:
-            from .workload import fingerprint_program, normalize_program
-
-            try:
-                normalized = normalize_program(program)
-                fingerprint = fingerprint_program(program)
-            except Exception:
-                normalized = repr(program)
-                fingerprint = hashlib.sha256(
-                    normalized.encode("utf-8")
-                ).hexdigest()[:16]
-            program_block = {
-                "repr": repr(program),
-                "normalized": normalized,
-                "fingerprint": fingerprint,
-            }
-        else:
-            program_block = {
-                "repr": None,
-                "normalized": workload,
-                "fingerprint": hashlib.sha256(
-                    workload.encode("utf-8")
-                ).hexdigest()[:16],
-            }
-
-        manifest = {
-            "run_id": self.run_id,
-            "ts": round(time.time(), 3),
-            "workload": {
-                "label": workload,
-                "spec": replay_spec,
-                "replayable": replay_spec is not None and result is not None,
-            },
-            "program": program_block,
-            "engine": engine,
-            "seed": seed,
-            "limits": limits,
-            "outcome": outcome,
-            "elapsed_ms": elapsed_ms,
-            "result": result,
+        normalized, fingerprint = program_identity(program, workload)
+        folded = {
             "spans": self._spans,
             "op_sequence": self._op_sequence,
             "estimates": {
@@ -794,11 +765,40 @@ class RunRecorder:
             },
             "fallbacks": self._fallbacks,
             "while_iterations": self._while_iterations,
-            "checkpoint": self._checkpoint,
-            "checkpoint_writes": self._checkpoint_writes,
-            "checkpoint_bytes": self._checkpoint_bytes,
+        }
+        if not observed:
+            folded = dict.fromkeys(folded)
+        if checkpoint_totals is None:
+            checkpoint_totals = (
+                (self._checkpoint, self._checkpoint_writes, self._checkpoint_bytes)
+                if observed
+                else (None, None, None)
+            )
+        manifest = {
+            "run_id": self.run_id,
+            "ts": round(time.time(), 3),
+            "workload": {
+                "label": workload,
+                "spec": replay_spec,
+                "replayable": replay_spec is not None and result is not None,
+            },
+            "program": {
+                "repr": None if program is None else repr(program),
+                "normalized": normalized,
+                "fingerprint": fingerprint,
+            },
+            "engine": engine,
+            "seed": seed,
+            "limits": None if limits is None else limits.to_json(),
+            "outcome": outcome,
+            "elapsed_ms": elapsed_ms,
+            "result": result,
+            **folded,
+            "checkpoint": checkpoint_totals[0],
+            "checkpoint_writes": checkpoint_totals[1],
+            "checkpoint_bytes": checkpoint_totals[2],
             "stats_fingerprint": getattr(stats, "fingerprint", None),
-            "events": {
+            "events": None if self._bus is None else {
                 "published": self._bus.published,
                 "received": self.received,
                 "dropped": self.dropped,

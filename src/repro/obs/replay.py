@@ -8,7 +8,8 @@ manifest records how to re-derive the program and its input database (a
 workload spec or bundled-example name), which engine and seed drove it,
 the exact serialized result database (or its digest when the result was
 capped), and the ordered op/row trace.  :func:`replay_run` re-executes
-the recording and diffs all of it:
+the recording, records the re-run with the same
+:class:`~repro.obs.ledger.RunRecorder` and diffs the two manifests:
 
 * **result database** — the checkpoint serialization must be
   byte-identical (sha256 over the canonical JSON); when the recording
@@ -22,6 +23,9 @@ the recording and diffs all of it:
   drifted example or workload generator is reported as program drift,
   not silently re-recorded.
 
+A null op sequence (a record whose recorder had no event bus, such as a
+supervised run's) was not observed, so only the rest is compared.
+
 Divergence injection (``faults=...`` / a changed seed) exists so CI can
 prove the detector detects: a seeded fault plan must make the replay
 exit nonzero with a structured diff.
@@ -30,13 +34,13 @@ exit nonzero with a structured diff.
 from __future__ import annotations
 
 import json
-import time
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.errors import LedgerError, ReproError, UnknownSpecError, WorkloadSpecError
 from .events import event_stream
-from .ledger import RunLedger, database_digest
+from .ledger import RunLedger, RunRecorder
 
 __all__ = [
     "Divergence",
@@ -142,25 +146,24 @@ def resolve_runnable(spec: str):
 def replay_run(manifest: dict, *, faults=None, engine: str | None = None) -> ReplayReport:
     """Re-execute one recorded run and diff it against the recording.
 
-    ``faults`` (a :class:`~repro.runtime.faults.FaultPlan`) and
-    ``engine`` deliberately *inject* divergence — they exist so the
-    detector can be proven live.  A clean replay passes neither.
+    The re-run is recorded as the run was, by a :class:`RunRecorder` on
+    the event bus, and the two manifests are diffed.  ``faults`` (a
+    :class:`~repro.runtime.faults.FaultPlan`) and ``engine`` deliberately
+    *inject* divergence — they exist so the detector can be proven live.
+    A clean replay passes neither.
     """
     from ..runtime.checkpoint import run_hardened
-    from .workload import fingerprint_program
 
     workload = manifest.get("workload") or {}
     spec = workload.get("spec")
     label = str(workload.get("label", "?"))
-    recorded_engine = str(manifest.get("engine", "naive"))
-    run_engine = engine if engine is not None else recorded_engine
+    run_engine = engine if engine is not None else str(manifest.get("engine", "naive"))
     report = ReplayReport(
         run_id=str(manifest.get("run_id", "?")),
         workload=label,
         engine=run_engine,
     )
-    result = manifest.get("result") or {}
-    report.recorded_sha = result.get("sha256")
+    report.recorded_sha = (manifest.get("result") or {}).get("sha256")
     if spec is None or report.recorded_sha is None:
         raise LedgerError(
             f"run {report.run_id} was recorded without a replayable workload "
@@ -183,71 +186,73 @@ def replay_run(manifest: dict, *, faults=None, engine: str | None = None) -> Rep
         rules = optimizer.get("rules")
         program = optimize_program(program, stats, rules=rules, cache=None).program
 
-    recorded_fp = (manifest.get("program") or {}).get("fingerprint")
-    current_fp = fingerprint_program(program)
-    if recorded_fp is not None and current_fp != recorded_fp:
-        report.divergences.append(
+    replayed_db = error = None
+    with event_stream() as bus:
+        recorder = RunRecorder(bus)
+        try:
+            replayed_db = run_hardened(program, db, engine=run_engine, faults=faults)
+        except ReproError as err:
+            error = err
+        replayed = recorder.finish(
+            workload=label,
+            program=program,
+            engine=run_engine,
+            result_db=replayed_db,
+            error=error,
+            result_bytes_cap=math.inf,
+        )
+    report.elapsed_ms = replayed["elapsed_ms"]
+    report.replayed_sha = (replayed["result"] or {}).get("sha256")
+    report.divergences = _diff_manifests(manifest, replayed, spec)
+    return report
+
+
+def _diff_manifests(recorded: dict, replayed: dict, spec) -> list[Divergence]:
+    """What the replay's manifest does not reproduce of the recording's:
+    program shape, outcome, result and, when recorded, the op trace."""
+    divergences: list[Divergence] = []
+    recorded_fp = (recorded.get("program") or {}).get("fingerprint")
+    replayed_fp = replayed["program"]["fingerprint"]
+    if recorded_fp is not None and replayed_fp != recorded_fp:
+        divergences.append(
             Divergence(
                 "program_drift",
                 f"workload {spec!r} now compiles to a different normalized "
                 "program shape",
                 recorded=recorded_fp,
-                replayed=current_fp,
+                replayed=replayed_fp,
             )
         )
-
-    started = time.perf_counter()
-    op_sequence: list[list] = []
-    replayed_db = None
-    with event_stream() as bus:
-        def _collect(event):
-            if event.kind == "span_finish" and event.data.get("ok", True):
-                op_sequence.append(
-                    [
-                        str(event.data.get("op", "?")),
-                        int(event.data.get("rows_out", 0) or 0),
-                    ]
-                )
-
-        bus.attach(_collect)
-        try:
-            replayed_db = run_hardened(program, db, engine=run_engine, faults=faults)
-        except ReproError as err:
-            report.divergences.append(
-                Divergence(
-                    "replay_error",
-                    "the replay raised where the recording finished",
-                    recorded=(manifest.get("outcome") or {}).get("status"),
-                    replayed=f"{type(err).__name__}: {err}",
-                )
+    outcome = replayed["outcome"]
+    if outcome["status"] != "ok":
+        divergences.append(
+            Divergence(
+                "replay_error",
+                "the replay raised where the recording finished",
+                recorded=(recorded.get("outcome") or {}).get("status"),
+                replayed=f"{outcome['error_type']}: {outcome['error']}",
             )
-    report.elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)
-
-    if replayed_db is not None:
-        digest, tables, rows, data = database_digest(replayed_db)
-        report.replayed_sha = digest
-        if digest != report.recorded_sha:
-            report.divergences.append(
-                Divergence(
-                    "result_digest",
-                    "serialized result databases differ",
-                    recorded=report.recorded_sha,
-                    replayed=digest,
-                )
+        )
+    result = replayed["result"]
+    if result is None:
+        return divergences
+    recorded_result = recorded.get("result") or {}
+    if result["sha256"] != recorded_result.get("sha256"):
+        divergences.append(
+            Divergence(
+                "result_digest",
+                "serialized result databases differ",
+                recorded=recorded_result.get("sha256"),
+                replayed=result["sha256"],
             )
-            recorded_data = result.get("data")
-            if recorded_data is not None:
-                report.divergences.extend(_diff_databases(recorded_data, data))
-        recorded_ops = manifest.get("op_sequence")
-        if recorded_ops is not None:
-            divergence = _diff_op_sequences(
-                list(map(list, recorded_ops)),
-                op_sequence,
-                int((manifest.get("events") or {}).get("dropped") or 0),
-            )
-            if divergence is not None:
-                report.divergences.append(divergence)
-    return report
+        )
+        if recorded_result.get("data") is not None:
+            divergences.extend(_diff_databases(recorded_result["data"], result["data"]))
+    if recorded.get("op_sequence") is not None:
+        divergence = _diff_op_sequences(recorded, replayed)
+        if divergence is not None:
+            divergences.append(divergence)
+    return divergences
 
 
 def _diff_databases(recorded: list, replayed: list) -> list[Divergence]:
@@ -294,31 +299,30 @@ def _diff_databases(recorded: list, replayed: list) -> list[Divergence]:
     return divergences
 
 
-def _diff_op_sequences(
-    recorded: list, replayed: list, dropped: int
-) -> Divergence | None:
-    """The first difference between a recorded op trace and its replay.
+def _diff_op_sequences(recorded: dict, replayed: dict) -> Divergence | None:
+    """The first difference between two manifests' op traces.
 
     A manifest keeps the head of a long trace and counts the records it
-    did not keep (``events.dropped``), so the kept head is compared op
+    did not keep (``events.dropped``), so the kept heads are compared op
     by op and the full lengths by count.
     """
-    for position, (old, new) in enumerate(zip(recorded, replayed)):
-        if old != new:
+    for position, (old, new) in enumerate(
+        zip(recorded["op_sequence"], replayed["op_sequence"])
+    ):
+        if list(old) != new:
             return Divergence(
                 "op_sequence",
                 f"op trace diverges at dispatch #{position}",
-                recorded=old,
+                recorded=list(old),
                 replayed=new,
             )
-    if len(recorded) + dropped == len(replayed):
-        return None
-    return Divergence(
-        "op_sequence",
-        "op trace lengths differ",
-        recorded=len(recorded) + dropped,
-        replayed=len(replayed),
+    old, new = (
+        len(manifest["op_sequence"]) + int((manifest.get("events") or {}).get("dropped") or 0)
+        for manifest in (recorded, replayed)
     )
+    if old == new:
+        return None
+    return Divergence("op_sequence", "op trace lengths differ", recorded=old, replayed=new)
 
 
 def replay_from_ledger(

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..core import Symbol, Table, TabularDatabase
-from ..core.errors import StatsError
+from ..core.errors import CheckpointError, StatsError
 
 __all__ = [
     "STATS_SCHEMA_VERSION",
@@ -374,20 +374,21 @@ def validate_stats_data(data: object) -> list[str]:
 def database_fingerprint(db: TabularDatabase) -> str:
     """A stable content digest of one database (staleness detection).
 
-    Uses the checkpoint module's canonical JSON encoding, so two equal
-    databases — regardless of construction order — fingerprint equally.
+    The first 16 hex digits of the run ledger's
+    :func:`~repro.obs.ledger.database_digest`, so two equal databases —
+    regardless of construction order — fingerprint equally.
     """
-    import hashlib
-
-    from ..runtime.checkpoint import database_to_data
+    from .ledger import database_digest
 
     try:
-        payload = json.dumps(database_to_data(db), sort_keys=True)
-    except Exception:
+        return database_digest(db)[0][:16]
+    except CheckpointError:
         # Exotic payloads the checkpoint encoder refuses still get a
         # (repr-based) fingerprint: ANALYZE must accept what ran.
+        import hashlib
+
         payload = repr([t.grid for t in db.tables])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def _column_stats_from_counts(

@@ -35,6 +35,7 @@ from .stats import STATS_SCHEMA_VERSION, analyze_database
 __all__ = [
     "normalize_program",
     "fingerprint_program",
+    "program_identity",
     "stats_audit",
     "DEFAULT_AUDIT_SEEDS",
 ]
@@ -91,6 +92,16 @@ def fingerprint_program(program) -> str:
     """A 16-hex-digit digest of the normalized program."""
     normalized = normalize_program(program)
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+
+
+def program_identity(program, workload: str) -> tuple[str, str]:
+    """``(normalized, fingerprint)``: how a run record and the breaker name
+    ``program``; one the normalizer cannot walk is named by ``workload``."""
+    try:
+        normalized = normalize_program(program)
+    except Exception:
+        normalized = workload
+    return normalized, hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ the interpreter and the TA compiler consume.
 
 from __future__ import annotations
 
-from typing import Iterable
+import operator
+from typing import Callable, Iterable
 
 from ..core import SchemaError, Symbol, coerce_symbol
 from .relation import Relation, RelationalDatabase
@@ -33,7 +34,11 @@ __all__ = [
 
 
 class Expr:
-    """Abstract base of relational algebra expressions."""
+    """Abstract base of relational algebra expressions.
+
+    A leaf defines :meth:`schema`; an operator defines :meth:`output`, its
+    typing rule over its operands' schemas.
+    """
 
     def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
         """The output schema against ``db`` (validates the expression).
@@ -43,6 +48,23 @@ class Expr:
         typing (:mod:`repro.relational.compile_ta`): the compiler calls it
         over a database of empty relations, one per name in scope, so a
         compiled program is rejected exactly where native evaluation is.
+        """
+        return self.typed(db)
+
+    def typed(self, db: RelationalDatabase, joins: dict | None = None) -> tuple[str, ...]:
+        """:meth:`schema`, typing each subexpression once, bottom up.
+
+        ``joins``, when given, receives each join's operand schemas under
+        the join's ``id``: the compiler expands a join from them instead of
+        typing its operands again.
+        """
+        return self.schema(db)
+
+    def output(self, *schemas: tuple[str, ...]) -> tuple[str, ...]:
+        """The output schema given the operands' ``schemas``.
+
+        Raises :class:`~repro.core.SchemaError` where :meth:`evaluate`
+        would on operands of those schemas.
         """
         raise NotImplementedError
 
@@ -100,66 +122,56 @@ class _Binary(Expr):
         self.left = left
         self.right = right
 
+    def typed(self, db: RelationalDatabase, joins: dict | None = None) -> tuple[str, ...]:
+        return self.output(self.left.typed(db, joins), self.right.typed(db, joins))
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.symbol} {self.right!r})"
 
 
-def _require_union_compatible(left: Relation, right: Relation) -> None:
-    if left.schema != right.schema:
-        raise SchemaError(
-            f"union-incompatible schemas {left.schema} vs {right.schema}"
-        )
+class _Unary(Expr):
+    inner: Expr
+
+    def typed(self, db: RelationalDatabase, joins: dict | None = None) -> tuple[str, ...]:
+        return self.output(self.inner.typed(db, joins))
 
 
-class Union(_Binary):
+class _SetOperation(_Binary):
+    """A set operation over union-compatible relations."""
+
+    combine: Callable[[frozenset, frozenset], frozenset]
+
+    def output(self, left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
+        if left != right:
+            raise SchemaError(f"union-incompatible schemas {left} vs {right}")
+        return left
+
+    def evaluate(self, db: RelationalDatabase) -> Relation:
+        left = self.left.evaluate(db)
+        right = self.right.evaluate(db)
+        schema = self.output(left.schema, right.schema)
+        return Relation("", schema, self.combine(left.tuples, right.tuples))
+
+
+class Union(_SetOperation):
     """Set union of union-compatible relations."""
 
     symbol = "∪"
-
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        left = self.left.schema(db)
-        if left != self.right.schema(db):
-            raise SchemaError("union-incompatible schemas")
-        return left
-
-    def evaluate(self, db: RelationalDatabase) -> Relation:
-        left = self.left.evaluate(db)
-        right = self.right.evaluate(db)
-        _require_union_compatible(left, right)
-        return Relation("", left.schema, left.tuples | right.tuples)
+    combine = staticmethod(operator.or_)
 
 
-class Difference(_Binary):
+class Difference(_SetOperation):
     """Set difference of union-compatible relations."""
 
     symbol = "\\"
-
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        left = self.left.schema(db)
-        if left != self.right.schema(db):
-            raise SchemaError("union-incompatible schemas")
-        return left
-
-    def evaluate(self, db: RelationalDatabase) -> Relation:
-        left = self.left.evaluate(db)
-        right = self.right.evaluate(db)
-        _require_union_compatible(left, right)
-        return Relation("", left.schema, left.tuples - right.tuples)
+    combine = staticmethod(operator.sub)
 
 
-class Intersection(_Binary):
+class Intersection(_SetOperation):
     """Set intersection (derived: ``L \\ (L \\ R)``)."""
 
     symbol = "∩"
-
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        return Difference(self.left, self.right).schema(db)
-
-    def evaluate(self, db: RelationalDatabase) -> Relation:
-        left = self.left.evaluate(db)
-        right = self.right.evaluate(db)
-        _require_union_compatible(left, right)
-        return Relation("", left.schema, left.tuples & right.tuples)
+    combine = staticmethod(operator.and_)
 
 
 class Product(_Binary):
@@ -167,9 +179,7 @@ class Product(_Binary):
 
     symbol = "×"
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        left = self.left.schema(db)
-        right = self.right.schema(db)
+    def output(self, left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
         if set(left) & set(right):
             raise SchemaError(
                 f"product schemas overlap on {sorted(set(left) & set(right))}"
@@ -177,15 +187,16 @@ class Product(_Binary):
         return left + right
 
     def evaluate(self, db: RelationalDatabase) -> Relation:
-        schema = self.schema(db)
         left = self.left.evaluate(db)
         right = self.right.evaluate(db)
         return Relation(
-            "", schema, (l + r for l in left.tuples for r in right.tuples)
+            "",
+            self.output(left.schema, right.schema),
+            (l + r for l in left.tuples for r in right.tuples),
         )
 
 
-class Project(Expr):
+class Project(_Unary):
     """Projection onto a list of attributes (duplicates removed)."""
 
     def __init__(self, inner: Expr, attrs: Iterable[str]):
@@ -194,8 +205,7 @@ class Project(Expr):
         if len(set(self.attrs)) != len(self.attrs):
             raise SchemaError(f"duplicate projection attributes {self.attrs}")
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        inner = self.inner.schema(db)
+    def output(self, inner: tuple[str, ...]) -> tuple[str, ...]:
         missing = [a for a in self.attrs if a not in inner]
         if missing:
             raise SchemaError(f"projection onto unknown attributes {missing}")
@@ -212,7 +222,7 @@ class Project(Expr):
         return f"π[{', '.join(self.attrs)}]({self.inner!r})"
 
 
-class SelectEq(Expr):
+class SelectEq(_Unary):
     """Selection σ_{A=B}."""
 
     def __init__(self, inner: Expr, left: str, right: str):
@@ -220,8 +230,7 @@ class SelectEq(Expr):
         self.left = left
         self.right = right
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        inner = self.inner.schema(db)
+    def output(self, inner: tuple[str, ...]) -> tuple[str, ...]:
         for attr in (self.left, self.right):
             if attr not in inner:
                 raise SchemaError(f"selection on unknown attribute {attr!r}")
@@ -239,7 +248,7 @@ class SelectEq(Expr):
         return f"σ[{self.left}={self.right}]({self.inner!r})"
 
 
-class SelectConst(Expr):
+class SelectConst(_Unary):
     """Selection σ_{A=c} for a constant c."""
 
     def __init__(self, inner: Expr, attr: str, value: object):
@@ -247,8 +256,7 @@ class SelectConst(Expr):
         self.attr = attr
         self.value: Symbol = coerce_symbol(value)
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        inner = self.inner.schema(db)
+    def output(self, inner: tuple[str, ...]) -> tuple[str, ...]:
         if self.attr not in inner:
             raise SchemaError(f"selection on unknown attribute {self.attr!r}")
         return inner
@@ -264,7 +272,7 @@ class SelectConst(Expr):
         return f"σ[{self.attr}={self.value!s}]({self.inner!r})"
 
 
-class RenameAttr(Expr):
+class RenameAttr(_Unary):
     """Attribute renaming ρ_{B←A}."""
 
     def __init__(self, inner: Expr, old: str, new: str):
@@ -272,8 +280,7 @@ class RenameAttr(Expr):
         self.old = old
         self.new = new
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        inner = self.inner.schema(db)
+    def output(self, inner: tuple[str, ...]) -> tuple[str, ...]:
         if self.old not in inner:
             raise SchemaError(f"renaming unknown attribute {self.old!r}")
         renamed = tuple(self.new if a == self.old else a for a in inner)
@@ -283,13 +290,13 @@ class RenameAttr(Expr):
 
     def evaluate(self, db: RelationalDatabase) -> Relation:
         inner = self.inner.evaluate(db)
-        return Relation("", self.schema(db), inner.tuples)
+        return Relation("", self.output(inner.schema), inner.tuples)
 
     def __repr__(self) -> str:
         return f"ρ[{self.new}←{self.old}]({self.inner!r})"
 
 
-class ConstColumn(Expr):
+class ConstColumn(_Unary):
     """Extend every tuple with a constant under a new attribute.
 
     Not part of the classical algebra; it exists so that rule heads with
@@ -302,44 +309,40 @@ class ConstColumn(Expr):
         self.attr = attr
         self.value: Symbol = coerce_symbol(value)
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        inner = self.inner.schema(db)
+    def output(self, inner: tuple[str, ...]) -> tuple[str, ...]:
         if self.attr in inner:
             raise SchemaError(f"attribute {self.attr!r} already present")
         return inner + (self.attr,)
 
     def evaluate(self, db: RelationalDatabase) -> Relation:
-        schema = self.schema(db)
         inner = self.inner.evaluate(db)
-        return Relation("", schema, (row + (self.value,) for row in inner.tuples))
+        return Relation(
+            "", self.output(inner.schema), (row + (self.value,) for row in inner.tuples)
+        )
 
     def __repr__(self) -> str:
         return f"ε[{self.attr}={self.value!s}]({self.inner!r})"
 
 
-class Join(Expr):
+class Join(_Binary):
     """Natural join (derived from product, selection, and projection)."""
 
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
+    symbol = "⋈"
 
-    def expand(self, db: RelationalDatabase) -> Project:
-        """The join as π(σ(left × ρ(right))) over the operand schemas in ``db``.
+    def expand(self, left: tuple[str, ...], right: tuple[str, ...]) -> Project:
+        """The join as π(σ(left × ρ(right))), given the operand schemas.
 
         Each common attribute ``X`` of the right operand is renamed to
         ``__join_X``, selected equal to ``X`` and projected away; the
         projection's attributes are the join's schema.  This is the one
-        expansion: :meth:`schema`, :meth:`evaluate` and the Theorem 4.1
-        compiler all call it.
+        expansion: :meth:`output`, :meth:`evaluate` and the Theorem 4.1
+        compiler all call it, each with operand schemas it already has.
         """
-        left_schema = self.left.schema(db)
-        right_schema = self.right.schema(db)
-        common = [a for a in left_schema if a in right_schema]
+        common = [a for a in left if a in right]
         # The rename and the product below are the expansion's only
         # checks that can fail; make them here, so the join's schema
         # raises where evaluating its expansion would.
-        taken = {f"__join_{a}" for a in common} & {*left_schema, *right_schema}
+        taken = {f"__join_{a}" for a in common} & {*left, *right}
         if taken:
             raise SchemaError(f"natural join's temporaries {sorted(taken)} are in use")
         renamed: Expr = self.right
@@ -348,13 +351,32 @@ class Join(Expr):
         plan: Expr = Product(self.left, renamed)
         for attr in common:
             plan = SelectEq(plan, attr, f"__join_{attr}")
-        return Project(plan, left_schema + tuple(a for a in right_schema if a not in common))
+        return Project(plan, left + tuple(a for a in right if a not in common))
 
-    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
-        return self.expand(db).attrs
+    def output(self, left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
+        return self.expand(left, right).attrs
+
+    def typed(self, db: RelationalDatabase, joins: dict | None = None) -> tuple[str, ...]:
+        operands = (self.left.typed(db, joins), self.right.typed(db, joins))
+        if joins is not None:
+            joins[id(self)] = operands
+        return self.output(*operands)
 
     def evaluate(self, db: RelationalDatabase) -> Relation:
-        return self.expand(db).evaluate(db)
+        left = self.left.evaluate(db)
+        right = self.right.evaluate(db)
+        evaluated = Join(_Evaluated(left), _Evaluated(right))
+        return evaluated.expand(left.schema, right.schema).evaluate(db)
 
-    def __repr__(self) -> str:
-        return f"({self.left!r} ⋈ {self.right!r})"
+
+class _Evaluated(Expr):
+    """An operand already evaluated: what :meth:`Join.evaluate` expands."""
+
+    def __init__(self, relation: Relation):
+        self.relation = relation
+
+    def schema(self, db: RelationalDatabase) -> tuple[str, ...]:
+        return self.relation.schema
+
+    def evaluate(self, db: RelationalDatabase) -> Relation:
+        return self.relation

@@ -30,8 +30,9 @@ empty relations (input schemas are given), so it rejects exactly the
 programs native evaluation rejects.  Each statement's expression is typed
 once, before anything is emitted; natural join compiles through
 :meth:`~repro.relational.algebra.Join.expand`, the expansion evaluation
-uses.  A while body must be schema-stable: typing the body once more,
-from the environment it leaves, must leave that environment unchanged.
+uses, built from the operand schemas typing noted.  A while body
+must be schema-stable: typing the body once more, from the environment
+it leaves, must leave that environment unchanged.
 
 Intermediate results live in reserved ``__fw<i>`` tables; ``outputs``
 restricted comparison ignores them.
@@ -73,6 +74,8 @@ class _Compiler:
         self.env = env
         self.counter = 0
         self.statements: list[Statement] = []
+        #: The statement being compiled: each join's operand schemas, by id.
+        self.joins: dict[int, tuple] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -90,7 +93,8 @@ class _Compiler:
     def compile_expr(self, expr: Expr) -> str:
         """Emit statements computing ``expr``; return the holding table name.
 
-        ``expr`` has been typed against ``self.env`` already.
+        ``expr`` has been typed against ``self.env`` already, its joins'
+        operand schemas noted in ``self.joins``.
         """
         if isinstance(expr, Rel):
             return expr.name
@@ -146,7 +150,7 @@ class _Compiler:
                 {"attr": expr.attr, "value": expr.value},
             )
         if isinstance(expr, Join):
-            return self.compile_expr(expr.expand(self.env))
+            return self.compile_expr(expr.expand(*self.joins[id(expr)]))
         raise EvaluationError(f"cannot compile expression {expr!r}")
 
     # -- statements -------------------------------------------------------
@@ -160,7 +164,8 @@ class _Compiler:
             _require_stable(self.env, statement)
             self.statements.append(While(statement.name, Program(body)))
             return
-        after = _typed(self.env, statement)
+        self.joins = {}
+        after = _typed(self.env, statement, self.joins)
         holder = self.compile_expr(statement.expr)
         if isinstance(statement, AssignNew):
             self.emit(statement.name, "TUPLENEW", [holder], {"attr": statement.id_attr})
@@ -176,8 +181,9 @@ def _environment(schemas: Mapping[str, tuple[str, ...]]) -> RelationalDatabase:
     return RelationalDatabase(Relation(name, schema) for name, schema in schemas.items())
 
 
-def _typed(env: RelationalDatabase, statement: FWStatement) -> RelationalDatabase:
-    """The environment after ``statement``, typing its expression once.
+def _typed(env: RelationalDatabase, statement: FWStatement, joins=None) -> RelationalDatabase:
+    """The environment after ``statement``, typing its expression once
+    (noting its joins' operand schemas in ``joins``).
 
     Raises :class:`~repro.core.SchemaError` where running ``statement``
     natively would; a while loop must also be schema-stable.
@@ -189,7 +195,7 @@ def _typed(env: RelationalDatabase, statement: FWStatement) -> RelationalDatabas
         return env
     if not isinstance(statement, (Assign, AssignNew, AssignSetNew)):
         raise EvaluationError(f"cannot compile statement {statement!r}")
-    schema = statement.expr.schema(env)
+    schema = statement.expr.typed(env, joins)
     if isinstance(statement, (AssignNew, AssignSetNew)):
         attr = statement.id_attr if isinstance(statement, AssignNew) else statement.set_attr
         if attr in schema:

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.database import TabularDatabase
-from ..core.errors import CheckpointError
+from ..core.errors import CheckpointError, outcome_status
 from ..core.symbols import NULL, FreshValueSource, Name, Symbol, TaggedValue, Value
 from ..core.table import Table
 from ..obs import events as _ev
@@ -199,11 +199,12 @@ class CheckpointLog:
     grid.  Holding the table keeps its id from being reused, and holding
     the text lets a new base reuse it, so a table object is encoded once
     while it stays in the database.  ``last`` is the size of the last file
-    written and whether it was a base.
+    written and whether it was a base; ``writes`` and ``bytes_written``
+    count every file the log wrote.
     """
 
     __slots__ = ("chain", "seq", "base_bytes", "delta_bytes", "live", "keys",
-                 "last")
+                 "last", "writes", "bytes_written")
 
     def __init__(self):
         self.chain: str | None = None
@@ -213,6 +214,8 @@ class CheckpointLog:
         self.live: dict[int, tuple[Table, str, str]] = {}
         self.keys = 0
         self.last = (0, False)
+        self.writes = 0
+        self.bytes_written = 0
 
     def write(self, path: Path, checkpoint: Checkpoint) -> Path:
         """Write ``checkpoint`` as the chain's next file; return its path."""
@@ -267,6 +270,8 @@ class CheckpointLog:
             self.delta_bytes += len(payload)
         self.live = live
         self.last = (len(payload), base)
+        self.writes += 1
+        self.bytes_written += len(payload)
         return target
 
 
@@ -385,6 +390,7 @@ def run_hardened(
     resume: bool = False,
     max_while_iterations: int = 10_000,
     engine: str | None = None,
+    log: CheckpointLog | None = None,
 ) -> TabularDatabase:
     """Run a TA program under the governor with checkpoint/resume.
 
@@ -408,6 +414,10 @@ def run_hardened(
       routes operation dispatch through the vectorized kernels; the
       checkpoint fingerprint covers the *planned* program, so a resume
       must use the same engine the original run did.
+
+    ``log``, a fresh :class:`CheckpointLog`, is the one the run writes its
+    chain through; it changes nothing, and afterwards counts the files
+    this run wrote.
     """
     from ..algebra.programs.statements import Interpreter, Program
 
@@ -453,7 +463,8 @@ def run_hardened(
             return db
 
     interp.fresh.advance_past(db.symbols())
-    log = CheckpointLog()
+    if log is None:
+        log = CheckpointLog()
 
     def write(database: TabularDatabase, index: int, body_index: int = 0,
               iteration: int = 0, done: bool = False) -> None:
@@ -505,17 +516,10 @@ def run_hardened(
             # the clean ones, so a ledger recorder can attribute the
             # outcome without being handed the exception out of band.
             if _ev.EVT.active:
-                from ..core.errors import BudgetExceededError, CancelledError
-
-                outcome = (
-                    "killed"
-                    if isinstance(err, (BudgetExceededError, CancelledError))
-                    else "error"
-                )
                 _ev.emit(
                     "run_finish",
                     governor=gov.snapshot(),
-                    outcome=outcome,
+                    outcome=outcome_status(err),
                     error_type=type(err).__name__,
                 )
             raise

@@ -88,6 +88,14 @@ class Limits:
     max_memory_bytes: int | None = None
     max_while_iterations: int | None = None
 
+    def to_json(self) -> dict:
+        """The budgets that are set, by field name.
+
+        The one rendering of a :class:`Limits`: run manifests, ``run_start``
+        records and the ``governed`` boundary all carry it.
+        """
+        return {name: value for name, value in vars(self).items() if value is not None}
+
 
 class ResourceGovernor:
     """Enforces one :class:`Limits` over a governed scope.
@@ -364,19 +372,7 @@ def governed(
     try:
         region = _ev.NO_BOUNDARY
         if _ev.EVT.active:
-            configured = {
-                k: v
-                for k, v in (
-                    ("deadline_s", gov.limits.deadline_s),
-                    ("max_rows_per_op", gov.limits.max_rows_per_op),
-                    ("max_cells_per_op", gov.limits.max_cells_per_op),
-                    ("max_total_rows", gov.limits.max_total_rows),
-                    ("max_memory_bytes", gov.limits.max_memory_bytes),
-                    ("max_while_iterations", gov.limits.max_while_iterations),
-                )
-                if v is not None
-            }
-            region = _ev.Boundary("governed", limits=configured)
+            region = _ev.Boundary("governed", limits=gov.limits.to_json())
         with region as boundary:
             yield gov
             if boundary is not None:

@@ -22,7 +22,9 @@
    probes close it) and failure its failure path (threshold crossings
    open it, persisted as ``breaker`` ledger records); either way the
    run closes with a ledger manifest carrying the full supervision
-   history — no silent partial results.
+   history — no silent partial results.  The manifest is built by a
+   :class:`~repro.obs.ledger.RunRecorder`, the caller's or one the
+   supervisor makes without an event bus.
 
 :meth:`Supervisor.recover` is the crash-recovery half: it scans the
 ledger for runs with a ``run_start`` but no closing record, re-derives
@@ -44,7 +46,6 @@ from pathlib import Path
 
 from ..core.errors import (
     BudgetExceededError,
-    CancelledError,
     CheckpointError,
     LedgerError,
     QuarantinedError,
@@ -53,7 +54,8 @@ from ..core.errors import (
     WorkloadSpecError,
 )
 from ..obs import events as _ev
-from .checkpoint import load_checkpoint, run_hardened
+from ..obs.ledger import RunRecorder, new_run_id
+from .checkpoint import CheckpointLog, load_checkpoint, run_hardened
 from .governor import Limits
 from .policy import (
     BreakerPolicy,
@@ -74,20 +76,15 @@ __all__ = [
 
 
 def workload_fingerprint(program, workload: str = "?") -> str:
-    """The breaker key: the normalized program fingerprint.
+    """The breaker key: the run manifest's program fingerprint.
 
-    Falls back to a digest of the workload label for pipelines the
-    normalizer cannot walk — the breaker then still quarantines by
-    label instead of not at all.
+    For pipelines the normalizer cannot walk it is a digest of the
+    workload label — the breaker then still quarantines by label
+    instead of not at all (:func:`~repro.obs.workload.program_identity`).
     """
-    import hashlib
+    from ..obs.workload import program_identity
 
-    from ..obs.workload import fingerprint_program
-
-    try:
-        return fingerprint_program(program)
-    except Exception:
-        return hashlib.sha256(workload.encode("utf-8")).hexdigest()[:16]
+    return program_identity(program, workload)[1]
 
 
 @dataclass(frozen=True)
@@ -315,10 +312,13 @@ class Supervisor:
 
         Returns a :class:`SupervisedRun` with outcome ``ok`` or
         ``failed``; raises :class:`~repro.core.errors.QuarantinedError`
-        when the breaker refuses admission.  ``recorder`` (a
-        :class:`~repro.obs.ledger.RunRecorder`) takes over manifest
-        writing when the caller already folds the event bus; otherwise
-        the supervisor writes its own compact manifest to ``ledger``.
+        when the breaker refuses admission.  The closing manifest is
+        built by ``recorder``, a :class:`~repro.obs.ledger.RunRecorder`
+        the caller feeds from its event bus; without one, a supervisor
+        with a ledger builds a recorder with no bus, so the manifest
+        holds the program, outcome, result, limits, supervision history
+        and the checkpoint totals its attempts' chains counted, and
+        null for what only events show (spans, op trace, estimates).
         """
         policy = self.policy
         fingerprint = workload_fingerprint(program, workload)
@@ -328,12 +328,11 @@ class Supervisor:
             self.stats.quarantined += 1
             raise
 
+        if recorder is None and self.ledger is not None:
+            recorder = RunRecorder(ledger=self.ledger, run_id=run_id)
         if run_id is None:
-            run_id = (
-                recorder.run_id
-                if recorder is not None
-                else _new_run_id()
-            )
+            run_id = recorder.run_id if recorder is not None else new_run_id()
+        limits = limits if limits is not None else Limits()
         run = SupervisedRun(
             run_id=run_id,
             workload=workload,
@@ -354,7 +353,7 @@ class Supervisor:
                     "checkpoint": (
                         str(checkpoint_path) if checkpoint_path is not None else None
                     ),
-                    "limits": _limits_json(limits),
+                    "limits": limits.to_json(),
                 }
             )
 
@@ -365,6 +364,7 @@ class Supervisor:
         attempt = 0
         result = None
         terminal: BaseException | None = None
+        checkpoint_writes = checkpoint_bytes = 0
         while True:
             attempt += 1
             remaining = None
@@ -397,6 +397,7 @@ class Supervisor:
             )
             fresh_restart = False
             scope = _ShedScopes() if shed_now else _NullScope()
+            log = CheckpointLog()
             try:
                 with scope:
                     result = run_hardened(
@@ -408,6 +409,7 @@ class Supervisor:
                         resume=resume_now,
                         engine=engine_now,
                         max_while_iterations=max_while_iterations,
+                        log=log,
                     )
                 run.attempts.append(
                     AttemptRecord(
@@ -484,6 +486,11 @@ class Supervisor:
                 if backoff > 0.0:
                     self.stats.backoff_s_total += backoff
                     self.sleep(backoff)
+            finally:
+                # Keep the counts only: a log holds its chain's encoded tables.
+                checkpoint_writes += log.writes
+                checkpoint_bytes += log.bytes_written
+                del log
 
         run.engine = engine_now
         run.elapsed_s = round(self.clock() - started, 6)
@@ -518,29 +525,14 @@ class Supervisor:
             run.error = terminal
             self.breaker.record_failure(fingerprint)
 
-        self._close(
-            run, spec=spec, limits=limits, recorder=recorder, optimizer=optimizer
-        )
-        return run
-
-    def _note_degrade(self, run: SupervisedRun, mode: str, from_, to) -> None:
-        if mode == "engine":
-            run.degraded = True
-        self.stats.count_degraded(mode)
-        if _ev.EVT.active:
-            _ev.emit("engine_degraded", mode=mode, **{"from": from_, "to": to})
-
-    def _close(
-        self, run: SupervisedRun, *, spec, limits, recorder, optimizer=None
-    ) -> None:
-        """Journal the definitive outcome (manifest + supervision block)."""
         if recorder is not None:
             recorder.finish(
-                workload=run.workload,
+                workload=workload,
+                program=program,
                 engine=run.engine,
                 result_db=run.result,
                 error=run.error,
-                limits=_limits_json(limits),
+                limits=limits,
                 attempts=len(run.attempts),
                 kills=[
                     a.error
@@ -550,47 +542,20 @@ class Supervisor:
                 replay_spec=spec,
                 supervisor=run.history(),
                 optimizer=optimizer,
+                checkpoint_totals=(
+                    str(checkpoint_path) if checkpoint_writes else None,
+                    checkpoint_writes,
+                    checkpoint_bytes,
+                ),
             )
-            return
-        if self.ledger is None:
-            return
-        from ..obs.ledger import result_block
+        return run
 
-        if run.error is None:
-            status = "ok"
-        elif isinstance(run.error, (BudgetExceededError, CancelledError)):
-            status = "killed"
-        else:
-            status = "error"
-        outcome: dict = {"status": status, "attempts": len(run.attempts)}
-        if run.error is not None:
-            outcome["error_type"] = type(run.error).__name__
-            outcome["error"] = str(run.error)
-        result = None
-        if run.result is not None:
-            result = result_block(run.result, self.ledger.result_bytes_cap)
-        self.ledger.record(
-            {
-                "run_id": run.run_id,
-                "ts": round(time.time(), 3),
-                "workload": {
-                    "label": run.workload,
-                    "spec": spec,
-                    "replayable": spec is not None and result is not None,
-                },
-                "program": {
-                    "repr": None,
-                    "normalized": None,
-                    "fingerprint": run.fingerprint,
-                },
-                "engine": run.engine,
-                "limits": _limits_json(limits),
-                "outcome": outcome,
-                "elapsed_ms": round(run.elapsed_s * 1e3, 3),
-                "result": result,
-                "supervisor": run.history(),
-            }
-        )
+    def _note_degrade(self, run: SupervisedRun, mode: str, from_, to) -> None:
+        if mode == "engine":
+            run.degraded = True
+        self.stats.count_degraded(mode)
+        if _ev.EVT.active:
+            _ev.emit("engine_degraded", mode=mode, **{"from": from_, "to": to})
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -700,21 +665,3 @@ class _NullScope:
     def __exit__(self, *exc):
         return False
 
-
-def _new_run_id() -> str:
-    from ..obs.ledger import new_run_id
-
-    return new_run_id()
-
-
-def _limits_json(limits: Limits | None) -> dict | None:
-    if limits is None:
-        return None
-    return {
-        "deadline_s": limits.deadline_s,
-        "max_rows_per_op": limits.max_rows_per_op,
-        "max_cells_per_op": limits.max_cells_per_op,
-        "max_total_rows": limits.max_total_rows,
-        "max_memory_bytes": limits.max_memory_bytes,
-        "max_while_iterations": limits.max_while_iterations,
-    }

@@ -171,6 +171,17 @@ class TestFingerprint:
             sales_info2()
         )
 
+    def test_is_the_ledger_digest_prefix(self):
+        from repro.obs.ledger import database_digest
+
+        assert database_fingerprint(sales_info1()) == database_digest(sales_info1())[0][:16]
+
+    def test_payload_the_checkpoint_codec_refuses(self):
+        from repro.core import TabularDatabase, Value
+
+        db = TabularDatabase([make_table("R", ["A"], [[Value(("not", "json"))]])])
+        assert len(database_fingerprint(db)) == 16
+
     def test_lookup_by_name_and_shape(self):
         stats = analyze_database(sales_info1())
         assert stats.lookup("Sales", 8, 3) is stats.tables[0]

@@ -380,3 +380,25 @@ class TestTypingCost:
         compile_program(FWProgram([Assign("Out", chain)]), SCHEMAS)
         assert len(schema_calls) == 65
         assert max(schema_calls.values()) <= 2
+
+    def test_nested_joins(self, schema_calls):
+        """16 nested joins over 17 relations: each join expands from its
+        operands' schemas, so no join types its operands again."""
+        schemas = {f"R{i}": (f"A{i}", f"A{i + 1}") for i in range(17)}
+        chain = Rel("R0")
+        for i in range(1, 17):
+            chain = Join(chain, Rel(f"R{i}"))
+        program = compile_program(FWProgram([Assign("Out", chain)]), schemas)
+        assert len(schema_calls) == 17
+        assert max(schema_calls.values()) <= 2
+
+        schema_calls.clear()
+        db = RelationalDatabase(
+            Relation(name, schema, [(0, 0), (1, 1)]) for name, schema in schemas.items()
+        )
+        native = chain.evaluate(db)
+        assert max(schema_calls.values(), default=0) <= 2
+        assert native.schema == tuple(f"A{i}" for i in range(18))
+        assert native.tuples == Relation("", native.schema, [(0,) * 18, (1,) * 18]).tuples
+        out = program.run(relational_to_tabular(db))
+        assert table_to_relation(out.tables_named("Out")[0]).tuples == native.tuples

@@ -1,5 +1,8 @@
 """The supervisor: retry loops, degradation, quarantine, crash recovery."""
 
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
 from repro.core.errors import (
@@ -11,7 +14,8 @@ from repro.core.errors import (
     VerificationError,
 )
 from repro.obs.events import RingSubscriber, event_stream
-from repro.obs.ledger import RunLedger, new_run_id
+from repro.__main__ import main
+from repro.obs.ledger import RunLedger, RunRecorder, new_run_id
 from repro.runtime import FaultPlan, FaultRule, Limits, run_hardened
 from repro.runtime.policy import BreakerPolicy, RetryPolicy
 from repro.runtime.supervisor import Supervisor, workload_fingerprint
@@ -248,6 +252,110 @@ class TestLedgerIntegration:
         assert manifest["result"] is None
 
 
+def run_cli(*args):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(list(args))
+    return code, buffer.getvalue()
+
+
+#: What a supervised record holds whether or not its recorder had a bus.
+RECORD_FACTS = (
+    "program", "outcome", "result", "limits",
+    "checkpoint", "checkpoint_writes", "checkpoint_bytes",
+)
+
+#: What only the event bus shows: null in a record that folded no events.
+EVENT_FACTS = ("spans", "op_sequence", "estimates", "fallbacks", "while_iterations")
+
+
+class TestOneRecord:
+    """Every supervised manifest is built by ``RunRecorder``: the caller's,
+    fed by its event bus, or else one the supervisor makes without a bus."""
+
+    def _submit(self, tmp_path, name, bus=None):
+        """``tc:6`` with a checkpoint and one injected DIFFERENCE fault."""
+        label, program, db = tc()
+        ledger = RunLedger(tmp_path / name)
+        recorder = None if bus is None else RunRecorder(bus, ledger)
+        run = Supervisor(
+            RetryPolicy(max_attempts=3, jitter=0.0), ledger=ledger, **NO_SLEEP
+        ).submit(
+            program, db, workload=label, spec=label,
+            limits=Limits(max_while_iterations=50), faults=one_shot_fault(),
+            checkpoint_path=tmp_path / "ck.json", recorder=recorder,
+        )
+        assert run.ok and len(run.attempts) == 2
+        return ledger.get(run.run_id), run
+
+    def test_bus_fed_and_bus_less_records_agree(self, tmp_path):
+        writes = []
+        with event_stream() as bus:
+            bus.attach(
+                lambda event: writes.append(event.data["bytes"])
+                if event.kind == "checkpoint_write" else None
+            )
+            fed, _run = self._submit(tmp_path, "fed", bus)
+        bare, _run = self._submit(tmp_path, "bare")
+        for key in RECORD_FACTS:
+            assert fed[key] == bare[key], key
+        assert bare["program"]["repr"] == repr(tc()[1])
+        assert bare["limits"] == {"max_while_iterations": 50}
+        assert bare["outcome"]["status"] == "ok" and bare["outcome"]["attempts"] == 2
+        # Summed over both attempts' chains, as the events count them.
+        assert bare["checkpoint"] == str(tmp_path / "ck.json")
+        assert bare["checkpoint_writes"] == len(writes) > 0
+        assert bare["checkpoint_bytes"] == sum(writes)
+        for key in EVENT_FACTS:
+            assert fed[key] is not None and bare[key] is None, key
+        assert bare["events"] is None
+
+    def test_bus_less_record_reads_as_not_observed(self, tmp_path):
+        bare, _run = self._submit(tmp_path, "bare")
+        ledger = RunLedger(tmp_path / "bare")
+        (row,) = ledger.runs()
+        assert (row["ops"], row["fallbacks"], row["q_mean"]) == (0, 0, None)
+        assert row["dropped_events"] is None
+        (aggregate,) = ledger.aggregates()
+        assert aggregate["fallback_rate"] == 0.0
+        assert aggregate["q_error_mean"] is None
+        directory = str(tmp_path / "bare")
+        assert run_cli("history", "--ledger", directory)[0] == 0
+        assert run_cli("history", "--ledger", directory, "--aggregates")[0] == 0
+        assert run_cli("sentinel", "--ledger", directory)[0] == 3
+
+    def test_bus_less_record_replays(self, tmp_path):
+        bare, _run = self._submit(tmp_path, "bare")
+        directory = str(tmp_path / "bare")
+        code, output = run_cli("replay", bare["run_id"], "--ledger", directory)
+        assert code == 0 and "identical" in output, output
+        code, output = run_cli(
+            "replay", bare["run_id"], "--ledger", directory, "--inject-fault", "7"
+        )
+        assert code == 1 and "DIVERGED" in output, output
+
+    def test_breaker_key_is_the_program_fingerprint(self, tmp_path):
+        bare, run = self._submit(tmp_path, "bare")
+        assert run.fingerprint == bare["program"]["fingerprint"]
+        ledger = RunLedger(tmp_path / "other")
+        run = Supervisor(RetryPolicy(max_attempts=1), ledger=ledger, **NO_SLEEP).submit(
+            object(), tc()[2], workload="custom:workload"
+        )
+        assert not run.ok
+        program = ledger.get(run.run_id)["program"]
+        assert program["fingerprint"] == run.fingerprint
+        assert run.fingerprint == workload_fingerprint(object(), "custom:workload")
+        assert program["normalized"] == "custom:workload"
+
+    def test_bus_less_recording_publishes_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a recorder without a bus published an event")
+
+        monkeypatch.setattr("repro.obs.events.emit", refuse)
+        bare, _run = self._submit(tmp_path, "bare")
+        assert bare["outcome"]["status"] == "ok"
+
+
 class TestRecover:
     def _crash(self, ledger, tmp_path, nodes=10, spec=True, checkpoint=True):
         """Simulate a process dying mid-run: a ``run_start`` with no
@@ -290,6 +398,8 @@ class TestRecover:
         manifest = ledger.get(run_id)
         assert manifest["outcome"]["status"] == "ok"
         assert manifest["supervisor"]["recovered"] is True
+        assert manifest["program"]["repr"] == repr(program)
+        assert manifest["checkpoint_writes"] > 0
         assert supervisor.stats.recovery == {"resumed": 1}
         assert supervisor.last_run.result == program.run(db)
 
