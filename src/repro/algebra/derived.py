@@ -46,6 +46,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from ..core import NULL, Null, Symbol, Table, strip_null
+from ..core.table import _from_checked
 from ..obs import runtime as _obs
 from .opshelpers import as_attr_set, as_attr_symbol, combine_row_attributes
 from .redundancy import cleanup, purge
@@ -111,7 +112,7 @@ def deduplicate(table: Table, name: object | None = None) -> Table:
             grid.append(row)
         elif j == i:
             grid.append(tuple(NULL if e.is_null else e for e in row))
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def deduplicate_columns(table: Table, name: object | None = None) -> Table:
@@ -146,7 +147,7 @@ def classical_union(rho: Table, sigma: Table, name: object | None = None) -> Tab
     rows = aligned_rows(rho, sigma)
     if rows is None or _obs.OBS.lineage is not None:
         return _named(deduplicate(deduplicate_columns(union(rho, sigma))), name)
-    return _named(deduplicate(Table(_null_constant([*rho.grid, *rows]))), name)
+    return _named(deduplicate(_from_checked(_null_constant([*rho.grid, *rows]))), name)
 
 
 def _null_constant(grid: list[tuple[Symbol, ...]]) -> list[tuple[Symbol, ...]]:
@@ -220,7 +221,7 @@ def _equi_join(
         for right in matches.get(rho_key(left), ()):
             attr = combine_row_attributes(left[0], right[0])
             grid.append((attr,) + left[1:] + right[1:])
-    return Table(grid)
+    return _from_checked(grid)
 
 
 def _entry_set(cols: list[int]) -> Callable[[tuple[Symbol, ...]], frozenset[Symbol]]:
@@ -243,9 +244,11 @@ def const_column(
     """
     from ..core import coerce_symbol
 
-    column: list[Symbol] = [as_attr_symbol(attr)]
-    column += [coerce_symbol(value)] * table.height
-    return _named(table.append_columns([column]), name)
+    header, *rows = table.grid
+    grid = [header + (as_attr_symbol(attr),)]
+    cell = coerce_symbol(value)
+    grid += [row + (cell,) for row in rows]
+    return _named(_from_checked(grid), name)
 
 
 def drop_all_null_rows(table: Table, attr: object, name: object | None = None) -> Table:
@@ -264,7 +267,7 @@ def drop_all_null_rows(table: Table, attr: object, name: object | None = None) -
     grid = table.grid
     kept = [grid[0]]
     kept += (row for row in grid[1:] if any(not row[j].is_null for j in cols))
-    return _named(Table(kept), name)
+    return _named(_from_checked(kept), name)
 
 
 def group_compact(table: Table, by: object, on: object, name: object | None = None) -> Table:

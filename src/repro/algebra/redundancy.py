@@ -20,6 +20,7 @@ decision forced by the figures — see DESIGN.md, Section 3, decision 9.
 from __future__ import annotations
 
 from ..core import NULL, Symbol, Table
+from ..core.table import _from_checked
 from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import as_attr_set, as_attr_symbol, columns_with_attr_in
@@ -107,7 +108,7 @@ def cleanup(table: Table, by: object, on: object, name: object | None = None) ->
 
     grid = [rows[0]]
     grid += (replacement.get(i, rows[i]) for i in table.data_row_indices() if i not in skip)
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def purge(table: Table, on: object, by: object, name: object | None = None) -> Table:

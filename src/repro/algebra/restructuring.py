@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core import NULL, Symbol, Table
+from ..core.table import _from_checked
 from .opshelpers import as_attr_set, as_attr_symbol, columns_with_attr_in, require
 from .traditional import union
 
@@ -99,7 +100,7 @@ def group(table: Table, by: object, on: object, name: object | None = None) -> T
             + pad[start + block_width:]
         )
 
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def segment_blocks(table: Table, on_cols: Sequence[int]) -> list[list[int]]:
@@ -191,7 +192,7 @@ def merge(table: Table, on: object, by: object, name: object | None = None) -> T
             ]
             grid.append(row)
 
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def split(table: Table, on: object, name: object | None = None) -> tuple[Table, ...]:
@@ -227,7 +228,7 @@ def split(table: Table, on: object, name: object | None = None) -> tuple[Table, 
             grid.append([table.entry(0, c)] + [value] * len(rest_cols))
         for i in members[key]:
             grid.append([table.entry(i, 0)] + [table.entry(i, j) for j in rest_cols])
-        tables.append(Table(grid))
+        tables.append(_from_checked(grid))
     return tuple(tables)
 
 

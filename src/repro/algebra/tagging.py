@@ -15,6 +15,7 @@ freshness is global (see DESIGN.md decision 14).
 from __future__ import annotations
 
 from ..core import FreshValueSource, LimitExceededError, Symbol, Table
+from ..core.table import _from_checked
 from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import as_attr_symbol
@@ -50,7 +51,8 @@ def tuplenew(
         column += [src.fresh() for _ in table.data_row_indices()]
     else:
         column += [derived_from(src.fresh(), table.row(i)) for i in table.data_row_indices()]
-    return _named(table.append_columns([column]), name)
+    grid = [row + (entry,) for row, entry in zip(table.grid, column)]
+    return _named(_from_checked(grid), name)
 
 
 def setnew(
@@ -95,4 +97,4 @@ def setnew(
             )
         for i in members:
             grid.append(list(table.row(i)) + [tag])
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)

@@ -22,6 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..core import NULL, Null, Symbol, Table
+from ..core.table import _from_checked
 from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
 from .opshelpers import (
@@ -64,7 +65,7 @@ def union(rho: Table, sigma: Table, name: object | None = None) -> Table:
     for k in sigma.data_row_indices():
         row = sigma.row(k)
         grid.append((row[0],) + right_pad + row[1:])
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def _mutual_subsumption_keys(table: Table) -> Iterator[tuple]:
@@ -152,7 +153,7 @@ def difference(rho: Table, sigma: Table, name: object | None = None) -> Table:
     rows are keyed in ρ's column order (as they are, when the orders
     already match).
     """
-    return _named(Table(_rows_by_key(rho, sigma, keep_present=False)), name)
+    return _named(_from_checked(_rows_by_key(rho, sigma, keep_present=False)), name)
 
 
 def intersection(rho: Table, sigma: Table, name: object | None = None) -> Table:
@@ -165,7 +166,7 @@ def intersection(rho: Table, sigma: Table, name: object | None = None) -> Table:
     itself in ``R \\ S`` and so removes itself, while a ρ row whose key σ
     has meets no row of ``R \\ S`` with that key.
     """
-    return _named(Table(_rows_by_key(rho, sigma, keep_present=True)), name)
+    return _named(_from_checked(_rows_by_key(rho, sigma, keep_present=True)), name)
 
 
 def product(rho: Table, sigma: Table, name: object | None = None) -> Table:
@@ -198,7 +199,7 @@ def product(rho: Table, sigma: Table, name: object | None = None) -> Table:
                 attr = combine_row_attributes(left[0], right[0])
                 attr = derived_from(attr, left + right)
                 grid.append((attr,) + left[1:] + right[1:])
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def rename(table: Table, old: object, new: object, name: object | None = None) -> Table:
@@ -216,7 +217,7 @@ def rename(table: Table, old: object, new: object, name: object | None = None) -
         if header[j] == old_sym:
             header[j] = new_sym if lin is None else derived_from(new_sym, (header[j],))
     grid = [tuple(header)] + [table.row(i) for i in table.data_row_indices()]
-    return _named(Table(grid), name)
+    return _named(_from_checked(grid), name)
 
 
 def project(table: Table, attrs: object, name: object | None = None) -> Table:
@@ -244,7 +245,7 @@ def select(table: Table, left: object, right: object, name: object | None = None
     for i in table.data_row_indices():
         if weakly_equal(table.row_entry_set(i, a), table.row_entry_set(i, b)):
             kept.append(table.row(i))
-    return _named(Table(kept), name)
+    return _named(_from_checked(kept), name)
 
 
 def select_constant(
@@ -265,4 +266,4 @@ def select_constant(
     for i in table.data_row_indices():
         if weakly_equal(table.row_entry_set(i, a), {v}):
             kept.append(table.row(i))
-    return _named(Table(kept), name)
+    return _named(_from_checked(kept), name)

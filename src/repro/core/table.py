@@ -62,12 +62,28 @@ def _freeze_grid(rows: Iterable[Iterable[Symbol]]) -> tuple[tuple[Symbol, ...], 
     return grid
 
 
-def _from_checked(grid: tuple[tuple[Symbol, ...], ...]) -> "Table":
-    """A table over ``grid`` without checking it again.
+def _from_checked(rows: Iterable[Iterable[Symbol]]) -> "Table":
+    """A table over ``rows`` whose entries are known to be symbols.
 
-    Only for a grid that rearranges the entries of a checked one (plus,
-    in :meth:`Table.with_name`, one entry checked by the caller).
+    The constructor for every grid an operation assembles.  A table is a
+    total mapping into 𝒮 (Section 2), and an operation fills its result
+    only with its arguments' entries, ⊥, attribute or constant
+    parameters coerced to symbols, lineage copies and new values, so the
+    result is a table over 𝒮 by construction and its entries are not
+    checked again.  The rows are frozen into tuples and the shape is
+    checked: one ``len`` per row, against one type test per entry in
+    :class:`Table`'s check.
     """
+    # Through a list, so the grid is allocated at its exact size: a tuple
+    # built from an iterator grows by reallocation, and the tuple free
+    # lists then hold more memory than the grids need.
+    grid = tuple([*map(tuple, rows)])
+    if not grid or not grid[0]:
+        raise SchemaError("a table requires at least the name position (a 1x1 grid)")
+    if len(set(map(len, grid))) != 1:
+        ncols = len(grid[0])
+        i, row = next((i, row) for i, row in enumerate(grid) if len(row) != ncols)
+        raise SchemaError(f"ragged grid: row {i} has {len(row)} entries, expected {ncols}")
     table = object.__new__(Table)
     object.__setattr__(table, "_grid", grid)
     object.__setattr__(table, "_hash", None)
@@ -79,6 +95,11 @@ class Table:
 
     Construct directly from a grid of symbols, or use the convenience
     constructors in :mod:`repro.core.builders` for plain Python data.
+    Construction checks the grid's shape and that every entry is a
+    :class:`Symbol`: this is where entries come in from outside the
+    algebra (builders, file and checkpoint decoding, :meth:`with_entry`,
+    :meth:`map_entries`, …).  Results of the operations are assembled
+    from checked entries and built by :func:`_from_checked` instead.
 
     Indexing follows the paper: row 0 is the attribute row, column 0 is the
     attribute column, and position (0, 0) holds the table name.
@@ -190,7 +211,7 @@ class Table:
         finite index sequences allow.
         """
         try:
-            return Table((self._grid[i][j] for j in cols) for i in rows)
+            return _from_checked((self._grid[i][j] for j in cols) for i in rows)
         except IndexError as exc:
             raise SchemaError(f"subtable index out of range: {exc}") from exc
 
@@ -260,7 +281,7 @@ class Table:
 
         A permutation of a checked grid, so it is not checked again.
         """
-        return _from_checked(tuple(zip(*self._grid)))
+        return _from_checked(zip(*self._grid))
 
     def with_name(self, name: Symbol) -> "Table":
         """A copy whose table-name position holds ``name``.
@@ -273,7 +294,9 @@ class Table:
                 f"grid entry (0,0) is {name!r}, not a Symbol; "
                 "use repro.core.builders for coercing plain Python objects"
             )
-        return _from_checked(((name,) + self._grid[0][1:],) + self._grid[1:])
+        rows = list(self._grid)
+        rows[0] = (name,) + rows[0][1:]
+        return _from_checked(rows)
 
     def with_entry(self, i: int, j: int, symbol: Symbol) -> "Table":
         """A copy with entry (i, j) replaced by ``symbol``."""
@@ -306,7 +329,7 @@ class Table:
         drop = set(indices)
         if 0 in drop:
             raise SchemaError("the attribute row (row 0) cannot be dropped")
-        return Table(row for i, row in enumerate(self._grid) if i not in drop)
+        return _from_checked(row for i, row in enumerate(self._grid) if i not in drop)
 
     def drop_columns(self, indices: Iterable[int]) -> "Table":
         """A copy without the indicated columns (column 0 cannot be dropped)."""
@@ -314,7 +337,7 @@ class Table:
         if 0 in drop:
             raise SchemaError("the attribute column (column 0) cannot be dropped")
         keep = [j for j in range(self.ncols) if j not in drop]
-        return Table(tuple(row[j] for j in keep) for row in self._grid)
+        return _from_checked(tuple(row[j] for j in keep) for row in self._grid)
 
     def map_entries(self, fn: Callable[[Symbol], Symbol]) -> "Table":
         """A copy with ``fn`` applied to every grid entry."""
@@ -343,7 +366,7 @@ class Table:
                 grid = reordered
                 break
             grid = reordered
-        return Table(grid)
+        return _from_checked(grid)
 
     # ------------------------------------------------------------------
     # Equality and hashing

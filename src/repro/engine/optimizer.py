@@ -119,7 +119,15 @@ from ..algebra.programs.params import (
 )
 from ..algebra.programs.registry import OPERATIONS, PARAM_SET, OpSpec
 from ..algebra.programs.statements import Assignment, Program, Statement, While
-from ..core import EvaluationError, Symbol, Table, TabularDatabase, weakly_equal
+from ..core import (
+    EvaluationError,
+    Symbol,
+    Table,
+    TabularDatabase,
+    strip_null,
+    weakly_equal,
+)
+from ..core.table import _from_checked
 from ..obs import events as _ev
 from ..obs import runtime as _obs
 from ..obs.estimator import chain_rows
@@ -736,7 +744,7 @@ def _order_chain(chain: _Chain, stats: DatabaseStats | None) -> OrderDecision:
             cost_chosen += step_cost
         chosen = tuple(chosen_list)
         method = "greedy"
-    est_rows = int(est(frozenset(identity)))
+    est_rows = round(est(frozenset(identity)))
     if cost_syntactic <= cost_chosen or chosen == identity:
         return OrderDecision(
             outcome="syntactic",
@@ -757,18 +765,54 @@ def _order_chain(chain: _Chain, stats: DatabaseStats | None) -> OrderDecision:
     )
 
 
+def _join_keys(
+    tables: Sequence[Table],
+    leaf: int,
+    leaf_pos: list[tuple[int, int]],
+    built_pos: list[tuple[int, int]],
+    at: dict[int, int],
+) -> tuple[Callable[[int], object], Callable[[tuple[int, ...]], object]]:
+    """The hash-join keys of a condition linking the built side to
+    ``leaf``: one of a row index of ``leaf``, one of a built index tuple
+    (its leaf ``l``'s row index at ``at[l]``).
+
+    With one column a side the entry itself is the key, as in
+    PRODUCTSELECT: ``{x} ≈ {y}`` iff ``x == y``, and every ⊥ equals the
+    ⊥ constant, so ``∅ ≈ ∅`` matches too.  Otherwise a key is the
+    ⊥-stripped set of the side's entries under the condition.
+    """
+    if len(leaf_pos) == len(built_pos) == 1:
+        ((_, j),) = leaf_pos
+        ((l, k),) = built_pos
+        leaf_rows, built_rows, slot = tables[leaf].grid, tables[l].grid, at[l]
+        return (lambda i: leaf_rows[i][j]), (lambda tup: built_rows[tup[slot]][k])
+
+    def entries(positions, slots, tup):
+        return strip_null(tables[l].grid[tup[slots[l]]][j] for l, j in positions)
+
+    leaf_slots = {leaf: 0}
+    return (
+        lambda i: entries(leaf_pos, leaf_slots, (i,)),
+        lambda tup: entries(built_pos, at, tup),
+    )
+
+
 class ChainJoin(Statement):
     """A PRODUCT/σ chain evaluated in a cost-chosen leaf order.
 
     Replaces a run of statements that left-fold ``k ≥ 3`` leaves into one
     literal target with interleaved selections.  Per leaf-table
     combination it joins row *indices* in the chosen order (hash joins
-    where a condition links the built side to the new leaf, filters as
-    soon as a condition's columns are all present — sound because the
+    where a condition links the built side to the new leaf, keyed by the
+    entry itself when the condition has one column on each side, as
+    PRODUCTSELECT is, and by the ⊥-stripped entry set otherwise; filters
+    as soon as a condition's columns are all present — sound because the
     conjunctive filters commute), then restores the exact naive result:
     matched index tuples sorted lexicographically equal the nested-loop
     row order, and rows are assembled with columns and the
-    order-sensitive row-attribute fold in *syntactic* leaf order.
+    order-sensitive row-attribute fold in *syntactic* leaf order.  The
+    rows hold only the leaves' checked entries, so the result is built
+    without checking its entries again.
 
     Dispatches through a pseudo registry op (:data:`CHAINJOIN_OP`) so
     events, governor accounting, estimation, and EXPLAIN spans see it
@@ -887,19 +931,13 @@ class ChainJoin(Statement):
                     leaf_pos, built_pos = pos_l, pos_r
                 else:
                     leaf_pos, built_pos = pos_r, pos_l
-                leaf_at = {leaf: 0}
-                buckets: dict[frozenset, list[int]] = {}
+                leaf_key, built_key = _join_keys(tables, leaf, leaf_pos, built_pos, at)
+                buckets: dict[Symbol | frozenset, list[int]] = {}
                 for i in rows:
-                    key = frozenset(
-                        s for s in values(leaf_pos, leaf_at, (i,)) if not s.is_null
-                    )
-                    buckets.setdefault(key, []).append(i)
+                    buckets.setdefault(leaf_key(i), []).append(i)
                 new_tuples = []
                 for tup in tuples:
-                    key = frozenset(
-                        s for s in values(built_pos, at, tup) if not s.is_null
-                    )
-                    for i in buckets.get(key, ()):
+                    for i in buckets.get(built_key(tup), ()):
                         new_tuples.append(tup + (i,))
                 others = [c for c in others if c is not hash_cond]
             else:
@@ -928,7 +966,7 @@ class ChainJoin(Statement):
             for part in parts:
                 row.extend(part[1:])
             grid.append(tuple(row))
-        return Table(grid)
+        return _from_checked(grid)
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:
         if _obs.OBS.lineage is not None:

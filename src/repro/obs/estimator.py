@@ -589,12 +589,12 @@ class CardinalityEstimator:
             # The optimizer's reordered PRODUCT/σ chain, one table per
             # leaf: the formula that chose its order, over every leaf.
             rows = chain_rows([[s] for s in stats], arguments.get("conds", ()))
-            return int(rows(frozenset(range(len(stats)))))
+            return round(rows(frozenset(range(len(stats)))))
         if op == "PRODUCTSELECT":
             # σ_{left≈right}(ρ × σ) is a 2-leaf chain: either attribute
             # may sit in either table.
             cond = (arguments.get("left"), arguments.get("right"), 2)
-            return int(chain_rows([[s1], [stats[1]]], [cond])(frozenset({0, 1})))
+            return round(chain_rows([[s1], [stats[1]]], [cond])(frozenset({0, 1})))
         if op in ("UNION", "COLLAPSE", "COLLAPSECOMPACT"):
             return sum(s.height for s in stats)
         if op == "CLASSICALUNION":

@@ -5,8 +5,8 @@ replay, so its column-wise merge, its tuple-built GROUP and its one-pass
 grid check are pinned here to the per-cell constructions they replaced:
 ``_reference_merge_rows``, ``reference_cleanup`` and ``reference_group``
 read every cell through ``Table.entry``, ``reference_purge`` transposes
-through a fully checked ``Table``, and ``_reference_freeze`` checks a grid
-entry by entry.
+through a fully checked ``Table``, and ``reference_freeze`` (shared with
+``tests/core/test_entry_check.py``) checks a grid entry by entry.
 
 Results must match by ``==``, by the checkpoint encoding's JSON text
 (``==`` cannot tell ``Value(1)`` from ``Value(True)``; the encoding can),
@@ -29,33 +29,17 @@ from repro.algebra import (
     purge,
     union,
 )
-from repro.core import NULL, Name, SchemaError, Symbol, TaggedValue, Table, Value
+from repro.core import NULL, Name, SchemaError, TaggedValue, Table, Value
 from repro.core.table import _SYMBOL_TYPES
 from repro.obs import runtime as obs_runtime
 from repro.obs.lineage import CellRef, derived_from, lineage, with_prov
 from repro.runtime.checkpoint import table_to_data
 
+from grid_reference import reference_freeze
+
 # ----------------------------------------------------------------------
 # The literal definitions
 # ----------------------------------------------------------------------
-
-
-def _reference_freeze(rows):
-    """The grid check entry by entry; returns the error text or None."""
-    grid = tuple(tuple(row) for row in rows)
-    if not grid or not grid[0]:
-        return "a table requires at least the name position (a 1x1 grid)"
-    ncols = len(grid[0])
-    for i, row in enumerate(grid):
-        if len(row) != ncols:
-            return f"ragged grid: row {i} has {len(row)} entries, expected {ncols}"
-        for j, entry in enumerate(row):
-            if not isinstance(entry, Symbol):
-                return (
-                    f"grid entry ({i},{j}) is {entry!r}, not a Symbol; "
-                    "use repro.core.builders for coercing plain Python objects"
-                )
-    return None
 
 
 def _reference_transpose(table):
@@ -381,7 +365,7 @@ def test_grid_check_raises_the_per_entry_text(table, data):
         grid[i] = grid[i][:-1]
     else:
         grid[i] = grid[i] + [NULL]
-    expected = _reference_freeze(grid)
+    expected = reference_freeze(grid)
     if expected is None:  # resizing the only row leaves a table
         assert Table(grid).grid == tuple(map(tuple, grid))
         return

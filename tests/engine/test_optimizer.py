@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.programs.params import Lit, Star
 from repro.algebra.programs.statements import Assignment, Program, While, assign
-from repro.core import EvaluationError, TabularDatabase, attr_symbol, make_table
+from repro.core import NULL, EvaluationError, TabularDatabase, Value, attr_symbol, make_table
 from repro.engine import optimizer
 from repro.engine.optimizer import (
     OPTIMIZER_STATS,
@@ -512,6 +512,82 @@ class TestChainJoin:
         (chain,) = result.program.statements
         return program, chain, db
 
+    # The hash join keys by the entry itself when the condition has one
+    # column on the new leaf and one on the built side, and by the
+    # ⊥-stripped entry set otherwise.  Each case runs the chain in an
+    # order that joins C to A by A0 ≈ C0 and compares it with the source
+    # statements.
+
+    @staticmethod
+    def _three_way(a_rows, c_rows, c_columns=("C0",), b_rows=("b0", "b1")):
+        db = _db(
+            make_table("A", ["A0"], [[v] for v in a_rows]),
+            _base("B", "B0", list(b_rows)),
+            make_table("C", list(c_columns), c_rows),
+        )
+        program = Program(
+            [
+                assign("T", "PRODUCT", "A", "B"),
+                assign("T", "PRODUCT", "T", "C"),
+                assign("T", "SELECT", "T", left="A0", right="C0"),
+            ]
+        )
+        chain = ChainJoin(
+            optimizer._match_chain(program.statements, 0),
+            (0, 2, 1),
+            analyze_database(db),
+        )
+        return program, chain, db
+
+    def _joined(self, program, chain, db):
+        _same(program, Program([chain]), db)
+        (table,) = Program([chain]).run(db).tables_named(attr_symbol("T"))
+        return table
+
+    def test_entry_key_matches_a_nan_object_only_to_itself(self):
+        nan = Value(float("nan"))
+        program, chain, db = self._three_way(
+            [nan, Value(float("nan")), 1], [[nan], [Value(float("nan"))], [1]]
+        )
+        assert chain._stats_fresh([db.tables_named(attr_symbol(n))[0] for n in "ABC"])
+        table = self._joined(program, chain, db)
+        assert table.height == 2 * 2  # nan with itself, 1 with 1
+        assert [row[1] for row in table.grid[1:3]] == [nan, nan]
+
+    def test_entry_key_matches_one_with_true(self):
+        program, chain, db = self._three_way([Value(1), Value(2)], [[Value(True)]])
+        table = self._joined(program, chain, db)
+        assert table.height == 2
+        assert all(row[1].payload == 1 and row[3].payload is True for row in table.grid[1:])
+
+    def test_entry_key_matches_null_with_null(self):
+        from repro.obs.lineage import CellRef, with_prov
+
+        null_copy = with_prov(NULL, frozenset([CellRef(0, 1, 1)]))
+        program, chain, db = self._three_way([NULL, "x"], [[null_copy], ["y"]])
+        table = self._joined(program, chain, db)
+        assert table.height == 2  # ∅ ≈ ∅, once per B row
+
+    def test_two_columns_of_one_attribute_key_by_entry_set(self):
+        program, chain, db = self._three_way(
+            ["x", "y", None],
+            [["x", "x"], ["x", None], ["y", "x"], [None, None]],
+            c_columns=("C0", "C0"),
+        )
+        table = self._joined(program, chain, db)
+        # x ≈ {x}, {x, ⊥}; y ≈ nothing ({x, y} ≠ {y}); ⊥ ≈ {⊥, ⊥}.
+        assert table.height == 3 * 2
+
+    def test_a_stale_combination_joins_in_syntactic_order(self):
+        program, chain, db = self._three_way(["x", "y"], [["x"], ["z"]])
+        grown = db.add(make_table("C", ["C0"], [["y"], ["x"], ["y"]]))
+        (a,), (b,) = (grown.tables_named(attr_symbol(n)) for n in "AB")
+        fresh = [chain._stats_fresh([a, b, c]) for c in grown.tables_named(attr_symbol("C"))]
+        assert sorted(fresh) == [False, True]
+        _same(program, Program([chain]), grown)
+        tables = Program([chain]).run(grown).tables_named(attr_symbol("T"))
+        assert sorted(t.height for t in tables) == [1 * 2, 3 * 2]
+
     def test_stale_stats_fall_back_per_combination(self):
         program, chain, _db_planned = self._optimized_chain()
         # A grown table no longer matches the planning snapshot's shape.
@@ -564,7 +640,7 @@ class TestChainJoin:
     def test_chainjoin_span_carries_the_decisions_estimate(self):
         # One model: the CHAINJOIN op span's est_rows is the estimate
         # the order was chosen by.  At 49 rows the float product lands
-        # just under 49², so an integer copy of the formula disagrees.
+        # just under 49², so the estimate is rounded, not truncated.
         from repro.obs.estimator import estimation
         from repro.obs.runtime import observation
         from repro.runtime.workloads import resolve_workload
@@ -574,6 +650,7 @@ class TestChainJoin:
         result = optimize_program(program, stats, rules=["join-reorder"], cache=None)
         (decision,) = result.decisions
         assert decision.outcome == "reordered"
+        assert decision.est_rows == 2401
         with observation() as obs, estimation(stats):
             result.program.run(db)
         (span,) = [
