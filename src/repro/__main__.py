@@ -78,10 +78,10 @@ Commands:
   exit 1 on format problems;
 * ``engine-report [workload...] [--json]`` — run a corpus (default:
   every TA-program example plus ``tc:8``) under the vector engine and
-  print kernel/fallback attribution: every naive fallback tagged with a
-  machine-readable reason (``no_kernel``, ``lineage_active``,
-  ``kernel_declined``, ``needs_fresh``, ``multi_result``,
-  ``aggregate``); exit 1 unless 100% of fallbacks are attributed;
+  print fallback attribution: the kernel catalogue is empty, so every
+  op runs naive, each run tagged with a machine-readable reason
+  (``no_kernel``, ``needs_fresh``, ``multi_result``, ``aggregate``);
+  exit 1 unless 100% of fallbacks are attributed;
 * ``bench-compare <baseline> <current> [--tolerance X]`` — diff two
   benchmark trajectory files (``BENCH_trajectory.json``); exit 1 when a
   shared benchmark label regressed beyond the tolerance (default 1.5x),
@@ -1405,7 +1405,7 @@ def _engine_report(args: list[str], opts: dict) -> int:
     from .obs.examples import EXAMPLES
 
     # Default corpus: every TA-program example plus the synthetic
-    # transitive-closure fixpoint (while loop + kernel-heavy body).
+    # transitive-closure fixpoint (a while loop with a fused join).
     specs = args or [
         name for name, example in EXAMPLES.items() if example.build is not None
     ] + ["tc:8"]
@@ -1580,7 +1580,7 @@ COMMANDS: dict = {
     "optimize": (_optimize, "cost-based plan optimizer: dump before/after plans"),
     "metrics": (_metrics, "metrics snapshot as JSON or Prometheus text"),
     "prom-lint": (_prom_lint, "validate a Prometheus text payload"),
-    "engine-report": (_engine_report, "vector-engine kernel/fallback attribution"),
+    "engine-report": (_engine_report, "vector-engine fallback attribution"),
     "bench-compare": (_bench_compare, "diff two benchmark trajectories (perf gate)"),
     "run": (_run, "run a workload under the governor with checkpoint/resume"),
     "supervise": (_supervise, "run a workload under the fault-tolerant supervisor"),

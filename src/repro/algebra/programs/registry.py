@@ -192,30 +192,26 @@ class OpSpec:
         kwargs = dict(arguments)
         if self.needs_fresh:
             kwargs["source"] = fresh
+        if not self.aggregate and len(tables) != self.arity:
+            raise EvaluationError(
+                f"{self.name} expects {self.arity} argument table(s), got {len(tables)}"
+            )
+        eng = _engine.ENGINE
+        if eng.active and eng.backend is not None:
+            # The vector backend has no kernel (``KERNELS`` is empty): it
+            # records the naive run below, attributed to a reason.
+            if self.aggregate:
+                reason = "aggregate"
+            elif self.needs_fresh:
+                reason = "needs_fresh"
+            elif self.multi_result:
+                reason = "multi_result"
+            else:
+                reason = "no_kernel"
+            eng.backend.note_fallback(self.name, reason)
         if self.aggregate:
-            eng = _engine.ENGINE
-            if eng.active and eng.backend is not None:
-                eng.backend.note_fallback(self.name, "aggregate")
             result = self.function(list(tables), **kwargs)
         else:
-            if len(tables) != self.arity:
-                raise EvaluationError(
-                    f"{self.name} expects {self.arity} argument table(s), got {len(tables)}"
-                )
-            eng = _engine.ENGINE
-            if eng.active and eng.backend is not None:
-                if self.needs_fresh:
-                    eng.backend.note_fallback(self.name, "needs_fresh")
-                elif self.multi_result:
-                    eng.backend.note_fallback(self.name, "multi_result")
-                else:
-                    # Vectorized backend: a kernel may take the invocation;
-                    # None means "no kernel / declined" and falls through
-                    # to the naive operation below (per-invocation
-                    # fallback, attributed by the backend).
-                    produced = eng.backend.dispatch(self.name, tables, kwargs)
-                    if produced is not None:
-                        return (produced,)
             result = self.function(*tables, **kwargs)
         if self.multi_result:
             return tuple(result)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from ..core import NULL, Null, Symbol, Table
+from ..core import NULL, Null, Symbol, Table, coerce_symbol, strip_null
 from ..core.table import _from_checked
 from ..obs import runtime as _obs
 from ..obs.lineage import derived_from
@@ -236,16 +236,24 @@ def select(table: Table, left: object, right: object, name: object | None = None
 
     Weak equality is used instead of classical equality (Section 3.1), so
     rows where both attribute entry sets are entirely ⊥ also qualify.
+    The attribute row alone fixes the columns of ``τ_i(A)`` and
+    ``τ_i(B)``, so they are found once; with one column each side the two
+    entries are compared directly (:func:`_same_entry`).  The kept rows
+    are the argument's own rows, in order.
     """
-    a = as_attr_symbol(left)
-    b = as_attr_symbol(right)
-    from ..core import weakly_equal
-
-    kept = [table.row(0)]
-    for i in table.data_row_indices():
-        if weakly_equal(table.row_entry_set(i, a), table.row_entry_set(i, b)):
-            kept.append(table.row(i))
-    return _named(_from_checked(kept), name)
+    a_cols = table.columns_named(as_attr_symbol(left))
+    b_cols = table.columns_named(as_attr_symbol(right))
+    header, *rows = table.grid
+    if len(a_cols) == len(b_cols) == 1:
+        (a,), (b,) = a_cols, b_cols
+        kept = [row for row in rows if _same_entry(row[a], row[b])]
+    else:
+        kept = [
+            row
+            for row in rows
+            if strip_null([row[j] for j in a_cols]) == strip_null([row[j] for j in b_cols])
+        ]
+    return _named(_from_checked([header, *kept]), name)
 
 
 def select_constant(
@@ -257,13 +265,27 @@ def select_constant(
     provided directly as a derived operation.  With ``v = ⊥`` this keeps
     the rows whose ``A``-entries are entirely inapplicable — the building
     block for "selecting out the tuples with Sold entry ⊥" (Section 3.2).
+    The ``A`` columns are found once, as in :func:`select`.
     """
-    from ..core import coerce_symbol, weakly_equal
-
-    a = as_attr_symbol(attr)
+    a_cols = table.columns_named(as_attr_symbol(attr))
     v = coerce_symbol(value)
-    kept = [table.row(0)]
-    for i in table.data_row_indices():
-        if weakly_equal(table.row_entry_set(i, a), {v}):
-            kept.append(table.row(i))
-    return _named(_from_checked(kept), name)
+    header, *rows = table.grid
+    if len(a_cols) == 1:
+        (a,) = a_cols
+        kept = [row for row in rows if _same_entry(row[a], v)]
+    else:
+        target = strip_null((v,))
+        kept = [row for row in rows if strip_null([row[j] for j in a_cols]) == target]
+    return _named(_from_checked([header, *kept]), name)
+
+
+def _same_entry(x: Symbol, y: Symbol) -> bool:
+    """``{x} ≈ {y}``: the test a set lookup of ``x`` in ``{y}`` makes.
+
+    The same object, or equal hashes and ``y == x``, so a NaN matches
+    only itself.  Every ⊥, a lineage copy of ⊥ included, hashes and
+    compares equal to every other and to no other symbol, so two ⊥ match
+    (``∅ ≈ ∅``) and ⊥ against an entry does not.  ``_equi_join`` keys
+    its hash join by the same rule.
+    """
+    return x is y or (hash(x) == hash(y) and y == x)

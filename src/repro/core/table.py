@@ -39,17 +39,30 @@ __all__ = ["Table"]
 _SYMBOL_TYPES: set[type] = set()
 
 
-def _freeze_grid(rows: Iterable[Iterable[Symbol]]) -> tuple[tuple[Symbol, ...], ...]:
-    grid = tuple(tuple(row) for row in rows)
+def _freeze(rows: Iterable[Iterable[Symbol]]) -> tuple[tuple[Symbol, ...], ...]:
+    """``rows`` frozen into a grid of tuples, its shape checked.
+
+    A grid is non-empty and every row is as wide as row 0: one ``len``
+    per row.
+    """
+    # Through a list, so the grid is allocated at its exact size: a tuple
+    # built from an iterator grows by reallocation, and the tuple free
+    # lists then hold more memory than the grids need.
+    grid = tuple([*map(tuple, rows)])
     if not grid or not grid[0]:
         raise SchemaError("a table requires at least the name position (a 1x1 grid)")
-    ncols = len(grid[0])
+    if len(set(map(len, grid))) != 1:
+        ncols = len(grid[0])
+        i, row = next((i, row) for i, row in enumerate(grid) if len(row) != ncols)
+        raise SchemaError(f"ragged grid: row {i} has {len(row)} entries, expected {ncols}")
+    return grid
+
+
+def _freeze_grid(rows: Iterable[Iterable[Symbol]]) -> tuple[tuple[Symbol, ...], ...]:
+    """:func:`_freeze`, then the check that every entry is a :class:`Symbol`."""
+    grid = _freeze(rows)
     known = _SYMBOL_TYPES
     for i, row in enumerate(grid):
-        if len(row) != ncols:
-            raise SchemaError(
-                f"ragged grid: row {i} has {len(row)} entries, expected {ncols}"
-            )
         if known.issuperset(map(type, row)):
             continue
         for j, entry in enumerate(row):
@@ -70,22 +83,12 @@ def _from_checked(rows: Iterable[Iterable[Symbol]]) -> "Table":
     only with its arguments' entries, ⊥, attribute or constant
     parameters coerced to symbols, lineage copies and new values, so the
     result is a table over 𝒮 by construction and its entries are not
-    checked again.  The rows are frozen into tuples and the shape is
-    checked: one ``len`` per row, against one type test per entry in
-    :class:`Table`'s check.
+    checked again.  The rows are frozen and the shape is checked
+    (:func:`_freeze`): one ``len`` per row, against one type test per
+    entry in :class:`Table`'s check.
     """
-    # Through a list, so the grid is allocated at its exact size: a tuple
-    # built from an iterator grows by reallocation, and the tuple free
-    # lists then hold more memory than the grids need.
-    grid = tuple([*map(tuple, rows)])
-    if not grid or not grid[0]:
-        raise SchemaError("a table requires at least the name position (a 1x1 grid)")
-    if len(set(map(len, grid))) != 1:
-        ncols = len(grid[0])
-        i, row = next((i, row) for i, row in enumerate(grid) if len(row) != ncols)
-        raise SchemaError(f"ragged grid: row {i} has {len(row)} entries, expected {ncols}")
     table = object.__new__(Table)
-    object.__setattr__(table, "_grid", grid)
+    object.__setattr__(table, "_grid", _freeze(rows))
     object.__setattr__(table, "_hash", None)
     return table
 

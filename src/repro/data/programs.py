@@ -1,8 +1,8 @@
 """Seeded random program generation: the differential/audit corpus.
 
 :func:`random_case` produces a seeded (program, database) pair drawing
-from the full registered operation set — kernel-backed and fallback ops
-alike — optionally with wildcard arguments/parameters and while loops.
+from the full registered operation set, optionally with wildcard
+arguments/parameters and while loops.
 Databases come from :func:`repro.data.generators.random_database`:
 adversarial tables where ⊥, repeated attributes, and names-in-data all
 occur.  A coarse size ledger keeps every generated program's
@@ -62,8 +62,8 @@ _SAFE_OPS = (
     "INTERSECTION",
 )
 
-#: Fallback-only operations (no kernel): drawing these mixes naive and
-#: vectorized statements inside one vector-engine run.
+#: Structural and tagging operations: outside while-loop bodies each
+#: generation step adds three of them to the pool.
 _FALLBACK_OPS = (
     "GROUP",
     "MERGE",

@@ -1,20 +1,23 @@
-"""The vectorized execution backend (docs/ENGINE.md).
+"""The vector execution backend (docs/ENGINE.md).
+
+A vector run plans the program (the ``fuse-product-select`` rule) and
+runs every op naive, recording each invocation as a fallback with its
+reason; the kernel catalogue is empty.
 
 Layout:
 
 * :mod:`repro.engine.runtime` — the global ``ENGINE`` switch, the
-  ``VectorEngine`` backend object, and the ``engine_scope()`` context
+  ``VectorEngine`` fallback record, and the ``engine_scope()`` context
   manager consulted by the operation registry;
-* :mod:`repro.engine.interning` — symbol ↔ integer-id interning and the
-  :class:`IdTable` id-column table representation;
-* :mod:`repro.engine.kernels` — the hash-based kernel catalogue;
+* :mod:`repro.engine.kernels` — the kernel catalogue, ``KERNELS``, empty
+  by the 2x rule;
 * :mod:`repro.engine.optimizer` — the one rewrite framework: the rule
   registry and the While-recursing pass applying it, behind
   ``optimize_program`` (cost-based), ``plan_program`` (the vector plan:
   product/select fusion alone) and the program optimizer of
   :mod:`repro.algebra.programs.optimize`;
 * :mod:`repro.engine.run` — ``run_program(..., engine="vector")``;
-* :mod:`repro.engine.report` — kernel/fallback attribution reporting.
+* :mod:`repro.engine.report` — fallback attribution reporting.
 
 Only :mod:`~repro.engine.runtime` is imported eagerly: the operation
 registry imports this package while the algebra package is still

@@ -103,6 +103,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..algebra.opshelpers import combine_row_attributes
@@ -953,19 +954,19 @@ class ChainJoin(Statement):
             tuples = new_tuples
             joined.append(leaf)
             at = new_at
-        matches = sorted(
-            tuple(tup[at[l]] for l in range(k)) for tup in (tuples or [])
-        )
+        # Each match's rows in syntactic leaf order (k ≥ 3, so the getter
+        # returns tuples); sorted, they are the nested-loop row order.
+        slots = itemgetter(*(at[l] for l in range(k)))
+        grids = [t.grid for t in tables]
         grid = [(self.target,) + tuple(a for h in headers for a in h)]
-        for index in matches:
-            parts = [tables[l].row(index[l]) for l in range(k)]
-            attr = parts[0][0]
-            for part in parts[1:]:
+        for index in sorted(map(slots, tuples or ())):
+            first = grids[0][index[0]]
+            attr, row = first[0], first[1:]
+            for l in range(1, k):
+                part = grids[l][index[l]]
                 attr = combine_row_attributes(attr, part[0])
-            row = [attr]
-            for part in parts:
-                row.extend(part[1:])
-            grid.append(tuple(row))
+                row += part[1:]
+            grid.append((attr,) + row)
         return _from_checked(grid)
 
     def execute(self, db: TabularDatabase, interp) -> TabularDatabase:

@@ -1,10 +1,10 @@
-"""The engine report: kernel/fallback attribution from ``VectorEngine.stats``.
+"""The engine report: fallback attribution from ``VectorEngine.stats``.
 
-A vector-engine run leaves behind a flat ``stats`` dict — kernel hits
-and fallbacks per op, plus ``reason:{op}:{reason}`` attribution counters
-(see :data:`~repro.engine.runtime.FALLBACK_REASONS`).  This module turns
+A vector-engine run leaves behind a flat ``stats`` dict — fallbacks per
+op, plus ``reason:{op}:{reason}`` attribution counters (see
+:data:`~repro.engine.runtime.FALLBACK_REASONS`).  This module turns
 that dict into the structured report behind ``python -m repro
-engine-report``: per-op dispatch counts, every fallback attributed to a
+engine-report``: per-op fallback counts, every fallback attributed to a
 machine-readable reason, and a coverage figure that must be 100% — an
 unattributed fallback means a dispatch path forgot to call
 :meth:`~repro.engine.runtime.VectorEngine.note_fallback`, which the
@@ -24,10 +24,9 @@ def fallback_report(stats: Mapping[str, int]) -> dict:
     Returns::
 
         {
-          "kernel_calls": int, "fallbacks": int, "attributed": int,
+          "fallbacks": int, "attributed": int,
           "coverage": float,          # attributed / fallbacks (1.0 = full)
-          "ops": {op: {"kernel": int, "fallback": int,
-                       "reasons": {reason: int}}},
+          "ops": {op: {"fallback": int, "reasons": {reason: int}}},
           "reasons": {reason: int},   # totals across ops
         }
     """
@@ -36,15 +35,13 @@ def fallback_report(stats: Mapping[str, int]) -> dict:
     def entry(op: str) -> dict:
         record = ops.get(op)
         if record is None:
-            record = ops[op] = {"kernel": 0, "fallback": 0, "reasons": {}}
+            record = ops[op] = {"fallback": 0, "reasons": {}}
         return record
 
     reasons_total: dict[str, int] = {}
     attributed = 0
     for key, value in stats.items():
-        if key.startswith("kernel:"):
-            entry(key[len("kernel:"):])["kernel"] = value
-        elif key.startswith("fallback:"):
+        if key.startswith("fallback:"):
             entry(key[len("fallback:"):])["fallback"] = value
         elif key.startswith("reason:"):
             _, op, reason = key.split(":", 2)
@@ -54,7 +51,6 @@ def fallback_report(stats: Mapping[str, int]) -> dict:
 
     fallbacks = int(stats.get("fallbacks", 0))
     return {
-        "kernel_calls": int(stats.get("kernel_calls", 0)),
         "fallbacks": fallbacks,
         "attributed": attributed,
         "coverage": (attributed / fallbacks) if fallbacks else 1.0,
@@ -66,25 +62,21 @@ def fallback_report(stats: Mapping[str, int]) -> dict:
 def report_text(report: dict) -> str:
     """Render one :func:`fallback_report` as the CLI's plain-text table."""
     lines = ["ENGINE REPORT", "=" * 64]
-    total = report["kernel_calls"] + report["fallbacks"]
     lines.append(
-        f"dispatches: {total}  kernel: {report['kernel_calls']}  "
         f"fallback: {report['fallbacks']}  "
         f"attributed: {report['attributed']}/{report['fallbacks']} "
         f"({report['coverage']:.0%})"
     )
     if report["ops"]:
         lines.append("")
-        lines.append(f"{'op':<16} {'kernel':>7} {'fallback':>9}  reasons")
+        lines.append(f"{'op':<16} {'fallback':>9}  reasons")
         lines.append("-" * 64)
         for op, record in report["ops"].items():
             reasons = ", ".join(
                 f"{reason}={count}"
                 for reason, count in sorted(record["reasons"].items())
             )
-            lines.append(
-                f"{op:<16} {record['kernel']:>7} {record['fallback']:>9}  {reasons}"
-            )
+            lines.append(f"{op:<16} {record['fallback']:>9}  {reasons}")
     if report["reasons"]:
         lines.append("")
         lines.append("fallback reasons:")

@@ -4,8 +4,7 @@
 (``Program.run(engine=...)`` delegates here).  The vector path plans the
 program (product/select fusion), then executes it inside an
 :func:`~repro.engine.runtime.engine_scope`, so the operation registry
-routes each invocation through the kernel catalogue with per-invocation
-fallback to the naive operations.
+records each invocation as a naive fallback, attributed to a reason.
 :func:`~repro.runtime.checkpoint.run_hardened`, and with it
 ``repro run --engine``, does not come through here: it plans the program
 and enters the engine scope itself.
@@ -42,10 +41,9 @@ def run_program(
     """Run ``program`` on ``db`` under the selected backend.
 
     ``engine=None`` or ``"naive"`` is the plain interpreter,
-    ``"vector"`` plans the program and dispatches through the kernels.
+    ``"vector"`` plans the program and records every op as a fallback.
     Pass a ``backend`` to inspect its ``stats`` afterwards (a fresh one
-    is created per run otherwise, keeping the interner's id space
-    bounded to the run).  ``optimize=True`` applies the cost-based
+    is created per run otherwise).  ``optimize=True`` applies the cost-based
     rewrite rules first; ``stats`` is a
     :class:`~repro.obs.stats.DatabaseStats` snapshot for join ordering
     (defaults to the active estimation scope's snapshot, if any).

@@ -4,8 +4,8 @@ The event bus is the engine's one telemetry stream: every chokepoint —
 op dispatch, the structural boundaries around it (program, statement,
 while loop and iteration, FO+while, compiler, bridge and governed
 regions), while-fixpoint ticks, governor budget checks and kills,
-checkpoint write/restore, fault injection, vector-engine kernel dispatch
-and fallback — publishes a typed, schema-versioned :class:`Event` the
+checkpoint write/restore, fault injection, vector-engine fallback —
+publishes a typed, schema-versioned :class:`Event` the
 moment it happens, and subscribers consume the stream while the run is
 still executing.  A server streaming job progress over a WebSocket, a
 progress ticker on a terminal, the flight recorder's postmortem ring
@@ -92,8 +92,7 @@ EVENT_KINDS = frozenset(
         "checkpoint_write",  # checkpoint persisted: path, statement_index, iteration, bytes, base
         "checkpoint_restore",  # resume restored state: path, statement_index, iteration
         "fault_injected",  # chaos plan fired: op, kind, occurrence, seed
-        "engine_dispatch",  # vector kernel took an invocation: op
-        "engine_fallback",  # vector backend declined: op, reason (machine-readable)
+        "engine_fallback",  # vector backend ran an op naive: op, reason (machine-readable)
         "op_estimate",  # estimator scored a prediction: op, est_rows, act_rows, q_error, source
         "error",  # an op raised: op, error (repr), error_type
         "retry_scheduled",  # supervisor will retry: attempt, decision, backoff_s, error_type

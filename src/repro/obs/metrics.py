@@ -121,11 +121,10 @@ class MetricsRegistry:
         """Fold finished span trees into op metrics and counters.
 
         An op span — one the dispatch events stamped with ``shapes_in``
-        — is one call of its op, an error when the span carries one;
-        ``vector_kernel_hits`` counts those a kernel produced.  Every
-        ``iteration`` and ``fault`` span counts; the other structural
-        spans (:data:`_CLEAN_CLOSE_COUNTERS`) count only when they closed
-        without an error, and a clean ``statement`` adds its
+        — is one call of its op, an error when the span carries one.
+        Every ``iteration`` and ``fault`` span counts; the other
+        structural spans (:data:`_CLEAN_CLOSE_COUNTERS`) count only when
+        they closed without an error, and a clean ``statement`` adds its
         ``combinations``.
         """
         registry = cls()
@@ -139,8 +138,6 @@ class MetricsRegistry:
         if "shapes_in" in attrs:
             flow = {key: attrs[key] for key in _FLOW_KEYS if key in attrs}
             self.record_op(name, span.duration, error=span.error is not None, **flow)
-            if span.kernel:
-                self.count("vector_kernel_hits")
         elif name == "fault":
             self.count("faults_injected")
         elif name in _CLEAN_CLOSE_COUNTERS:

@@ -9,7 +9,7 @@ sample-lines format every Prometheus scraper and ``promtool`` accept):
   buckets of :data:`~repro.obs.metrics.HIST_BUCKETS_S`, with the
   cumulative ``_bucket``/``_sum``/``_count`` series Prometheus expects;
 * the interpreter's free **counters** (statements, while iterations,
-  kernel hits, …) labelled by counter name.
+  faults injected, …) labelled by counter name.
 
 ``python -m repro metrics --prom`` runs the bundled pipelines under an
 observation scope and prints this — point a scrape config at a tiny

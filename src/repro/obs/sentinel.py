@@ -12,8 +12,8 @@ service layer:
   ``qerror_factor`` × baseline (the estimator got worse for this shape,
   so stats are stale or a formula regressed);
 * **fallback rate** — vector-engine fallbacks per dispatched op; drift
-  when recent exceeds baseline + ``fallback_jump`` (kernels silently
-  stopped covering the shape).
+  when recent exceeds baseline + ``fallback_jump`` (with the kernel
+  catalogue empty, the shape's runs moved to the vector engine).
 
 Fingerprints with fewer than ``2 × min_runs`` runs are reported as
 ``insufficient`` and never flagged — one noisy run must not page

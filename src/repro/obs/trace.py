@@ -27,12 +27,11 @@ class Span:
     """One timed, attributed, possibly-nested region of work.
 
     ``start``/``end`` are :func:`time.perf_counter` stamps; ``error``
-    holds ``repr(exception)`` when the region raised; ``kernel`` marks
-    an op span whose result a vector kernel produced.  A :class:`Tracer`
+    holds ``repr(exception)`` when the region raised.  A :class:`Tracer`
     builds them from the event feed.
     """
 
-    __slots__ = ("name", "attributes", "start", "end", "children", "thread_id", "error", "kernel")
+    __slots__ = ("name", "attributes", "start", "end", "children", "thread_id", "error")
 
     def __init__(self, name: str, attributes: dict | None = None):
         self.name = name
@@ -42,7 +41,6 @@ class Span:
         self.children: list[Span] = []
         self.thread_id = threading.get_ident()
         self.error: str | None = None
-        self.kernel = False
 
     @property
     def duration(self) -> float:
@@ -85,7 +83,7 @@ def _jsonable(value: object) -> object:
 
 class _Open:
     """One open span on a thread's stack: ``op`` marks an op span (the
-    target of ``error``, ``engine_dispatch`` and ``fault_injected``);
+    target of ``error`` and ``fault_injected``);
     ``mem_start`` is the traced memory at entry, or -1."""
 
     __slots__ = ("span", "op", "mem_start")
@@ -125,11 +123,10 @@ class Tracer:
         ``span_start`` and ``boundary_start`` open a span under this
         thread's open span, carrying the payload as attributes;
         ``span_finish`` and ``boundary_finish`` add their payload and
-        close it.  ``error`` records an op's failure, ``engine_dispatch``
-        marks the op span kernel-produced and ``fault_injected`` nests a
-        ``fault`` span under it.  An event that matches no open span on
-        its thread — a scope entered mid-region, a backend dispatched
-        outside the registry — is ignored.
+        close it.  ``error`` records an op's failure and
+        ``fault_injected`` nests a ``fault`` span under it.  An event that
+        matches no open span on its thread — a scope entered mid-region —
+        is ignored.
         """
         stack = self._stack()
         if kind == "span_start" or kind == "boundary_start":
@@ -161,8 +158,6 @@ class Tracer:
             self._close(stack, data, ("op", "ok", "duration_ms"))
         elif kind == "error":
             span.error = f"{data['error_type']}({data['error']!r})"
-        elif kind == "engine_dispatch":
-            span.kernel = True
         elif kind == "fault_injected":
             fault = Span(
                 "fault",

@@ -236,7 +236,7 @@ def run_supervisor_matrix(seed: int = 0, nodes: int = 8) -> SupervisorReport:
     """Prove every supervision path on one deterministic workload.
 
     Each cell pairs an error class (injected fault, deadline kill via an
-    injected delay, corrupt kernel output, non-termination, poison
+    injected delay, corrupt op output, non-termination, poison
     workload) with a retry policy and an engine, submits ``tc:nodes``
     through a fresh :class:`~repro.runtime.supervisor.Supervisor`, and
     asserts the documented decision *and* byte-identical results (or a

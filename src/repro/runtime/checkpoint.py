@@ -411,9 +411,9 @@ def run_hardened(
       pre-statement tag (snapshot-and-commit), so the checkpointed
       environment is never partially mutated;
     * ``engine="vector"`` plans the program (product/select fusion) and
-      routes operation dispatch through the vectorized kernels; the
-      checkpoint fingerprint covers the *planned* program, so a resume
-      must use the same engine the original run did.
+      records every op dispatch as a naive fallback; the checkpoint
+      fingerprint covers the *planned* program, so a resume must use the
+      same engine the original run did.
 
     ``log``, a fresh :class:`CheckpointLog`, is the one the run writes its
     chain through; it changes nothing, and afterwards counts the files

@@ -166,11 +166,10 @@ def classify_error(error: BaseException, engine: str = "naive") -> str:
     * ``resume``  — a budget kill (deadline/rows/cells/memory) or
       cooperative cancel: progress up to the last checkpoint is valid
       and determinacy makes resumption equivalent to the original run;
-    * ``degrade`` — the attempt died on the vector engine in a way the
-      naive backend cannot reproduce: a kernel crash (a non-
-      :class:`~repro.core.errors.ReproError` exception) or a structural
-      error produced mid-kernel.  Retry the attempt one rung down the
-      ladder;
+    * ``degrade`` — any other failure on the vector engine (a non-
+      :class:`~repro.core.errors.ReproError` exception, or a structural
+      error such as a corrupt result).  Retry the attempt one rung down
+      the ladder, on the naive backend;
     * ``fail``    — everything rooted in the workload itself:
       non-termination, SETNEW guard trips, checkpoint misuse, usage and
       evaluation errors.  Deterministic programs fail deterministically;
@@ -185,9 +184,9 @@ def classify_error(error: BaseException, engine: str = "naive") -> str:
     if isinstance(error, (CheckpointError, QuarantinedError)):
         return "fail"
     if engine == "vector":
-        # Any other failure on the vector backend — a kernel bug, a
-        # corrupt kernel output rejected by Table validation — may be
-        # backend-specific: give the naive engine one shot at it.
+        # Any other failure on the vector backend — a crash, a corrupt
+        # result rejected by Table validation — may be backend-specific:
+        # give the naive engine one shot at it.
         return "degrade"
     return "fail"
 

@@ -1,15 +1,12 @@
-"""Kernel-level properties: interning round-trips, kernels ≡ naive ops,
-and the naive ops' direct paths ≡ their literal definitions.
+"""The naive ops' direct paths ≡ their literal definitions.
 
-Hypothesis drives structured random tables through the SELECT and
-SELECTCONST kernels and the naive operations they replace; grids must
-match cell for cell.
-
-Because the naive algebra is the oracle for the kernels, the optimizer
-and replay, the naive ops that compute a composition directly are
-pinned here to the composition itself, by grid and by the checkpoint
-encoding's JSON text (``==`` cannot tell ``Value(1)`` from
-``Value(True)``; the encoding can): DEDUP, which hashes whole rows,
+Because the naive algebra is the oracle for the optimizer and replay,
+the naive ops that compute a composition directly are pinned here to
+the composition itself, by grid and by the checkpoint encoding's JSON
+text (``==`` cannot tell ``Value(1)`` from ``Value(True)``; the
+encoding can): SELECT and SELECTCONST, which find their attributes'
+columns once and compare entries directly, against ``τ_i(A) ≈ τ_i(B)``
+over ``Table.row_entry_set``; DEDUP, which hashes whole rows,
 against clean-up by the full scheme and an independent quadratic
 reference; PRODUCTSELECT, which pushes the selection below the
 product, against ``select(product(…))``, also under ``lineage()``;
@@ -21,6 +18,7 @@ pair's aligned rows), against a literal pairwise scan over
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,11 +36,11 @@ from repro.algebra import (
     select_constant,
     union,
 )
-from repro.core import NULL, Name, TaggedValue, Table, Value
-from repro.engine.interning import SymbolInterner
+from repro.algebra.programs.registry import OPERATIONS
+from repro.core import NULL, Name, TaggedValue, Table, Value, coerce_symbol, weakly_equal
 from repro.engine.kernels import KERNELS
-from repro.engine.runtime import VectorEngine
-from repro.obs.lineage import CellRef, lineage, with_prov
+from repro.engine.runtime import engine_scope
+from repro.obs.lineage import CellRef, lineage, provenance, with_prov
 from repro.runtime.checkpoint import table_to_data
 
 A, B, C, X = Name("A"), Name("B"), Name("C"), Value("x")
@@ -77,10 +75,6 @@ def tables(draw, max_height=5, max_width=4, entries=ENTRIES):
     return Table(grid)
 
 
-def _kernel(name, tables_in, arguments):
-    return KERNELS[name](SymbolInterner(), tables_in, arguments)
-
-
 def _assert_same(fast, literal):
     assert fast.grid == literal.grid
     assert json.dumps(table_to_data(fast)) == json.dumps(table_to_data(literal))
@@ -97,21 +91,6 @@ def _literal_deduplicate(table):
         by=frozenset(table.column_attributes),
         on=frozenset(table.row_attributes) | {NULL},
     )
-
-
-@given(tables())
-def test_interning_round_trip(table):
-    interner = SymbolInterner()
-    idt = interner.intern_table(table)
-    back = interner.materialize(idt.name, idt.col_attrs, idt.row_attrs, idt.rows)
-    assert back == table
-    assert back.grid == table.grid
-
-
-@given(tables())
-def test_intern_table_caches_by_identity(table):
-    interner = SymbolInterner()
-    assert interner.intern_table(table) is interner.intern_table(table)
 
 
 @given(tables())
@@ -329,42 +308,162 @@ def test_classical_union_equals_literal_recipe(pair):
     _assert_same(classical_union(rho, sigma), literal)
 
 
-@given(tables(), st.sampled_from(ATTRS), st.sampled_from(ATTRS))
-def test_select_kernel_matches(table, left, right):
-    assert (
-        _kernel("SELECT", [table], {"left": left, "right": right}).grid
-        == select(table, left, right).grid
+def _selected(table, keeps):
+    """``table`` with the data rows ``i`` for which ``keeps(i)`` holds."""
+    return [table.row(i) for i in table.data_row_indices() if keeps(i)]
+
+
+def _assert_selects(result, table, kept):
+    """``result`` holds ``table``'s attribute row and exactly the row
+    objects ``kept``, in order, and encodes as they do."""
+    assert result.row(0) == table.row(0)
+    assert len(result.grid) == len(kept) + 1
+    assert all(got is want for got, want in zip(result.grid[1:], kept))
+    literal = Table([table.row(0), *kept])
+    assert json.dumps(table_to_data(result)) == json.dumps(table_to_data(literal))
+
+
+def _select_by_definition(table, a, b):
+    """Section 3.1: row ``i`` is kept iff ``τ_i(A) ≈ τ_i(B)``."""
+    return _selected(
+        table, lambda i: weakly_equal(table.row_entry_set(i, a), table.row_entry_set(i, b))
     )
 
 
-@given(tables(), st.sampled_from(ATTRS), st.sampled_from(ENTRIES))
-def test_select_constant_kernel_matches(table, attr, value):
-    assert (
-        _kernel("SELECTCONST", [table], {"attr": attr, "value": value}).grid
-        == select_constant(table, attr, value).grid
-    )
+def _select_constant_by_definition(table, a, value):
+    """Row ``i`` is kept iff ``τ_i(A) ≈ {v}``."""
+    v = coerce_symbol(value)
+    return _selected(table, lambda i: weakly_equal(table.row_entry_set(i, a), {v}))
+
+
+def _assert_select_matches_definition(table, left, right):
+    """Outside and under ``lineage()``, where the kept cells keep their
+    provenance."""
+    _assert_selects(select(table, left, right), table, _select_by_definition(table, left, right))
+    with lineage() as lin:
+        tagged = lin.tag_table(table)
+        result = select(tagged, left, right)
+        _assert_selects(result, tagged, _select_by_definition(tagged, left, right))
+        assert all(provenance(entry) for row in result.grid for entry in row[1:])
+
+
+def _assert_select_constant_matches_definition(table, attr, value):
+    expected = _select_constant_by_definition(table, attr, value)
+    _assert_selects(select_constant(table, attr, value), table, expected)
+    with lineage() as lin:
+        tagged = lin.tag_table(table)
+        result = select_constant(tagged, attr, value)
+        _assert_selects(result, tagged, _select_constant_by_definition(tagged, attr, value))
+        assert all(provenance(entry) for row in result.grid for entry in row[1:])
+
+
+NAN_2 = Value(float("nan"))  # a second NaN object: unequal to NAN
+ABSENT = Name("Z")  # in no drawn scheme
+
+
+def _row(*entries, header=(A, B)):
+    return Table([[Name("R"), *header], [NULL, *entries]])
+
+
+#: (table, A, B, kept): explicit SELECT cases, each a one-row table.
+SELECT_CASES = {
+    "one NaN object": (_row(NAN, NAN), A, B, True),
+    "two NaN objects": (_row(NAN, NAN_2), A, B, False),
+    "lineage copy of ⊥ against ⊥": (_row(TAGGED[0], NULL), A, B, True),
+    "1 against True": (_row(Value(1), Value(True)), A, B, True),
+    "1 against 1.0": (_row(Value(1), Value(1.0)), A, B, True),
+    "name against value": (_row(Name("x"), Value("x")), A, B, False),
+    "tag against value": (_row(TaggedValue(1), Value(1)), A, B, False),
+    "A = A over a NaN": (_row(NAN, Value("y")), A, A, True),
+    "A = A over two columns": (_row(NAN, NAN_2, header=(A, A)), A, A, True),
+    "neither attribute in the scheme": (_row(X, Value("y")), ABSENT, C, True),
+    "absent against ⊥": (_row(NULL, X), ABSENT, A, True),
+    "absent against an entry": (_row(NULL, X), ABSENT, B, False),
+    "two A columns, one ⊥": (_row(X, NULL, X, header=(A, A, B)), A, B, True),
+    "two A columns, two entries": (_row(X, Value("y"), X, header=(A, A, B)), A, B, False),
+    "two A columns, lineage copy": (_row(TAGGED[1], X, X, header=(A, A, B)), A, B, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECT_CASES))
+def test_select_explicit_cases(case):
+    table, left, right, kept = SELECT_CASES[case]
+    assert select(table, left, right).height == int(kept)
+    _assert_select_matches_definition(table, left, right)
+
+
+#: (table, A, v, kept): explicit SELECTCONST cases.
+SELECT_CONSTANT_CASES = {
+    "⊥ against ⊥": (_row(NULL, X), A, None, True),
+    "lineage copy of ⊥ against ⊥": (_row(TAGGED[0], X), A, None, True),
+    "an entry against ⊥": (_row(X, NULL), A, None, False),
+    "absent attribute against ⊥": (_row(X, X), ABSENT, None, True),
+    "absent attribute against a value": (_row(X, X), ABSENT, "x", False),
+    "one NaN object": (_row(NAN, X), A, NAN, True),
+    "another NaN object": (_row(NAN, X), A, NAN_2, False),
+    "1 against True": (_row(Value(1), X), A, True, True),
+    "name against value": (_row(Name("x"), X), A, "x", False),
+    "tag against value": (_row(TaggedValue(1), X), A, 1, False),
+    "two A columns, one ⊥": (_row(X, NULL, header=(A, A)), A, "x", True),
+    "two A columns, two entries": (_row(X, Value("y"), header=(A, A)), A, "x", False),
+    "two A columns, both ⊥": (_row(NULL, TAGGED[0], header=(A, A)), A, None, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECT_CONSTANT_CASES))
+def test_select_constant_explicit_cases(case):
+    table, attr, value, kept = SELECT_CONSTANT_CASES[case]
+    assert select_constant(table, attr, value).height == int(kept)
+    _assert_select_constant_matches_definition(table, attr, value)
+
+
+@settings(max_examples=300)
+@given(
+    tables(entries=RICH_ENTRIES),
+    st.sampled_from([*ATTRS, ABSENT]),
+    st.sampled_from([*ATTRS, ABSENT]),
+)
+def test_select_equals_its_definition(table, left, right):
+    _assert_select_matches_definition(table, left, right)
+
+
+@settings(max_examples=300)
+@given(
+    tables(entries=RICH_ENTRIES),
+    st.sampled_from([*ATTRS, ABSENT]),
+    st.sampled_from([*RICH_ENTRIES, NAN_2]),
+)
+def test_select_constant_equals_its_definition(table, attr, value):
+    _assert_select_constant_matches_definition(table, attr, value)
 
 
 def test_dispatch_declines_unknown_ops_and_counts():
-    backend = VectorEngine()
-    table = Table([[Name("R"), Name("A")], [NULL, Value("x")]])
-    assert backend.dispatch("GROUP", [table], {"by": frozenset(), "on": frozenset()}) is None
-    assert backend.dispatch("DEDUP", [table], {}) is None
-    arguments = {"attr": "A", "value": "x"}
-    produced = backend.dispatch("SELECTCONST", [table], arguments)
-    assert produced is not None
-    assert produced.grid == select_constant(table, **arguments).grid
-    assert backend.stats["fallbacks"] == 2
-    assert backend.stats["kernel_calls"] == 1
-    assert backend.stats["reason:GROUP:no_kernel"] == 1
-    assert backend.stats["reason:DEDUP:no_kernel"] == 1
-    assert backend.stats["kernel:SELECTCONST"] == 1
+    """``KERNELS`` is empty: under an engine scope every op runs naive
+    and is counted as a ``no_kernel`` fallback."""
+    assert KERNELS == {}
+    table = Table([[Name("R"), A, B], [NULL, Value("x"), Value("y")]])
+    cases = (
+        ("GROUP", {"by": frozenset({A}), "on": frozenset({B})}),
+        ("DEDUP", {}),
+        ("SELECTCONST", {"attr": "A", "value": "x"}),
+    )
+    with engine_scope() as backend:
+        for name, args in cases:
+            (produced,) = OPERATIONS[name].invoke((table,), args, None)
+            assert produced.grid == OPERATIONS[name].function(table, **args).grid
+    assert backend.stats["fallbacks"] == 3
+    for name in ("GROUP", "DEDUP", "SELECTCONST"):
+        assert backend.stats[f"reason:{name}:no_kernel"] == 1
 
 
 def test_dispatch_falls_back_under_lineage():
-    backend = VectorEngine()
-    table = Table([[Name("R"), Name("A")], [NULL, Value("x")]])
-    with lineage():
-        assert backend.dispatch("SELECTCONST", [table], {"attr": "A", "value": "x"}) is None
+    """Under ``lineage()`` a vector-engine SELECTCONST runs naive and its
+    kept cells keep their provenance."""
+    table = Table([[Name("R"), Name("A")], [NULL, Value("x")], [NULL, Value("y")]])
+    with lineage() as lin, engine_scope() as backend:
+        tagged = lin.tag_table(table)
+        (produced,) = OPERATIONS["SELECTCONST"].invoke((tagged,), {"attr": "A", "value": "x"}, None)
+    assert produced.grid == (tagged.row(0), tagged.row(1))
+    assert provenance(produced.entry(1, 1)) == provenance(tagged.entry(1, 1))
     assert backend.stats["fallback:SELECTCONST"] == 1
-    assert backend.stats["reason:SELECTCONST:lineage_active"] == 1
+    assert backend.stats["reason:SELECTCONST:no_kernel"] == 1

@@ -222,21 +222,20 @@ class TestChokepointFeeds:
             "op": "GROUP", "fault": "raise", "occurrence": 1, "seed": 7
         }
 
-    def test_engine_dispatch_and_fallback_events(self):
+    def test_engine_fallback_events(self):
         from repro.engine.runtime import engine_scope
 
-        # The pivot's three ops have no kernel; the trailing SELECTCONST
-        # has one.
+        # No op has a kernel: the pivot's three ops and the trailing
+        # SELECTCONST each publish one fallback.
         program = parse_program(PIVOT + "Nuts <- SELECTCONST attr Part value nuts (Pivot)\n")
         with event_stream() as bus:
             ring = bus.ring(capacity=4096)
-            with engine_scope():
+            with engine_scope() as backend:
                 program.run(sales_info1())
-        dispatches = [e for e in ring.tail() if e.kind == "engine_dispatch"]
         fallbacks = [e for e in ring.tail() if e.kind == "engine_fallback"]
-        assert {e.data["op"] for e in dispatches} == {"SELECTCONST"}
-        assert {e.data["op"] for e in fallbacks} == {"GROUP", "CLEANUP", "PURGE"}
+        assert [e.data["op"] for e in fallbacks] == ["GROUP", "CLEANUP", "PURGE", "SELECTCONST"]
         assert all(e.data["reason"] == "no_kernel" for e in fallbacks)
+        assert backend.stats["fallbacks"] == len(fallbacks)
 
     def test_checkpoint_and_run_framing_events(self, tmp_path):
         from repro.runtime import run_hardened

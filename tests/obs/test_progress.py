@@ -91,7 +91,7 @@ class TestRendering:
         bus.attach(ticker)
         bus.publish("span_start", op="GROUP")
         bus.publish("span_finish", op="GROUP", ok=True)
-        bus.publish("engine_dispatch", op="SELECT", rows_in=4)
+        bus.publish("engine_fallback", op="SELECT", reason="no_kernel")
         assert buffer.getvalue() == "" and ticker.lines == 0
 
 

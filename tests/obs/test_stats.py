@@ -5,10 +5,9 @@ from collections import Counter
 
 import pytest
 
-from repro.core import database, make_table
+from repro.core import NULL, database, make_table
 from repro.core.errors import StatsError
 from repro.data import sales_info1, sales_info2, sales_info4
-from repro.engine.interning import SymbolInterner
 from repro.obs.stats import (
     DEFAULT_TOP_K,
     STATS_SCHEMA_VERSION,
@@ -77,42 +76,40 @@ def _analyzed_counts(db):
     return out
 
 
-def _interned_counts(db):
-    """The same counts taken over the vector engine's interned id-columns
-    (⊥ is id 0): an independent recount of the symbol-grid pass."""
-    interner = SymbolInterner()
-    symbol = interner.symbol
+def _recounted(db):
+    """The same counts taken with a ``Counter`` over each symbol column
+    (every ⊥ counts as ⊥): an independent recount of the symbol-grid
+    pass."""
     out = []
     for table in db.tables:
-        idt = interner.intern_table(table)
         columns = []
-        for attr, col in zip(idt.col_attrs, idt.cols):
-            counts = Counter(col)
-            nulls = counts.pop(0, 0)
-            histogram = {symbol(i): n for i, n in counts.items()}
-            columns.append((symbol(attr), nulls, len(histogram), histogram))
-        out.append((str(symbol(idt.name)), idt.height, idt.width, len(set(idt.rows)), columns))
+        for j in table.data_col_indices():
+            counts = Counter(table.data_column(j))
+            nulls = counts.pop(NULL, 0)
+            columns.append((table.entry(0, j), nulls, len(counts), dict(counts)))
+        rows = {table.data_row(i) for i in table.data_row_indices()}
+        out.append((str(table.name), table.height, table.width, len(rows), columns))
     return out
 
 
 class TestParity:
-    """ANALYZE agrees with a recount over interned id-columns."""
+    """ANALYZE agrees with a recount over the symbol columns."""
 
     @pytest.mark.parametrize("db_factory", [sales_info1, sales_info2, sales_info4])
     def test_naive_and_vector_agree_on_figures(self, db_factory):
         db = db_factory()
-        assert _analyzed_counts(db) == _interned_counts(db)
+        assert _analyzed_counts(db) == _recounted(db)
 
     def test_naive_and_vector_agree_on_fixpoint_output(self):
         # The while-fixpoint's output database (transitive closure) has
         # duplicated names and intermediate tables.
         _label, program, db = parse_workload("tc:6")
         result = program.run(db)
-        assert _analyzed_counts(result) == _interned_counts(result)
+        assert _analyzed_counts(result) == _recounted(result)
 
     def test_parity_with_nulls(self):
         db = database(_nulled_table())
-        assert _analyzed_counts(db) == _interned_counts(db)
+        assert _analyzed_counts(db) == _recounted(db)
 
 
 class TestPersistence:

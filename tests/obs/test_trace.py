@@ -319,13 +319,12 @@ class TestEventCollector:
         assert obs.metrics.op("DEDUP").calls == 1
 
     def test_backend_dispatch_outside_the_registry_is_ignored(self):
-        from repro.core import make_table
         from repro.engine.runtime import VectorEngine
 
-        table = make_table("T", ["A"], [["x"], ["x"]])
+        backend = VectorEngine()
         with observation() as obs:
-            arguments = {"attr": "A", "value": "x"}
-            assert VectorEngine().dispatch("SELECTCONST", [table], arguments) is not None
+            backend.note_fallback("SELECTCONST", "no_kernel")
+        assert backend.stats["reason:SELECTCONST:no_kernel"] == 1
         assert obs.spans == ()
         assert obs.metrics.is_empty()
 

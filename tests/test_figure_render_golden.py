@@ -8,8 +8,8 @@ Every figure is produced by *running a TA program* — the Figure 1
 representations through an identity statement, Figure 4 through its
 GROUP, Figure 5 through its MERGE — and the whole matrix is
 parametrized over ``engine="naive"|"vector"``: both backends must
-render the identical characters, pinning the vectorized kernels (and
-their interning round-trip) to the paper's artifacts.
+render the identical characters, pinning the vector plan to the paper's
+artifacts.
 """
 
 import pytest
