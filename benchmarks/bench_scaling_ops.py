@@ -443,10 +443,12 @@ def _checkpointed_tc8(directory, pad_rows):
 def test_checkpoint_bytes_ignore_an_unchanged_table(tmp_path):
     """A checkpoint boundary writes only the tables it has not written
     before, so a large table no statement touches costs its encoding
-    once, at boundary zero.  After that, a checkpointed ``tc:8`` over an
-    extra 2,000-row table writes no more bytes than without it, but for
-    the table's key in each boundary's order (~5 bytes).  Rewriting the
-    whole database at every boundary wrote the table ~100 times.
+    once, at boundary zero, and the chain's symbol dictionary encodes
+    each of its symbol objects once.  After that, a checkpointed ``tc:8``
+    over an extra 2,000-row table writes no more bytes than without it,
+    but for the table's key in each boundary's order (~5 bytes).
+    Rewriting the whole database at every boundary wrote the table ~100
+    times.
 
     Counts symbols and bytes, not time, so it is exact on any host.
     """
@@ -461,7 +463,10 @@ def test_checkpoint_bytes_ignore_an_unchanged_table(tmp_path):
         padded_boundary_zero=padded[0],
     )
     assert len(padded) == len(plain)
-    assert padded_encoded - plain_encoded == sum(len(row) for row in pad.grid)
+    # One encoding per symbol object the pad brings in: ⊥ is the chain's
+    # already, so its 5 names and 7,600 values.
+    new_objects = {id(symbol) for row in pad.grid for symbol in row} - {id(NULL)}
+    assert padded_encoded - plain_encoded == len(new_objects) == 7_605
     assert sum(padded[1:]) <= sum(plain[1:]) + 8 * len(plain), (
         "the unchanged table was written again after boundary zero"
     )

@@ -19,29 +19,35 @@ with their enclosing body statement.  This keeps the inter-checkpoint
 stride small enough that even a tight deadline re-applied on every
 resume still makes forward progress.
 
-Layout (format 2): a statement ``T ← op(…)`` replaces only the tables
+Layout (format 3): a statement ``T ← op(…)`` replaces only the tables
 named ``T`` (Section 3), so consecutive boundaries share all but a few
 table objects, and a checkpoint at ``path`` is a chain of files in which
-each boundary writes only the tables it has not written before:
+each boundary writes only the tables it has not written before.  The
+chain keeps one symbol dictionary: a symbol object gets an index the
+first time a boundary writes a table holding it, and every table is
+written as rows of indices.
 
 * ``path`` is the chain's *base*: a chain id, the program fingerprint,
-  the run state, the database's order of table keys and every table
-  under its per-run key.  It goes to a sibling temp file, is fsync'd and
-  is renamed over ``path``.
+  the run state, the database's order of table keys, the whole symbol
+  dictionary and every table under its per-run key.  It goes to a
+  sibling temp file, is fsync'd and is renamed over ``path``.
 * Each later boundary writes one *delta*, ``path.000001``,
   ``path.000002``, …: the chain id, the run state, the order of table
-  keys and only the tables whose objects were not in the previous
-  boundary's database.  It is fsync'd once, where it lies.
+  keys, the dictionary entries first seen at this boundary and only the
+  tables whose objects were not in the previous boundary's database.
+  It is fsync'd once, where it lies.
 
 :func:`load_checkpoint` folds the base's consecutive deltas in order and
 stops at the first that is missing, torn (no final newline, or not
 JSON) or from another chain, so a run killed mid-delta resumes from the
-boundary before it.  A run's first boundary writes a base, and so does
-the next boundary whenever the deltas since the base outweigh it.  Once
-renamed in place, a base deletes every delta beside it; a kill between
-the rename and the deletes leaves some, and the chain id keeps them out
-of the fold.  One fsync per boundary; directory entries are not
-fsync'd, since losing one to a power cut re-exposes an earlier
+boundary before it.  It decodes each dictionary entry once and builds
+the tables from the decoded list, so cells that held one symbol object
+hold one again.  A run's first boundary writes a base, and so does any
+boundary whose delta would make the deltas since the base outweigh it.
+Once renamed in place, a base deletes every delta beside it; a kill
+between the rename and the deletes leaves some, and the chain id keeps
+them out of the fold.  One fsync per boundary; directory entries are
+not fsync'd, since losing one to a power cut re-exposes an earlier
 boundary, which is still a valid resume point.
 
 :func:`run_hardened` is the driver: it steps a
@@ -60,10 +66,11 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from ..core.database import TabularDatabase
-from ..core.errors import CheckpointError, outcome_status
+from ..core.errors import CheckpointError, SchemaError, outcome_status
 from ..core.symbols import NULL, FreshValueSource, Name, Symbol, TaggedValue, Value
 from ..core.table import Table
 from ..obs import events as _ev
@@ -78,9 +85,7 @@ __all__ = [
     "symbol_to_data",
     "symbol_from_data",
     "table_to_data",
-    "table_from_data",
     "database_to_data",
-    "database_from_data",
     "program_fingerprint",
     "save_checkpoint",
     "load_checkpoint",
@@ -88,8 +93,9 @@ __all__ = [
 ]
 
 #: Version stamp written into every base.  Format 1 wrote the whole
-#: database into one file at every boundary; it no longer loads.
-CHECKPOINT_FORMAT = 2
+#: database into one file at every boundary, and format 2 wrote each
+#: new table's cells as symbol encodings; neither loads any more.
+CHECKPOINT_FORMAT = 3
 
 _COMPACT = (",", ":")
 
@@ -138,20 +144,8 @@ def table_to_data(table: Table) -> list:
     return [[symbol_to_data(entry) for entry in row] for row in table.grid]
 
 
-def table_from_data(data: list) -> Table:
-    if not isinstance(data, list):
-        raise CheckpointError(f"malformed table encoding {data!r}")
-    return Table([[symbol_from_data(entry) for entry in row] for row in data])
-
-
 def database_to_data(db: TabularDatabase) -> list:
     return [table_to_data(table) for table in db.tables]
-
-
-def database_from_data(data: list) -> TabularDatabase:
-    if not isinstance(data, list):
-        raise CheckpointError(f"malformed database encoding {data!r}")
-    return TabularDatabase(table_from_data(entry) for entry in data)
 
 
 def program_fingerprint(program) -> str:
@@ -194,16 +188,30 @@ def delta_path(path: str | Path, seq: int) -> Path:
 class CheckpointLog:
     """One run's checkpoint chain, as far as its boundaries wrote it.
 
+    The chain keeps one symbol dictionary, keyed by the symbol object,
+    then by its encoding, never by ``==`` (``Value(1)``, ``Value(True)``
+    and ``Value(1.0)`` are equal but encode apart).  ``ids`` maps a
+    symbol object's id to its index and ``held`` holds every such
+    object, so no id is reused while the log lives.  ``entries`` holds
+    each index's compact JSON encoding, and ``texts`` maps the encoding
+    of a symbol equal to itself to its index, so equal objects that
+    encode alike share one entry; a symbol unequal to itself (a NaN
+    payload) always gets its own.  Indices are never renumbered.
+    ``flushed`` counts the entries the current chain's files hold: a
+    delta writes the ones after them, a base writes them all, and a
+    failed write leaves them for the next file.
+
     ``live`` maps each table of the last boundary's database, by object
-    identity, to ``(table, key, text)``: its per-run key and its encoded
-    grid.  Holding the table keeps its id from being reused, and holding
-    the text lets a new base reuse it, so a table object is encoded once
-    while it stays in the database.  ``last`` is the size of the last file
-    written and whether it was a base; ``writes`` and ``bytes_written``
-    count every file the log wrote.
+    identity, to ``(table, key, text)``: its per-run key and its rows of
+    indices in compact JSON.  Holding the table keeps its id from being
+    reused, and holding the text lets a new base reuse it, so a table
+    object is encoded once while it stays in the database.  ``last`` is
+    the size of the last file written and whether it was a base;
+    ``writes`` and ``bytes_written`` count every file the log wrote.
     """
 
     __slots__ = ("chain", "seq", "base_bytes", "delta_bytes", "live", "keys",
+                 "ids", "held", "entries", "texts", "flushed",
                  "last", "writes", "bytes_written")
 
     def __init__(self):
@@ -213,25 +221,60 @@ class CheckpointLog:
         self.delta_bytes = 0
         self.live: dict[int, tuple[Table, str, str]] = {}
         self.keys = 0
+        self.ids: dict[int, int] = {}
+        self.held: list[Symbol] = []
+        self.entries: list[str] = []
+        self.texts: dict[str, int] = {}
+        self.flushed = 0
         self.last = (0, False)
         self.writes = 0
         self.bytes_written = 0
 
-    def write(self, path: Path, checkpoint: Checkpoint) -> Path:
-        """Write ``checkpoint`` as the chain's next file; return its path."""
+    def _index(self, symbol: Symbol) -> int:
+        """The dictionary index of ``symbol``, added when it is new."""
+        index = self.ids.get(id(symbol))
+        if index is None:
+            text = json.dumps(symbol_to_data(symbol), separators=_COMPACT)
+            itself = symbol == symbol
+            index = self.texts.get(text) if itself else None
+            if index is None:
+                index = len(self.entries)
+                self.entries.append(text)
+                if itself:
+                    self.texts[text] = index
+            self.ids[id(symbol)] = index
+            self.held.append(symbol)
+        return index
+
+    def encode(self, table: Table) -> str:
+        """``table``'s grid as rows of dictionary indices, in compact JSON."""
+        index = self.ids.__getitem__
+        rows = []
+        for row in table.grid:
+            try:
+                rows.append(list(map(index, map(id, row))))
+            except KeyError:
+                rows.append([self._index(symbol) for symbol in row])
+        return json.dumps(rows, separators=_COMPACT)
+
+    def write(self, path: str, checkpoint: Checkpoint) -> str:
+        """Write ``checkpoint`` as the chain's next file; return its path.
+
+        The boundary's new tables and dictionary entries are encoded
+        first; the file is a base when there is no chain yet or when
+        this delta would make the deltas since the base outweigh it.
+        """
         live: dict[int, tuple[Table, str, str]] = {}
         new = []
         for table in checkpoint.db.tables:
             entry = self.live.get(id(table))
             if entry is None:
-                text = json.dumps(table_to_data(table), separators=_COMPACT)
-                entry = (table, str(self.keys), text)
+                entry = (table, str(self.keys), self.encode(table))
                 self.keys += 1
                 new.append(entry)
             live[id(table)] = entry
-        base = self.chain is None or self.delta_bytes > self.base_bytes
         head = {
-            "chain": os.urandom(8).hex() if base else self.chain,
+            "chain": self.chain,
             "statement_index": checkpoint.statement_index,
             "body_index": checkpoint.body_index,
             "iterations": checkpoint.iterations,
@@ -239,24 +282,19 @@ class CheckpointLog:
             "done": checkpoint.done,
             "order": [key for _table, key, _text in live.values()],
         }
+        base = self.chain is None
+        if not base:
+            payload = _payload(head, self.entries[self.flushed:], new)
+            base = self.delta_bytes + len(payload) > self.base_bytes
         if base:
             head = {"format": CHECKPOINT_FORMAT,
-                    "fingerprint": checkpoint.fingerprint, **head}
-        tables = ",".join(
-            f'"{key}":{text}'
-            for _table, key, text in (live.values() if base else new)
-        )
-        payload = (
-            json.dumps(head, separators=_COMPACT)[:-1]
-            + ',"tables":{' + tables + "}}\n"
-        )
-        target = path if base else delta_path(path, self.seq + 1)
+                    "fingerprint": checkpoint.fingerprint,
+                    **head, "chain": os.urandom(8).hex()}
+            payload = _payload(head, self.entries, live.values())
+        target = path if base else f"{path}.{self.seq + 1:06d}"
         written = f"{path}.tmp" if base else target
         try:
-            with open(written, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
+            _write_synced(written, payload.encode())
             if base:
                 os.replace(written, path)
                 _delete_deltas(path)
@@ -268,6 +306,7 @@ class CheckpointLog:
         else:
             self.seq += 1
             self.delta_bytes += len(payload)
+        self.flushed = len(self.entries)
         self.live = live
         self.last = (len(payload), base)
         self.writes += 1
@@ -275,12 +314,36 @@ class CheckpointLog:
         return target
 
 
-def _delete_deltas(path: Path) -> None:
+def _payload(head: dict, entries: list[str], tables) -> str:
+    """One checkpoint file's text: ``head``, then ``entries`` and ``tables``."""
+    return (
+        json.dumps(head, separators=_COMPACT)[:-1]
+        + ',"symbols":[' + ",".join(entries)
+        + '],"tables":{'
+        + ",".join(f'"{key}":{text}' for _table, key, text in tables)
+        + "}}\n"
+    )
+
+
+def _write_synced(file: str, data: bytes) -> None:
+    """Write all of ``data`` to ``file``, truncating it, and fsync it."""
+    fd = os.open(file, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _delete_deltas(path: str) -> None:
     """Delete every ``path.NNNNNN`` beside ``path``, past any gap too."""
-    prefix = f"{path.name}."
-    for name in os.listdir(path.parent):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            os.unlink(path.parent / name)
+    directory, name = os.path.split(path)
+    prefix = f"{name}."
+    for entry in os.listdir(directory or "."):
+        if entry.startswith(prefix) and entry[len(prefix):].isdigit():
+            os.unlink(os.path.join(directory, entry))
 
 
 def save_checkpoint(
@@ -294,7 +357,8 @@ def save_checkpoint(
     any instant leaves the previous complete base or the new one.  A
     delta is written in place and fsync'd; a torn one ends the fold.
     """
-    return (CheckpointLog() if log is None else log).write(Path(path), checkpoint)
+    log = CheckpointLog() if log is None else log
+    return Path(log.write(os.fspath(path), checkpoint))
 
 
 def _parse(raw: bytes) -> dict | None:
@@ -308,20 +372,43 @@ def _parse(raw: bytes) -> dict | None:
     return data if isinstance(data, dict) else None
 
 
-def _fold(tables: dict, record: dict, path: Path) -> dict:
-    """The live tables after ``record``: key -> encoded grid, in its order."""
+def _fold(symbols: list[Symbol], tables: dict, record: dict, path: Path) -> dict:
+    """The live tables after ``record``: key -> rows of indices, in its
+    order.  ``symbols`` gains ``record``'s dictionary entries, decoded."""
     try:
+        entries = record["symbols"]
+        if not isinstance(entries, list):
+            raise TypeError(f"symbols is {type(entries).__name__}, not a list")
         merged = {**tables, **record["tables"]}
-        return {key: merged[key] for key in record["order"]}
+        tables = {key: merged[key] for key in record["order"]}
     except (KeyError, TypeError) as err:
         raise CheckpointError(f"checkpoint {path} is malformed: {err!r}") from err
+    symbols.extend(map(symbol_from_data, entries))
+    return tables
+
+
+def _table(rows: list, symbols: list[Symbol], path: Path) -> Table:
+    """The table whose grid is ``rows`` of indices into ``symbols``."""
+    try:
+        cells = list(chain.from_iterable(rows))
+        if set(map(type, cells)) - {int} or (
+            cells and (min(cells) < 0 or max(cells) >= len(symbols))
+        ):
+            raise TypeError(
+                f"a table cell is not an index into its {len(symbols)} symbols"
+            )
+        return Table([map(symbols.__getitem__, row) for row in rows])
+    except (TypeError, SchemaError) as err:
+        raise CheckpointError(f"checkpoint {path} is malformed: {err}") from err
 
 
 def load_checkpoint(path: str | Path, program=None) -> Checkpoint:
     """Fold one checkpoint chain; verify format and (optionally) the program.
 
     ``program``, when given, must fingerprint-match the checkpoint —
-    resuming a checkpoint under a different program raises.
+    resuming a checkpoint under a different program raises.  Each
+    dictionary entry is decoded once, and every table is built from the
+    decoded symbols through :class:`~repro.core.table.Table`'s checks.
     """
     path = Path(path)
     try:
@@ -342,10 +429,11 @@ def load_checkpoint(path: str | Path, program=None) -> Checkpoint:
             f"checkpoint {path} was taken from a different program "
             f"(fingerprint {fingerprint} != {program_fingerprint(program)})"
         )
-    chain = state.get("chain")
-    if not isinstance(chain, str):
+    chain_id = state.get("chain")
+    if not isinstance(chain_id, str):
         raise CheckpointError(f"checkpoint {path} is malformed: no chain id")
-    tables = _fold({}, state, path)
+    symbols: list[Symbol] = []
+    tables = _fold(symbols, {}, state, path)
     seq = 1
     while True:
         delta = delta_path(path, seq)
@@ -355,17 +443,18 @@ def load_checkpoint(path: str | Path, program=None) -> Checkpoint:
             break
         except OSError as err:
             raise CheckpointError(f"cannot read checkpoint {delta}: {err}") from err
-        if record is None or record.get("chain") != chain:
+        if record is None or record.get("chain") != chain_id:
             break
-        tables = _fold(tables, record, delta)
+        tables = _fold(symbols, tables, record, delta)
         state = record
         seq += 1
+    db = TabularDatabase(_table(rows, symbols, path) for rows in tables.values())
     try:
         return Checkpoint(
             statement_index=int(state["statement_index"]),
             iterations=int(state["iterations"]),
             next_tag=int(state["next_tag"]),
-            db=database_from_data(list(tables.values())),
+            db=db,
             fingerprint=fingerprint,
             body_index=int(state["body_index"]),
             done=bool(state["done"]),

@@ -34,6 +34,7 @@ from repro.core import (
     database,
     make_table,
 )
+from repro.core.errors import CheckpointError
 from repro.core.table import _from_checked
 from repro.data import figure4_top
 from repro.data.programs import MAX_WHILE_ITERATIONS, random_case, random_rewrite_case
@@ -41,7 +42,7 @@ from repro.engine.optimizer import optimize_program
 from repro.engine.run import run_program
 from repro.obs.examples import EXAMPLES
 from repro.obs.stats import analyze_database
-from repro.runtime.checkpoint import table_from_data
+from repro.runtime.checkpoint import load_checkpoint
 from repro.runtime.workloads import resolve_workload
 
 from grid_reference import reference_freeze
@@ -137,19 +138,35 @@ def test_builders_are_checked(monkeypatch):
         make_table("R", ["A"], [[1]])
 
 
-def test_decoded_tables_are_checked(monkeypatch):
+def _checkpoint_file(path, rows):
+    """A one-table format-3 checkpoint whose table is ``rows`` of indices."""
+    import json
+
+    path.write_text(json.dumps({
+        "format": 3, "fingerprint": "", "chain": "c", "statement_index": 0,
+        "body_index": 0, "iterations": 0, "next_tag": 0, "done": False,
+        "order": ["0"], "symbols": [["n", "R"], ["n", "A"], ["0"], ["v", 1]],
+        "tables": {"0": rows},
+    }) + "\n")
+    return path
+
+
+def test_decoded_tables_are_checked(monkeypatch, tmp_path):
+    """A checkpoint's tables go through the full check; what it finds is
+    a malformed checkpoint."""
     import repro.runtime.checkpoint as checkpoint
 
-    with pytest.raises(SchemaError, match=RAGGED_TEXT):
-        table_from_data([[["n", "R"], ["n", "A"]], [["0"]]])
+    with pytest.raises(CheckpointError, match=RAGGED_TEXT) as caught:
+        load_checkpoint(_checkpoint_file(tmp_path / "ragged.json", [[0, 1], [2]]))
+    assert isinstance(caught.value.__cause__, SchemaError)
     decode = checkpoint.symbol_from_data
     monkeypatch.setattr(
         checkpoint,
         "symbol_from_data",
         lambda data: data[1] if data[0] == "v" else decode(data),
     )
-    with pytest.raises(SchemaError, match=r"grid entry \(1,1\) is 1, not a Symbol"):
-        table_from_data([[["n", "R"], ["n", "A"]], [["0", None], ["v", 1]]])
+    with pytest.raises(CheckpointError, match=r"grid entry \(1,1\) is 1, not a Symbol"):
+        load_checkpoint(_checkpoint_file(tmp_path / "raw.json", [[0, 1], [2, 3]]))
 
 
 def test_table_edits_are_checked():

@@ -13,10 +13,14 @@ product, against ``select(product(…))``, also under ``lineage()``;
 CLASSICALUNION against the Section 3.4 recipe; and the difference
 family, which hashes each row's mutual-subsumption key (a relation-style
 pair's aligned rows), against a literal pairwise scan over
-``Table.rows_subsume_each_other``.
+``Table.rows_subsume_each_other``.  The same adversarial tables also
+pin the checkpoint chain's symbol dictionary: saved and loaded, they
+keep their digest and which cells share a symbol object.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,11 +41,27 @@ from repro.algebra import (
     union,
 )
 from repro.algebra.programs.registry import OPERATIONS
-from repro.core import NULL, Name, TaggedValue, Table, Value, coerce_symbol, weakly_equal
+from repro.core import (
+    NULL,
+    Name,
+    TabularDatabase,
+    TaggedValue,
+    Table,
+    Value,
+    coerce_symbol,
+    weakly_equal,
+)
 from repro.engine.kernels import KERNELS
 from repro.engine.runtime import engine_scope
+from repro.obs.ledger import database_digest
 from repro.obs.lineage import CellRef, lineage, provenance, with_prov
-from repro.runtime.checkpoint import table_to_data
+from repro.runtime.checkpoint import (
+    Checkpoint,
+    CheckpointLog,
+    load_checkpoint,
+    save_checkpoint,
+    table_to_data,
+)
 
 A, B, C, X = Name("A"), Name("B"), Name("C"), Value("x")
 ATTRS = [NULL, A, B, C]
@@ -467,3 +487,35 @@ def test_dispatch_falls_back_under_lineage():
     assert provenance(produced.entry(1, 1)) == provenance(tagged.entry(1, 1))
     assert backend.stats["fallback:SELECTCONST"] == 1
     assert backend.stats["reason:SELECTCONST:no_kernel"] == 1
+
+
+#: Another NaN object: unequal to NAN, and to itself.
+OTHER_NAN = Value(float("nan"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(tables(entries=[*RICH_ENTRIES, OTHER_NAN]), min_size=1, max_size=3))
+def test_a_checkpoint_chain_keeps_which_cells_share_a_symbol(drawn):
+    """Each table joins the database at its own boundary of one chain (a
+    base, then deltas); the folded chain has the same digest, cells that
+    held one symbol object hold one again, and NaN cells that held
+    distinct objects still do."""
+    db = TabularDatabase()
+    log = CheckpointLog()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "ck.json")
+        for index, table in enumerate(drawn):
+            db = db.add(table)
+            save_checkpoint(path, Checkpoint(
+                statement_index=index, iterations=0, next_tag=0, db=db, fingerprint="",
+            ), log)
+        loaded = load_checkpoint(path).db
+    assert database_digest(loaded)[0] == database_digest(db)[0]
+    before = [cell for table in db.tables for row in table.grid for cell in row]
+    after = [cell for table in loaded.tables for row in table.grid for cell in row]
+    assert len(after) == len(before)
+    shared, nans = {}, {}
+    for old, new in zip(before, after):
+        assert shared.setdefault(id(old), new) is new
+        if old != old:
+            assert nans.setdefault(id(new), old) is old

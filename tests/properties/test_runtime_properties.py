@@ -7,9 +7,12 @@ Two families:
   as a typed :class:`~repro.core.errors.ReproError` subclass, and a
   clean re-run afterwards still reproduces the reference result exactly
   (no partial mutation survives, the governor state is restored).
-* **Serialization** — checkpoint encoding round-trips arbitrary
+* **Serialization** — a checkpoint chain round-trips arbitrary
   databases from the shared strategies bit for bit.
 """
+
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,8 @@ from repro.algebra.programs import parse_program
 from repro.core.errors import ReproError
 from repro.data import sales_info1
 from repro.runtime import GOV, FaultPlan, FaultRule, governed
-from repro.runtime.checkpoint import database_from_data, database_to_data
+from repro.obs.ledger import database_digest
+from repro.runtime.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from tabular_strategies import databases
 
 PIVOT = """
@@ -85,4 +89,11 @@ class TestCheckpointSerialization:
     @settings(max_examples=50, deadline=None)
     @given(db=databases())
     def test_database_encoding_round_trips(self, db):
-        assert database_from_data(database_to_data(db)) == db
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "ck.json")
+            save_checkpoint(path, Checkpoint(
+                statement_index=0, iterations=0, next_tag=0, db=db, fingerprint="",
+            ))
+            loaded = load_checkpoint(path).db
+        assert loaded == db
+        assert database_digest(loaded)[0] == database_digest(db)[0]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import NULL, Name, TabularDatabase, TaggedValue, Value, make_table
+from repro.core import NULL, Name, Table, TabularDatabase, TaggedValue, Value, make_table
 from repro.core.errors import (
     BudgetExceededError,
     CheckpointError,
@@ -20,8 +20,14 @@ from repro.runtime import (
     run_hardened,
     save_checkpoint,
 )
-from repro.runtime.checkpoint import delta_path
+from repro.runtime.checkpoint import CheckpointLog, delta_path
 from repro.runtime.workloads import transitive_closure_workload
+
+
+def mid_fixpoint_delay():
+    """Sleeps past a 50ms deadline at the third iteration's PRODUCT of a
+    ``tc:N`` fixpoint, once: a deadline kill that holds on any host."""
+    return FaultPlan([FaultRule(op="PRODUCT", kind="delay", occurrence=3, delay_s=0.1)])
 
 
 class TestSerialization:
@@ -45,16 +51,16 @@ class TestSerialization:
         with pytest.raises(CheckpointError):
             symbol_from_data([])
 
-    def test_database_round_trip(self):
-        from repro.runtime.checkpoint import database_from_data, database_to_data
-
-        db = TabularDatabase(
-            [
-                make_table("R", ["A", "B"], [(1, "x"), (2, NULL)]),
-                make_table("S", ["C"], [(TaggedValue(4),)]),
-            ]
-        )
-        assert database_from_data(database_to_data(db)) == db
+    def test_database_round_trip(self, tmp_path):
+        """A base, then a delta adding a table: the chain folds to the
+        database, invented values and ⊥ included."""
+        first = make_table("R", ["A", "B"], [(1, "x"), (2, NULL)])
+        db = TabularDatabase([first, make_table("S", ["C"], [(TaggedValue(4),)])])
+        path = tmp_path / "ck.json"
+        log = CheckpointLog()
+        save_checkpoint(path, _boundary(TabularDatabase([first])), log)
+        assert save_checkpoint(path, _boundary(db, 1), log) == delta_path(path, 1)
+        assert load_checkpoint(path).db == db
 
 
 class TestCheckpointFiles:
@@ -204,14 +210,16 @@ class TestRunHardened:
     def test_deadline_kill_then_resume_is_identical(self, tmp_path):
         """The acceptance scenario: a 50ms deadline kills the fixpoint
         mid-run; resuming from the checkpoint yields a database identical
-        to the uninterrupted run."""
+        to the uninterrupted run.  A delay past the deadline in the third
+        iteration makes the kill certain on any host."""
         program, db = transitive_closure_workload(10)
         clean = program.run(db)
         path = tmp_path / "ck.json"
         killed = False
         try:
             result = run_hardened(
-                program, db, limits=Limits(deadline_s=0.05), checkpoint_path=path
+                program, db, limits=Limits(deadline_s=0.05),
+                faults=mid_fixpoint_delay(), checkpoint_path=path,
             )
         except BudgetExceededError as err:
             killed = True
@@ -414,16 +422,34 @@ class TestDeltaChain:
     to reproduces the clean run."""
 
     def test_boundaries_after_the_first_write_deltas(self, tmp_path, monkeypatch):
+        """The first boundary writes a base and the next a delta; a later
+        boundary writes a base only when its delta would make the deltas
+        since the base outweigh that base."""
+        from repro.obs.events import event_stream
+
         program, db = transitive_closure_workload(5)
         path = tmp_path / "ck.json"
-        written = _run_killed(monkeypatch, program, db, path)
+        sizes = []
+        with event_stream() as bus:
+            bus.attach(
+                lambda event: sizes.append(event.data["bytes"])
+                if event.kind == "checkpoint_write" else None
+            )
+            written = _run_killed(monkeypatch, program, db, path)
         files = [file for file, _checkpoint in written]
-        assert files[:3] == [path, delta_path(path, 1), delta_path(path, 2)]
-        # Every file is a base or the next delta of the current chain.
-        seq = 0
-        for file in files:
+        assert len(sizes) == len(files)
+        assert files[:2] == [path, delta_path(path, 1)]
+        # Every file is a base or the next delta of the current chain,
+        # and the deltas since a base never outweigh it.
+        seq = longest = 0
+        for file, size in zip(files, sizes):
             seq = 0 if file == path else seq + 1
             assert file == (path if seq == 0 else delta_path(path, seq))
+            since = 0 if seq == 0 else since + size
+            base = size if seq == 0 else base
+            assert since <= base
+            longest = max(longest, seq)
+        assert files.count(path) > 2 and longest >= 3
         _assert_restores(path, program, written[-1][1])
 
     @pytest.mark.parametrize(
@@ -531,6 +557,23 @@ class TestDeltaChain:
             load_checkpoint(path)
         assert main(["run", "tc:4", "--resume", "--checkpoint", str(path)]) == 3
 
+    def test_a_format_2_checkpoint_is_refused_with_exit_3(self, tmp_path):
+        """Format 2 wrote each table's cells as symbol encodings, with no
+        symbol dictionary; it fails typed, as a missing checkpoint does."""
+        from repro.__main__ import main
+
+        program, _db = transitive_closure_workload(4)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "format": 2, "fingerprint": program_fingerprint(program),
+            "chain": "0123456789abcdef", "statement_index": 0, "body_index": 0,
+            "iterations": 0, "next_tag": 0, "done": False, "order": ["0"],
+            "tables": {"0": [[["n", "E"], ["n", "Src"]], [["0"], ["v", 1]]]},
+        }, separators=(",", ":")) + "\n")
+        with pytest.raises(CheckpointError, match="format 2"):
+            load_checkpoint(path)
+        assert main(["run", "tc:4", "--resume", "--checkpoint", str(path)]) == 3
+
     @pytest.mark.parametrize("optimized", [False, True], ids=["source", "optimized"])
     @pytest.mark.parametrize("engine", ["naive", "vector"])
     def test_a_kill_at_every_boundary_resumes_identically(
@@ -554,3 +597,196 @@ class TestDeltaChain:
             )
             _assert_restores(path, None, written[-1][1])
             _assert_resumes_identically(path, program, db, engine=engine)
+
+
+def _boundary(db, index=0):
+    return Checkpoint(
+        statement_index=index, iterations=0, next_tag=0, db=db, fingerprint="abc123"
+    )
+
+
+def _types(db):
+    """Each cell's symbol type and payload type, in grid order."""
+    return [
+        (type(entry), type(getattr(entry, "payload", None)))
+        for table in db.tables for row in table.grid for entry in row
+    ]
+
+
+class TestSymbolDictionary:
+    """A chain keeps one symbol dictionary: a symbol object is encoded
+    once, a table is rows of indices, and a resume decodes each entry
+    once, so cells that shared a symbol object share one again."""
+
+    PROGRAM = "S <- DEDUP (R)\nT <- SELECT left A right B (S)"
+
+    def _kill_at_select_and_resume(self, tmp_path, first, second):
+        from repro.algebra.programs import parse_program
+        from repro.obs.ledger import database_digest
+
+        program = parse_program(self.PROGRAM)
+        one = Value(1)
+        db = TabularDatabase([Table([
+            [Name("R"), Name("A"), Name("B")],
+            [NULL, first, second],
+            [NULL, one, one],
+        ])])
+        clean = program.run(db)
+        path = tmp_path / "ck.json"
+        plan = FaultPlan([FaultRule(op="SELECT", kind="raise")])
+        with pytest.raises(FaultInjectedError):
+            run_hardened(program, db, faults=plan, checkpoint_path=path)
+        assert load_checkpoint(path, program).statement_index == 1
+        resumed = run_hardened(program, db, checkpoint_path=path, resume=True)
+        assert database_digest(resumed)[0] == database_digest(clean)[0]
+        return resumed.table("T").height
+
+    def test_one_nan_object_in_both_compared_cells_is_kept_after_resume(self, tmp_path):
+        nan = Value(float("nan"))
+        assert self._kill_at_select_and_resume(tmp_path, nan, nan) == 2
+
+    def test_two_nan_objects_are_dropped_after_resume(self, tmp_path):
+        first, second = Value(float("nan")), Value(float("nan"))
+        assert self._kill_at_select_and_resume(tmp_path, first, second) == 1
+
+    def test_equal_symbols_of_other_types_round_trip_a_chain(self, tmp_path):
+        """``Value(1) == Value(True) == Value(1.0)`` and they hash alike,
+        but each keeps its own entry, so every cell keeps its type."""
+        symbols = [Value(1), Value(True), Value(1.0), Name("x"), Value("x"),
+                   TaggedValue(1), NULL]
+        first = Table([[Name("R"), *symbols], [NULL, *symbols]])
+        again = [Value(1), Value(True), Value(1.0), Name("x"), Value("x"),
+                 TaggedValue(1), NULL]
+        second = Table([[Name("S"), *again], [NULL, *symbols]])
+        path = tmp_path / "ck.json"
+        log = CheckpointLog()
+        base = TabularDatabase([first])
+        save_checkpoint(path, _boundary(base), log)
+        grown = base.add(second)
+        assert save_checkpoint(path, _boundary(grown, 1), log) == delta_path(path, 1)
+        assert len(log.entries) == 2 + len(symbols)
+        loaded = load_checkpoint(path).db
+        assert loaded == grown
+        assert _types(loaded) == _types(grown)
+
+    def test_a_base_carries_the_whole_dictionary(self, tmp_path):
+        """Indices are never renumbered: a rebase writes every entry, the
+        ones no live table uses too, and the kept rows stay valid."""
+        path = tmp_path / "ck.json"
+        log = CheckpointLog()
+        small = make_table("R", ["A"], [("x",)])
+        save_checkpoint(path, _boundary(TabularDatabase([small])), log)
+        big = make_table("S", ["B"], [(n,) for n in range(50)])
+        assert save_checkpoint(path, _boundary(TabularDatabase([big]), 1), log) == path
+        record = json.loads(path.read_text())
+        assert [["n", "R"], ["n", "A"], ["0"], ["v", "x"]] == record["symbols"][:4]
+        assert len(record["symbols"]) == len(log.entries) == 4 + 2 + 50
+        assert load_checkpoint(path).db == TabularDatabase([big])
+
+    def test_a_failed_write_leaves_its_entries_for_the_next_file(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.runtime import checkpoint as ck
+
+        path = tmp_path / "ck.json"
+        log = CheckpointLog()
+        first = make_table("R", ["A"], [(n,) for n in range(20)])
+        save_checkpoint(path, _boundary(TabularDatabase([first])), log)
+        second = make_table("S", ["B"], [("new",)])
+        grown = TabularDatabase([first, second])
+        write = ck._write_synced
+
+        def failing(file, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ck, "_write_synced", failing)
+        with pytest.raises(CheckpointError, match="disk full"):
+            save_checkpoint(path, _boundary(grown, 1), log)
+        monkeypatch.setattr(ck, "_write_synced", write)
+        assert save_checkpoint(path, _boundary(grown, 2), log) == delta_path(path, 1)
+        assert '"symbols":[["n","S"],["n","B"],["v","new"]]' in (
+            delta_path(path, 1).read_text()
+        )
+        loaded = load_checkpoint(path)
+        assert loaded.statement_index == 2 and loaded.db == grown
+
+    @pytest.mark.parametrize(
+        "cell", ["0", 0.0, True, False, -1, 3, None, [0]],
+        ids=["str", "float", "true", "false", "negative", "past the end", "null", "list"],
+    )
+    def test_a_cell_that_is_not_an_index_is_refused(self, tmp_path, cell):
+        from repro.__main__ import main
+
+        program, _db = transitive_closure_workload(4)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "format": 3, "fingerprint": program_fingerprint(program),
+            "chain": "0123456789abcdef", "statement_index": 0, "body_index": 0,
+            "iterations": 0, "next_tag": 0, "done": False, "order": ["0"],
+            "symbols": [["n", "E"], ["0"], ["v", 1]],
+            "tables": {"0": [[0, 1], [1, cell]]},
+        }) + "\n")
+        with pytest.raises(CheckpointError, match="not an index into its 3 symbols"):
+            load_checkpoint(path)
+        assert main(["run", "tc:4", "--resume", "--checkpoint", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1], [1]], [], [[]]], ids=["ragged", "no rows", "empty row"]
+    )
+    def test_a_table_that_is_not_a_grid_is_refused(self, tmp_path, rows):
+        from repro.__main__ import main
+
+        program, _db = transitive_closure_workload(4)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "format": 3, "fingerprint": program_fingerprint(program),
+            "chain": "0123456789abcdef", "statement_index": 0, "body_index": 0,
+            "iterations": 0, "next_tag": 0, "done": False, "order": ["0"],
+            "symbols": [["n", "E"], ["0"]], "tables": {"0": rows},
+        }) + "\n")
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+        assert main(["run", "tc:4", "--resume", "--checkpoint", str(path)]) == 3
+
+    def test_a_record_without_symbols_is_refused(self, tmp_path):
+        path = tmp_path / "ck.json"
+        log = CheckpointLog()
+        db = TabularDatabase([make_table("R", ["A"], [("x",)])])
+        save_checkpoint(path, _boundary(db), log)
+        delta = save_checkpoint(path, _boundary(db, 1), log)
+        record = json.loads(delta.read_text())
+        del record["symbols"]
+        delta.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CheckpointError, match="malformed.*symbols"):
+            load_checkpoint(path)
+        record = json.loads(path.read_text())
+        del record["symbols"]
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CheckpointError, match="malformed.*symbols"):
+            load_checkpoint(path)
+
+    def test_a_checkpointed_pivot_chain_writes_the_grouped_table_once(self, tmp_path):
+        """GROUP's 242x242 table is far larger than the base before it, so
+        its boundary writes a base; the deltas after it stay below that
+        base, and no later file carries the table again."""
+        from repro.obs.events import event_stream
+        from repro.runtime.workloads import parse_workload
+
+        _label, program, db = parse_workload("restructure:80")
+        writes = []
+        with event_stream() as bus:
+            bus.attach(
+                lambda event: writes.append(event.data)
+                if event.kind == "checkpoint_write" else None
+            )
+            result = run_hardened(program, db, checkpoint_path=tmp_path / "ck.json")
+        grouped = result.table("Grouped")
+        assert (grouped.nrows, grouped.ncols) == (242, 242)
+        # A file that holds the table holds at least one digit and one
+        # separator per cell; a file that does not is far smaller.
+        holding = [
+            (write["statement_index"], write["base"])
+            for write in writes if write["bytes"] >= 2 * grouped.nrows * grouped.ncols
+        ]
+        assert holding == [(1, True)]
+        assert [write["base"] for write in writes] == [True, True, False, False, False, False]

@@ -8,13 +8,15 @@ Two pins:
   or kernel bug that perturbed the fixpoint would show up here first;
 * checkpoint writes encode only what is new: a while-fixpoint writes a
   checkpoint after every body statement, and the run's checkpoint chain
-  encodes a table object once, when it first enters the database, so
-  only *replaced* tables pay encoding and the folded final checkpoint
-  equals the result.
+  encodes a table object once, when it first enters the database, and a
+  symbol object once, when a table first brings it in, so only
+  *replaced* tables pay encoding, only new symbols pay a symbol's, and
+  the folded final checkpoint equals the result.
 """
 
 import pytest
 
+from repro.core import NULL, Name, Table, Value
 from repro.obs import observation
 from repro.obs.events import event_stream
 from repro.obs.ledger import database_digest
@@ -45,15 +47,15 @@ def test_a_table_in_the_chain_is_never_encoded_again(tmp_path, monkeypatch):
     encoded twice: a boundary encodes only the tables the previous one
     lacked, and a new base reuses the text the chain already holds."""
     _label, program, db = parse_workload("tc:6")
-    encode = ck.table_to_data
+    encode = ck.CheckpointLog.encode
     for engine in ("naive", "vector"):
         encoded, writes = [], []
 
-        def counting(table):
+        def counting(log, table):
             encoded.append(table)
-            return encode(table)
+            return encode(log, table)
 
-        monkeypatch.setattr(ck, "table_to_data", counting)
+        monkeypatch.setattr(ck.CheckpointLog, "encode", counting)
         with event_stream() as bus:
             bus.attach(
                 lambda event: writes.append(event.data)
@@ -69,8 +71,11 @@ def test_a_table_in_the_chain_is_never_encoded_again(tmp_path, monkeypatch):
 
 def test_checkpoint_writes_skip_reencoding_unchanged_tables(tmp_path, monkeypatch):
     """A boundary whose database holds the previous boundary's table
-    objects writes a delta without tables and never calls symbol_to_data;
-    one replaced table is the only one encoded."""
+    objects writes a delta without tables and never calls symbol_to_data.
+    A replaced table is encoded as rows of indices, and only the symbol
+    objects the chain has not seen call symbol_to_data: none for a
+    renamed copy of a table, one per distinct new object for a table of
+    new objects, whose delta lists only the encodings not seen before."""
     _label, program, db = parse_workload("tc:5")
     path = tmp_path / "ck.json"
     log = ck.CheckpointLog()
@@ -99,8 +104,29 @@ def test_checkpoint_writes_skip_reencoding_unchanged_tables(tmp_path, monkeypatc
     assert replaced is not db.tables[0]
     changed = db.remove(db.tables[0]).add(replaced)
     ck.save_checkpoint(path, boundary(changed, 2), log)
-    assert len(encoded) == sum(len(row) for row in replaced.grid)
+    assert encoded == []
     assert ck.load_checkpoint(path, program).db == changed
+
+    # New objects: NULL is the chain's already; Name("Src") and Value(1)
+    # are new objects with old encodings, and the one Value(1) fills two
+    # cells.  Two NaN objects are unequal to themselves: two entries.
+    one, nan, other_nan = Value(1), Value(float("nan")), Value(float("nan"))
+    fresh = Table([
+        [Name("Fresh"), Name("Src"), Name("X")],
+        [NULL, one, nan],
+        [NULL, one, other_nan],
+    ])
+    grown = changed.add(fresh)
+    delta = ck.save_checkpoint(path, boundary(grown, 3), log)
+    assert delta != path
+    new_objects = {id(symbol) for row in fresh.grid for symbol in row} - {id(NULL)}
+    assert len(encoded) == len(new_objects) == 6
+    assert '"symbols":[["n","Fresh"],["n","X"],["v",NaN],["v",NaN]]' in delta.read_text()
+    loaded = ck.load_checkpoint(path, program).db
+    assert database_digest(loaded)[0] == database_digest(grown)[0]
+    table = loaded.table("Fresh")
+    assert table.entry(1, 1) is table.entry(2, 1)
+    assert table.entry(1, 2) is not table.entry(2, 2)
 
 
 def test_hardened_fixpoint_checkpoints_stay_consistent(tmp_path):

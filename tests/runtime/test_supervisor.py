@@ -34,6 +34,12 @@ def one_shot_fault(seed=0):
     return FaultPlan([FaultRule(op="DIFFERENCE", kind="raise")], seed=seed)
 
 
+def mid_fixpoint_delay():
+    """Sleeps past a 50ms deadline at the third iteration's PRODUCT of a
+    ``tc:N`` fixpoint, once across all attempts: a certain kill."""
+    return FaultPlan([FaultRule(op="PRODUCT", kind="delay", occurrence=3, delay_s=0.1)])
+
+
 def poison_fault(attempts=10, seed=0):
     """Raises on every attempt's first dispatch: terminally poisonous."""
     return FaultPlan(
@@ -79,6 +85,7 @@ class TestSubmit:
             db,
             workload=label,
             limits=Limits(deadline_s=0.05),
+            faults=mid_fixpoint_delay(),
             checkpoint_path=tmp_path / "ck.json",
         )
         assert run.ok and run.result == program.run(db)
@@ -366,7 +373,8 @@ class TestRecover:
         if checkpoint:
             with pytest.raises(BudgetExceededError):
                 run_hardened(
-                    program, db, limits=Limits(deadline_s=0.05), checkpoint_path=path
+                    program, db, limits=Limits(deadline_s=0.05),
+                    faults=mid_fixpoint_delay(), checkpoint_path=path,
                 )
         ledger.record_start(
             {

@@ -1071,11 +1071,22 @@ class TestSupervisorCommands:
         )
         assert code == 2
 
-    def test_run_retry_converges_past_a_deadline(self, tmp_path):
+    def test_run_retry_converges_past_a_deadline(self, tmp_path, monkeypatch):
         """The acceptance scenario: tc:10 under a 50ms deadline converges
-        through supervised resume attempts to the verified database."""
+        through supervised resume attempts to the verified database.  A
+        delay past the deadline in the third iteration, fired once across
+        the attempts, makes the first attempt's kill certain."""
         import json
 
+        from repro.runtime import FaultPlan, FaultRule
+        from repro.runtime.supervisor import Supervisor
+
+        plan = FaultPlan([FaultRule(op="PRODUCT", kind="delay", occurrence=3, delay_s=0.1)])
+        submit = Supervisor.submit
+        monkeypatch.setattr(
+            Supervisor, "submit",
+            lambda self, *args, **kwargs: submit(self, *args, faults=plan, **kwargs),
+        )
         code, output = run_cli(
             "run", "tc:10", "--deadline", "50",
             "--checkpoint", str(tmp_path / "ck.json"),
@@ -1163,16 +1174,18 @@ class TestSupervisorCommands:
 
         from repro.core.errors import BudgetExceededError
         from repro.obs.ledger import RunLedger, new_run_id
-        from repro.runtime import Limits, run_hardened
+        from repro.runtime import FaultPlan, FaultRule, Limits, run_hardened
         from repro.runtime.workloads import transitive_closure_workload
 
         program, db = transitive_closure_workload(10)
         led = tmp_path / "led"
         checkpoint = tmp_path / "crash.json"
+        # A delay past the deadline in the third iteration: a certain kill.
+        delay = FaultRule(op="PRODUCT", kind="delay", occurrence=3, delay_s=0.1)
         with _pytest.raises(BudgetExceededError):
             run_hardened(
                 program, db, limits=Limits(deadline_s=0.05),
-                checkpoint_path=checkpoint,
+                faults=FaultPlan([delay]), checkpoint_path=checkpoint,
             )
         run_id = new_run_id()
         RunLedger(led).record_start(
